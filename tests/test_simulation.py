@@ -10,6 +10,8 @@ from deconf import (
     ExhaustedError,
     ExperimentConfig,
     ValidationError,
+    adversarial_instance,
+    allocate_infinite,
     ate_exact,
     binary_conditional,
     draw_conditional,
@@ -264,3 +266,123 @@ class TestConfigValidation:
         cfg = small_infinite_config(shared_randomness=True)
         with pytest.raises(ValidationError):
             run_infinite_experiment(cfg)
+
+
+class TestStreamContract:
+    """Golden rows pinning the RNG stream keying and draw order.
+
+    Each (instance, policy, replication) stream is drawn in grid order and,
+    within a grid point, in canonical group order; the finite protocol adds
+    one arrival stream per (instance, replication). The values below were
+    recorded before the engine was batched, so any change to the keying,
+    the draw order or the k=2 arithmetic fails here. k >= 3 sums may move
+    by a few ulp and are compared within 1e-12 relative.
+    """
+
+    @staticmethod
+    def rows(curve):
+        return [
+            (r.policy, r.grid_value, r.mean_abs_error, r.std_abs_error, r.reps)
+            for r in curve.rows
+        ]
+
+    def test_infinite_k2(self):
+        cfg = ExperimentConfig(
+            k=2,
+            instances=2,
+            policies=("nsp", "usp", "owsp"),
+            include_baseline=True,
+            m_grid=(30, 100),
+            replications=6,
+            seed=2020,
+        )
+        assert self.rows(run_infinite_experiment(cfg)) == [
+            ("deconf-only", 30, 0.1376815044158981, 0.10095524388130157, 12),
+            ("deconf-only", 100, 0.07658203009906316, 0.06308340070105094, 12),
+            ("nsp", 30, 0.0229505878550558, 0.01842826283271012, 12),
+            ("nsp", 100, 0.025238273011169196, 0.0176095522251549, 12),
+            ("owsp", 30, 0.02219499885501394, 0.018698486877482202, 12),
+            ("owsp", 100, 0.013364120232389943, 0.009819317513401767, 12),
+            ("usp", 30, 0.027190909486398556, 0.016389827208234863, 12),
+            ("usp", 100, 0.010926262526950357, 0.01125914703472525, 12),
+        ]
+
+    def finite_config(self, shared):
+        return ExperimentConfig(
+            k=2,
+            instances=2,
+            policies=("nsp", "usp", "owsp"),
+            m_grid=(20,),
+            n_grid=(20, 60, 200),
+            replications=6,
+            seed=7,
+            shared_randomness=shared,
+        )
+
+    def test_finite_k2_independent_streams(self):
+        assert self.rows(run_finite_experiment(self.finite_config(False))) == [
+            ("nsp", 20, 0.18570377552942116, 0.16911434449089546, 12),
+            ("nsp", 60, 0.1502297409369939, 0.11192614837969324, 12),
+            ("nsp", 200, 0.10172913845071652, 0.0919236354869189, 12),
+            ("owsp", 20, 0.16117067314705405, 0.16334992890701255, 12),
+            ("owsp", 60, 0.12006148630724119, 0.08174798354322355, 12),
+            ("owsp", 200, 0.10814444565470584, 0.06306225800004005, 12),
+            ("usp", 20, 0.2071436743869036, 0.17706249240818875, 12),
+            ("usp", 60, 0.14329332699479783, 0.08922957965656876, 12),
+            ("usp", 200, 0.08142838397672443, 0.05589401045954451, 12),
+        ]
+
+    def test_finite_k2_shared_streams(self):
+        assert self.rows(run_finite_experiment(self.finite_config(True))) == [
+            ("nsp", 20, 0.19213495813677017, 0.17175979851089312, 12),
+            ("nsp", 60, 0.12668264894994655, 0.112807285422276, 12),
+            ("nsp", 200, 0.09221054567917215, 0.08905666244616543, 12),
+            ("owsp", 20, 0.19213495813677017, 0.17175979851089312, 12),
+            ("owsp", 60, 0.09760253331191919, 0.10433663702536097, 12),
+            ("owsp", 200, 0.0838900361518126, 0.070852810071941, 12),
+            ("usp", 20, 0.19213495813677017, 0.17175979851089312, 12),
+            ("usp", 60, 0.10661820848905607, 0.11647631549299912, 12),
+            ("usp", 200, 0.09393412052007799, 0.07130708446859373, 12),
+        ]
+
+    def test_nsp_worst_uniform_fallback(self):
+        # nsp spends [18, 0, 0, 2] of m=20 here, so groups (0,1) and (1,0)
+        # take the uniform row in every replication
+        a, q = adversarial_instance("nsp_worst")
+        assert allocate_infinite("nsp", a, 20).counts.tolist() == [18, 0, 0, 2]
+        cfg = ExperimentConfig(
+            k=2,
+            policies=("nsp", "usp", "owsp"),
+            include_baseline=True,
+            m_grid=(20,),
+            replications=10,
+            seed=5,
+        )
+        assert self.rows(run_infinite_experiment(cfg, instances=[(a, q)])) == [
+            ("deconf-only", 20, 0.4336856378216824, 0.18603875627186733, 10),
+            ("nsp", 20, 0.3607379842345405, 0.2279887311832135, 10),
+            ("owsp", 20, 0.1550678128361973, 0.1974324377131085, 10),
+            ("usp", 20, 0.2903996203527594, 0.24808615323958308, 10),
+        ]
+
+    def test_infinite_k3_within_ulps(self):
+        cfg = ExperimentConfig(
+            k=3,
+            instances=2,
+            policies=("nsp", "usp", "owsp"),
+            include_baseline=True,
+            m_grid=(40,),
+            replications=6,
+            seed=31,
+        )
+        expected = [
+            ("deconf-only", 40, 0.10853795306665638, 0.07114422776499417, 12),
+            ("nsp", 40, 0.059477460274674765, 0.04740824013670242, 12),
+            ("owsp", 40, 0.046551002878502556, 0.020901715742997307, 12),
+            ("usp", 40, 0.051698260677678624, 0.024888468195105203, 12),
+        ]
+        got = self.rows(run_infinite_experiment(cfg))
+        assert [(r[0], r[1], r[4]) for r in got] == [(e[0], e[1], e[4]) for e in expected]
+        for row, want in zip(got, expected):
+            assert row[2] == pytest.approx(want[2], rel=1e-12, abs=0.0)
+            assert row[3] == pytest.approx(want[3], rel=1e-12, abs=0.0)
