@@ -75,7 +75,6 @@ from .simulation import (
     EmpiricalOracle,
     ErrorCurve,
     ExperimentConfig,
-    draw_conditional,
     run_empirical_experiment,
     run_finite_experiment,
     run_infinite_experiment,

@@ -26,6 +26,10 @@ class DegenerateGroupError(DeconfError):
         names = ", ".join(f"(y={y},t={t})" for y, t in self.groups)
         super().__init__(f"no deconfounded samples in positive-mass group(s) {names}")
 
+    def __reduce__(self):
+        # rebuild from the groups, not the message, when crossing processes
+        return type(self), (self.groups,)
+
 
 class ExhaustedError(DeconfError):
     """A without-replacement reveal requested more records than remain."""

@@ -16,7 +16,10 @@ surface in ``degenerate_strata``.
 
 Record arrays use columns (y, t) for confounded data and (y, t, z) for
 deconfounded data; the ``*_counts`` variants accept pre-aggregated count
-tables and are what the simulation engine calls in its inner loop.
+tables. Every estimator here is a batch-of-one wrapper around the numeric
+kernel -- :func:`q_hat_batch` plus :func:`deconf.model.ate_batch` -- which
+the simulation engine calls directly on whole ``(..., 4, k)`` batches of
+replications.
 """
 
 from __future__ import annotations
@@ -133,19 +136,27 @@ class EstimationResult:
         return joint_from_parts(self.a_hat, self.q_hat)
 
 
-def _q_hat_from_counts(m_counts: np.ndarray, a_vec: np.ndarray, fallback: str):
-    """Per-group MLE rows with uniform fallback for empty groups."""
-    k = m_counts.shape[1]
-    totals = m_counts.sum(axis=1)
-    empty = totals == 0
-    if fallback == "error" and np.any(empty & (a_vec > 0.0)):
-        bad = [GROUPS[g] for g in np.nonzero(empty & (a_vec > 0.0))[0]]
-        raise DegenerateGroupError(bad)
-    q = np.empty((4, k))
-    for g in range(4):
-        q[g] = 1.0 / k if empty[g] else m_counts[g] / totals[g]
-    degenerate = frozenset(GROUPS[g] for g in np.nonzero(empty)[0])
-    return ConditionalTable(q), degenerate
+def q_hat_batch(counts, a, fallback: str = "uniform") -> np.ndarray:
+    """Per-group MLE rows for every (4, k) count table in a ``(..., 4, k)`` stack.
+
+    ``q_hat[..., g, z] = counts[..., g, z] / counts[..., g, :].sum()``; a
+    group with no counts gets the uniform row. ``a`` (broadcastable to
+    ``(..., 4)``) is the marginal the rows will be weighted by: under
+    ``fallback="error"`` an empty group with positive mass in any member of
+    the batch raises :class:`DegenerateGroupError` naming the groups of the
+    first such member.
+    """
+    _check_fallback(fallback)
+    counts = np.asarray(counts, dtype=float)
+    totals = counts.sum(axis=-1, keepdims=True)
+    if fallback == "error":
+        bad = (totals[..., 0] == 0.0) & (np.asarray(a) > 0.0)
+        if bad.any():
+            rows = bad.reshape(-1, 4)
+            first = rows[rows.any(axis=1)][0]
+            raise DegenerateGroupError([GROUPS[g] for g in np.nonzero(first)[0]])
+    uniform = np.full(counts.shape, 1.0 / counts.shape[-1])
+    return np.divide(counts, totals, out=uniform, where=totals > 0.0)
 
 
 def estimate_deconfounded_only_counts(m_counts: np.ndarray) -> EstimationResult:
@@ -171,11 +182,11 @@ def estimate_with_known_confounded_counts(
     a: ConfoundedDistribution, m_counts: np.ndarray, fallback: str = "uniform"
 ) -> EstimationResult:
     """Plug-in estimator with the marginal known exactly (infinite regime)."""
-    _check_fallback(fallback)
     m_counts = np.asarray(m_counts, dtype=float)
-    q_hat, degenerate = _q_hat_from_counts(m_counts, a.a, fallback)
+    q_hat = ConditionalTable(q_hat_batch(m_counts, a.a, fallback))
     ate = ate_details(joint_from_parts(a, q_hat))
-    return EstimationResult(ate.value, a, q_hat, degenerate, ate.degenerate_strata)
+    empty = frozenset(GROUPS[g] for g in np.nonzero(m_counts.sum(axis=1) == 0)[0])
+    return EstimationResult(ate.value, a, q_hat, empty, ate.degenerate_strata)
 
 
 def estimate_with_known_confounded(
@@ -190,15 +201,11 @@ def estimate_finite_counts(
     n_counts: np.ndarray, m_counts: np.ndarray, fallback: str = "uniform"
 ) -> EstimationResult:
     """Plug-in estimator with both a and q estimated from counts."""
-    _check_fallback(fallback)
     n_counts = np.asarray(n_counts, dtype=float)
     if n_counts.sum() <= 0:
         raise ValidationError("need at least one confounded record")
     a_hat = ConfoundedDistribution(n_counts / n_counts.sum())
-    m_counts = np.asarray(m_counts, dtype=float)
-    q_hat, degenerate = _q_hat_from_counts(m_counts, a_hat.a, fallback)
-    ate = ate_details(joint_from_parts(a_hat, q_hat))
-    return EstimationResult(ate.value, a_hat, q_hat, degenerate, ate.degenerate_strata)
+    return estimate_with_known_confounded_counts(a_hat, m_counts, fallback)
 
 
 def estimate_finite(dataset: Dataset, fallback: str = "uniform") -> EstimationResult:

@@ -30,7 +30,6 @@ evaluation total on small empirical tables where empty strata are routine.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
@@ -156,27 +155,36 @@ class AteResult(NamedTuple):
     degenerate_strata: frozenset
 
 
+def ate_batch(p) -> np.ndarray:
+    """Back-door ATE of every (4, k) table in a ``(..., 4, k)`` stack.
+
+    The one numeric path for the ATE: plain arrays in, no validation. A
+    zero-mass stratum (t, z) contributes 0 (the 0/0 -> 0 convention). The
+    per-z terms are sorted before a sequential sum, so the value is bitwise
+    invariant under any relabeling of z and does not depend on the batch
+    shape; at k=2 it equals the correctly rounded sum of the two terms.
+    """
+    p = np.asarray(p, dtype=float)
+    mass_t0 = p[..., 0, :] + p[..., 2, :]  # sum_y p[y, t=0, z]
+    mass_t1 = p[..., 1, :] + p[..., 3, :]
+    pz = mass_t0 + mass_t1
+    cond_t0 = np.divide(p[..., 2, :], mass_t0, out=np.zeros_like(pz), where=mass_t0 > 0.0)
+    cond_t1 = np.divide(p[..., 3, :], mass_t1, out=np.zeros_like(pz), where=mass_t1 > 0.0)
+    terms = np.sort((cond_t1 - cond_t0) * pz, axis=-1)
+    # algebraically in [-1, 1]; clamp float noise only
+    return np.clip(np.cumsum(terms, axis=-1)[..., -1], -1.0, 1.0)
+
+
 def ate_details(p: JointDistribution) -> AteResult:
     """Evaluate the back-door adjusted ATE with the 0/0 -> 0 convention."""
     table = p.p
-    mass_t0 = table[0] + table[2]  # sum_y p[y, t=0, z]
+    mass_t0 = table[0] + table[2]
     mass_t1 = table[1] + table[3]
-    pz = mass_t0 + mass_t1
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cond_t0 = np.where(mass_t0 > 0.0, table[2] / np.where(mass_t0 > 0, mass_t0, 1.0), 0.0)
-        cond_t1 = np.where(mass_t1 > 0.0, table[3] / np.where(mass_t1 > 0, mass_t1, 1.0), 0.0)
-
-    # fsum renders the result invariant to any relabeling of z categories
-    value = math.fsum((cond_t1 - cond_t0) * pz)
-    # algebraically in [-1, 1]; clamp float noise only
-    value = min(1.0, max(-1.0, value))
-
     degenerate = frozenset(
         {(0, int(z)) for z in np.nonzero(mass_t0 == 0.0)[0]}
         | {(1, int(z)) for z in np.nonzero(mass_t1 == 0.0)[0]}
     )
-    return AteResult(value, degenerate)
+    return AteResult(float(ate_batch(table)), degenerate)
 
 
 def ate_exact(p: JointDistribution) -> float:

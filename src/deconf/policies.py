@@ -215,10 +215,24 @@ def allocate_finite(
     total_avail = int(available.sum())
     if m > total_avail:
         raise ValidationError(f"cannot place m={m} samples; only {total_avail} available")
+    a_vec = None if a_hat is None else a_hat.a
+    return Allocation(finite_counts(policy, available, m, a_vec), m)
+
+
+def finite_counts(
+    policy: Policy, available: np.ndarray, m: int, a_hat: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """:func:`allocate_finite` on plain arrays, for the replication engine.
+
+    ``available`` is a 4-vector of non-negative ints summing to at least
+    ``m``, and ``a_hat`` the empirical marginal as a plain 4-vector (or
+    None); nothing is validated. Returns the integer counts.
+    """
+    total_avail = int(available.sum())
     if m == total_avail:
-        return Allocation(available.copy(), m)
+        return available.copy()
     if m == 0:
-        return Allocation(np.zeros(4, dtype=int), 0)
+        return np.zeros(4, dtype=int)
 
     if policy.kind in ("nsp", "custom"):
         x = (
@@ -238,10 +252,10 @@ def allocate_finite(
                 overflow -= take
                 if overflow == 0:
                     break
-        return Allocation(counts, m)
+        return counts
 
     if policy.kind == "usp":
-        return Allocation(_water_fill(available, m), m)
+        return _water_fill(available, m)
 
     # owsp: arm-level even split, then outcome-ratio split within each arm
     idx = [[group_index(0, t), group_index(1, t)] for t in (0, 1)]
@@ -255,12 +269,10 @@ def allocate_finite(
     counts = np.zeros(4, dtype=int)
     for t in (0, 1):
         g0, g1 = idx[t]
-        if a_hat is not None and a_hat.arm_mass(t) > 0.0:
-            w0 = a_hat.a[g0] / a_hat.arm_mass(t)
-        else:
-            w0 = 0.5
+        arm_mass = 0.0 if a_hat is None else float(a_hat[g0] + a_hat[g1])
+        w0 = a_hat[g0] / arm_mass if arm_mass > 0.0 else 0.5
         c0, c1 = _capped_pair_split(
             arm_m[t], (w0, 1.0 - w0), (int(available[g0]), int(available[g1]))
         )
         counts[g0], counts[g1] = c0, c1
-    return Allocation(counts, m)
+    return counts

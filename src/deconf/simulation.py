@@ -12,11 +12,20 @@ Three protocols, mirroring the synthetic and real-data experiments:
 
 Reproducibility contract: every result is a pure function of the config
 and master seed. Each (instance, policy, replication) gets its own RNG
-stream keyed by those indices, and aggregation always merges per-work-item
-partial sums in a fixed order, so results are identical for any worker
-count and any execution order. Error statistics are the mean and
-population standard deviation of |estimate - truth| pooled over all
-replications of all instances.
+stream keyed by those indices; one replication draws its whole grid from
+its stream with a single broadcast ``multinomial`` call, which consumes
+the stream grid point by grid point and, within one, group by group in
+canonical order. Errors are summed per (policy, grid point) in
+replication order, and aggregation merges per-work-item partial sums in a
+fixed order, so results are identical for any worker count and any
+execution order. Error statistics are the mean and population standard
+deviation of |estimate - truth| pooled over all replications of all
+instances.
+
+Estimation runs on plain arrays through the batched kernel
+(:func:`deconf.estimation.q_hat_batch` and :func:`deconf.model.ate_batch`),
+once per work item over all of its replications; dataclasses are built
+per instance, never per replication.
 """
 
 from __future__ import annotations
@@ -28,23 +37,19 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ExhaustedError, ValidationError
-from .estimation import (
-    deconfounded_counts,
-    estimate_deconfounded_only_counts,
-    estimate_finite_counts,
-    estimate_with_known_confounded_counts,
-)
+from .estimation import deconfounded_counts, q_hat_batch
 from .model import (
     ConditionalTable,
     ConfoundedDistribution,
     JointDistribution,
+    ate_batch,
     ate_exact,
     group_index,
     joint_from_parts,
     parts_from_joint,
     random_instance,
 )
-from .policies import allocate_finite, allocate_infinite
+from .policies import Policy, allocate_infinite, finite_counts
 
 BASELINE = "deconf-only"
 POLICY_IDS = {BASELINE: 0, "nsp": 1, "usp": 2, "owsp": 3}
@@ -59,6 +64,16 @@ _DOM_EMPIRICAL = 4
 
 def _stream(*key: int) -> np.random.Generator:
     return np.random.default_rng(list(key))
+
+
+def _is_int(value) -> bool:
+    """True for a Python int; ``bool`` is an int subclass and is rejected."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_workers(workers) -> None:
+    if not _is_int(workers) or workers < 1:
+        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +114,7 @@ class ExperimentConfig:
                 raise ValidationError("n_grid must be non-empty with positive entries")
         if self.fallback not in ("error", "uniform"):
             raise ValidationError(f"unknown fallback {self.fallback!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ValidationError("seed must be a non-negative integer")
 
     def method_labels(self) -> Tuple[str, ...]:
@@ -146,10 +161,15 @@ def resolve_instances(
 ) -> List[SyntheticInstance]:
     """Explicit (a, q) pairs, or uniform-simplex draws keyed by the seed."""
     if explicit is not None:
-        out = [make_instance(a, q) for a, q in explicit]
-        if not out:
+        explicit = list(explicit)
+        if not explicit:
             raise ValidationError("explicit instance list is empty")
-        return out
+        for i, (_, q) in enumerate(explicit):
+            if q.k != config.k:
+                raise ValidationError(
+                    f"instance {i} has k={q.k}, but the config sets k={config.k}"
+                )
+        return [make_instance(a, q) for a, q in explicit]
     out = []
     for i in range(config.instances):
         joint = random_instance(config.k, _stream(config.seed, _DOM_INSTANCE, i))
@@ -225,11 +245,6 @@ class EmpiricalOracle:
         return self._hidden[g][start : start + count].copy()
 
 
-def draw_conditional(oracle, group, count: int) -> np.ndarray:
-    """Reveal ``count`` confounder values for one group via an oracle."""
-    return oracle.draw(group, count)
-
-
 # ---------------------------------------------------------------------------
 # aggregation helpers
 
@@ -237,9 +252,20 @@ Key = Tuple[str, str, int]
 Partial = Dict[Key, Tuple[int, float, float]]  # count, sum, sum of squares
 
 
-def _accumulate(partial: Partial, key: Key, err: float) -> None:
-    count, s, s2 = partial.get(key, (0, 0.0, 0.0))
-    partial[key] = (count + 1, s + err, s2 + err * err)
+def _accumulate(partial: Partial, policy: str, kind: str, grid, errors) -> None:
+    """Add ``errors[rep, j]`` (grid point ``grid[j]``) to one policy's keys.
+
+    ``cumsum`` adds strictly in replication order, as a running sum would;
+    ``np.sum`` would add pairwise and change the last bits.
+    """
+    sums = np.cumsum(errors, axis=0)[-1]
+    squares = np.cumsum(errors * errors, axis=0)[-1]
+    for j, value in enumerate(grid):
+        partial[(policy, kind, int(value))] = (
+            errors.shape[0],
+            float(sums[j]),
+            float(squares[j]),
+        )
 
 
 def _merge(partials: Iterable[Partial]) -> Partial:
@@ -265,7 +291,7 @@ def _curve_from(merged: Partial, instances: int) -> ErrorCurve:
 
 def _run_work_items(func, items, workers: int):
     """Map work items to partials, merging in item order regardless of pool size."""
-    if workers <= 1:
+    if workers == 1:
         return [func(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, items, chunksize=max(1, len(items) // (workers * 4))))
@@ -280,28 +306,19 @@ def _infinite_instance_partial(args) -> Partial:
     a = ConfoundedDistribution(inst.a)
     k = inst.q.shape[1]
     partial: Partial = {}
-    grid = sorted(m_grid)
-    allocations = {
-        (pol, m): allocate_infinite(pol, a, m).counts
-        for pol in labels
-        if pol != BASELINE
-        for m in grid
-    }
+    grid = np.array(sorted(m_grid))
     for pol in labels:
-        pol_id = POLICY_IDS[pol]
-        for rep in range(reps):
-            rng = _stream(seed, _DOM_INFINITE, idx, pol_id, rep)
-            for m in grid:
-                if pol == BASELINE:
-                    counts = rng.multinomial(m, inst.p_flat).reshape(4, k)
-                    est = estimate_deconfounded_only_counts(counts)
-                else:
-                    alloc = allocations[(pol, m)]
-                    mcounts = np.stack(
-                        [rng.multinomial(int(alloc[g]), inst.q[g]) for g in range(4)]
-                    )
-                    est = estimate_with_known_confounded_counts(a, mcounts, fallback)
-                _accumulate(partial, (pol, "m", m), abs(est.ate_hat - inst.ate))
+        streams = [
+            _stream(seed, _DOM_INFINITE, idx, POLICY_IDS[pol], rep) for rep in range(reps)
+        ]
+        if pol == BASELINE:
+            cells = np.stack([rng.multinomial(grid, inst.p_flat) for rng in streams])
+            ate = ate_batch(cells.reshape(reps, len(grid), 4, k) / grid[:, None, None])
+        else:
+            alloc = np.stack([allocate_infinite(pol, a, int(m)).counts for m in grid])
+            cells = np.stack([rng.multinomial(alloc, inst.q) for rng in streams])
+            ate = ate_batch(inst.a[:, None] * q_hat_batch(cells, inst.a, fallback))
+        _accumulate(partial, pol, "m", grid, np.abs(ate - inst.ate))
     return partial
 
 
@@ -311,6 +328,7 @@ def run_infinite_experiment(
     workers: int = 1,
 ) -> ErrorCurve:
     """Policy comparison with the marginal known exactly."""
+    _check_workers(workers)
     if config.shared_randomness:
         raise ValidationError("shared_randomness applies to the finite protocol only")
     resolved = resolve_instances(config, instances)
@@ -330,40 +348,40 @@ def run_infinite_experiment(
 def _finite_instance_partial(args) -> Partial:
     (idx, inst, seed, policies, m, n_grid, reps, fallback, shared) = args
     k = inst.q.shape[1]
-    partial: Partial = {}
-    grid = sorted(n_grid)
-    n_max = grid[-1]
+    grid = np.array(sorted(n_grid))
+    policy_of = {pol: Policy(pol) for pol in policies}
+    avail = np.empty((reps, len(grid), 4), dtype=int)
+    cells = np.empty((reps, len(policies), len(grid), 4, k), dtype=int)
     for rep in range(reps):
-        rng_arrival = _stream(seed, _DOM_ARRIVAL, idx, rep)
-        seq = rng_arrival.choice(4, size=n_max, p=inst.a)
-        avail = {n: np.bincount(seq[:n], minlength=4) for n in grid}
+        seq = _stream(seed, _DOM_ARRIVAL, idx, rep).choice(4, size=grid[-1], p=inst.a)
+        for i, n in enumerate(grid):
+            avail[rep, i] = np.bincount(seq[:n], minlength=4)
         nsp_counts = np.bincount(seq[:m], minlength=4)
         if shared:
             rng_shared = _stream(seed, _DOM_CONDITIONAL, idx, rep)
             streams = [rng_shared.choice(k, size=m, p=inst.q[g]) for g in range(4)]
-        for pol in policies:
-            rng_pol = None
-            if not shared:
-                rng_pol = _stream(seed, _DOM_CONDITIONAL, idx, POLICY_IDS[pol], rep)
-            for n in grid:
-                a_hat = ConfoundedDistribution(avail[n] / n)
-                if pol == "nsp":
-                    counts = nsp_counts
-                else:
-                    counts = allocate_finite(pol, avail[n], m, a_hat).counts
-                if shared:
-                    mcounts = np.stack(
-                        [
-                            np.bincount(streams[g][: counts[g]], minlength=k)
-                            for g in range(4)
-                        ]
-                    )
-                else:
-                    mcounts = np.stack(
-                        [rng_pol.multinomial(int(counts[g]), inst.q[g]) for g in range(4)]
-                    )
-                est = estimate_finite_counts(avail[n], mcounts, fallback)
-                _accumulate(partial, (pol, "n", n), abs(est.ate_hat - inst.ate))
+        for j, pol in enumerate(policies):
+            if pol == "nsp":
+                alloc = np.tile(nsp_counts, (len(grid), 1))
+            else:
+                alloc = np.stack(
+                    [finite_counts(policy_of[pol], avail[rep, i], m, avail[rep, i] / n)
+                     for i, n in enumerate(grid)]
+                )
+            if shared:
+                for i in range(len(grid)):
+                    for g in range(4):
+                        cells[rep, j, i, g] = np.bincount(
+                            streams[g][: alloc[i, g]], minlength=k
+                        )
+            else:
+                rng = _stream(seed, _DOM_CONDITIONAL, idx, POLICY_IDS[pol], rep)
+                cells[rep, j] = rng.multinomial(alloc, inst.q)
+    a_hat = (avail / grid[:, None])[:, None]  # (reps, 1, n, 4): shared by policies
+    ate = ate_batch(a_hat[..., None] * q_hat_batch(cells, a_hat, fallback))
+    partial: Partial = {}
+    for j, pol in enumerate(policies):
+        _accumulate(partial, pol, "n", grid, np.abs(ate[:, j] - inst.ate))
     return partial
 
 
@@ -379,6 +397,7 @@ def run_finite_experiment(
     ``shared_randomness`` every policy reuses the same per-group reveal
     streams, making all policies coincide exactly at n = m.
     """
+    _check_workers(workers)
     if config.n_grid is None:
         raise ValidationError("finite protocol requires n_grid")
     if len(config.m_grid) != 1:
@@ -414,32 +433,27 @@ def run_finite_experiment(
 def _empirical_rep_partial(args) -> Partial:
     (rep, seed, labels, m_grid, allocations, zvals, a_vec, k, ate_true, fallback) = args
     partial: Partial = {}
-    a = ConfoundedDistribution(a_vec)
-    grid = sorted(m_grid)
+    grid = np.array(sorted(m_grid))
     total = sum(len(v) for v in zvals)
     for pol in labels:
         rng = _stream(seed, _DOM_EMPIRICAL, POLICY_IDS[pol], rep)
         if pol == BASELINE:
             order = rng.permutation(total)
-            flat_groups = np.concatenate(
-                [np.full(len(v), g) for g, v in enumerate(zvals)]
+            flat_cells = np.concatenate([g * k + v for g, v in enumerate(zvals)])
+            cells = np.stack(
+                [np.bincount(flat_cells[order[:m]], minlength=4 * k) for m in grid]
             )
-            flat_z = np.concatenate(zvals)
-            for m in grid:
-                take = order[:m]
-                cells = np.zeros((4, k))
-                np.add.at(cells, (flat_groups[take], flat_z[take]), 1.0)
-                est = estimate_deconfounded_only_counts(cells)
-                _accumulate(partial, (pol, "m", m), abs(est.ate_hat - ate_true))
+            ate = ate_batch(cells.reshape(len(grid), 4, k) / grid[:, None, None])
         else:
             perms = [rng.permutation(v) for v in zvals]
-            for m in grid:
-                counts = allocations[(pol, m)]
-                mcounts = np.stack(
-                    [np.bincount(perms[g][: counts[g]], minlength=k) for g in range(4)]
-                )
-                est = estimate_with_known_confounded_counts(a, mcounts, fallback)
-                _accumulate(partial, (pol, "m", m), abs(est.ate_hat - ate_true))
+            cells = np.array(
+                [
+                    [np.bincount(perms[g][:c], minlength=k) for g, c in enumerate(alloc)]
+                    for alloc in (allocations[(pol, int(m))] for m in grid)
+                ]
+            )
+            ate = ate_batch(a_vec[:, None] * q_hat_batch(cells, a_vec, fallback))
+        _accumulate(partial, pol, "m", grid, np.abs(ate - ate_true)[None])
     return partial
 
 
@@ -452,6 +466,7 @@ def run_empirical_experiment(
     (exact) marginal used for policy weights; reveals within a replication
     are uniform without-replacement prefixes per group.
     """
+    _check_workers(workers)
     if config.shared_randomness:
         raise ValidationError("shared_randomness applies to the finite protocol only")
     records = np.asarray(records, dtype=int)

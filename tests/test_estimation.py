@@ -25,7 +25,9 @@ from deconf import (
 from deconf.estimation import (
     estimate_finite_counts,
     estimate_with_known_confounded_counts,
+    q_hat_batch,
 )
+from deconf.model import ate_batch
 from test_model import brute_force_ate, example_instance
 
 EXACT = 1e-12
@@ -116,6 +118,35 @@ class TestKnownConfounded:
         )
         assert result.degenerate_groups == {(0, 1)}
         assert np.allclose(result.q_hat.q[1], 0.5, atol=EXACT)
+
+    def test_batch_matches_scalar_estimates(self):
+        a, q = example_instance()
+        rng = np.random.default_rng(5)
+        alloc = (3, 0, 5, 2)  # group (0,1) always takes the uniform row
+        cells = np.stack(
+            [np.stack([rng.multinomial(c, q.q[g]) for g, c in enumerate(alloc)])
+             for _ in range(8)]
+        )
+        q_hat = q_hat_batch(cells, a.a)
+        assert np.all(q_hat[:, 1] == 0.5)
+        scalar = [estimate_with_known_confounded_counts(a, c) for c in cells]
+        assert np.array_equal(q_hat, np.stack([r.q_hat.q for r in scalar]))
+        values = ate_batch(a.a[:, None] * q_hat)
+        assert values.tolist() == [r.ate_hat for r in scalar]
+
+    def test_batch_error_fallback_raises_for_one_degenerate_member(self):
+        a = ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3]))
+        good = np.array([[3, 3], [1, 1], [2, 4], [1, 5]])
+        bad = good.copy()
+        bad[2] = 0
+        q_hat_batch(np.stack([good, good]), a.a, fallback="error")
+        with pytest.raises(DegenerateGroupError) as err:
+            q_hat_batch(np.stack([good, bad, good]), a.a, fallback="error")
+        assert err.value.groups == ((1, 0),)
+        # per-member marginals: the empty group has zero mass where it is empty
+        a_hat = np.stack([a.a, [0.5, 0.2, 0.0, 0.3]])
+        q_hat = q_hat_batch(np.stack([good, bad]), a_hat, fallback="error")
+        assert np.all(q_hat[1, 2] == 0.5)
 
 
 class TestFinite:

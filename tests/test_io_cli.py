@@ -461,6 +461,47 @@ class TestCliSimulate:
         assert code == 4
         assert "exhaust" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_bad_workers_exit_2(self, tmp_path, capsys, workers):
+        cfg = self.write_config(tmp_path, replications=2)
+        out = tmp_path / "w.csv"
+        args = ["--config", str(cfg), "--out", str(out), "--workers", workers]
+        assert main(["simulate"] + args) == 2
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bool_seed_in_config_exits_2(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, seed=True)
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_instance_file_k_must_match_config(self, tmp_path, capsys):
+        inst = tmp_path / "k3.json"
+        assert main(["gen-instance", "--random", "--k", "3", "--seed", "1",
+                     "--out", str(inst)]) == 0
+        cfg = self.write_config(tmp_path, instance_files=[str(inst)], replications=2)
+        out = tmp_path / "k.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "k=3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_strict_fallback_with_workers_exits_3(self, tmp_path, capsys):
+        inst = tmp_path / "nsp_worst.json"
+        assert main(["gen-instance", "--adversarial", "nsp", "--out", str(inst)]) == 0
+        cfg = self.write_config(
+            tmp_path,
+            instance_files=[str(inst)] * 2,
+            policies=["nsp"],
+            include_baseline=False,
+            m_grid=[20],
+            fallback="error",
+        )
+        out = tmp_path / "e.csv"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out), "--workers", "2"])
+        assert code == 3
+        assert "(y=0,t=1)" in capsys.readouterr().err
+
     def test_output_sorted(self, tmp_path):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "sorted.csv"

@@ -22,6 +22,7 @@ from deconf import (
     policy_lower_pair,
     random_instance,
 )
+from deconf.model import ate_batch
 
 ATOL = 1e-9
 EXACT = 1e-12
@@ -97,6 +98,33 @@ class TestAteExact:
         result = ate_details(JointDistribution(p))
         assert (1, 1) in result.degenerate_strata
         assert result.value == pytest.approx(brute_force_ate(p.tolist()), abs=EXACT)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 3, 5]))
+    def test_batch_equals_each_table(self, seed, k):
+        tables = np.stack([random_instance(k, [seed, i]).p for i in range(6)])
+        expected = [ate_details(JointDistribution(t)).value for t in tables]
+        assert ate_batch(tables).tolist() == expected
+        # the batch shape does not change a value
+        assert ate_batch(tables.reshape(2, 3, 4, k)).ravel().tolist() == expected
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=3, max_value=6),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_batch_bitwise_z_permutation_invariant(self, seed, k, perm_seed):
+        tables = np.stack([random_instance(k, [seed, i]).p for i in range(4)])
+        perm = np.random.default_rng(perm_seed).permutation(k)
+        assert np.array_equal(ate_batch(tables[..., perm]), ate_batch(tables))
+
+    def test_batch_zero_mass_strata_contribute_zero(self):
+        empty_t1_z1 = np.array([[0.2, 0.2], [0.2, 0.0], [0.1, 0.1], [0.2, 0.0]])
+        treated_only = np.zeros((4, 2))
+        treated_only[3, 0] = 1.0  # both t=0 strata and (t=1, z=1) are empty
+        values = ate_batch(np.stack([empty_t1_z1, treated_only, np.zeros((4, 2))]))
+        assert values[0] == pytest.approx(brute_force_ate(empty_t1_z1.tolist()), abs=EXACT)
+        assert values[1] == 1.0
+        assert values[2] == 0.0  # every stratum empty
 
 
 class TestFactorization:

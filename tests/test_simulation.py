@@ -6,6 +6,7 @@ import pytest
 from deconf import (
     ConditionalTable,
     ConfoundedDistribution,
+    DegenerateGroupError,
     EmpiricalOracle,
     ExhaustedError,
     ExperimentConfig,
@@ -14,7 +15,6 @@ from deconf import (
     allocate_infinite,
     ate_exact,
     binary_conditional,
-    draw_conditional,
     joint_from_parts,
     run_empirical_experiment,
     run_finite_experiment,
@@ -43,14 +43,14 @@ class TestOracles:
     def test_zero_count_is_empty(self):
         q = binary_conditional((0.5, 0.5, 0.5, 0.5))
         oracle = ConditionalOracle(q, seed=1)
-        assert draw_conditional(oracle, (0, 0), 0).size == 0
+        assert oracle.draw((0, 0), 0).size == 0
 
     def test_one_hot_row_always_draws_same_category(self):
         rows = np.zeros((4, 4))
         rows[:, 3] = 1.0
         rows[0] = 0.25  # one non-degenerate row keeps the table realistic
         oracle = ConditionalOracle(ConditionalTable(rows), seed=2)
-        draws = draw_conditional(oracle, (1, 1), 100)
+        draws = oracle.draw((1, 1), 100)
         assert np.all(draws == 3)
 
     def test_empirical_full_reveal_returns_hidden_multiset(self):
@@ -59,7 +59,7 @@ class TestOracles:
             + [(1, 1, 0), (1, 1, 1), (0, 1, 1), (1, 0, 0)]
         )
         oracle = EmpiricalOracle(records, k=2, seed=3)
-        revealed = draw_conditional(oracle, (0, 0), 100)
+        revealed = oracle.draw((0, 0), 100)
         assert sorted(revealed.tolist()) == [0] * 60 + [1] * 40
         assert oracle.remaining((0, 0)) == 0
 
@@ -261,6 +261,51 @@ class TestConfigValidation:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(seed=-1)
+
+    def test_rejects_bool_seed(self):
+        # bool is an int subclass; a flag passed as a seed is a mistake
+        with pytest.raises(ValidationError, match="seed"):
+            ExperimentConfig(seed=True)
+
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, True, "2"])
+    def test_rejects_bad_workers(self, workers):
+        records = records_from_cells(np.full((4, 2), 5))
+        finite = ExperimentConfig(
+            k=2, policies=("usp",), m_grid=(10,), n_grid=(20,), replications=2, seed=1
+        )
+        runs = [
+            lambda: run_infinite_experiment(small_infinite_config(), workers=workers),
+            lambda: run_finite_experiment(finite, workers=workers),
+            lambda: run_empirical_experiment(
+                records, small_infinite_config(m_grid=(8,)), workers=workers
+            ),
+        ]
+        for run in runs:
+            with pytest.raises(ValidationError, match="workers"):
+                run()
+
+    def test_explicit_instance_k_must_match_config(self):
+        a = ConfoundedDistribution(np.full(4, 0.25))
+        q3 = ConditionalTable(np.full((4, 3), 1.0 / 3.0))
+        cfg = ExperimentConfig(k=2, policies=("nsp",), m_grid=(10,), replications=2)
+        with pytest.raises(ValidationError, match="k=3"):
+            run_infinite_experiment(cfg, instances=[(a, q3)])
+        finite = ExperimentConfig(
+            k=2, policies=("nsp",), m_grid=(10,), n_grid=(20,), replications=2
+        )
+        with pytest.raises(ValidationError, match="k=3"):
+            run_finite_experiment(finite, instances=[(a, q3)])
+
+    def test_strict_fallback_raises_through_worker_pool(self):
+        # nsp gives groups (0,1) and (1,0) nothing at m=20 on nsp_worst
+        a, q = adversarial_instance("nsp_worst")
+        cfg = ExperimentConfig(
+            k=2, policies=("nsp",), m_grid=(20,), replications=2, fallback="error"
+        )
+        for workers in (1, 2):
+            with pytest.raises(DegenerateGroupError) as err:
+                run_infinite_experiment(cfg, instances=[(a, q)] * 2, workers=workers)
+            assert err.value.groups == ((0, 1), (1, 0))
 
     def test_shared_randomness_only_for_finite(self):
         cfg = small_infinite_config(shared_randomness=True)
