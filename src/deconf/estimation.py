@@ -18,8 +18,7 @@ Record arrays use columns (y, t) for confounded data and (y, t, z) for
 deconfounded data; the ``*_counts`` variants accept pre-aggregated count
 tables. Every estimator here is a batch-of-one wrapper around the numeric
 kernel -- :func:`q_hat_batch` plus :func:`deconf.model.ate_batch` -- which
-the simulation engine calls directly on whole ``(..., 4, k)`` batches of
-replications.
+the simulation engine calls directly on plain arrays.
 """
 
 from __future__ import annotations

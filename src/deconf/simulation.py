@@ -24,8 +24,10 @@ instances.
 
 Estimation runs on plain arrays through the batched kernel
 (:func:`deconf.estimation.q_hat_batch` and :func:`deconf.model.ate_batch`),
-once per work item over all of its replications; dataclasses are built
-per instance, never per replication.
+once per work item over all of its replications; the finite protocol calls
+``q_hat_batch`` once per replication-estimate, so the estimation layer is
+entered once per estimate there. Dataclasses are built per instance, never
+per replication.
 """
 
 from __future__ import annotations
@@ -351,11 +353,14 @@ def _finite_instance_partial(args) -> Partial:
     grid = np.array(sorted(n_grid))
     policy_of = {pol: Policy(pol) for pol in policies}
     avail = np.empty((reps, len(grid), 4), dtype=int)
-    cells = np.empty((reps, len(policies), len(grid), 4, k), dtype=int)
+    a_hat = np.empty((reps, len(grid), 4))
+    q_hat = np.empty((reps, len(policies), len(grid), 4, k))
+    cells = np.empty((len(grid), 4, k), dtype=int)
     for rep in range(reps):
         seq = _stream(seed, _DOM_ARRIVAL, idx, rep).choice(4, size=grid[-1], p=inst.a)
         for i, n in enumerate(grid):
             avail[rep, i] = np.bincount(seq[:n], minlength=4)
+        a_hat[rep] = avail[rep] / grid[:, None]
         nsp_counts = np.bincount(seq[:m], minlength=4)
         if shared:
             rng_shared = _stream(seed, _DOM_CONDITIONAL, idx, rep)
@@ -371,14 +376,13 @@ def _finite_instance_partial(args) -> Partial:
             if shared:
                 for i in range(len(grid)):
                     for g in range(4):
-                        cells[rep, j, i, g] = np.bincount(
-                            streams[g][: alloc[i, g]], minlength=k
-                        )
+                        cells[i, g] = np.bincount(streams[g][: alloc[i, g]], minlength=k)
             else:
                 rng = _stream(seed, _DOM_CONDITIONAL, idx, POLICY_IDS[pol], rep)
-                cells[rep, j] = rng.multinomial(alloc, inst.q)
-    a_hat = (avail / grid[:, None])[:, None]  # (reps, 1, n, 4): shared by policies
-    ate = ate_batch(a_hat[..., None] * q_hat_batch(cells, a_hat, fallback))
+                cells[:] = rng.multinomial(alloc, inst.q)
+            for i in range(len(grid)):
+                q_hat[rep, j, i] = q_hat_batch(cells[i], a_hat[rep, i], fallback)
+    ate = ate_batch(a_hat[:, None, :, :, None] * q_hat)
     partial: Partial = {}
     for j, pol in enumerate(policies):
         _accumulate(partial, pol, "n", grid, np.abs(ate[:, j] - inst.ate))
