@@ -71,8 +71,6 @@ from .policies import (
     policy_weights,
 )
 from .simulation import (
-    ConditionalOracle,
-    EmpiricalOracle,
     ErrorCurve,
     ExperimentConfig,
     run_empirical_experiment,

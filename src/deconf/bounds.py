@@ -21,6 +21,12 @@ so no invented constant is baked in. The finite-data condition compares
                                1 / (x[y,t] m)  +  q[y,t,z]^2 / n
 
 against the threshold 50 * k^2 * ln(8k / delta) / epsilon^2.
+
+Every evaluator is an array expression over the (4, k) tables. The finite
+condition is one kernel batched over weights, m and n: ``finite_feasible``
+calls it for one point and ``allocate_budget`` once for its whole grid.
+Ties, and the witness of a vacuous bound, go to the first cell in
+canonical order.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from .model import (
     JointDistribution,
     ate_exact,
     binary_conditional,
-    group_index,
     joint_from_parts,
 )
 from .policies import Policy, PolicyWeights, as_policy, policy_weights
@@ -89,33 +94,49 @@ class AccuracySpec:
 
 class CellMax(NamedTuple):
     value: float
-    witness: Optional[Tuple[int, int]]  # (t, z) achieving the max, None if vacuous
+    witness: Tuple[int, int]  # (t, z) achieving the max
+
+
+def _sq(x) -> np.ndarray:
+    """Elementwise x**2 through the C library's ``pow``.
+
+    The formulas square single cells with scalar ``**``, which calls
+    ``pow``; the array ``x**2`` is the exactly rounded product and differs
+    from it in the last bit for about 0.1% of inputs. Vectors the formulas
+    square as arrays (``arm**2``) keep ``**``. Either way every bound is
+    bitwise equal to its cell-by-cell formula.
+    """
+    return np.float_power(x, 2)
+
+
+def _arm_z_mass(table: np.ndarray) -> np.ndarray:
+    """P(T=t, Z=z) = sum_y table[(y,t), z] of a (4, k) table, arranged (2, k)."""
+    y0, y1 = table.reshape(2, 2, -1)
+    return y0 + y1
+
+
+def _arm_terms(a: np.ndarray):
+    """Per arm t of a marginal: P(T=t), sum_y a[y,t]^2 and max_y a[y,t]."""
+    y0, y1 = a.reshape(2, 2)  # indexed by t
+    return y0 + y1, _sq(y0) + _sq(y1), np.maximum(y0, y1)
 
 
 def _max_over_cells(numerators: np.ndarray, denominators: np.ndarray) -> CellMax:
-    """max over (t, z) of num/denom^2 with 0/0 -> skip and x/0 -> inf."""
-    best = CellMax(0.0, None)
-    inf_witness = None
-    for t in range(2):
-        for z in range(numerators.shape[1]):
-            num = numerators[t, z]
-            den = denominators[t, z]
-            if den <= 0.0:
-                if num > 0.0:
-                    inf_witness = (t, z)
-                continue
-            val = num / den**2
-            if val > best.value:
-                best = CellMax(val, (t, z))
-    if inf_witness is not None:
-        return CellMax(math.inf, inf_witness)
-    return best
+    """max over (t, z) of num/denom^2 with 0/0 -> skip and x/0 -> inf.
 
-
-def _tz_denominators(a: ConfoundedDistribution, q: ConditionalTable) -> np.ndarray:
-    """P(T=t, Z=z) = sum_y a[y,t] q[y,t,z], arranged (2, k)."""
-    tbl = a.a[:, None] * q.q
-    return np.vstack([tbl[0] + tbl[2], tbl[1] + tbl[3]])
+    The witness is the first maximising cell in canonical (t, z) order; for
+    an infinite (vacuous) bound it is the first cell with x/0.
+    """
+    k = denominators.shape[1]
+    positive = denominators > 0.0
+    vacuous = ~positive & (numerators > 0.0)
+    if vacuous.any():
+        return CellMax(math.inf, divmod(int(vacuous.argmax()), k))
+    values = np.divide(
+        numerators, _sq(denominators), out=np.zeros(denominators.shape), where=positive
+    )
+    best = int(values.argmax())
+    return CellMax(values.flat[best], divmod(best, k))
 
 
 def m_base(p: JointDistribution, spec: AccuracySpec) -> float:
@@ -124,28 +145,18 @@ def m_base(p: JointDistribution, spec: AccuracySpec) -> float:
 
 
 def m_base_detail(p: JointDistribution, spec: AccuracySpec) -> CellMax:
-    tbl = p.p
-    denom = np.vstack([tbl[0] + tbl[2], tbl[1] + tbl[3]])
-    mx = _max_over_cells(np.ones_like(denom), denom)
+    mx = _max_over_cells(np.float64(1.0), _arm_z_mass(p.p))
     return CellMax(spec.C * mx.value, mx.witness)
 
 
-def _policy_numerators(
-    a: ConfoundedDistribution, k: int, policy: Policy
-) -> np.ndarray:
-    """The per-arm numerator of the general bound, constant across z.
+def _policy_numerators(a: np.ndarray, policy: Policy) -> np.ndarray:
+    """The per-arm numerator of the general bound, (2, 1): constant across z.
 
     General form: sum_y a[y,t]^2 / x[y,t]. The three named policies reduce
     to closed forms (sum_y a, 4 sum_y a^2, 2 (sum_y a)^2), used directly so
     the algebraic dominance relations hold exactly in floating point.
     """
-    arm = np.array([a.arm_mass(0), a.arm_mass(1)])
-    sq = np.array(
-        [
-            a.a[group_index(0, 0)] ** 2 + a.a[group_index(1, 0)] ** 2,
-            a.a[group_index(0, 1)] ** 2 + a.a[group_index(1, 1)] ** 2,
-        ]
-    )
+    arm, sq, _ = _arm_terms(a)
     if policy.kind == "nsp":
         per_arm = arm
     elif policy.kind == "usp":
@@ -153,16 +164,12 @@ def _policy_numerators(
     elif policy.kind == "owsp":
         per_arm = 2.0 * arm**2
     else:
+        # zero-mass groups add nothing; a zero weight on any other is inf
         x = policy.weights.x
-        per_arm = np.zeros(2)
-        for g, (y, t) in enumerate(GROUPS):
-            if a.a[g] == 0.0:
-                continue
-            if x[g] == 0.0:
-                per_arm[t] = math.inf
-            else:
-                per_arm[t] += a.a[g] ** 2 / x[g]
-    return np.repeat(per_arm[:, None], k, axis=1)
+        terms = np.divide(_sq(a), x, out=np.full(4, math.inf), where=x > 0.0)
+        terms[a == 0.0] = 0.0
+        per_arm = terms.reshape(2, 2).sum(axis=0)
+    return per_arm[:, None]
 
 
 def m_policy(
@@ -181,9 +188,8 @@ def m_policy_detail(
     spec: AccuracySpec,
     policy: Union[Policy, str],
 ) -> CellMax:
-    policy = as_policy(policy)
-    numerators = _policy_numerators(a, q.k, policy)
-    mx = _max_over_cells(numerators, _tz_denominators(a, q))
+    numerators = _policy_numerators(a.a, as_policy(policy))
+    mx = _max_over_cells(numerators, _arm_z_mass(a.a[:, None] * q.q))
     return CellMax(spec.C * mx.value, mx.witness)
 
 
@@ -199,22 +205,14 @@ def worst_case_M(
     C_over_b2 = spec.C / spec.beta**2
     if policy.kind == "owsp":
         return 2.0 * C_over_b2
-    arm = np.array([a.arm_mass(0), a.arm_mass(1)])
+    if policy.kind not in ("nsp", "usp"):
+        raise ValidationError("worst-case bound is defined for nsp, usp, and owsp only")
+    arm, sq, _ = _arm_terms(a.a)
+    if np.any(arm <= 0.0):
+        return math.inf
     if policy.kind == "nsp":
-        if np.any(arm <= 0.0):
-            return math.inf
         return float(C_over_b2 * np.max(1.0 / arm))
-    if policy.kind == "usp":
-        if np.any(arm <= 0.0):
-            return math.inf
-        sq = np.array(
-            [
-                a.a[group_index(0, 0)] ** 2 + a.a[group_index(1, 0)] ** 2,
-                a.a[group_index(0, 1)] ** 2 + a.a[group_index(1, 1)] ** 2,
-            ]
-        )
-        return float(4.0 * C_over_b2 * np.max(sq / arm**2))
-    raise ValidationError("worst-case bound is defined for nsp, usp, and owsp only")
+    return float(4.0 * C_over_b2 * np.max(sq / arm**2))
 
 
 def lower_bound_w(
@@ -229,23 +227,19 @@ def lower_bound_w(
     """
     policy = as_policy(policy)
     C1_over_b2 = spec.C1(c1_constant) / spec.beta**2
-    best = 0.0
-    for t in (0, 1):
-        arm = a.arm_mass(t)
-        other = a.arm_mass(1 - t)
-        if arm <= 0.0:
-            return math.inf
-        a_max = max(a.a[group_index(0, t)], a.a[group_index(1, t)])
-        if policy.kind == "nsp":
-            term = a_max * other**2 / arm**2
-        elif policy.kind == "usp":
-            term = 4.0 * a_max**2 * other**2 / arm**2
-        elif policy.kind == "owsp":
-            term = 2.0 * a_max * other**2 / arm
-        else:
-            raise ValidationError("lower bounds are defined for nsp, usp, and owsp only")
-        best = max(best, term)
-    return C1_over_b2 * best
+    if policy.kind not in ("nsp", "usp", "owsp"):
+        raise ValidationError("lower bounds are defined for nsp, usp, and owsp only")
+    arm, _, a_max = _arm_terms(a.a)
+    if np.any(arm <= 0.0):
+        return math.inf
+    other = arm[::-1]
+    if policy.kind == "nsp":
+        terms = a_max * _sq(other) / _sq(arm)
+    elif policy.kind == "usp":
+        terms = 4.0 * _sq(a_max) * _sq(other) / _sq(arm)
+    else:
+        terms = 2.0 * a_max * _sq(other) / arm
+    return C1_over_b2 * float(terms.max())
 
 
 class RatioWitness(NamedTuple):
@@ -282,6 +276,33 @@ def finite_threshold(spec: AccuracySpec) -> float:
     return 50.0 * spec.k**2 * math.log(8 * spec.k / spec.delta) / spec.epsilon**2
 
 
+def _finite_min(a: np.ndarray, q: np.ndarray, x: np.ndarray, m, n):
+    """Min over (y, t, z) cells of the finite condition's left side, batched.
+
+    ``a`` (4,) and ``q`` (4, k) are the instance and ``x`` (..., 4) the
+    group weights; ``m`` and ``n`` broadcast against ``x[..., 0]``. Returns
+    the minimum and the flat index ``g * k + z`` of the first minimising
+    cell in canonical (y, t, z) order. Cells of zero-mass groups are vacuous
+    and skipped; a zero weight on a positive-mass group makes the minimum 0,
+    witnessed at the first such group's first cell.
+    """
+    k = q.shape[1]
+    m = np.asarray(m, dtype=float)[..., None, None]
+    n = np.asarray(n, dtype=float)[..., None, None]
+    with np.errstate(divide="ignore"):
+        sampling_var = 1.0 / (x[..., None] * m) + _sq(q) / n
+    # [..., y, t, z]: the squared P(T=t, Z=z) broadcasts over y
+    by_y = sampling_var.reshape(sampling_var.shape[:-2] + (2, 2, k))
+    values = np.where(
+        a.reshape(2, 2, 1) > 0.0, _sq(_arm_z_mass(a[:, None] * q)) / by_y, math.inf
+    )
+    values = values.reshape(values.shape[:-3] + (4 * k,))
+    worst, cell = values.min(axis=-1), values.argmin(axis=-1)
+    blocked = (a > 0.0) & (x == 0.0)
+    cell = np.where(blocked.any(axis=-1), blocked.argmax(axis=-1) * k, cell)
+    return worst, cell
+
+
 def finite_feasible(
     a_hat: ConfoundedDistribution,
     q: ConditionalTable,
@@ -297,24 +318,12 @@ def finite_feasible(
     """
     if m < 1 or n < 1:
         raise ValidationError(f"m and n must be >= 1, got m={m}, n={n}")
-    denom_tz = _tz_denominators(a_hat, q)
+    worst, cell = _finite_min(a_hat.a, q.q, weights.x, m, n)
     threshold = finite_threshold(spec)
-    worst = math.inf
-    witness = None
-    for g, (y, t) in enumerate(GROUPS):
-        if a_hat.a[g] == 0.0:
-            continue
-        for z in range(q.k):
-            if weights.x[g] == 0.0:
-                return FeasibilityResult(False, 0.0, (y, t, z))
-            sampling_var = 1.0 / (weights.x[g] * m) + q.q[g, z] ** 2 / n
-            val = denom_tz[t, z] ** 2 / sampling_var
-            if val < worst:
-                worst = val
-                witness = (y, t, z)
-    if witness is None:
-        raise ValidationError("all groups have zero mass")
-    return FeasibilityResult(worst >= threshold, worst / threshold, witness)
+    g, z = divmod(int(cell), q.k)
+    return FeasibilityResult(
+        bool(worst >= threshold), float(worst / threshold), GROUPS[g] + (z,)
+    )
 
 
 def solve_min_m(
@@ -353,6 +362,9 @@ class BudgetPlan(NamedTuple):
     margin: float  # best achieved min-term / threshold (may be < 1)
 
 
+_BUDGET_POLICIES = ("nsp", "usp", "owsp")
+
+
 def allocate_budget(
     a_hat: ConfoundedDistribution,
     q: ConditionalTable,
@@ -368,9 +380,10 @@ def allocate_budget(
     with m <= n, scoring each point by the finite-condition margin under
     each named policy (group weights capped at the expected supply
     a_hat * n / m, mirroring the feasibility adjustment of the finite
-    analysis), and returns the best (n, m, weights). This numeric solver
-    deliberately replaces the closed-form case analysis, which is not
-    complete enough to implement.
+    analysis), and returns the best (n, m, weights): the first maximum with
+    m ascending, then nsp, usp, owsp. This numeric solver deliberately
+    replaces the closed-form case analysis, which is not complete enough to
+    implement.
     """
     if budget <= 0.0 or c_confounded <= 0.0 or c_deconfound <= 0.0:
         raise ValidationError("budget and costs must be positive")
@@ -382,25 +395,25 @@ def allocate_budget(
             "budget too small for one deconfounded sample plus its confounded draw"
         )
 
-    m_values = sorted(set(np.linspace(1, m_max, num=min(grid, m_max), dtype=int).tolist()))
-    best: Optional[BudgetPlan] = None
-    for m in m_values:
-        n = int((budget - c_deconfound * m) / c_confounded)
-        if n < m:
-            continue
-        for kind in ("nsp", "usp", "owsp"):
-            base = policy_weights(kind, a_hat).x
-            capped = np.minimum(base, a_hat.a * n / m)
-            total = capped.sum()
-            if total <= 0.0:
-                continue
-            w = PolicyWeights(capped / total)
-            res = finite_feasible(a_hat, q, w, m, n, spec)
-            if best is None or res.margin > best.margin:
-                best = BudgetPlan(n, m, w, kind, res.margin)
-    if best is None:
+    m = np.unique(np.linspace(1, m_max, num=min(grid, m_max), dtype=int))
+    n = np.trunc((budget - c_deconfound * m) / c_confounded)
+    on_line = n >= m
+    if not on_line.any():
         raise ValidationError("no feasible (m, n) point on the budget line")
-    return best
+    m, n = m[on_line, None], n[on_line, None]
+    base = np.stack([policy_weights(kind, a_hat).x for kind in _BUDGET_POLICIES])
+    capped = np.minimum(base, (a_hat.a * n / m)[:, None, :])  # (grid, policy, group)
+    weights = capped / capped.sum(axis=-1, keepdims=True)
+    worst, _ = _finite_min(a_hat.a, q.q, weights, m, n)
+    margins = worst / finite_threshold(spec)
+    i, j = divmod(int(margins.argmax()), len(_BUDGET_POLICIES))
+    return BudgetPlan(
+        int(n[i, 0]),
+        int(m[i, 0]),
+        PolicyWeights(weights[i, j]),
+        _BUDGET_POLICIES[j],
+        float(margins[i, j]),
+    )
 
 
 @dataclass(frozen=True)

@@ -69,22 +69,6 @@ def cmd_ate(args) -> int:
     return EXIT_OK
 
 
-def _read_a_file(path) -> ConfoundedDistribution:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise DataFormatError(f"{path}: file not found") from None
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON ({exc})") from None
-    if isinstance(raw, dict) and "a" in raw:
-        try:
-            return ConfoundedDistribution(np.asarray(raw["a"], dtype=float))
-        except ValidationError as exc:
-            raise DataFormatError(f"{path}: {exc}") from None
-    return dio.read_instance(path).a
-
-
 def _result_payload(result) -> dict:
     return {
         "ate_hat": result.ate_hat,
@@ -133,7 +117,7 @@ def cmd_estimate(args) -> int:
     elif args.mode == "known-a":
         if args.a_file is None:
             raise ValidationError("mode known-a requires --a-file")
-        a = _read_a_file(args.a_file)
+        a = dio.read_marginal(args.a_file)
         result = estimate_with_known_confounded(
             a, dataset.deconfounded, args.k, args.fallback
         )

@@ -42,7 +42,8 @@ class LoadedInstance:
     form: str  # 'parts' or 'joint'
 
 
-def read_instance(path) -> LoadedInstance:
+def _read_json_object(path) -> dict:
+    """Parse a JSON file whose top level must be an object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -52,7 +53,10 @@ def read_instance(path) -> LoadedInstance:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise DataFormatError(f"{path}: expected a JSON object")
+    return raw
 
+
+def _instance_from(raw: dict, path) -> LoadedInstance:
     try:
         if "p" in raw:
             joint = JointDistribution(np.asarray(raw["p"], dtype=float))
@@ -66,9 +70,27 @@ def read_instance(path) -> LoadedInstance:
                     f"field k={raw['k']} does not match q row length {q.k}"
                 )
             return LoadedInstance(a, q, joint_from_parts(a, q), "parts")
-    except (ValidationError, ValueError) as exc:
+    except (ValidationError, ValueError, TypeError) as exc:
         raise DataFormatError(f"{path}: {exc}") from None
     raise DataFormatError(f"{path}: expected fields ('a', 'q') or 'p'")
+
+
+def read_instance(path) -> LoadedInstance:
+    return _instance_from(_read_json_object(path), path)
+
+
+def read_marginal(path) -> ConfoundedDistribution:
+    """The (Y, T) marginal from ``{"a": [...]}`` or from a full instance file.
+
+    A file with an ``a`` field yields it as is, whatever else the file holds.
+    """
+    raw = _read_json_object(path)
+    if "a" not in raw:
+        return _instance_from(raw, path).a
+    try:
+        return ConfoundedDistribution(np.asarray(raw["a"], dtype=float))
+    except (ValidationError, ValueError, TypeError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def write_instance(path, a: ConfoundedDistribution, q: ConditionalTable) -> None:
@@ -248,15 +270,7 @@ _CONFIG_FIELDS = {
 
 def read_experiment_config(path) -> Tuple[ExperimentConfig, dict]:
     """Load a config JSON; returns the config plus extras (dataset path, files)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise DataFormatError(f"{path}: file not found") from None
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise DataFormatError(f"{path}: expected a JSON object")
+    raw = _read_json_object(path)
     unknown = set(raw) - _CONFIG_FIELDS
     if unknown:
         raise DataFormatError(f"{path}: unknown config fields {sorted(unknown)}")

@@ -46,7 +46,6 @@ from .model import (
     JointDistribution,
     ate_batch,
     ate_exact,
-    group_index,
     joint_from_parts,
     parts_from_joint,
     random_instance,
@@ -69,8 +68,17 @@ def _stream(*key: int) -> np.random.Generator:
 
 
 def _is_int(value) -> bool:
-    """True for a Python int; ``bool`` is an int subclass and is rejected."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """True for a Python or numpy int; ``bool`` is an int subclass and is rejected."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _int_grid(name: str, values) -> Tuple[int, ...]:
+    grid = tuple(values)
+    if not grid or not all(_is_int(v) and v > 0 for v in grid):
+        raise ValidationError(
+            f"{name} must be non-empty with positive integer entries, got {grid!r}"
+        )
+    return tuple(int(v) for v in grid)
 
 
 def _check_workers(workers) -> None:
@@ -94,6 +102,16 @@ class ExperimentConfig:
     shared_randomness: bool = False
 
     def __post_init__(self):
+        for name in ("k", "instances", "replications"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("include_baseline", "shared_randomness"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValidationError(f"{name} must be true or false, got {value!r}")
+            object.__setattr__(self, name, bool(value))
         if self.k < 2:
             raise ValidationError(f"k must be >= 2, got {self.k}")
         if self.instances < 1:
@@ -107,17 +125,14 @@ class ExperimentConfig:
                 raise ValidationError(f"unknown policy {pol!r} in config")
         if not self.policies and not self.include_baseline:
             raise ValidationError("config selects no methods to run")
-        object.__setattr__(self, "m_grid", tuple(int(m) for m in self.m_grid))
-        if not self.m_grid or any(m <= 0 for m in self.m_grid):
-            raise ValidationError("m_grid must be non-empty with positive entries")
+        object.__setattr__(self, "m_grid", _int_grid("m_grid", self.m_grid))
         if self.n_grid is not None:
-            object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-            if not self.n_grid or any(n <= 0 for n in self.n_grid):
-                raise ValidationError("n_grid must be non-empty with positive entries")
+            object.__setattr__(self, "n_grid", _int_grid("n_grid", self.n_grid))
         if self.fallback not in ("error", "uniform"):
             raise ValidationError(f"unknown fallback {self.fallback!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValidationError("seed must be a non-negative integer")
+        object.__setattr__(self, "seed", int(self.seed))
 
     def method_labels(self) -> Tuple[str, ...]:
         labels = ((BASELINE,) if self.include_baseline else ()) + self.policies
@@ -180,71 +195,6 @@ def resolve_instances(
             SyntheticInstance(parts.a.a, parts.q.q, ate_exact(joint), joint.p.ravel())
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# oracles
-
-
-class ConditionalOracle:
-    """Unlimited conditional draws from a known table (synthetic ground truth)."""
-
-    def __init__(self, q: ConditionalTable, seed):
-        self._q = q.q
-        self._rng = np.random.default_rng(seed)
-
-    def draw(self, group, count: int) -> np.ndarray:
-        """Return ``count`` i.i.d. z values for one (y, t) group."""
-        g = group if isinstance(group, int) else group_index(*group)
-        if count < 0:
-            raise ValidationError("count must be >= 0")
-        if count == 0:
-            return np.empty(0, dtype=int)
-        return self._rng.choice(self._q.shape[1], size=count, p=self._q[g])
-
-    def draw_counts(self, group, count: int) -> np.ndarray:
-        """Aggregate form of :meth:`draw`: a k-vector of category counts."""
-        g = group if isinstance(group, int) else group_index(*group)
-        return self._rng.multinomial(count, self._q[g])
-
-
-class EmpiricalOracle:
-    """Hidden-confounder table revealed uniformly without replacement.
-
-    The z values of each group are shuffled once at construction; draws
-    consume the shuffled order, so a full reveal returns exactly the
-    hidden multiset.
-    """
-
-    def __init__(self, records, k: int, seed):
-        counts = deconfounded_counts(records, k)  # validates ranges
-        del counts
-        arr = np.asarray(records, dtype=int)
-        rng = np.random.default_rng(seed)
-        self._hidden = []
-        self._cursor = [0, 0, 0, 0]
-        groups = 2 * arr[:, 0] + arr[:, 1]
-        for g in range(4):
-            zs = arr[groups == g, 2]
-            self._hidden.append(rng.permutation(zs))
-
-    def remaining(self, group) -> int:
-        g = group if isinstance(group, int) else group_index(*group)
-        return len(self._hidden[g]) - self._cursor[g]
-
-    def draw(self, group, count: int) -> np.ndarray:
-        g = group if isinstance(group, int) else group_index(*group)
-        if count < 0:
-            raise ValidationError("count must be >= 0")
-        left = self.remaining(g)
-        if count > left:
-            raise ExhaustedError(
-                f"group {g} has {left} un-revealed records, requested {count}",
-                shortfall=count - left,
-            )
-        start = self._cursor[g]
-        self._cursor[g] = start + count
-        return self._hidden[g][start : start + count].copy()
 
 
 # ---------------------------------------------------------------------------

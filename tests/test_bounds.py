@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from deconf import (
@@ -26,8 +26,9 @@ from deconf import (
     solve_min_m,
     worst_case_M,
 )
-from deconf.bounds import finite_threshold
-from deconf.model import JointDistribution
+from deconf.bounds import finite_threshold, m_base_detail, m_policy_detail
+from deconf.model import GROUPS, ConditionalTable, JointDistribution
+from deconf.policies import PolicyWeights, custom_policy
 
 SPEC = AccuracySpec(epsilon=0.1, delta=0.05, k=2, beta=0.1)
 
@@ -47,6 +48,225 @@ def brute_force_m_policy(a, q, spec, numerator_fn):
             val = spec.C * numerator_fn(a0, a1) / denom**2
             best = max(best, val)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Cell-by-cell scalar references for the array evaluators. Each one applies
+# the same float operations in the same order, so results must agree bit for
+# bit; ties and the witness of a vacuous bound go to the first cell.
+
+
+def ref_max_over_cells(numerators, denominators):
+    best, witness, inf_witness = 0.0, None, None
+    for t in range(2):
+        for z in range(denominators.shape[1]):
+            num, den = numerators[t, z], denominators[t, z]
+            if den <= 0.0:
+                if num > 0.0 and inf_witness is None:
+                    inf_witness = (t, z)
+                continue
+            val = num / den**2
+            if val > best:
+                best, witness = val, (t, z)
+    if inf_witness is not None:
+        return math.inf, inf_witness
+    return best, witness
+
+
+def ref_tz(table):
+    return np.vstack([table[0] + table[2], table[1] + table[3]])
+
+
+def ref_m_base(p, spec):
+    value, witness = ref_max_over_cells(np.ones((2, p.k)), ref_tz(p.p))
+    return spec.C * value, witness
+
+
+def ref_m_policy(a, q, spec, kind, x=None):
+    arm = np.array([a.arm_mass(0), a.arm_mass(1)])
+    sq = np.array([a.a[0] ** 2 + a.a[2] ** 2, a.a[1] ** 2 + a.a[3] ** 2])
+    if kind == "nsp":
+        per_arm = arm
+    elif kind == "usp":
+        per_arm = 4.0 * sq
+    elif kind == "owsp":
+        per_arm = 2.0 * arm**2
+    else:
+        per_arm = np.zeros(2)
+        for g, (y, t) in enumerate(GROUPS):
+            if a.a[g] == 0.0:
+                continue
+            if x[g] == 0.0:
+                per_arm[t] = math.inf
+            else:
+                per_arm[t] += a.a[g] ** 2 / x[g]
+    numerators = np.repeat(per_arm[:, None], q.k, axis=1)
+    value, witness = ref_max_over_cells(numerators, ref_tz(a.a[:, None] * q.q))
+    return spec.C * value, witness
+
+
+def ref_worst_case_M(a, spec, kind):
+    C_over_b2 = spec.C / spec.beta**2
+    if kind == "owsp":
+        return 2.0 * C_over_b2
+    arm = np.array([a.arm_mass(0), a.arm_mass(1)])
+    if np.any(arm <= 0.0):
+        return math.inf
+    if kind == "nsp":
+        return float(C_over_b2 * np.max(1.0 / arm))
+    sq = np.array([a.a[0] ** 2 + a.a[2] ** 2, a.a[1] ** 2 + a.a[3] ** 2])
+    return float(4.0 * C_over_b2 * np.max(sq / arm**2))
+
+
+def ref_lower_bound_w(a, spec, kind, c1):
+    C1_over_b2 = spec.C1(c1) / spec.beta**2
+    best = 0.0
+    for t in (0, 1):
+        arm, other = a.arm_mass(t), a.arm_mass(1 - t)
+        if arm <= 0.0:
+            return math.inf
+        a_max = max(a.a[t], a.a[2 + t])
+        if kind == "nsp":
+            term = a_max * other**2 / arm**2
+        elif kind == "usp":
+            term = 4.0 * a_max**2 * other**2 / arm**2
+        else:
+            term = 2.0 * a_max * other**2 / arm
+        best = max(best, term)
+    return C1_over_b2 * best
+
+
+def ref_finite_feasible(a, q, x, m, n, spec):
+    denom_tz = ref_tz(a.a[:, None] * q.q)
+    threshold = finite_threshold(spec)
+    worst, witness = math.inf, None
+    for g, (y, t) in enumerate(GROUPS):
+        if a.a[g] == 0.0:
+            continue
+        for z in range(q.k):
+            if x[g] == 0.0:
+                return False, 0.0, (y, t, z)
+            sampling_var = 1.0 / (x[g] * m) + q.q[g, z] ** 2 / n
+            val = denom_tz[t, z] ** 2 / sampling_var
+            if val < worst:
+                worst, witness = val, (y, t, z)
+    return worst >= threshold, worst / threshold, witness
+
+
+def ref_allocate_budget(a, q, budget, c_confounded, c_deconfound, spec, grid):
+    m_max = int(budget / (c_confounded + c_deconfound))
+    m_values = sorted(set(np.linspace(1, m_max, num=min(grid, m_max), dtype=int).tolist()))
+    best = None
+    for m in m_values:
+        n = int((budget - c_deconfound * m) / c_confounded)
+        if n < m:
+            continue
+        for kind in ("nsp", "usp", "owsp"):
+            capped = np.minimum(policy_weights(kind, a).x, a.a * n / m)
+            x = capped / capped.sum()
+            margin = ref_finite_feasible(a, q, x, m, n, spec)[1]
+            if best is None or margin > best[4]:
+                best = (n, m, kind, x, margin)
+    return best
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@st.composite
+def edge_instances(draw):
+    """Random k in {2, 3, 4} instance with optional zero-mass groups, empty
+    strata, and custom weights with a zero entry."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.sampled_from([2, 3, 4]))
+    a = rng.dirichlet(np.ones(4))
+    q = rng.dirichlet(np.ones(k), size=4)
+    for g in draw(st.lists(st.integers(0, 3), max_size=2)):
+        a[g] = 0.0
+    for g, z in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, k - 1)),
+                              max_size=3)):
+        q[g, z] = 0.0
+    q[q.sum(axis=1) == 0.0] = 1.0
+    x = rng.dirichlet(np.ones(4))
+    if draw(st.booleans()):
+        x[draw(st.integers(0, 3))] = 0.0
+    a = ConfoundedDistribution(a / a.sum())
+    q = ConditionalTable(q / q.sum(axis=1, keepdims=True))
+    spec = AccuracySpec(
+        draw(st.floats(0.05, 0.5)), draw(st.floats(0.01, 0.3)), k, draw(st.floats(0.02, 0.24))
+    )
+    return a, q, PolicyWeights(x / x.sum()), spec
+
+
+# group (0,0) has zero mass and stratum (t=1, z=1) is empty
+ZERO_MASS_CASE = (
+    ConfoundedDistribution(np.array([0.0, 0.3, 0.45, 0.25])),
+    ConditionalTable(
+        np.array([[0.2, 0.3, 0.5], [0.6, 0.0, 0.4], [0.1, 0.6, 0.3], [0.7, 0.0, 0.3]])
+    ),
+    PolicyWeights(np.array([0.0, 0.4, 0.25, 0.35])),
+    AccuracySpec(0.2, 0.1, 3, 0.1),
+)
+
+
+class TestScalarReferences:
+    @given(edge_instances())
+    @settings(max_examples=150, deadline=None)
+    @example(ZERO_MASS_CASE)
+    def test_bound_values_and_witnesses(self, case):
+        a, q, weights, spec = case
+        got = m_base_detail(joint_from_parts(a, q), spec)
+        want = ref_m_base(joint_from_parts(a, q), spec)
+        assert bits(got.value) == bits(want[0]) and got.witness == want[1]
+        for kind in ("nsp", "usp", "owsp", "custom"):
+            policy = custom_policy(weights) if kind == "custom" else kind
+            got = m_policy_detail(a, q, spec, policy)
+            want = ref_m_policy(a, q, spec, kind, weights.x)
+            assert bits(got.value) == bits(want[0]) and got.witness == want[1], kind
+        for kind in ("nsp", "usp", "owsp"):
+            assert bits(worst_case_M(a, spec, kind)) == bits(ref_worst_case_M(a, spec, kind))
+            assert bits(lower_bound_w(a, spec, kind, 1.5)) == bits(
+                ref_lower_bound_w(a, spec, kind, 1.5)
+            )
+
+    @given(edge_instances(), st.integers(1, 10**6), st.integers(1, 10**9))
+    @settings(max_examples=150, deadline=None)
+    @example(ZERO_MASS_CASE, 50, 1000)
+    def test_finite_feasible(self, case, m, n):
+        a, q, weights, spec = case
+        kinds = ["nsp", "usp"] + (["owsp"] if min(a.arm_mass(0), a.arm_mass(1)) > 0 else [])
+        for x in [weights.x] + [policy_weights(kind, a).x for kind in kinds]:
+            got = finite_feasible(a, q, PolicyWeights(x), m, n, spec)
+            want = ref_finite_feasible(a, q, x, m, n, spec)
+            assert got.feasible == want[0]
+            assert bits(got.margin) == bits(want[1])
+            assert got.witness == want[2]
+
+    @given(edge_instances(), st.floats(1e2, 1e7), st.floats(0.5, 3.0),
+           st.floats(1.0, 50.0), st.integers(10, 120))
+    @settings(max_examples=60, deadline=None)
+    @example(ZERO_MASS_CASE, 5e4, 1.0, 20.0, 200)
+    def test_allocate_budget(self, case, budget, c_confounded, c_deconfound, grid):
+        a, q, _, spec = case
+        assume(min(a.arm_mass(0), a.arm_mass(1)) > 0.0)  # owsp needs both arms
+        assume(budget >= c_confounded + c_deconfound)
+        plan = allocate_budget(a, q, budget, c_confounded, c_deconfound, spec, grid=grid)
+        n, m, kind, x, margin = ref_allocate_budget(
+            a, q, budget, c_confounded, c_deconfound, spec, grid
+        )
+        assert (plan.n, plan.m, plan.policy) == (n, m, kind)
+        assert bits(plan.weights.x) == bits(x)
+        assert bits(plan.margin) == bits(margin)
+
+    def test_zero_weight_blocks_at_first_positive_mass_group(self):
+        # group (0,0) has no mass, so its zero weight is skipped; the zero
+        # weight on (1,0) blocks even though (0,1) has a cell of value 0
+        a, q, _, spec = ZERO_MASS_CASE
+        x = np.array([0.0, 0.5, 0.0, 0.5])
+        got = finite_feasible(a, q, PolicyWeights(x), 50, 1000, spec)
+        assert got == (False, 0.0, (1, 0, 0))
+        assert got == ref_finite_feasible(a, q, x, 50, 1000, spec)
 
 
 class TestAccuracySpec:
@@ -91,6 +311,17 @@ class TestMBase:
     def test_zero_marginal_reports_infinite(self):
         p = np.array([[0.5, 0.0], [0.2, 0.1], [0.1, 0.0], [0.05, 0.05]])
         assert m_base(JointDistribution(p), SPEC) == math.inf
+
+    def test_vacuous_witness_is_first_empty_stratum(self):
+        # strata (t=0,z=1), (t=1,z=0) and (t=1,z=1) are all empty
+        p = np.array([[0.5, 0.0], [0.0, 0.0], [0.5, 0.0], [0.0, 0.0]])
+        assert m_base_detail(JointDistribution(p), SPEC) == (math.inf, (0, 1))
+        a = ConfoundedDistribution(np.array([0.5, 0.2, 0.1, 0.2]))
+        q = ConditionalTable(
+            np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 1.0, 0.0]])
+        )
+        for kind in ("nsp", "usp", "owsp"):
+            assert m_policy_detail(a, q, SPEC, kind) == (math.inf, (0, 2))
 
 
 class TestMPolicy:
@@ -212,6 +443,12 @@ class TestLowerBounds:
             assert lower_bound_w(a, sq, kind) == pytest.approx(
                 2 * lower_bound_w(a, SPEC, kind), rel=1e-12
             )
+
+    def test_custom_policy_rejected_even_with_empty_arm(self):
+        a = ConfoundedDistribution(np.array([0.0, 0.6, 0.0, 0.4]))
+        assert lower_bound_w(a, SPEC, "nsp") == math.inf
+        with pytest.raises(ValidationError, match="nsp, usp, and owsp only"):
+            lower_bound_w(a, SPEC, custom_policy(np.full(4, 0.25)))
 
     def test_c1_multiplier_linear(self):
         a = ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3]))

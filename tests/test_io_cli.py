@@ -17,6 +17,7 @@ from deconf.io import (
     read_error_curve_csv,
     read_experiment_config,
     read_instance,
+    read_marginal,
     read_stratified_csv,
     write_error_curve_csv,
     write_instance,
@@ -254,6 +255,41 @@ class TestCliEstimate:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "file not found"),
+            ("{not json", "invalid JSON"),
+            ('[0.25, 0.25, 0.25, 0.25]', "expected a JSON object"),
+            ('{"a": [0.5, 0.5]}', "expected 4 entries"),
+            ('{"a": ["x", 0.2, 0.3, 0.5]}', "could not convert"),
+            ('{"q": [[1.0, 0.0]]}', "expected fields"),
+        ],
+    )
+    def test_bad_a_file_exits_2(self, tmp_path, capsys, content, message):
+        a_path = tmp_path / "a.json"
+        if content is not None:
+            a_path.write_text(content)
+        data = tmp_path / "data.csv"
+        data.write_text("y,t,z\n0,0,0\n0,1,1\n1,0,0\n1,1,1\n")
+        code = main(["estimate", "--data", str(data), "--k", "2", "--mode", "known-a",
+                     "--a-file", str(a_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_a_file_may_be_an_instance_file(self, tmp_path, capsys):
+        a, q = example_instance()
+        joint_path = tmp_path / "joint.json"
+        write_joint_instance(joint_path, joint_from_parts(a, q))
+        assert np.allclose(read_marginal(joint_path).a, a.a, atol=1e-15)
+        cells = (joint_from_parts(a, q).p * 1000).round().astype(int)
+        rows = ["y,t,z"] + [f"{y},{t},{z}" for y, t, z in records_from_cells(cells)]
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(rows) + "\n")
+        args = ["estimate", "--data", str(data), "--k", "2", "--mode", "known-a"]
+        assert main(args + ["--a-file", str(joint_path)]) == 0
+        assert "ate_hat = 0.43" in capsys.readouterr().out
+
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "data.csv"
         path.write_text("y,t,z\n1,7,0\n")
@@ -468,6 +504,18 @@ class TestCliSimulate:
         args = ["--config", str(cfg), "--out", str(out), "--workers", workers]
         assert main(["simulate"] + args) == 2
         assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field", [{"k": 2.5}, {"instances": 1.5}, {"replications": 2.0}, {"m_grid": [100.7]},
+                  {"m_grid": [True]}, {"include_baseline": 1}]
+    )
+    def test_non_integer_config_values_exit_2(self, tmp_path, capsys, field):
+        cfg = self.write_config(tmp_path, **field)
+        out = tmp_path / "f.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        (name,) = field
+        assert name in capsys.readouterr().err
         assert not out.exists()
 
     def test_bool_seed_in_config_exits_2(self, tmp_path, capsys):

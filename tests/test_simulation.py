@@ -1,4 +1,4 @@
-"""Oracles, determinism, and the three replication protocols."""
+"""The three replication protocols: determinism, config validation, stream contract."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from deconf import (
     ConditionalTable,
     ConfoundedDistribution,
     DegenerateGroupError,
-    EmpiricalOracle,
     ExhaustedError,
     ExperimentConfig,
     ValidationError,
@@ -20,7 +19,6 @@ from deconf import (
     run_finite_experiment,
     run_infinite_experiment,
 )
-from deconf.simulation import ConditionalOracle
 
 from test_estimation import records_from_cells
 
@@ -37,44 +35,6 @@ def small_infinite_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-class TestOracles:
-    def test_zero_count_is_empty(self):
-        q = binary_conditional((0.5, 0.5, 0.5, 0.5))
-        oracle = ConditionalOracle(q, seed=1)
-        assert oracle.draw((0, 0), 0).size == 0
-
-    def test_one_hot_row_always_draws_same_category(self):
-        rows = np.zeros((4, 4))
-        rows[:, 3] = 1.0
-        rows[0] = 0.25  # one non-degenerate row keeps the table realistic
-        oracle = ConditionalOracle(ConditionalTable(rows), seed=2)
-        draws = oracle.draw((1, 1), 100)
-        assert np.all(draws == 3)
-
-    def test_empirical_full_reveal_returns_hidden_multiset(self):
-        records = np.array(
-            [(0, 0, z) for z in [0] * 60 + [1] * 40]
-            + [(1, 1, 0), (1, 1, 1), (0, 1, 1), (1, 0, 0)]
-        )
-        oracle = EmpiricalOracle(records, k=2, seed=3)
-        revealed = oracle.draw((0, 0), 100)
-        assert sorted(revealed.tolist()) == [0] * 60 + [1] * 40
-        assert oracle.remaining((0, 0)) == 0
-
-    def test_empirical_exhaustion_reports_shortfall(self):
-        records = np.array([(0, 0, 0), (0, 0, 1), (1, 1, 0)])
-        oracle = EmpiricalOracle(records, k=2, seed=4)
-        with pytest.raises(ExhaustedError) as err:
-            oracle.draw((0, 0), 5)
-        assert err.value.shortfall == 3
-
-    def test_empirical_reveals_deterministic(self):
-        records = np.array([(0, 0, z % 3) for z in range(30)])
-        first = EmpiricalOracle(records, k=3, seed=5).draw(0, 10)
-        second = EmpiricalOracle(records, k=3, seed=5).draw(0, 10)
-        assert np.array_equal(first, second)
 
 
 class TestInfiniteProtocol:
@@ -257,6 +217,43 @@ class TestConfigValidation:
             ExperimentConfig(m_grid=(0,))
         with pytest.raises(ValidationError):
             ExperimentConfig(n_grid=(-5,))
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"k": 2.5},
+            {"k": 3.0},
+            {"instances": 1.5},
+            {"instances": True},
+            {"replications": 2.0},
+            {"m_grid": (100.7,)},
+            {"m_grid": (True,)},
+            {"m_grid": (np.float64(100.0),)},
+            {"n_grid": (100, 250.5)},
+            {"include_baseline": 1},
+            {"shared_randomness": "yes"},
+        ],
+    )
+    def test_rejects_non_integer_and_non_bool_values(self, field):
+        (name,) = field
+        with pytest.raises(ValidationError, match=name):
+            ExperimentConfig(**field)
+
+    def test_accepts_numpy_integers_as_python_ints(self):
+        cfg = ExperimentConfig(
+            k=np.int64(3),
+            instances=np.int32(2),
+            m_grid=np.array([10, 20]),
+            n_grid=(np.int64(40),),
+            replications=np.int64(5),
+            seed=np.uint32(9),
+            include_baseline=np.bool_(True),
+        )
+        assert cfg == ExperimentConfig(
+            k=3, instances=2, m_grid=(10, 20), n_grid=(40,), replications=5, seed=9,
+            include_baseline=True,
+        )
+        assert type(cfg.k) is int and type(cfg.m_grid[0]) is int and type(cfg.seed) is int
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValidationError):
