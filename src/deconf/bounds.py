@@ -49,7 +49,7 @@ from .model import (
     binary_conditional,
     joint_from_parts,
 )
-from .policies import Policy, PolicyWeights, as_policy, policy_weights
+from .policies import Policy, PolicyWeights, as_policy, named_policies, policy_weights
 
 
 @dataclass(frozen=True)
@@ -362,9 +362,6 @@ class BudgetPlan(NamedTuple):
     margin: float  # best achieved min-term / threshold (may be < 1)
 
 
-_BUDGET_POLICIES = ("nsp", "usp", "owsp")
-
-
 def allocate_budget(
     a_hat: ConfoundedDistribution,
     q: ConditionalTable,
@@ -378,12 +375,12 @@ def allocate_budget(
 
     Walks an integer grid of m along the budget line n = (B - c_z m) / c_c
     with m <= n, scoring each point by the finite-condition margin under
-    each named policy (group weights capped at the expected supply
-    a_hat * n / m, mirroring the feasibility adjustment of the finite
-    analysis), and returns the best (n, m, weights): the first maximum with
-    m ascending, then nsp, usp, owsp. This numeric solver deliberately
-    replaces the closed-form case analysis, which is not complete enough to
-    implement.
+    each named policy defined on ``a_hat`` (owsp needs both treatment arms;
+    group weights capped at the expected supply a_hat * n / m, mirroring
+    the feasibility adjustment of the finite analysis), and returns the best
+    (n, m, weights): the first maximum with m ascending, then nsp, usp,
+    owsp. This numeric solver deliberately replaces the closed-form case
+    analysis, which is not complete enough to implement.
     """
     if budget <= 0.0 or c_confounded <= 0.0 or c_deconfound <= 0.0:
         raise ValidationError("budget and costs must be positive")
@@ -401,17 +398,18 @@ def allocate_budget(
     if not on_line.any():
         raise ValidationError("no feasible (m, n) point on the budget line")
     m, n = m[on_line, None], n[on_line, None]
-    base = np.stack([policy_weights(kind, a_hat).x for kind in _BUDGET_POLICIES])
+    kinds = named_policies(a_hat)
+    base = np.stack([policy_weights(kind, a_hat).x for kind in kinds])
     capped = np.minimum(base, (a_hat.a * n / m)[:, None, :])  # (grid, policy, group)
     weights = capped / capped.sum(axis=-1, keepdims=True)
     worst, _ = _finite_min(a_hat.a, q.q, weights, m, n)
     margins = worst / finite_threshold(spec)
-    i, j = divmod(int(margins.argmax()), len(_BUDGET_POLICIES))
+    i, j = divmod(int(margins.argmax()), len(kinds))
     return BudgetPlan(
         int(n[i, 0]),
         int(m[i, 0]),
         PolicyWeights(weights[i, j]),
-        _BUDGET_POLICIES[j],
+        kinds[j],
         float(margins[i, j]),
     )
 

@@ -41,7 +41,7 @@ from .model import (
     policy_lower_pair,
     random_instance,
 )
-from .policies import PolicyWeights, custom_policy, policy_weights
+from .policies import PolicyWeights, custom_policy, named_policies, policy_weights
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -180,10 +180,7 @@ def cmd_plan(args) -> int:
 
     extra_rows = []
     if args.n is not None:
-        if selected is None:
-            kinds = ["nsp", "usp", "owsp"]
-        else:
-            kinds = [selected]
+        kinds = named_policies(inst.a) if selected is None else [selected]
         for kind in kinds:
             weights = policy_weights(kind, inst.a)
             m_star = bnd.solve_min_m(inst.a, inst.q, weights, args.n, spec)

@@ -35,6 +35,7 @@ from .model import (
     ConfoundedDistribution,
     JointDistribution,
     ate_details,
+    integer_array,
     joint_from_parts,
     parts_from_joint,
 )
@@ -48,7 +49,7 @@ def _check_fallback(fallback: str) -> None:
 
 
 def _records_array(records, cols: int, name: str) -> np.ndarray:
-    arr = np.asarray(records, dtype=int)
+    arr = integer_array(records, name)
     if arr.size == 0:
         return arr.reshape(0, cols)
     if arr.ndim != 2 or arr.shape[1] != cols:
@@ -229,7 +230,7 @@ class StratifiedDataset:
         cols = {}
         n = None
         for name in ("x", "y", "t", "z"):
-            arr = np.asarray(getattr(self, name), dtype=int)
+            arr = integer_array(getattr(self, name), name)
             arr.setflags(write=False)
             if n is None:
                 n = arr.shape[0]

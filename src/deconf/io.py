@@ -5,7 +5,9 @@ Instance files are JSON with either factorized or joint form::
     {"k": 2, "a": [a00, a01, a10, a11], "q": [[...], [...], [...], [...]]}
     {"p": [[...], [...], [...], [...]]}
 
-rows in canonical group order (0,0), (0,1), (1,0), (1,1). Dataset CSVs have
+rows in canonical group order (0,0), (0,1), (1,0), (1,1); ``k`` is optional
+in either form, but when present it must be an integer equal to the row
+length. Dataset CSVs have
 header ``y,t,z`` (plus a leading ``x`` column for stratified data); an empty
 z field marks a confounded record. Readers fail fast with the offending
 row or field named, so nothing partially validated reaches the core types.
@@ -26,6 +28,7 @@ from .model import (
     ConditionalTable,
     ConfoundedDistribution,
     JointDistribution,
+    is_integer,
     joint_from_parts,
     parts_from_joint,
 )
@@ -56,19 +59,26 @@ def _read_json_object(path) -> dict:
     return raw
 
 
+def _check_k(raw: dict, width: int) -> None:
+    """An optional ``k`` field must be an integer (not a bool) equal to the table width."""
+    k = raw.get("k", width)
+    if not is_integer(k):
+        raise ValidationError(f"field k must be an integer, got {k!r}")
+    if k != width:
+        raise ValidationError(f"field k={k} does not match table row length {width}")
+
+
 def _instance_from(raw: dict, path) -> LoadedInstance:
     try:
         if "p" in raw:
             joint = JointDistribution(np.asarray(raw["p"], dtype=float))
+            _check_k(raw, joint.k)
             parts = parts_from_joint(joint)
             return LoadedInstance(parts.a, parts.q, joint, "joint")
         if "a" in raw and "q" in raw:
             a = ConfoundedDistribution(np.asarray(raw["a"], dtype=float))
             q = ConditionalTable(np.asarray(raw["q"], dtype=float))
-            if "k" in raw and int(raw["k"]) != q.k:
-                raise ValidationError(
-                    f"field k={raw['k']} does not match q row length {q.k}"
-                )
+            _check_k(raw, q.k)
             return LoadedInstance(a, q, joint_from_parts(a, q), "parts")
     except (ValidationError, ValueError, TypeError) as exc:
         raise DataFormatError(f"{path}: {exc}") from None

@@ -49,6 +49,21 @@ def group_index(y: int, t: int) -> int:
     return 2 * y + t
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy int; ``bool`` is an int subclass and is rejected."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def integer_array(values, name: str) -> np.ndarray:
+    """``values`` as an int array; non-integral or non-numeric entries raise."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f" and np.all(np.isfinite(arr)) and np.all(arr == np.trunc(arr)):
+        return arr.astype(int)
+    if arr.dtype.kind not in "biu":
+        raise ValidationError(f"{name}: entries must be integers")
+    return arr.astype(int, copy=False)
+
+
 def _as_readonly(arr, dtype=float) -> np.ndarray:
     out = np.array(arr, dtype=dtype, copy=True)
     out.setflags(write=False)

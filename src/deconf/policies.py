@@ -9,20 +9,27 @@ receives:
   split within the arm by outcome share
 * custom:                 caller-supplied weights
 
-Fractional weights are turned into integer counts by largest-remainder
-rounding with ties broken in canonical group order; the finite-data
-variants additionally respect per-group availability caps.
+One private kernel, :func:`_allocate`, turns a policy into integer counts
+for a whole stack of budgets: ``(..., 4)`` arrays in, broadcast over ``m``,
+no validation and no Python loop. Fractional weights are rounded by largest
+remainder, ties to the earliest group in canonical order. Under finite
+supply, usp fills every group to a common water level, owsp splits m across
+the treatment arms and then within each arm, and nsp and custom spill any
+excess past a cap to the groups with room, in canonical order.
+:func:`allocate_infinite` and :func:`allocate_finite` validate their inputs
+and call the kernel for one budget; the replication engine calls it once
+per (instance, policy) on plain arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import CONSTRUCT_ATOL, GROUPS, ConfoundedDistribution, group_index
+from .model import CONSTRUCT_ATOL, ConfoundedDistribution, integer_array, is_integer
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,16 @@ class Allocation:
         object.__setattr__(self, "counts", arr)
 
 
+def _arm_mass(a: np.ndarray) -> np.ndarray:
+    """P(T=t) of (..., 4) marginals, arranged (..., 2) by t."""
+    return a[..., :2] + a[..., 2:]
+
+
+def named_policies(a: ConfoundedDistribution) -> Tuple[str, ...]:
+    """The named policies defined on marginal ``a``: owsp needs both arms."""
+    return ("nsp", "usp", "owsp") if np.all(_arm_mass(a.a) > 0.0) else ("nsp", "usp")
+
+
 def policy_weights(policy: Union[Policy, str], a: ConfoundedDistribution) -> PolicyWeights:
     """Exact fractional weights of a policy for marginal ``a``."""
     policy = as_policy(policy)
@@ -107,84 +124,26 @@ def policy_weights(policy: Union[Policy, str], a: ConfoundedDistribution) -> Pol
         return PolicyWeights(a.a)
     if policy.kind == "usp":
         return PolicyWeights(np.full(4, 0.25))
-    # owsp
-    arm = np.array([a.arm_mass(0), a.arm_mass(1)])
+    # owsp: x[y, t] = a[y, t] / (2 P(T=t))
+    arm = _arm_mass(a.a)
     if np.any(arm <= 0.0):
         t = int(np.argmin(arm))
         raise ValidationError(f"owsp undefined: treatment arm t={t} has zero mass")
-    x = np.empty(4)
-    for g, (y, t) in enumerate(GROUPS):
-        x[g] = a.a[g] / (2.0 * arm[t])
-    return PolicyWeights(x)
+    return PolicyWeights((a.a.reshape(2, 2) / (2.0 * arm)).ravel())
 
 
-def largest_remainder(targets, total: int) -> np.ndarray:
-    """Round non-negative targets (summing to ``total``) to integers.
-
-    Floors first, then hands the leftover units to the largest fractional
-    remainders, earliest group first on ties.
-    """
-    targets = np.asarray(targets, dtype=float)
-    floors = np.floor(targets).astype(int)
-    extras = total - int(floors.sum())
-    if extras < 0 or extras > 4:
-        raise ValidationError(
-            f"targets sum {float(targets.sum())!r} inconsistent with total {total}"
-        )
-    remainders = targets - floors
-    order = sorted(range(len(targets)), key=lambda g: (-remainders[g], g))
-    for g in order[:extras]:
-        floors[g] += 1
-    return floors
+def _check_budget(m) -> None:
+    if not is_integer(m) or m < 0:
+        raise ValidationError(f"m must be a non-negative integer, got {m!r}")
 
 
 def allocate_infinite(
     policy: Union[Policy, str], a: ConfoundedDistribution, m: int
 ) -> Allocation:
     """Integer allocation of m samples under infinite confounded data."""
-    if m < 0:
-        raise ValidationError(f"m must be >= 0, got {m}")
-    x = policy_weights(policy, a).x
-    counts = largest_remainder(m * x, m)
-    return Allocation(counts, m)
-
-
-def _water_fill(available: np.ndarray, m: int) -> np.ndarray:
-    """Even split with caps: raise all unsaturated groups level by level."""
-    counts = np.zeros(4, dtype=int)
-    remaining = m
-    while remaining > 0:
-        open_groups = [g for g in range(4) if counts[g] < available[g]]
-        levels = sorted({int(available[g]) for g in open_groups})
-        current = counts[open_groups[0]]  # open groups share the same level
-        next_cap = levels[0]
-        step_cost = (next_cap - current) * len(open_groups)
-        if step_cost <= remaining:
-            for g in open_groups:
-                counts[g] = next_cap
-            remaining -= step_cost
-            if remaining == 0:
-                break
-            continue
-        base, extra = divmod(remaining, len(open_groups))
-        for i, g in enumerate(open_groups):
-            counts[g] += base + (1 if i < extra else 0)
-        remaining = 0
-    return counts
-
-
-def _capped_pair_split(m_arm: int, weights, caps) -> tuple:
-    """Largest-remainder split of m_arm over two groups with availability caps."""
-    targets = m_arm * np.asarray(weights, dtype=float)
-    c0, c1 = (int(v) for v in largest_remainder(targets, m_arm))
-    # overflow past a cap goes to the sibling (the arm has room by construction)
-    if c0 > caps[0]:
-        c1 += c0 - caps[0]
-        c0 = caps[0]
-    if c1 > caps[1]:
-        c0 += c1 - caps[1]
-        c1 = caps[1]
-    return c0, c1
+    _check_budget(m)
+    policy = as_policy(policy)
+    return Allocation(_allocate(policy.kind, m, policy_weights(policy, a).x), m)
 
 
 def allocate_finite(
@@ -202,77 +161,89 @@ def allocate_finite(
       possible, earliest group first on ties.
     * owsp: split m as evenly as possible across treatment arms (capped by
       arm availability, overflow to the other arm), then split each arm by
-      the empirical outcome ratio, capped per group.
+      the empirical outcome ratio (evenly without ``a_hat``), capped per
+      group.
+    * custom: the weights, with any excess over a cap spilled to the
+      groups with room in canonical order.
 
     At m = sum(available) every policy returns ``available``.
     """
     policy = as_policy(policy)
-    available = np.asarray(available, dtype=int)
+    available = integer_array(available, "available")
     if available.shape != (4,) or np.any(available < 0):
         raise ValidationError("available: expected 4 non-negative integers")
-    if m < 0:
-        raise ValidationError(f"m must be >= 0, got {m}")
+    _check_budget(m)
     total_avail = int(available.sum())
     if m > total_avail:
         raise ValidationError(f"cannot place m={m} samples; only {total_avail} available")
-    a_vec = None if a_hat is None else a_hat.a
-    return Allocation(finite_counts(policy, available, m, a_vec), m)
+    if policy.kind == "custom":
+        x = policy.weights.x
+    else:
+        x = np.zeros(4) if a_hat is None else a_hat.a
+    return Allocation(_allocate(policy.kind, m, x, available), m)
 
 
-def finite_counts(
-    policy: Policy, available: np.ndarray, m: int, a_hat: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """:func:`allocate_finite` on plain arrays, for the replication engine.
+def _round_shares(targets: np.ndarray, total) -> np.ndarray:
+    """Largest-remainder rounding of (..., n) targets summing to ``total``.
 
-    ``available`` is a 4-vector of non-negative ints summing to at least
-    ``m``, and ``a_hat`` the empirical marginal as a plain 4-vector (or
-    None); nothing is validated. Returns the integer counts.
+    Floors first, then hands the ``total - sum(floors)`` leftover units to
+    the largest fractional remainders: a stable ascending sort of
+    ``floors - targets`` ranks them, ties to the earliest position.
     """
-    total_avail = int(available.sum())
-    if m == total_avail:
-        return available.copy()
-    if m == 0:
-        return np.zeros(4, dtype=int)
+    floors = np.floor(targets).astype(int)
+    extras = total - floors.sum(axis=-1)
+    order = np.argsort(floors - targets, axis=-1, kind="stable")
+    return floors + (order.argsort(axis=-1) < extras[..., None])
 
-    if policy.kind in ("nsp", "custom"):
-        x = (
-            available / total_avail
-            if policy.kind == "nsp"
-            else policy.weights.x
-        )
-        counts = largest_remainder(m * x, m)
-        # custom weights may overshoot a cap; spill in canonical order
-        overflow = int(np.sum(np.maximum(counts - available, 0)))
-        if overflow:
-            counts = np.minimum(counts, available)
-            for g in range(4):
-                room = int(available[g] - counts[g])
-                take = min(room, overflow)
-                counts[g] += take
-                overflow -= take
-                if overflow == 0:
-                    break
-        return counts
 
-    if policy.kind == "usp":
-        return _water_fill(available, m)
+def _allocate(kind: str, m, x: np.ndarray, available=None) -> np.ndarray:
+    """Integer counts (..., 4) of policy ``kind`` at budgets ``m``, unvalidated.
 
-    # owsp: arm-level even split, then outcome-ratio split within each arm
-    idx = [[group_index(0, t), group_index(1, t)] for t in (0, 1)]
-    arm_avail = [int(available[idx[t]].sum()) for t in (0, 1)]
-    arm_m = [m - m // 2, m // 2]  # odd sample goes to arm t=0
-    for t in (0, 1):
-        if arm_m[t] > arm_avail[t]:
-            arm_m[1 - t] += arm_m[t] - arm_avail[t]
-            arm_m[t] = arm_avail[t]
-
-    counts = np.zeros(4, dtype=int)
-    for t in (0, 1):
-        g0, g1 = idx[t]
-        arm_mass = 0.0 if a_hat is None else float(a_hat[g0] + a_hat[g1])
-        w0 = a_hat[g0] / arm_mass if arm_mass > 0.0 else 0.5
-        c0, c1 = _capped_pair_split(
-            arm_m[t], (w0, 1.0 - w0), (int(available[g0]), int(available[g1]))
-        )
-        counts[g0], counts[g1] = c0, c1
-    return counts
+    ``m`` broadcasts against ``x[..., 0]`` and ``available[..., 0]``. With
+    ``available`` None the supply is unlimited and ``x`` holds the policy
+    weights, rounded by largest remainder. Otherwise group g has only
+    ``available[..., g]`` records (``m <= available.sum(-1)``) and ``x`` is
+    what the policy splits by: a custom policy's weights, or for owsp the
+    empirical marginal (zeros when unknown); nsp splits by availability and
+    usp evenly, so they ignore it.
+    """
+    m = np.asarray(m)
+    if available is None:
+        return _round_shares(m[..., None] * x, m)
+    total = available.sum(axis=-1)
+    full = m == total  # every policy takes everything
+    m = np.where(full, 0, m)
+    if kind == "usp":
+        # water level: the largest L with sum(min(available, L)) <= m. That
+        # sum is the min over j of (j smallest caps) + (4 - j) L, so L is the
+        # max over j of floor((m - j smallest caps) / (4 - j)); the leftover
+        # units go to the earliest groups still above L
+        low = np.sort(available, axis=-1)
+        below = np.cumsum(low, axis=-1) - low
+        level = ((m[..., None] - below) // np.arange(4, 0, -1)).max(axis=-1)[..., None]
+        counts = np.minimum(available, level)
+        above = available > level
+        left = m - counts.sum(axis=-1)
+        counts += above & (np.cumsum(above, axis=-1) <= left[..., None])
+    elif kind == "owsp":
+        # even arm split (odd unit to t=0), overflow to the other arm; then
+        # the outcome split within each arm, overflow to the sibling group
+        arm_avail = _arm_mass(available)
+        m1 = np.minimum(np.maximum(m // 2, m - arm_avail[..., 0]), arm_avail[..., 1])
+        arm_m = np.stack([m - m1, m1], axis=-1)
+        mass = _arm_mass(x)
+        w0 = np.divide(x[..., :2], mass, out=np.full(mass.shape, 0.5), where=mass > 0.0)
+        split = _round_shares(arm_m[..., None] * np.stack([w0, 1.0 - w0], axis=-1), arm_m)
+        caps = available.reshape(available.shape[:-1] + (2, 2))  # [..., y, t]
+        y1 = np.minimum(np.maximum(split[..., 1], arm_m - caps[..., 0, :]), caps[..., 1, :])
+        counts = np.concatenate([arm_m - y1, y1], axis=-1)
+    else:
+        share = available / np.maximum(total, 1)[..., None] if kind == "nsp" else x
+        counts = _round_shares(m[..., None] * share, m)
+        # a cap can be overshot (always possible for custom weights): clip
+        # and spill the excess to groups with room, in canonical order
+        excess = np.maximum(counts - available, 0).sum(axis=-1)[..., None]
+        counts = np.minimum(counts, available)
+        room = available - counts
+        counts += np.clip(excess - (np.cumsum(room, axis=-1) - room), 0, room)
+    return np.where(full[..., None], available, counts)

@@ -22,6 +22,12 @@ execution order. Error statistics are the mean and population standard
 deviation of |estimate - truth| pooled over all replications of all
 instances.
 
+Allocation runs through the policies kernel on plain arrays, once per
+(instance, policy): the infinite protocol allocates its whole m grid in one
+call, and the finite protocol draws every replication's arrivals first and
+then allocates all (replication, n) points in one call (natural sampling
+takes the first m arrivals instead). The empirical protocol allocates each
+policy's grid once for the whole run. Allocation consumes no randomness.
 Estimation runs on plain arrays through the batched kernel
 (:func:`deconf.estimation.q_hat_batch` and :func:`deconf.model.ate_batch`),
 once per work item over all of its replications; the finite protocol calls
@@ -46,11 +52,12 @@ from .model import (
     JointDistribution,
     ate_batch,
     ate_exact,
+    is_integer,
     joint_from_parts,
     parts_from_joint,
     random_instance,
 )
-from .policies import Policy, allocate_infinite, finite_counts
+from .policies import _allocate, policy_weights
 
 BASELINE = "deconf-only"
 POLICY_IDS = {BASELINE: 0, "nsp": 1, "usp": 2, "owsp": 3}
@@ -67,14 +74,9 @@ def _stream(*key: int) -> np.random.Generator:
     return np.random.default_rng(list(key))
 
 
-def _is_int(value) -> bool:
-    """True for a Python or numpy int; ``bool`` is an int subclass and is rejected."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _int_grid(name: str, values) -> Tuple[int, ...]:
     grid = tuple(values)
-    if not grid or not all(_is_int(v) and v > 0 for v in grid):
+    if not grid or not all(is_integer(v) and v > 0 for v in grid):
         raise ValidationError(
             f"{name} must be non-empty with positive integer entries, got {grid!r}"
         )
@@ -82,7 +84,7 @@ def _int_grid(name: str, values) -> Tuple[int, ...]:
 
 
 def _check_workers(workers) -> None:
-    if not _is_int(workers) or workers < 1:
+    if not is_integer(workers) or workers < 1:
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
 
 
@@ -104,7 +106,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("k", "instances", "replications"):
             value = getattr(self, name)
-            if not _is_int(value):
+            if not is_integer(value):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         for name in ("include_baseline", "shared_randomness"):
@@ -130,7 +132,7 @@ class ExperimentConfig:
             object.__setattr__(self, "n_grid", _int_grid("n_grid", self.n_grid))
         if self.fallback not in ("error", "uniform"):
             raise ValidationError(f"unknown fallback {self.fallback!r}")
-        if not _is_int(self.seed) or self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise ValidationError("seed must be a non-negative integer")
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -267,7 +269,7 @@ def _infinite_instance_partial(args) -> Partial:
             cells = np.stack([rng.multinomial(grid, inst.p_flat) for rng in streams])
             ate = ate_batch(cells.reshape(reps, len(grid), 4, k) / grid[:, None, None])
         else:
-            alloc = np.stack([allocate_infinite(pol, a, int(m)).counts for m in grid])
+            alloc = _allocate(pol, grid, policy_weights(pol, a).x)
             cells = np.stack([rng.multinomial(alloc, inst.q) for rng in streams])
             ate = ate_batch(inst.a[:, None] * q_hat_batch(cells, inst.a, fallback))
         _accumulate(partial, pol, "m", grid, np.abs(ate - inst.ate))
@@ -301,28 +303,28 @@ def _finite_instance_partial(args) -> Partial:
     (idx, inst, seed, policies, m, n_grid, reps, fallback, shared) = args
     k = inst.q.shape[1]
     grid = np.array(sorted(n_grid))
-    policy_of = {pol: Policy(pol) for pol in policies}
+    # arrivals of every replication, kept as group counts of each prefix:
+    # the first n at each grid point, and the first m that nsp reveals
     avail = np.empty((reps, len(grid), 4), dtype=int)
-    a_hat = np.empty((reps, len(grid), 4))
+    first_m = np.empty((reps, 1, 4), dtype=int)
+    for rep in range(reps):
+        seq = _stream(seed, _DOM_ARRIVAL, idx, rep).choice(4, size=grid[-1], p=inst.a)
+        avail[rep] = [np.bincount(seq[:n], minlength=4) for n in grid]
+        first_m[rep] = np.bincount(seq[:m], minlength=4)
+    a_hat = avail / grid[:, None]
+    allocs = {
+        pol: np.repeat(first_m, len(grid), axis=1) if pol == "nsp"
+        else _allocate(pol, m, a_hat, avail)
+        for pol in policies
+    }
     q_hat = np.empty((reps, len(policies), len(grid), 4, k))
     cells = np.empty((len(grid), 4, k), dtype=int)
     for rep in range(reps):
-        seq = _stream(seed, _DOM_ARRIVAL, idx, rep).choice(4, size=grid[-1], p=inst.a)
-        for i, n in enumerate(grid):
-            avail[rep, i] = np.bincount(seq[:n], minlength=4)
-        a_hat[rep] = avail[rep] / grid[:, None]
-        nsp_counts = np.bincount(seq[:m], minlength=4)
         if shared:
             rng_shared = _stream(seed, _DOM_CONDITIONAL, idx, rep)
             streams = [rng_shared.choice(k, size=m, p=inst.q[g]) for g in range(4)]
         for j, pol in enumerate(policies):
-            if pol == "nsp":
-                alloc = np.tile(nsp_counts, (len(grid), 1))
-            else:
-                alloc = np.stack(
-                    [finite_counts(policy_of[pol], avail[rep, i], m, avail[rep, i] / n)
-                     for i, n in enumerate(grid)]
-                )
+            alloc = allocs[pol][rep]
             if shared:
                 for i in range(len(grid)):
                     for g in range(4):
@@ -403,7 +405,7 @@ def _empirical_rep_partial(args) -> Partial:
             cells = np.array(
                 [
                     [np.bincount(perms[g][:c], minlength=k) for g, c in enumerate(alloc)]
-                    for alloc in (allocations[(pol, int(m))] for m in grid)
+                    for alloc in allocations[pol]
                 ]
             )
             ate = ate_batch(a_vec[:, None] * q_hat_batch(cells, a_vec, fallback))
@@ -423,8 +425,8 @@ def run_empirical_experiment(
     _check_workers(workers)
     if config.shared_randomness:
         raise ValidationError("shared_randomness applies to the finite protocol only")
-    records = np.asarray(records, dtype=int)
     cells = deconfounded_counts(records, config.k)
+    records = np.asarray(records, dtype=int)  # integral: checked just above
     total = int(cells.sum())
     if total == 0:
         raise ValidationError("empirical dataset is empty")
@@ -435,6 +437,8 @@ def run_empirical_experiment(
     zvals = [records[groups == g, 2] for g in range(4)]
 
     labels = config.method_labels()
+    grid = np.array(config.m_grid)
+    sizes = np.array([len(v) for v in zvals])
     allocations = {}
     for pol in labels:
         if pol == BASELINE:
@@ -443,16 +447,16 @@ def run_empirical_experiment(
                     f"baseline needs {max(config.m_grid)} records, table has {total}"
                 )
             continue
-        for m in config.m_grid:
-            counts = allocate_infinite(pol, a, m).counts
-            for g in range(4):
-                if counts[g] > len(zvals[g]):
-                    raise ExhaustedError(
-                        f"policy {pol} at m={m} needs {int(counts[g])} reveals in "
-                        f"group {GROUP_NAMES[g]}, only {len(zvals[g])} records exist",
-                        shortfall=int(counts[g]) - len(zvals[g]),
-                    )
-            allocations[(pol, m)] = counts
+        counts = _allocate(pol, grid, policy_weights(pol, a).x)
+        shortfall = counts - sizes
+        if np.any(shortfall > 0):  # report the first m in config order, then group
+            i, g = divmod(int(np.argmax(shortfall > 0)), 4)
+            raise ExhaustedError(
+                f"policy {pol} at m={grid[i]} needs {int(counts[i, g])} reveals in "
+                f"group {GROUP_NAMES[g]}, only {sizes[g]} records exist",
+                shortfall=int(shortfall[i, g]),
+            )
+        allocations[pol] = counts[np.argsort(grid, kind="stable")]  # sorted-grid rows
 
     items = [
         (

@@ -157,11 +157,12 @@ def ref_allocate_budget(a, q, budget, c_confounded, c_deconfound, spec, grid):
     m_max = int(budget / (c_confounded + c_deconfound))
     m_values = sorted(set(np.linspace(1, m_max, num=min(grid, m_max), dtype=int).tolist()))
     best = None
+    kinds = ["nsp", "usp"] + (["owsp"] if min(a.arm_mass(0), a.arm_mass(1)) > 0 else [])
     for m in m_values:
         n = int((budget - c_deconfound * m) / c_confounded)
         if n < m:
             continue
-        for kind in ("nsp", "usp", "owsp"):
+        for kind in kinds:
             capped = np.minimum(policy_weights(kind, a).x, a.a * n / m)
             x = capped / capped.sum()
             margin = ref_finite_feasible(a, q, x, m, n, spec)[1]
@@ -209,6 +210,14 @@ ZERO_MASS_CASE = (
     AccuracySpec(0.2, 0.1, 3, 0.1),
 )
 
+# treatment arm t=1 is empty, so owsp is undefined and the budget skips it
+EMPTY_ARM_CASE = (
+    ConfoundedDistribution(np.array([0.5, 0.0, 0.5, 0.0])),
+    ConditionalTable(np.array([[0.3, 0.7], [0.5, 0.5], [0.6, 0.4], [0.5, 0.5]])),
+    PolicyWeights(np.full(4, 0.25)),
+    AccuracySpec(0.2, 0.1, 2, 0.1),
+)
+
 
 class TestScalarReferences:
     @given(edge_instances())
@@ -247,9 +256,9 @@ class TestScalarReferences:
            st.floats(1.0, 50.0), st.integers(10, 120))
     @settings(max_examples=60, deadline=None)
     @example(ZERO_MASS_CASE, 5e4, 1.0, 20.0, 200)
+    @example(EMPTY_ARM_CASE, 1e5, 1.0, 20.0, 200)
     def test_allocate_budget(self, case, budget, c_confounded, c_deconfound, grid):
         a, q, _, spec = case
-        assume(min(a.arm_mass(0), a.arm_mass(1)) > 0.0)  # owsp needs both arms
         assume(budget >= c_confounded + c_deconfound)
         plan = allocate_budget(a, q, budget, c_confounded, c_deconfound, spec, grid=grid)
         n, m, kind, x, margin = ref_allocate_budget(

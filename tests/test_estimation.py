@@ -193,6 +193,27 @@ class TestFinite:
             )
 
 
+class TestRecordValidation:
+    def test_non_integral_records_rejected(self):
+        a = ConfoundedDistribution(np.full(4, 0.25))
+        with pytest.raises(ValidationError, match="integers"):
+            estimate_with_known_confounded(a, [[0.7, 1, 0], [1, 1, 1]], 2)
+        with pytest.raises(ValidationError, match="integers"):
+            Dataset([[0, 1.5]], [[0, 1, 0]], 2)
+
+    def test_integral_float_records_accepted(self):
+        a = ConfoundedDistribution(np.full(4, 0.25))
+        as_float = estimate_with_known_confounded(a, [[0.0, 1.0, 0.0], [1, 1, 1]], 2)
+        as_int = estimate_with_known_confounded(a, [[0, 1, 0], [1, 1, 1]], 2)
+        assert as_float.ate_hat == as_int.ate_hat
+
+    def test_non_integral_stratified_columns_rejected(self):
+        with pytest.raises(ValidationError, match="x: entries must be integers"):
+            StratifiedDataset([0.5, 1], [0, 1], [1, 0], [0, -1], 2)
+        with pytest.raises(ValidationError, match="z: entries must be integers"):
+            StratifiedDataset([0, 1], [0, 1], [1, 0], [0.2, -1], 2)
+
+
 class TestEquivariance:
     def test_z_relabeling_permutes_q_and_fixes_ate(self):
         rng = np.random.default_rng(7)

@@ -85,6 +85,30 @@ class TestInstanceFiles:
         with pytest.raises(DataFormatError, match="not found"):
             read_instance(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"k": 2.9, "a": [0.25] * 4, "q": [[0.5, 0.5]] * 4}, "must be an integer"),
+            ({"k": True, "a": [0.25] * 4, "q": [[0.5, 0.5]] * 4}, "must be an integer"),
+            ({"k": "2", "a": [0.25] * 4, "q": [[0.5, 0.5]] * 4}, "must be an integer"),
+            ({"k": 3, "p": [[0.125, 0.125]] * 4}, "k=3 does not match"),
+        ],
+        ids=["float", "bool", "string", "joint-mismatch"],
+    )
+    def test_bad_k_field_exits_2(self, tmp_path, capsys, raw, message):
+        path = tmp_path / "bad_k.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(DataFormatError, match=message):
+            read_instance(path)
+        assert main(["ate", "--instance", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_joint_k_may_be_omitted_or_match(self, tmp_path):
+        for raw in ({"p": [[0.125, 0.125]] * 4}, {"k": 2, "p": [[0.125, 0.125]] * 4}):
+            path = tmp_path / "joint.json"
+            path.write_text(json.dumps(raw))
+            assert read_instance(path).q.k == 2
+
 
 class TestDatasetCsv:
     def test_mixed_rows(self, tmp_path):
@@ -352,6 +376,37 @@ class TestCliPlan:
             out = capsys.readouterr().out
             lines.append([l for l in out.splitlines() if l.startswith("M_owsp")])
         assert lines[0] == lines[1]
+
+
+class TestCliPlanEmptyArm:
+    """Treatment arm t=1 has no mass, so owsp is undefined on this instance."""
+
+    ARGS = ["--epsilon", "0.2", "--delta", "0.1", "--beta", "0.1"]
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "empty_arm.json"
+        a = ConfoundedDistribution(np.array([0.5, 0.0, 0.5, 0.0]))
+        write_instance(path, a, binary_conditional((0.7, 0.5, 0.4, 0.5)))
+        return path
+
+    def test_budget_prints_table_and_plan(self, path, capsys):
+        budget = ["--budget", "100000", "--cost-confounded", "1", "--cost-deconfound", "20"]
+        assert main(["plan", "--instance", str(path)] + self.ARGS + budget + ["--csv"]) == 0
+        out = capsys.readouterr().out
+        assert "m_owsp," in out and "w_owsp," in out
+        assert "budget_policy,nsp,-" in out or "budget_policy,usp,-" in out
+
+    def test_n_solves_only_defined_policies(self, path, capsys):
+        assert main(["plan", "--instance", str(path)] + self.ARGS + ["--n", "1000000"]) == 0
+        out = capsys.readouterr().out
+        assert "m_star_nsp(n=1000000)" in out and "m_star_usp(n=1000000)" in out
+        assert "m_star_owsp" not in out
+
+    def test_explicit_owsp_still_exits_2(self, path, capsys):
+        argv = ["plan", "--instance", str(path)] + self.ARGS + ["--n", "1000", "--policy", "owsp"]
+        assert main(argv) == 2
+        assert "owsp undefined" in capsys.readouterr().err
 
 
 class TestCliGenInstance:

@@ -6,15 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deconf import (
+    GROUPS,
     ConfoundedDistribution,
     ValidationError,
     allocate_finite,
     allocate_infinite,
     custom_policy,
+    group_index,
     parts_from_joint,
     policy_weights,
     random_instance,
 )
+from deconf.policies import _allocate, named_policies
 
 EXACT = 1e-12
 
@@ -154,3 +157,196 @@ class TestAllocateFinite:
             assert counts.sum() == m
             assert np.all(counts <= np.asarray(available))
             assert np.all(counts >= 0)
+
+
+class TestBoundaryValidation:
+    def test_non_integral_availability_rejected(self):
+        with pytest.raises(ValidationError, match="integers"):
+            allocate_finite("usp", (1.7, 2.2, 3.9, 4.0), 5)
+
+    def test_integral_float_availability_accepted(self):
+        assert allocate_finite("usp", (2.0, 2.0, 3.0, 4.0), 5).counts.tolist() == [2, 1, 1, 1]
+
+    @pytest.mark.parametrize("m", [2.5, True, -1, "3"])
+    def test_budget_must_be_a_non_negative_int(self, m):
+        a = ConfoundedDistribution(np.full(4, 0.25))
+        with pytest.raises(ValidationError, match="m must be"):
+            allocate_infinite("usp", a, m)
+        with pytest.raises(ValidationError, match="m must be"):
+            allocate_finite("usp", (5, 5, 5, 5), m)
+
+    def test_named_policies_drop_owsp_on_an_empty_arm(self):
+        assert named_policies(ConfoundedDistribution(np.full(4, 0.25))) == ("nsp", "usp", "owsp")
+        empty = ConfoundedDistribution(np.array([0.5, 0.0, 0.5, 0.0]))
+        assert named_policies(empty) == ("nsp", "usp")
+
+
+# ---------------------------------------------------------------------------
+# Loop references for the allocation kernel: the per-group Python loops the
+# kernel replaced, kept verbatim in behaviour. Counts are integers, so the
+# kernel and the public wrappers must agree with them exactly.
+
+
+def ref_largest_remainder(targets, total):
+    targets = np.asarray(targets, dtype=float)
+    floors = np.floor(targets).astype(int)
+    extras = total - int(floors.sum())
+    assert 0 <= extras <= 4
+    remainders = targets - floors
+    order = sorted(range(len(targets)), key=lambda g: (-remainders[g], g))
+    for g in order[:extras]:
+        floors[g] += 1
+    return floors
+
+
+def ref_water_fill(available, m):
+    counts = np.zeros(4, dtype=int)
+    remaining = m
+    while remaining > 0:
+        open_groups = [g for g in range(4) if counts[g] < available[g]]
+        levels = sorted({int(available[g]) for g in open_groups})
+        current = counts[open_groups[0]]
+        step_cost = (levels[0] - current) * len(open_groups)
+        if step_cost <= remaining:
+            for g in open_groups:
+                counts[g] = levels[0]
+            remaining -= step_cost
+            continue
+        base, extra = divmod(remaining, len(open_groups))
+        for i, g in enumerate(open_groups):
+            counts[g] += base + (1 if i < extra else 0)
+        remaining = 0
+    return counts
+
+
+def ref_capped_pair_split(m_arm, weights, caps):
+    c0, c1 = (int(v) for v in ref_largest_remainder(m_arm * np.asarray(weights), m_arm))
+    if c0 > caps[0]:
+        c1 += c0 - caps[0]
+        c0 = caps[0]
+    if c1 > caps[1]:
+        c0 += c1 - caps[1]
+        c1 = caps[1]
+    return c0, c1
+
+
+def ref_finite_counts(kind, available, m, a_hat=None, weights=None):
+    total_avail = int(available.sum())
+    if m == total_avail:
+        return available.copy()
+    if m == 0:
+        return np.zeros(4, dtype=int)
+    if kind in ("nsp", "custom"):
+        x = available / total_avail if kind == "nsp" else weights
+        counts = ref_largest_remainder(m * x, m)
+        overflow = int(np.sum(np.maximum(counts - available, 0)))
+        counts = np.minimum(counts, available)
+        for g in range(4):
+            take = min(int(available[g] - counts[g]), overflow)
+            counts[g] += take
+            overflow -= take
+        return counts
+    if kind == "usp":
+        return ref_water_fill(available, m)
+    idx = [[group_index(0, t), group_index(1, t)] for t in (0, 1)]
+    arm_avail = [int(available[idx[t]].sum()) for t in (0, 1)]
+    arm_m = [m - m // 2, m // 2]
+    for t in (0, 1):
+        if arm_m[t] > arm_avail[t]:
+            arm_m[1 - t] += arm_m[t] - arm_avail[t]
+            arm_m[t] = arm_avail[t]
+    counts = np.zeros(4, dtype=int)
+    for t in (0, 1):
+        g0, g1 = idx[t]
+        arm_mass = 0.0 if a_hat is None else float(a_hat[g0] + a_hat[g1])
+        w0 = a_hat[g0] / arm_mass if arm_mass > 0.0 else 0.5
+        counts[g0], counts[g1] = ref_capped_pair_split(
+            arm_m[t], (w0, 1.0 - w0), (int(available[g0]), int(available[g1]))
+        )
+    return counts
+
+
+def ref_policy_weights(kind, a):
+    if kind == "nsp":
+        return a.a
+    if kind == "usp":
+        return np.full(4, 0.25)
+    arm = np.array([a.arm_mass(0), a.arm_mass(1)])
+    return np.array([a.a[g] / (2.0 * arm[t]) for g, (y, t) in enumerate(GROUPS)])
+
+
+@st.composite
+def edge_marginals(draw):
+    """Marginals with optional zero groups, up to a whole empty arm."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.dirichlet(np.ones(4))
+    zeros = draw(st.sampled_from([(), (0,), (3,), (1, 3), (0, 2), (0, 3)]))
+    a[list(zeros)] = 0.0
+    return ConfoundedDistribution(a / a.sum())
+
+
+@st.composite
+def finite_cases(draw):
+    """(kind, available, m, a_hat or None, custom weights) for allocate_finite."""
+    available = np.array(draw(st.lists(st.integers(0, 60), min_size=4, max_size=4)))
+    m = draw(st.integers(0, int(available.sum())))
+    a_hat = draw(st.one_of(st.none(), edge_marginals()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.dirichlet(np.ones(4))
+    if draw(st.booleans()):
+        weights[draw(st.integers(0, 3))] = 0.0
+    kind = draw(st.sampled_from(["nsp", "usp", "owsp", "custom"]))
+    return kind, available, m, a_hat, weights / weights.sum()
+
+
+def kernel_x(kind, a_hat, weights):
+    if kind == "custom":
+        return weights
+    return np.zeros(4) if a_hat is None else a_hat.a
+
+
+class TestLoopReferences:
+    @given(finite_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_allocate_finite_matches_loops(self, case):
+        kind, available, m, a_hat, weights = case
+        policy = custom_policy(weights) if kind == "custom" else kind
+        a_vec = None if a_hat is None else a_hat.a
+        want = ref_finite_counts(kind, available, m, a_vec, weights)
+        assert allocate_finite(policy, available, m, a_hat).counts.tolist() == want.tolist()
+
+    @given(st.lists(finite_cases(), min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_batched_kernel_matches_loops(self, cases):
+        # one kernel call per kind over a (cases, 4) stack with per-row m
+        for kind in ("nsp", "usp", "owsp", "custom"):
+            weights = cases[0][4]
+            available = np.stack([c[1] for c in cases])
+            m = np.array([c[2] for c in cases])
+            x = np.stack([kernel_x(kind, c[3], weights) for c in cases])
+            want = [
+                ref_finite_counts(kind, c[1], c[2], None if c[3] is None else c[3].a, weights)
+                for c in cases
+            ]
+            assert _allocate(kind, m, x, available).tolist() == np.stack(want).tolist()
+
+    @given(edge_marginals(), st.lists(st.integers(0, 10**7), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_infinite_matches_loops(self, a, grid):
+        for kind in ("nsp", "usp", "owsp"):
+            if kind not in named_policies(a):
+                with pytest.raises(ValidationError, match="arm"):
+                    allocate_infinite(kind, a, grid[0])
+                continue
+            x = ref_policy_weights(kind, a)
+            assert policy_weights(kind, a).x.tobytes() == x.tobytes()
+            want = [ref_largest_remainder(m * x, m).tolist() for m in grid]
+            assert [allocate_infinite(kind, a, m).counts.tolist() for m in grid] == want
+            assert _allocate(kind, np.array(grid), x).tolist() == want
+
+    def test_owsp_without_a_hat_splits_arms_evenly(self):
+        # 7 units: arm t=0 gets 4 (odd unit), arm t=1 gets 3; each splits 50/50
+        # with the tie to y=0, and group (1,1) is capped at 1
+        counts = allocate_finite("owsp", (10, 10, 10, 1), 7).counts
+        assert counts.tolist() == [2, 2, 2, 1]
+        assert counts.tolist() == ref_finite_counts("owsp", np.array([10, 10, 10, 1]), 7).tolist()

@@ -20,6 +20,7 @@ from deconf import (
     run_infinite_experiment,
 )
 
+from deconf import simulation
 from test_estimation import records_from_cells
 
 
@@ -113,6 +114,20 @@ class TestFiniteProtocol:
         cfg = self.config(replications=5)
         assert run_finite_experiment(cfg) == run_finite_experiment(cfg, workers=3)
 
+    def test_one_allocation_call_per_instance_and_policy(self, monkeypatch):
+        # nsp reveals the first m arrivals; usp and owsp each allocate all
+        # (replication, n) points of an instance in one kernel call
+        shapes = []
+        kernel = simulation._allocate
+
+        def counted(kind, m, x, available=None):
+            shapes.append((kind, np.shape(available)))
+            return kernel(kind, m, x, available)
+
+        monkeypatch.setattr(simulation, "_allocate", counted)
+        run_finite_experiment(self.config(instances=2, replications=7))
+        assert shapes == [("usp", (7, 3, 4)), ("owsp", (7, 3, 4))] * 2
+
     def test_large_n_approaches_infinite_engine(self):
         a = ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3]))
         q = binary_conditional((0.5, 0.2, 0.7, 0.6))
@@ -175,6 +190,26 @@ class TestEmpiricalProtocol:
         )
         with pytest.raises(ExhaustedError):
             run_empirical_experiment(records, cfg)
+
+    def test_exhaustion_names_first_short_m_in_config_order(self):
+        # group sizes 16, 4, 8, 12: nsp fits at m=40, usp at m=40 wants 10
+        # reveals in (0,1); the m=30 shortfall would come first in sorted order
+        records, _ = self.full_table(scale=40)
+        cfg = ExperimentConfig(
+            k=2, policies=("nsp", "usp"), m_grid=(40, 30), replications=2, seed=2
+        )
+        with pytest.raises(ExhaustedError) as info:
+            run_empirical_experiment(records, cfg)
+        assert str(info.value) == (
+            "policy usp at m=40 needs 10 reveals in group (y=0,t=1), only 4 records exist"
+        )
+        assert info.value.shortfall == 6
+
+    def test_non_integral_records_rejected(self):
+        records, _ = self.full_table()
+        cfg = ExperimentConfig(k=2, policies=("nsp",), m_grid=(10,), replications=2, seed=2)
+        with pytest.raises(ValidationError, match="integers"):
+            run_empirical_experiment(records + 0.5, cfg)
 
     def test_deterministic_and_worker_invariant(self):
         records, _ = self.full_table()
