@@ -16,6 +16,7 @@ from deconf.io import (
     read_dataset_csv,
     read_error_curve_csv,
     read_experiment_config,
+    read_full_table_csv,
     read_instance,
     read_marginal,
     read_stratified_csv,
@@ -142,6 +143,137 @@ class TestDatasetCsv:
         data = read_stratified_csv(path, k=2)
         assert sorted(np.unique(data.x).tolist()) == [0, 1]
         assert (data.z == -1).sum() == 1
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,1,0\n0,1\n", "row 3: expected 3 fields, got 2"),
+            ("1,1,0\n\n", "row 3: expected 3 fields, got 0"),
+            ("0,1,x\n1,2,0\n", "row 2: z must be an integer, got 'x'"),
+            ("0, 2 ,1\n", "row 2: t must be 0 or 1, got '2'"),
+            ("0,1,0\n1,1,3\n", r"row 3: z must lie in [0, 3), got 3"),
+            ("0,1,0\n1,1,0\n1,1\n1,5,0\n", "row 4: expected 3 fields, got 2"),
+        ],
+    )
+    def test_dataset_messages(self, tmp_path, body, message):
+        path = tmp_path / "data.csv"
+        path.write_text("y,t,z\n" + body)
+        with pytest.raises(DataFormatError) as info:
+            read_dataset_csv(path, k=3)
+        assert str(info.value) == message
+
+    def test_dataset_accepts_int_spellings(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("y,t,z\n 1,0 ,+1\n0,1, \n1,1,01\n")
+        ds = read_dataset_csv(path, k=2)
+        assert ds.confounded.tolist() == [[1, 0], [0, 1], [1, 1]]
+        assert ds.deconfounded.tolist() == [[1, 0, 1], [1, 1, 1]]
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,1,1,0\n 1.5,0,0,\n", "row 3: x must be an integer, got ' 1.5'"),
+            ("0,1,1,0\n-1,0,0,\n", "row 3: x must be >= 0, got -1"),
+            ("0,1,1\n", "row 2: expected 4 fields, got 3"),
+            ("0,1,1,0\n2,1,0,2\n", r"row 3: z must lie in [0, 2), got 2"),
+            ("x,1,1,0\n0,7,0,1\n", "row 2: x must be an integer, got 'x'"),
+        ],
+    )
+    def test_stratified_messages(self, tmp_path, body, message):
+        path = tmp_path / "strat.csv"
+        path.write_text("x,y,t,z\n" + body)
+        with pytest.raises(DataFormatError) as info:
+            read_stratified_csv(path, k=2)
+        assert str(info.value) == message
+
+    def test_stratified_accepts_int_spellings(self, tmp_path):
+        path = tmp_path / "strat.csv"
+        path.write_text("x,y,t,z\n+3,1,1, 0\n 007,0,0,\n12,1 ,0,+1\n")
+        data = read_stratified_csv(path, k=2)
+        assert data.x.tolist() == [3, 7, 12]
+        assert data.y.tolist() == [1, 0, 1]
+        assert data.z.tolist() == [0, -1, 1]
+
+    def test_stratified_no_rows(self, tmp_path):
+        path = tmp_path / "strat.csv"
+        path.write_text("x,y,t,z\n")
+        with pytest.raises(DataFormatError) as info:
+            read_stratified_csv(path, k=2)
+        assert str(info.value) == f"{path}: no data rows"
+
+
+class TestFullTableCsv:
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,1,2\n1,0\n", "row 3: expected 3 fields, got 2"),
+            ("0,1,2\n1,0,1,1\n", "row 3: expected 3 fields, got 4"),
+            ("2,1,0\n", "row 2: y must be 0 or 1, got '2'"),
+            ("0,1,0\n1,t,0\n", "row 3: t must be 0 or 1, got 't'"),
+            ("0,1,0\n1,1,\n", "row 3: ground-truth tables require z on every row"),
+            ("0,1, \n", "row 2: ground-truth tables require z on every row"),
+            ("0,1,3\n", r"row 2: z must lie in [0, 3), got 3"),
+            ("0,1,-1\n", r"row 2: z must lie in [0, 3), got -1"),
+            ("0,1,1.0\n", "row 2: z must be an integer, got '1.0'"),
+            ("1,+1,0\n", "row 2: t must be 0 or 1, got '+1'"),
+            ("1,2,x\n", "row 2: t must be 0 or 1, got '2'"),
+        ],
+    )
+    def test_messages(self, tmp_path, body, message):
+        path = tmp_path / "table.csv"
+        path.write_text("y,t,z\n" + body)
+        with pytest.raises(DataFormatError) as info:
+            read_full_table_csv(path, k=3)
+        assert str(info.value) == message
+
+    def test_accepts_int_spellings(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("y,t,z\n 1,0 , 1\n0,1,+1\n1,1,01\n0,0,2\n")
+        records = read_full_table_csv(path, k=3)
+        assert records.tolist() == [[1, 0, 1], [0, 1, 1], [1, 1, 1], [0, 0, 2]]
+
+    def test_no_data_rows(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("y,t,z\n")
+        with pytest.raises(DataFormatError) as info:
+            read_full_table_csv(path, k=3)
+        assert str(info.value) == f"{path}: no data rows"
+
+    def test_header_enforced(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("y,t\n0,1\n")
+        with pytest.raises(DataFormatError, match="header"):
+            read_full_table_csv(path, k=3)
+
+    def test_large_table_roundtrip(self, tmp_path):
+        rng = np.random.default_rng(4)
+        records = np.column_stack(
+            [rng.integers(0, 2, 50_000), rng.integers(0, 2, 50_000), rng.integers(0, 3, 50_000)]
+        )
+        path = tmp_path / "table.csv"
+        path.write_text("y,t,z\n" + "".join(f"{y},{t},{z}\n" for y, t, z in records.tolist()))
+        assert np.array_equal(read_full_table_csv(path, k=3), records)
+
+    def test_bad_row_deep_in_large_file(self, tmp_path):
+        lines = ["0,1,2"] * 50_000
+        lines[41_234] = "1,1,7"
+        path = tmp_path / "table.csv"
+        path.write_text("y,t,z\n" + "\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as info:
+            read_full_table_csv(path, k=3)
+        assert str(info.value) == r"row 41236: z must lie in [0, 3), got 7"
+
+    def test_first_bad_row_in_row_order_reported(self, tmp_path):
+        # the later row's bad y comes before the earlier row's bad z column-wise
+        lines = ["0,1,2"] * 1_000
+        lines[300] = "0,1,x"
+        lines[700] = "5,1,0"
+        lines[900] = "0,1"
+        path = tmp_path / "table.csv"
+        path.write_text("y,t,z\n" + "\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as info:
+            read_full_table_csv(path, k=3)
+        assert str(info.value) == "row 302: z must be an integer, got 'x'"
 
 
 class TestCurveCsv:
