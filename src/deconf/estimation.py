@@ -34,7 +34,9 @@ from .model import (
     ConditionalTable,
     ConfoundedDistribution,
     JointDistribution,
+    _as_readonly,
     ate_details,
+    check_k,
     integer_array,
     joint_from_parts,
     parts_from_joint,
@@ -96,12 +98,10 @@ class Dataset:
     k: int
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValidationError(f"k must be >= 2, got {self.k}")
-        conf = _records_array(self.confounded, 2, "confounded records")
-        dec = _records_array(self.deconfounded, 3, "deconfounded records")
-        conf.setflags(write=False)
-        dec.setflags(write=False)
+        object.__setattr__(self, "k", check_k(self.k))
+        # frozen private copies: the caller's arrays stay theirs and writeable
+        conf = _as_readonly(_records_array(self.confounded, 2, "confounded records"), int)
+        dec = _as_readonly(_records_array(self.deconfounded, 3, "deconfounded records"), int)
         object.__setattr__(self, "confounded", conf)
         object.__setattr__(self, "deconfounded", dec)
         # validate value ranges eagerly so counts never fail later
@@ -131,10 +131,6 @@ class EstimationResult:
     degenerate_groups: frozenset
     degenerate_strata: frozenset
 
-    @property
-    def joint_hat(self) -> JointDistribution:
-        return joint_from_parts(self.a_hat, self.q_hat)
-
 
 def q_hat_batch(counts, a, fallback: str = "uniform") -> np.ndarray:
     """Per-group MLE rows for every (4, k) count table in a ``(..., 4, k)`` stack.
@@ -159,9 +155,9 @@ def q_hat_batch(counts, a, fallback: str = "uniform") -> np.ndarray:
     return np.divide(counts, totals, out=uniform, where=totals > 0.0)
 
 
-def estimate_deconfounded_only_counts(m_counts: np.ndarray) -> EstimationResult:
-    """MLE joint table from deconfounded cell counts alone."""
-    m_counts = np.asarray(m_counts, dtype=float)
+def estimate_deconfounded_only(deconfounded, k: int) -> EstimationResult:
+    """Baseline estimator that ignores confounded data: the MLE joint of the cells."""
+    m_counts = deconfounded_counts(deconfounded, k)
     total = m_counts.sum()
     if total <= 0:
         raise ValidationError("need at least one deconfounded record")
@@ -171,11 +167,6 @@ def estimate_deconfounded_only_counts(m_counts: np.ndarray) -> EstimationResult:
     return EstimationResult(
         ate.value, parts.a, parts.q, parts.degenerate_groups, ate.degenerate_strata
     )
-
-
-def estimate_deconfounded_only(deconfounded, k: int) -> EstimationResult:
-    """Baseline estimator that ignores confounded data entirely."""
-    return estimate_deconfounded_only_counts(deconfounded_counts(deconfounded, k))
 
 
 def estimate_with_known_confounded_counts(
@@ -227,27 +218,22 @@ class StratifiedDataset:
     k: int
 
     def __post_init__(self):
-        cols = {}
-        n = None
-        for name in ("x", "y", "t", "z"):
-            arr = integer_array(getattr(self, name), name)
-            arr.setflags(write=False)
-            if n is None:
-                n = arr.shape[0]
-            if arr.shape != (n,):
-                raise ValidationError("stratified columns must share one length")
-            cols[name] = arr
-            object.__setattr__(self, name, arr)
-        if self.k < 2:
-            raise ValidationError(f"k must be >= 2, got {self.k}")
-        if n == 0:
+        # frozen private copies: the caller's arrays stay theirs and writeable
+        x, y, t, z = cols = [
+            _as_readonly(integer_array(getattr(self, name), name), int) for name in "xytz"
+        ]
+        if any(col.ndim != 1 or col.shape != x.shape for col in cols):
+            raise ValidationError("stratified columns must share one length")
+        for name, col in zip("xytz", cols):
+            object.__setattr__(self, name, col)
+        object.__setattr__(self, "k", check_k(self.k))
+        if x.size == 0:
             raise ValidationError("stratified dataset is empty")
-        _validate_bits(cols["y"], "y")
-        _validate_bits(cols["t"], "t")
-        if cols["x"].min() < 0:
+        _validate_bits(y, "y")
+        _validate_bits(t, "t")
+        if x.min() < 0:
             raise ValidationError("x values must be >= 0")
-        revealed = cols["z"] >= 0
-        if np.any(cols["z"][revealed] >= self.k) or np.any(cols["z"] < -1):
+        if np.any(z >= self.k) or np.any(z < -1):
             raise ValidationError(f"z values must be -1 (hidden) or in [0, {self.k})")
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from typing import List, Tuple
 
 import numpy as np
@@ -123,9 +125,11 @@ def _parse_bit(value: str, row: int, name: str) -> int:
     return int(value)
 
 
-def _parse_z(value: str, row: int, k: int) -> int:
+def _parse_z(value: str, row: int, k: int, required: bool = False) -> int:
     value = value.strip()
     if value == "":
+        if required:
+            raise DataFormatError(f"row {row}: ground-truth tables require z on every row")
         return -1
     try:
         z = int(value)
@@ -136,7 +140,23 @@ def _parse_z(value: str, row: int, k: int) -> int:
     return z
 
 
-def _open_rows(path, expected_headers) -> Tuple[List[List[str]], List[str]]:
+def _parse_x(value: str, row: int) -> int:
+    try:
+        x = int(value.strip())
+    except ValueError:
+        raise DataFormatError(f"row {row}: x must be an integer, got {value!r}") from None
+    if x < 0:
+        raise DataFormatError(f"row {row}: x must be >= 0, got {x}")
+    if x >= 2**63:  # the columns are int64
+        raise DataFormatError(f"row {row}: x must be below 2**63, got {x}")
+    return x
+
+
+_Y = partial(_parse_bit, name="y")
+_T = partial(_parse_bit, name="t")
+
+
+def _open_rows(path, expected_headers) -> List[List[str]]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -149,68 +169,65 @@ def _open_rows(path, expected_headers) -> Tuple[List[List[str]], List[str]]:
         raise DataFormatError(
             f"{path}: header must be one of {expected_headers}, got {header}"
         )
-    return rows[1:], header
+    return rows[1:]
+
+
+def _read_int_columns(path, header: List[str], parsers) -> np.ndarray:
+    """The rows after ``header`` as a ``(rows, fields)`` int array, one parser per field.
+
+    Parsers are pure functions of the cell text, so each runs once per
+    distinct spelling in its column. The first row with a wrong field count
+    or an unparsable cell is then parsed field by field, so it raises the
+    message a row-by-row loop would.
+    """
+    body = _open_rows(path, [header])
+    width = len(parsers)
+    wrong = np.fromiter(map(len, body), dtype=np.int64, count=len(body)) != width
+    stop = int(np.argmax(wrong)) if wrong.any() else len(body)
+    flat = list(chain.from_iterable(body[:stop]))
+    out = np.empty((stop, width), dtype=np.int64)
+    for j, parse in enumerate(parsers):
+        cells = flat[j::width]
+        values, bad = {}, set()
+        for text in set(cells):
+            try:
+                values[text] = parse(text, 0)
+            except DataFormatError:
+                values[text] = 0
+                bad.add(text)
+        out[:, j] = np.fromiter(map(values.__getitem__, cells), dtype=np.int64, count=stop)
+        if bad:
+            stop = int(np.argmax(np.fromiter(map(bad.__contains__, cells), dtype=bool)))
+            flat, out = flat[: stop * width], out[:stop]
+    if stop < len(body):
+        row, cells = stop + 2, body[stop]
+        if len(cells) != width:
+            raise DataFormatError(f"row {row}: expected {width} fields, got {len(cells)}")
+        for parse, text in zip(parsers, cells):
+            parse(text, row)
+    if not stop:
+        raise DataFormatError(f"{path}: no data rows")
+    return out
 
 
 def read_dataset_csv(path, k: int) -> Dataset:
     """Read ``y,t,z`` rows; rows with z revealed count on both sides."""
-    body, _ = _open_rows(path, [["y", "t", "z"]])
-    confounded = []
-    deconfounded = []
-    for i, cells in enumerate(body, start=2):
-        if len(cells) != 3:
-            raise DataFormatError(f"row {i}: expected 3 fields, got {len(cells)}")
-        y = _parse_bit(cells[0], i, "y")
-        t = _parse_bit(cells[1], i, "t")
-        z = _parse_z(cells[2], i, k)
-        confounded.append((y, t))
-        if z >= 0:
-            deconfounded.append((y, t, z))
-    if not confounded:
-        raise DataFormatError(f"{path}: no data rows")
-    return Dataset(np.array(confounded), np.array(deconfounded), k)
+    cols = _read_int_columns(path, ["y", "t", "z"], (_Y, _T, partial(_parse_z, k=k)))
+    return Dataset(cols[:, :2], cols[cols[:, 2] >= 0], k)
 
 
 def read_stratified_csv(path, k: int) -> StratifiedDataset:
     """Read ``x,y,t,z`` rows for the covariate-stratified estimator."""
-    body, _ = _open_rows(path, [["x", "y", "t", "z"]])
-    xs, ys, ts, zs = [], [], [], []
-    for i, cells in enumerate(body, start=2):
-        if len(cells) != 4:
-            raise DataFormatError(f"row {i}: expected 4 fields, got {len(cells)}")
-        try:
-            x = int(cells[0].strip())
-        except ValueError:
-            raise DataFormatError(
-                f"row {i}: x must be an integer, got {cells[0]!r}"
-            ) from None
-        if x < 0:
-            raise DataFormatError(f"row {i}: x must be >= 0, got {x}")
-        xs.append(x)
-        ys.append(_parse_bit(cells[1], i, "y"))
-        ts.append(_parse_bit(cells[2], i, "t"))
-        zs.append(_parse_z(cells[3], i, k))
-    if not xs:
-        raise DataFormatError(f"{path}: no data rows")
-    return StratifiedDataset(np.array(xs), np.array(ys), np.array(ts), np.array(zs), k)
+    cols = _read_int_columns(
+        path, ["x", "y", "t", "z"], (_parse_x, _Y, _T, partial(_parse_z, k=k))
+    )
+    return StratifiedDataset(*cols.T, k)
 
 
 def read_full_table_csv(path, k: int) -> np.ndarray:
     """Read a fully deconfounded ``y,t,z`` table (no empty z allowed)."""
-    body, _ = _open_rows(path, [["y", "t", "z"]])
-    records = []
-    for i, cells in enumerate(body, start=2):
-        if len(cells) != 3:
-            raise DataFormatError(f"row {i}: expected 3 fields, got {len(cells)}")
-        y = _parse_bit(cells[0], i, "y")
-        t = _parse_bit(cells[1], i, "t")
-        z = _parse_z(cells[2], i, k)
-        if z < 0:
-            raise DataFormatError(f"row {i}: ground-truth tables require z on every row")
-        records.append((y, t, z))
-    if not records:
-        raise DataFormatError(f"{path}: no data rows")
-    return np.array(records)
+    z = partial(_parse_z, k=k, required=True)
+    return _read_int_columns(path, ["y", "t", "z"], (_Y, _T, z))
 
 
 CURVE_HEADER = [
@@ -243,7 +260,7 @@ def write_error_curve_csv(curve: ErrorCurve, path) -> None:
 
 
 def read_error_curve_csv(path) -> ErrorCurve:
-    body, _ = _open_rows(path, [CURVE_HEADER])
+    body = _open_rows(path, [CURVE_HEADER])
     rows = []
     for i, cells in enumerate(body, start=2):
         if len(cells) != 7:

@@ -8,19 +8,21 @@ Three protocols, mirroring the synthetic and real-data experiments:
   deconfounds the first m arrivals, the other policies allocate against
   the realized group counts.
 * empirical -- a complete (y, t, z) table is the ground truth; reveals are
-  uniform without-replacement draws within each group.
+  uniform without-replacement draws within each group, taken from the
+  table's (4, k) cell counts as incremental multivariate hypergeometric
+  draws along the m grid.
 
 Reproducibility contract: every result is a pure function of the config
 and master seed. Each (instance, policy, replication) gets its own RNG
-stream keyed by those indices; one replication draws its whole grid from
-its stream with a single broadcast ``multinomial`` call, which consumes
-the stream grid point by grid point and, within one, group by group in
-canonical order. Errors are summed per (policy, grid point) in
-replication order, and aggregation merges per-work-item partial sums in a
-fixed order, so results are identical for any worker count and any
-execution order. Error statistics are the mean and population standard
-deviation of |estimate - truth| pooled over all replications of all
-instances.
+stream keyed by those indices. A synthetic replication draws its whole
+grid with one broadcast ``multinomial`` call, which consumes the stream
+grid point by grid point and, within one, group by group in canonical
+order; an empirical one goes group by group, in ascending reveal count.
+Errors are summed per (policy, grid point) in replication order, and
+aggregation merges per-work-item partial sums in a fixed order, so results
+are identical for any worker count and any execution order. Error
+statistics are the mean and population standard deviation of
+|estimate - truth| pooled over all replications of all instances.
 
 Allocation runs through the policies kernel on plain arrays, once per
 (instance, policy): the infinite protocol allocates its whole m grid in one
@@ -52,6 +54,7 @@ from .model import (
     JointDistribution,
     ate_batch,
     ate_exact,
+    check_k,
     is_integer,
     joint_from_parts,
     parts_from_joint,
@@ -104,7 +107,8 @@ class ExperimentConfig:
     shared_randomness: bool = False
 
     def __post_init__(self):
-        for name in ("k", "instances", "replications"):
+        object.__setattr__(self, "k", check_k(self.k))
+        for name in ("instances", "replications"):
             value = getattr(self, name)
             if not is_integer(value):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
@@ -114,8 +118,6 @@ class ExperimentConfig:
             if not isinstance(value, (bool, np.bool_)):
                 raise ValidationError(f"{name} must be true or false, got {value!r}")
             object.__setattr__(self, name, bool(value))
-        if self.k < 2:
-            raise ValidationError(f"k must be >= 2, got {self.k}")
         if self.instances < 1:
             raise ValidationError("instances must be >= 1")
         if self.replications < 1:
@@ -386,29 +388,36 @@ def run_finite_experiment(
 # empirical ground truth
 
 
+def _reveal_prefixes(rng: np.random.Generator, cells, lengths) -> np.ndarray:
+    """z-counts ``(grid, groups, k)`` of nested uniform without-replacement reveals.
+
+    Row g of the ``(groups, k)`` table ``cells`` reveals ``lengths[:, g]``
+    records. A group's prefixes are drawn in ascending length, each step one
+    multivariate hypergeometric draw from the records not yet revealed, so
+    they are the prefixes of one uniform random order of the group.
+    """
+    out = np.empty(lengths.shape + cells.shape[1:], dtype=np.int64)
+    for g, row in enumerate(cells):
+        drawn = np.zeros_like(row)
+        for i in np.argsort(lengths[:, g], kind="stable"):
+            step = lengths[i, g] - drawn.sum()
+            drawn += rng.multivariate_hypergeometric(row - drawn, step)
+            out[i, g] = drawn
+    return out
+
+
 def _empirical_rep_partial(args) -> Partial:
-    (rep, seed, labels, m_grid, allocations, zvals, a_vec, k, ate_true, fallback) = args
+    (rep, seed, labels, m_grid, allocations, cells, a_vec, ate_true, fallback) = args
     partial: Partial = {}
     grid = np.array(sorted(m_grid))
-    total = sum(len(v) for v in zvals)
     for pol in labels:
         rng = _stream(seed, _DOM_EMPIRICAL, POLICY_IDS[pol], rep)
         if pol == BASELINE:
-            order = rng.permutation(total)
-            flat_cells = np.concatenate([g * k + v for g, v in enumerate(zvals)])
-            cells = np.stack(
-                [np.bincount(flat_cells[order[:m]], minlength=4 * k) for m in grid]
-            )
-            ate = ate_batch(cells.reshape(len(grid), 4, k) / grid[:, None, None])
+            drawn = _reveal_prefixes(rng, cells.reshape(1, -1), grid[:, None])
+            ate = ate_batch(drawn.reshape(len(grid), *cells.shape) / grid[:, None, None])
         else:
-            perms = [rng.permutation(v) for v in zvals]
-            cells = np.array(
-                [
-                    [np.bincount(perms[g][:c], minlength=k) for g, c in enumerate(alloc)]
-                    for alloc in allocations[pol]
-                ]
-            )
-            ate = ate_batch(a_vec[:, None] * q_hat_batch(cells, a_vec, fallback))
+            drawn = _reveal_prefixes(rng, cells, allocations[pol])
+            ate = ate_batch(a_vec[:, None] * q_hat_batch(drawn, a_vec, fallback))
         _accumulate(partial, pol, "m", grid, np.abs(ate - ate_true)[None])
     return partial
 
@@ -419,26 +428,25 @@ def run_empirical_experiment(
     """Replications against a complete (y, t, z) table as ground truth.
 
     The empirical joint of the full table defines the true ATE and the
-    (exact) marginal used for policy weights; reveals within a replication
-    are uniform without-replacement prefixes per group.
+    (exact) marginal used for policy weights. Past validation only the
+    ``(4, k)`` cell counts are used: a replication's reveals are uniform
+    without-replacement prefixes per group (for the baseline, of the whole
+    table), drawn as incremental multivariate hypergeometric steps.
     """
     _check_workers(workers)
     if config.shared_randomness:
         raise ValidationError("shared_randomness applies to the finite protocol only")
     cells = deconfounded_counts(records, config.k)
-    records = np.asarray(records, dtype=int)  # integral: checked just above
     total = int(cells.sum())
     if total == 0:
         raise ValidationError("empirical dataset is empty")
     joint = JointDistribution(cells / total)
     ate_true = ate_exact(joint)
-    a = ConfoundedDistribution(cells.sum(axis=1) / total)
-    groups = 2 * records[:, 0] + records[:, 1]
-    zvals = [records[groups == g, 2] for g in range(4)]
+    sizes = cells.sum(axis=1)
+    a = ConfoundedDistribution(sizes / total)
 
     labels = config.method_labels()
     grid = np.array(config.m_grid)
-    sizes = np.array([len(v) for v in zvals])
     allocations = {}
     for pol in labels:
         if pol == BASELINE:
@@ -458,21 +466,8 @@ def run_empirical_experiment(
             )
         allocations[pol] = counts[np.argsort(grid, kind="stable")]  # sorted-grid rows
 
-    items = [
-        (
-            rep,
-            config.seed,
-            labels,
-            config.m_grid,
-            allocations,
-            zvals,
-            a.a,
-            config.k,
-            ate_true,
-            config.fallback,
-        )
-        for rep in range(config.replications)
-    ]
+    shared = (config.seed, labels, config.m_grid, allocations, cells, a.a, ate_true)
+    items = [(rep, *shared, config.fallback) for rep in range(config.replications)]
     partials = _run_work_items(_empirical_rep_partial, items, workers)
     return _curve_from(_merge(partials), 1)
 

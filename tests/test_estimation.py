@@ -213,6 +213,30 @@ class TestRecordValidation:
         with pytest.raises(ValidationError, match="z: entries must be integers"):
             StratifiedDataset([0, 1], [0, 1], [1, 0], [0.2, -1], 2)
 
+    def test_caller_arrays_stay_writeable(self):
+        conf = np.array([[0, 1], [1, 0]])
+        dec = np.array([[0, 1, 1]])
+        data = Dataset(conf, dec, 2)
+        assert conf.flags.writeable and dec.flags.writeable
+        assert not data.confounded.flags.writeable
+        conf[0, 0] = 1
+        assert data.confounded.tolist() == [[0, 1], [1, 0]]
+        cols = [np.array([0, 1]), np.array([0, 1]), np.array([1, 0]), np.array([0, -1])]
+        strat = StratifiedDataset(*cols, 2)
+        assert all(col.flags.writeable for col in cols)
+        assert not strat.x.flags.writeable
+
+    @pytest.mark.parametrize("k", [2.5, True, "2", 1])
+    def test_bad_k_rejected(self, k):
+        with pytest.raises(ValidationError, match="k must be"):
+            Dataset([[0, 1]], [[0, 1, 0]], k)
+        with pytest.raises(ValidationError, match="k must be"):
+            StratifiedDataset([0], [0], [1], [0], k)
+
+    def test_numpy_k_stored_as_int(self):
+        data = Dataset([[0, 1]], [[0, 1, 0]], np.int64(3))
+        assert type(data.k) is int and data.m_counts().shape == (4, 3)
+
 
 class TestEquivariance:
     def test_z_relabeling_permutes_q_and_fixes_ate(self):

@@ -177,6 +177,7 @@ class TestDatasetCsv:
             ("0,1,1\n", "row 2: expected 4 fields, got 3"),
             ("0,1,1,0\n2,1,0,2\n", r"row 3: z must lie in [0, 2), got 2"),
             ("x,1,1,0\n0,7,0,1\n", "row 2: x must be an integer, got 'x'"),
+            ("0,1,1,0\n" + "9" * 20 + ",1,1,0\n", f"row 3: x must be below 2**63, got {'9' * 20}"),
         ],
     )
     def test_stratified_messages(self, tmp_path, body, message):
@@ -264,9 +265,10 @@ class TestFullTableCsv:
         assert str(info.value) == r"row 41236: z must lie in [0, 3), got 7"
 
     def test_first_bad_row_in_row_order_reported(self, tmp_path):
-        # the later row's bad y comes before the earlier row's bad z column-wise
+        # the later row's bad y comes before the earlier rows' bad z column-wise
         lines = ["0,1,2"] * 1_000
         lines[300] = "0,1,x"
+        lines[500] = "0,1,9"
         lines[700] = "5,1,0"
         lines[900] = "0,1"
         path = tmp_path / "table.csv"

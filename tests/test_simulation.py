@@ -226,6 +226,78 @@ class TestEmpiricalProtocol:
         )
 
 
+def permutation_prefixes(rng, cells, lengths):
+    """Reference reveal path: prefixes of one random permutation of each group's z."""
+    k = cells.shape[1]
+    out = np.empty(lengths.shape + (k,), dtype=int)
+    for g, row in enumerate(cells):
+        order = rng.permutation(np.repeat(np.arange(k), row))
+        for i, count in enumerate(lengths[:, g]):
+            out[i, g] = np.bincount(order[:count], minlength=k)
+    return out
+
+
+def chi2_upper_quantile(df, z=3.09):
+    """Wilson-Hilferty approximation of the chi-square quantile at normal score z."""
+    c = 2.0 / (9.0 * df)
+    return df * (1.0 - c + z * np.sqrt(c)) ** 3
+
+
+class TestEmpiricalReveals:
+    # k = 3; group 1's lengths fall along the grid and group 2 repeats one
+    CELLS = np.array([[4, 3, 2], [5, 1, 3], [2, 2, 2], [6, 0, 3]])
+    LENGTHS = np.array([[3, 5, 4, 4], [6, 2, 4, 7]])
+
+    def outcomes(self, draw, seed, samples=3000):
+        rng = np.random.default_rng(seed)
+        runs = np.stack([draw(rng, self.CELLS, self.LENGTHS) for _ in range(samples)])
+        # one categorical outcome per group: its counts at every grid point
+        return [
+            [tuple(run[:, g].ravel()) for run in runs] for g in range(len(self.CELLS))
+        ]
+
+    def test_matches_permutation_reference_in_distribution(self):
+        new = self.outcomes(simulation._reveal_prefixes, 11)
+        old = self.outcomes(permutation_prefixes, 12)
+        for g in range(len(self.CELLS)):
+            labels = sorted(set(new[g]) | set(old[g]))
+            table = np.array(
+                [[sample.count(label) for label in labels] for sample in (new[g], old[g])]
+            )
+            rare = table.sum(axis=0) < 10  # pool sparse outcomes into one column
+            if rare.any():
+                table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
+            expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
+            stat = ((table - expected) ** 2 / expected).sum()
+            df = table.shape[1] - 1
+            assert df >= 5, f"group {g}: too few outcomes to test"
+            assert stat < chi2_upper_quantile(df), f"group {g}: chi2 {stat:.1f} on {df} df"
+
+    def test_nested_prefix_invariants(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            k = int(rng.integers(2, 6))
+            cells = rng.integers(0, 30, size=(4, k))
+            sizes = cells.sum(axis=1)
+            lengths = np.floor(rng.random((4, 4)) * (sizes + 1)).astype(int)
+            lengths[int(rng.integers(4))] = sizes  # one grid point reveals everything
+            out = simulation._reveal_prefixes(rng, cells, lengths)
+            assert np.array_equal(out.sum(axis=-1), lengths)
+            for g in range(4):
+                along = out[np.argsort(lengths[:, g], kind="stable"), g]
+                assert np.all(np.diff(along, axis=0) >= 0)
+                assert np.all(along <= cells[g])
+            assert np.array_equal(out[lengths.sum(axis=1) == sizes.sum()][0], cells)
+
+    def test_baseline_draws_from_the_flat_table(self):
+        cells = self.CELLS.reshape(1, -1)
+        grid = np.array([[5], [12], [cells.sum()]])
+        out = simulation._reveal_prefixes(np.random.default_rng(2), cells, grid)
+        assert out.shape == (3, 1, 12)
+        assert np.array_equal(out[-1, 0], cells[0])
+        assert np.all(np.diff(out[:, 0], axis=0) >= 0)
+
+
 class TestConfigValidation:
     def test_full_scale_sweep_config_validates(self):
         # a full-scale sweep is describable even though the test suites
