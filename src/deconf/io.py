@@ -200,10 +200,10 @@ def _read_int_columns(path, header: List[str], parsers) -> np.ndarray:
             stop = int(np.argmax(np.fromiter(map(bad.__contains__, cells), dtype=bool)))
             flat, out = flat[: stop * width], out[:stop]
     if stop < len(body):
-        row, cells = stop + 2, body[stop]
-        if len(cells) != width:
-            raise DataFormatError(f"row {row}: expected {width} fields, got {len(cells)}")
-        for parse, text in zip(parsers, cells):
+        row, fields = stop + 2, body[stop]
+        if len(fields) != width:
+            raise DataFormatError(f"row {row}: expected {width} fields, got {len(fields)}")
+        for parse, text in zip(parsers, fields):
             parse(text, row)
     if not stop:
         raise DataFormatError(f"{path}: no data rows")
