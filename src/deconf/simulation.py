@@ -13,11 +13,17 @@ Three protocols, mirroring the synthetic and real-data experiments:
   draws along the m grid.
 
 Reproducibility contract: every result is a pure function of the config
-and master seed. Each (instance, policy, replication) gets its own RNG
-stream keyed by those indices. A synthetic replication draws its whole
-grid with one broadcast ``multinomial`` call, which consumes the stream
-grid point by grid point and, within one, group by group in canonical
-order; an empirical one goes group by group, in ascending reveal count.
+and master seed. The synthetic protocols draw from one RNG stream per
+(instance, policy), or per instance for what policies share, and draw all
+replications of a work item with one call. The infinite protocol draws one
+``multinomial`` over (replication, grid point, group). The finite protocol
+draws each replication's arrivals as incremental multinomials along m and
+the sorted n grid; reveals come from one stream per (instance, policy), or
+with shared randomness from one stream per instance, as nested prefixes of
+one sequence per (replication, group). The empirical protocol keeps one
+stream per (policy, replication), drawn group by group in ascending reveal
+count. Seeds stay below 2**32, because numpy's ``SeedSequence`` splits a
+larger int into 32-bit words, so its keys would alias other seeds' keys.
 Errors are summed per (policy, grid point) in replication order, and
 aggregation merges per-work-item partial sums in a fixed order, so results
 are identical for any worker count and any execution order. Error
@@ -122,8 +128,7 @@ class ExperimentConfig:
             raise ValidationError("instances must be >= 1")
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
-        for name in ("policies",):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "policies", tuple(self.policies))
         for pol in self.policies:
             if pol not in ("nsp", "usp", "owsp"):
                 raise ValidationError(f"unknown policy {pol!r} in config")
@@ -132,10 +137,14 @@ class ExperimentConfig:
         object.__setattr__(self, "m_grid", _int_grid("m_grid", self.m_grid))
         if self.n_grid is not None:
             object.__setattr__(self, "n_grid", _int_grid("n_grid", self.n_grid))
+        for name in ("policies", "m_grid", "n_grid"):
+            values = getattr(self, name) or ()
+            if len(set(values)) != len(values):
+                raise ValidationError(f"{name} repeats an entry: {values!r}")
         if self.fallback not in ("error", "uniform"):
             raise ValidationError(f"unknown fallback {self.fallback!r}")
-        if not is_integer(self.seed) or self.seed < 0:
-            raise ValidationError("seed must be a non-negative integer")
+        if not is_integer(self.seed) or not 0 <= self.seed < 2**32:
+            raise ValidationError("seed must be an integer in [0, 2**32)")
         object.__setattr__(self, "seed", int(self.seed))
 
     def method_labels(self) -> Tuple[str, ...]:
@@ -258,22 +267,20 @@ def _run_work_items(func, items, workers: int):
 
 
 def _infinite_instance_partial(args) -> Partial:
-    (idx, inst, seed, labels, m_grid, reps, fallback) = args
+    idx, inst, config = args
     a = ConfoundedDistribution(inst.a)
-    k = inst.q.shape[1]
+    k, reps = inst.q.shape[1], config.replications
     partial: Partial = {}
-    grid = np.array(sorted(m_grid))
-    for pol in labels:
-        streams = [
-            _stream(seed, _DOM_INFINITE, idx, POLICY_IDS[pol], rep) for rep in range(reps)
-        ]
+    grid = np.array(sorted(config.m_grid))
+    for pol in config.method_labels():
+        rng = _stream(config.seed, _DOM_INFINITE, idx, POLICY_IDS[pol])
         if pol == BASELINE:
-            cells = np.stack([rng.multinomial(grid, inst.p_flat) for rng in streams])
+            cells = rng.multinomial(grid, inst.p_flat, size=(reps, len(grid)))
             ate = ate_batch(cells.reshape(reps, len(grid), 4, k) / grid[:, None, None])
         else:
             alloc = _allocate(pol, grid, policy_weights(pol, a).x)
-            cells = np.stack([rng.multinomial(alloc, inst.q) for rng in streams])
-            ate = ate_batch(inst.a[:, None] * q_hat_batch(cells, inst.a, fallback))
+            cells = rng.multinomial(alloc, inst.q, size=(reps,) + alloc.shape)
+            ate = ate_batch(inst.a[:, None] * q_hat_batch(cells, inst.a, config.fallback))
         _accumulate(partial, pol, "m", grid, np.abs(ate - inst.ate))
     return partial
 
@@ -288,11 +295,7 @@ def run_infinite_experiment(
     if config.shared_randomness:
         raise ValidationError("shared_randomness applies to the finite protocol only")
     resolved = resolve_instances(config, instances)
-    labels = config.method_labels()
-    items = [
-        (idx, inst, config.seed, labels, config.m_grid, config.replications, config.fallback)
-        for idx, inst in enumerate(resolved)
-    ]
+    items = [(idx, inst, config) for idx, inst in enumerate(resolved)]
     partials = _run_work_items(_infinite_instance_partial, items, workers)
     return _curve_from(_merge(partials), len(resolved))
 
@@ -301,41 +304,52 @@ def run_infinite_experiment(
 # finite confounded data
 
 
+def _prefix_counts(rng: np.random.Generator, probs, lengths) -> np.ndarray:
+    """Counts ``lengths.shape + (c,)`` of prefixes of one i.i.d. sequence per row.
+
+    Row r of ``lengths`` ``(..., rows, L)`` draws from ``probs[r]`` as
+    incremental multinomials along its sorted lengths, so equal lengths get
+    equal counts.
+    """
+    order = np.argsort(lengths, axis=-1, kind="stable")
+    steps = np.diff(np.take_along_axis(lengths, order, -1), prepend=0)
+    drawn = rng.multinomial(steps, probs[:, None], size=steps.shape)
+    out = np.empty_like(drawn)
+    np.put_along_axis(out, order[..., None], np.cumsum(drawn, axis=-2), axis=-2)
+    return out
+
+
 def _finite_instance_partial(args) -> Partial:
-    (idx, inst, seed, policies, m, n_grid, reps, fallback, shared) = args
-    k = inst.q.shape[1]
-    grid = np.array(sorted(n_grid))
-    # arrivals of every replication, kept as group counts of each prefix:
-    # the first n at each grid point, and the first m that nsp reveals
-    avail = np.empty((reps, len(grid), 4), dtype=int)
-    first_m = np.empty((reps, 1, 4), dtype=int)
-    for rep in range(reps):
-        seq = _stream(seed, _DOM_ARRIVAL, idx, rep).choice(4, size=grid[-1], p=inst.a)
-        avail[rep] = [np.bincount(seq[:n], minlength=4) for n in grid]
-        first_m[rep] = np.bincount(seq[:m], minlength=4)
+    idx, inst, config = args
+    k, reps, policies = inst.q.shape[1], config.replications, config.policies
+    m, seed = config.m_grid[0], config.seed
+    grid = np.array(sorted(config.n_grid))
+    # group counts of the arrival prefixes of every replication: the first m,
+    # which nsp reveals, then the first n at each grid point (m <= every n)
+    lengths = np.broadcast_to(np.r_[m, grid], (reps, 1, len(grid) + 1))
+    prefixes = _prefix_counts(_stream(seed, _DOM_ARRIVAL, idx), inst.a[None], lengths)
+    first_m, avail = prefixes[:, 0, :1], prefixes[:, 0, 1:]
     a_hat = avail / grid[:, None]
-    allocs = {
-        pol: np.repeat(first_m, len(grid), axis=1) if pol == "nsp"
+    allocs = np.stack([
+        np.repeat(first_m, len(grid), axis=1) if pol == "nsp"
         else _allocate(pol, m, a_hat, avail)
         for pol in policies
-    }
-    q_hat = np.empty((reps, len(policies), len(grid), 4, k))
-    cells = np.empty((len(grid), 4, k), dtype=int)
-    for rep in range(reps):
-        if shared:
-            rng_shared = _stream(seed, _DOM_CONDITIONAL, idx, rep)
-            streams = [rng_shared.choice(k, size=m, p=inst.q[g]) for g in range(4)]
-        for j, pol in enumerate(policies):
-            alloc = allocs[pol][rep]
-            if shared:
-                for i in range(len(grid)):
-                    for g in range(4):
-                        cells[i, g] = np.bincount(streams[g][: alloc[i, g]], minlength=k)
-            else:
-                rng = _stream(seed, _DOM_CONDITIONAL, idx, POLICY_IDS[pol], rep)
-                cells[:] = rng.multinomial(alloc, inst.q)
-            for i in range(len(grid)):
-                q_hat[rep, j, i] = q_hat_batch(cells[i], a_hat[rep, i], fallback)
+    ], axis=1)  # (reps, policies, grid, 4)
+    if config.shared_randomness:  # allocations are prefixes of one sequence per group
+        lengths = allocs.transpose(0, 3, 1, 2).reshape(reps, 4, -1)
+        cells = _prefix_counts(_stream(seed, _DOM_CONDITIONAL, idx), inst.q, lengths)
+        cells = cells.reshape(reps, 4, len(policies), len(grid), k)
+        cells = cells.transpose(0, 2, 3, 1, 4)
+    else:
+        cells = np.stack([
+            _stream(seed, _DOM_CONDITIONAL, idx, POLICY_IDS[pol]).multinomial(
+                allocs[:, j], inst.q, size=allocs[:, j].shape
+            )
+            for j, pol in enumerate(policies)
+        ], axis=1)
+    q_hat = np.empty(cells.shape)
+    for rep, j, i in np.ndindex(cells.shape[:3]):
+        q_hat[rep, j, i] = q_hat_batch(cells[rep, j, i], a_hat[rep, i], config.fallback)
     ate = ate_batch(a_hat[:, None, :, :, None] * q_hat)
     partial: Partial = {}
     for j, pol in enumerate(policies):
@@ -362,24 +376,10 @@ def run_finite_experiment(
         raise ValidationError("finite protocol uses a single fixed m")
     if config.include_baseline:
         raise ValidationError("the deconfounded-only baseline has no finite variant")
-    m = config.m_grid[0]
-    if any(n < m for n in config.n_grid):
+    if any(n < config.m_grid[0] for n in config.n_grid):
         raise ValidationError("every n in n_grid must be >= m")
     resolved = resolve_instances(config, instances)
-    items = [
-        (
-            idx,
-            inst,
-            config.seed,
-            config.policies,
-            m,
-            config.n_grid,
-            config.replications,
-            config.fallback,
-            config.shared_randomness,
-        )
-        for idx, inst in enumerate(resolved)
-    ]
+    items = [(idx, inst, config) for idx, inst in enumerate(resolved)]
     partials = _run_work_items(_finite_instance_partial, items, workers)
     return _curve_from(_merge(partials), len(resolved))
 
