@@ -420,12 +420,14 @@ class TestConfigValidation:
 class TestStreamContract:
     """Golden rows pinning the RNG stream keying and draw order.
 
-    Each (instance, policy, replication) stream is drawn in grid order and,
-    within a grid point, in canonical group order; the finite protocol adds
-    one arrival stream per (instance, replication). The values below were
-    recorded before the engine was batched, so any change to the keying,
-    the draw order or the k=2 arithmetic fails here. k >= 3 sums may move
-    by a few ulp and are compared within 1e-12 relative.
+    Each (instance, policy) stream draws all replications in one call, in
+    replication, grid point and canonical group order. The finite protocol
+    adds one arrival stream per instance, drawn along m and the sorted n
+    grid; with shared randomness one reveal stream per instance replaces
+    the per-policy ones. The values below were recorded when this keying
+    replaced the per-(instance, policy, replication) streams, so any change
+    to the keying, the draw order or the k=2 arithmetic fails here. k >= 3
+    sums may move by a few ulp and are compared within 1e-12 relative.
     """
 
     @staticmethod
@@ -446,14 +448,14 @@ class TestStreamContract:
             seed=2020,
         )
         assert self.rows(run_infinite_experiment(cfg)) == [
-            ("deconf-only", 30, 0.1376815044158981, 0.10095524388130157, 12),
-            ("deconf-only", 100, 0.07658203009906316, 0.06308340070105094, 12),
-            ("nsp", 30, 0.0229505878550558, 0.01842826283271012, 12),
-            ("nsp", 100, 0.025238273011169196, 0.0176095522251549, 12),
-            ("owsp", 30, 0.02219499885501394, 0.018698486877482202, 12),
-            ("owsp", 100, 0.013364120232389943, 0.009819317513401767, 12),
-            ("usp", 30, 0.027190909486398556, 0.016389827208234863, 12),
-            ("usp", 100, 0.010926262526950357, 0.01125914703472525, 12),
+            ("deconf-only", 30, 0.18705536592146244, 0.15287464309518217, 12),
+            ("deconf-only", 100, 0.06759289254746907, 0.04954907509995548, 12),
+            ("nsp", 30, 0.02900588336111935, 0.026019564634157, 12),
+            ("nsp", 100, 0.02082621235764645, 0.020047259098270615, 12),
+            ("owsp", 30, 0.027568940949243143, 0.023301620889484554, 12),
+            ("owsp", 100, 0.01962995550546967, 0.012959655660852668, 12),
+            ("usp", 30, 0.03641076182451724, 0.04068955709916055, 12),
+            ("usp", 100, 0.00994455776740145, 0.008030537323646003, 12),
         ]
 
     def finite_config(self, shared):
@@ -470,28 +472,28 @@ class TestStreamContract:
 
     def test_finite_k2_independent_streams(self):
         assert self.rows(run_finite_experiment(self.finite_config(False))) == [
-            ("nsp", 20, 0.18570377552942116, 0.16911434449089546, 12),
-            ("nsp", 60, 0.1502297409369939, 0.11192614837969324, 12),
-            ("nsp", 200, 0.10172913845071652, 0.0919236354869189, 12),
-            ("owsp", 20, 0.16117067314705405, 0.16334992890701255, 12),
-            ("owsp", 60, 0.12006148630724119, 0.08174798354322355, 12),
-            ("owsp", 200, 0.10814444565470584, 0.06306225800004005, 12),
-            ("usp", 20, 0.2071436743869036, 0.17706249240818875, 12),
-            ("usp", 60, 0.14329332699479783, 0.08922957965656876, 12),
-            ("usp", 200, 0.08142838397672443, 0.05589401045954451, 12),
+            ("nsp", 20, 0.18882557257557253, 0.14254900640249893, 12),
+            ("nsp", 60, 0.09073857428281229, 0.06697660550404584, 12),
+            ("nsp", 200, 0.12096545686920569, 0.054787069119441686, 12),
+            ("owsp", 20, 0.17806707934376653, 0.13499117913516673, 12),
+            ("owsp", 60, 0.10582380532593384, 0.09465112573870374, 12),
+            ("owsp", 200, 0.05420143181660044, 0.05686440696011454, 12),
+            ("usp", 20, 0.11864126809010171, 0.1103235984833758, 12),
+            ("usp", 60, 0.11950369801701337, 0.07982418422456997, 12),
+            ("usp", 200, 0.07898799805285739, 0.060961450908589995, 12),
         ]
 
     def test_finite_k2_shared_streams(self):
         assert self.rows(run_finite_experiment(self.finite_config(True))) == [
-            ("nsp", 20, 0.19213495813677017, 0.17175979851089312, 12),
-            ("nsp", 60, 0.12668264894994655, 0.112807285422276, 12),
-            ("nsp", 200, 0.09221054567917215, 0.08905666244616543, 12),
-            ("owsp", 20, 0.19213495813677017, 0.17175979851089312, 12),
-            ("owsp", 60, 0.09760253331191919, 0.10433663702536097, 12),
-            ("owsp", 200, 0.0838900361518126, 0.070852810071941, 12),
-            ("usp", 20, 0.19213495813677017, 0.17175979851089312, 12),
-            ("usp", 60, 0.10661820848905607, 0.11647631549299912, 12),
-            ("usp", 200, 0.09393412052007799, 0.07130708446859373, 12),
+            ("nsp", 20, 0.1725432070187278, 0.12890585337680216, 12),
+            ("nsp", 60, 0.1129222578761801, 0.08652029444688315, 12),
+            ("nsp", 200, 0.06733260092803113, 0.06032503529066996, 12),
+            ("owsp", 20, 0.1725432070187278, 0.12890585337680216, 12),
+            ("owsp", 60, 0.11398322964176588, 0.08502568341460048, 12),
+            ("owsp", 200, 0.09091230634744528, 0.09073670701626335, 12),
+            ("usp", 20, 0.1725432070187278, 0.12890585337680216, 12),
+            ("usp", 60, 0.11624879151897509, 0.09271608978695489, 12),
+            ("usp", 200, 0.07269343106611569, 0.08700373126252668, 12),
         ]
 
     def test_nsp_worst_uniform_fallback(self):
@@ -508,10 +510,10 @@ class TestStreamContract:
             seed=5,
         )
         assert self.rows(run_infinite_experiment(cfg, instances=[(a, q)])) == [
-            ("deconf-only", 20, 0.4336856378216824, 0.18603875627186733, 10),
-            ("nsp", 20, 0.3607379842345405, 0.2279887311832135, 10),
-            ("owsp", 20, 0.1550678128361973, 0.1974324377131085, 10),
-            ("usp", 20, 0.2903996203527594, 0.24808615323958308, 10),
+            ("deconf-only", 20, 0.4184214094554206, 0.12882810370626907, 10),
+            ("nsp", 20, 0.47506422702379736, 0.1327160675507391, 10),
+            ("owsp", 20, 0.1174567961336491, 0.09978638802408418, 10),
+            ("usp", 20, 0.21243496067987994, 0.21843754476344576, 10),
         ]
 
     def test_infinite_k3_within_ulps(self):
@@ -525,10 +527,10 @@ class TestStreamContract:
             seed=31,
         )
         expected = [
-            ("deconf-only", 40, 0.10853795306665638, 0.07114422776499417, 12),
-            ("nsp", 40, 0.059477460274674765, 0.04740824013670242, 12),
-            ("owsp", 40, 0.046551002878502556, 0.020901715742997307, 12),
-            ("usp", 40, 0.051698260677678624, 0.024888468195105203, 12),
+            ("deconf-only", 40, 0.12607549131683585, 0.07356923755308407, 12),
+            ("nsp", 40, 0.05790433981916976, 0.037080786135737794, 12),
+            ("owsp", 40, 0.06844000981606857, 0.04378781631769591, 12),
+            ("usp", 40, 0.05112692249914344, 0.03745196753399658, 12),
         ]
         got = self.rows(run_infinite_experiment(cfg))
         assert [(r[0], r[1], r[4]) for r in got] == [(e[0], e[1], e[4]) for e in expected]
