@@ -713,6 +713,29 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [[], ["--seed", str(2**32 + 5)]])
+    def test_seed_past_32_bits_exits_2(self, tmp_path, capsys, flag):
+        cfg = self.write_config(tmp_path, seed=2**32 + 5 if not flag else 5)
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)] + flag) == 2
+        assert "2**32" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [
+            ("simulate", {"policies": ["nsp", "nsp", "usp"]}),
+            ("simulate", {"m_grid": [50, 50]}),
+            ("simulate-finite", {"m_grid": [50], "n_grid": [50, 200, 50]}),
+        ],
+    )
+    def test_repeated_entries_exit_2(self, tmp_path, capsys, command, field):
+        cfg = self.write_config(tmp_path, include_baseline=False, **field)
+        out = tmp_path / "r.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{list(field)[-1]} repeats" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_instance_file_k_must_match_config(self, tmp_path, capsys):
         inst = tmp_path / "k3.json"
         assert main(["gen-instance", "--random", "--k", "3", "--seed", "1",

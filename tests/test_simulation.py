@@ -1,5 +1,7 @@
 """The three replication protocols: determinism, config validation, stream contract."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from deconf import (
     ate_exact,
     binary_conditional,
     joint_from_parts,
+    policy_weights,
     run_empirical_experiment,
     run_finite_experiment,
     run_infinite_experiment,
@@ -104,11 +107,26 @@ class TestFiniteProtocol:
         with pytest.raises(ValidationError, match=">= m"):
             run_finite_experiment(self.config(n_grid=(50,)))
 
-    def test_shared_randomness_saturation_equality(self):
+    def test_shared_randomness_saturation_equality(self, monkeypatch):
+        estimated = []
+        kernel = simulation.q_hat_batch
+
+        def recorded(cells, a_hat, fallback):
+            estimated.append((cells.copy(), a_hat.copy()))
+            return kernel(cells, a_hat, fallback)
+
+        monkeypatch.setattr(simulation, "q_hat_batch", recorded)
         cfg = self.config(shared_randomness=True)
         curve = run_finite_experiment(cfg)
         at_m = {r.policy: r.mean_abs_error for r in curve.rows if r.grid_value == 100}
         assert at_m["nsp"] == at_m["usp"] == at_m["owsp"]
+        # one call per (instance, rep, policy, n); at n = m every policy
+        # reveals all m arrivals, so each estimator input is bitwise shared
+        inputs = np.array([np.append(c.ravel(), a) for c, a in estimated])
+        inputs = inputs.reshape(cfg.instances, cfg.replications, 3, 3, -1)
+        at_n_eq_m = inputs[:, :, :, 0]
+        assert np.array_equal(at_n_eq_m, np.repeat(at_n_eq_m[:, :, :1], 3, axis=2))
+        assert not np.array_equal(inputs[:, :, 0, 1:], inputs[:, :, 1, 1:])
 
     def test_deterministic_and_worker_invariant(self):
         cfg = self.config(replications=5)
@@ -243,6 +261,21 @@ def chi2_upper_quantile(df, z=3.09):
     return df * (1.0 - c + z * np.sqrt(c)) ** 3
 
 
+def assert_same_distribution(new, old, label):
+    """Chi-square homogeneity test of two samples of hashable outcomes."""
+    counts = [Counter(new), Counter(old)]
+    labels = sorted(set(counts[0]) | set(counts[1]))
+    table = np.array([[c[label] for label in labels] for c in counts])
+    rare = table.sum(axis=0) < 10  # pool sparse outcomes into one column
+    if rare.any():
+        table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
+    expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
+    stat = ((table - expected) ** 2 / expected).sum()
+    df = table.shape[1] - 1
+    assert df >= 5, f"{label}: too few outcomes to test"
+    assert stat < chi2_upper_quantile(df), f"{label}: chi2 {stat:.1f} on {df} df"
+
+
 class TestEmpiricalReveals:
     # k = 3; group 1's lengths fall along the grid and group 2 repeats one
     CELLS = np.array([[4, 3, 2], [5, 1, 3], [2, 2, 2], [6, 0, 3]])
@@ -260,18 +293,7 @@ class TestEmpiricalReveals:
         new = self.outcomes(simulation._reveal_prefixes, 11)
         old = self.outcomes(permutation_prefixes, 12)
         for g in range(len(self.CELLS)):
-            labels = sorted(set(new[g]) | set(old[g]))
-            table = np.array(
-                [[sample.count(label) for label in labels] for sample in (new[g], old[g])]
-            )
-            rare = table.sum(axis=0) < 10  # pool sparse outcomes into one column
-            if rare.any():
-                table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
-            expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
-            stat = ((table - expected) ** 2 / expected).sum()
-            df = table.shape[1] - 1
-            assert df >= 5, f"group {g}: too few outcomes to test"
-            assert stat < chi2_upper_quantile(df), f"group {g}: chi2 {stat:.1f} on {df} df"
+            assert_same_distribution(new[g], old[g], f"group {g}")
 
     def test_nested_prefix_invariants(self):
         rng = np.random.default_rng(5)
@@ -296,6 +318,141 @@ class TestEmpiricalReveals:
         assert out.shape == (3, 1, 12)
         assert np.array_equal(out[-1, 0], cells[0])
         assert np.all(np.diff(out[:, 0], axis=0) >= 0)
+
+
+class TestBatchedDraws:
+    """The one-call synthetic draws against the former per-replication streams.
+
+    The references below are the engine's former draws: one stream per
+    (instance, policy, replication) for the infinite cells, one per
+    (instance, replication) for the finite arrivals (``choice`` then prefix
+    counts) and for the shared reveals (one ``choice`` sequence per group).
+    """
+
+    A = ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3]))
+    Q = binary_conditional((0.5, 0.2, 0.7, 0.6))
+    REPS = 3000
+
+    def test_infinite_cells_match_per_replication_streams(self, monkeypatch):
+        drawn = {}
+        stream = simulation._stream
+
+        class Recorder:  # a stream that keeps its multinomial draws by key
+            def __init__(self, *key):
+                self.key, self.rng = key, stream(*key)
+
+            def multinomial(self, *args, **kwargs):
+                drawn[self.key] = self.rng.multinomial(*args, **kwargs)
+                return drawn[self.key]
+
+        monkeypatch.setattr(simulation, "_stream", Recorder)
+        seed, grid = 3, np.array([8, 20])
+        cfg = ExperimentConfig(
+            k=2, policies=("usp",), include_baseline=True, m_grid=tuple(grid),
+            replications=self.REPS, seed=seed,
+        )
+        run_infinite_experiment(cfg, instances=[(self.A, self.Q)])
+        inst = simulation.make_instance(self.A, self.Q)
+        alloc = simulation._allocate("usp", grid, policy_weights("usp", self.A).x)
+        for pol, n, probs, rows in (
+            (simulation.BASELINE, grid, inst.p_flat, range(8)),
+            ("usp", alloc, inst.q, range(4)),
+        ):
+            key = (seed, simulation._DOM_INFINITE, 0, simulation.POLICY_IDS[pol])
+            old = np.stack([
+                stream(*key, rep).multinomial(n, probs) for rep in range(self.REPS)
+            ])
+            new = drawn[key]
+            assert new.shape == old.shape
+            for r in rows:  # a baseline cell, or a group's z-counts, over the grid
+                assert_same_distribution(
+                    [tuple(x.ravel()) for x in new[:, :, r]],
+                    [tuple(x.ravel()) for x in old[:, :, r]],
+                    f"{pol} row {r}",
+                )
+
+    def test_finite_arrivals_match_per_replication_sequences(self, monkeypatch):
+        drawn = []
+        kernel = simulation._prefix_counts
+
+        def recorded(*args):
+            drawn.append(kernel(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(simulation, "_prefix_counts", recorded)
+        seed, m, grid = 4, 4, (6, 9, 16)
+        cfg = ExperimentConfig(
+            k=2, policies=("nsp",), m_grid=(m,), n_grid=grid,
+            replications=self.REPS, seed=seed,
+        )
+        run_finite_experiment(cfg, instances=[(self.A, self.Q)])
+        (new,) = drawn  # independent reveals: the arrivals are the only prefixes
+        old = np.empty_like(new)
+        for rep in range(self.REPS):
+            rng = simulation._stream(seed, simulation._DOM_ARRIVAL, 0, rep)
+            seq = rng.choice(4, size=grid[-1], p=self.A.a)
+            old[rep, 0] = [np.bincount(seq[:n], minlength=4) for n in (m, *grid)]
+        for g in range(4):
+            assert_same_distribution(
+                [tuple(x) for x in new[:, 0, :, g]], [tuple(x) for x in old[:, 0, :, g]],
+                f"group {g}",
+            )
+
+    def test_shared_reveals_match_per_group_sequences(self):
+        q = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4], [0.8, 0.1, 0.1]])
+        # per group, the allocation lengths of every (policy, n); ties repeat
+        lengths = np.array([[3, 5, 3, 0], [6, 2, 6, 6], [1, 4, 4, 2], [5, 0, 5, 3]])
+        reps = np.broadcast_to(lengths, (self.REPS,) + lengths.shape)
+        new = simulation._prefix_counts(np.random.default_rng(21), q, reps)
+        old = np.empty_like(new)
+        for rep in range(self.REPS):
+            rng = simulation._stream(22, simulation._DOM_CONDITIONAL, 0, rep)
+            for g, row in enumerate(lengths):
+                seq = rng.choice(3, size=row.max(), p=q[g])
+                old[rep, g] = [np.bincount(seq[:n], minlength=3) for n in row]
+        for g in range(4):
+            assert_same_distribution(
+                [tuple(x.ravel()) for x in new[:, g]], [tuple(x.ravel()) for x in old[:, g]],
+                f"group {g}",
+            )
+
+    def test_prefix_invariants(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            rows, c = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+            probs = rng.dirichlet(np.ones(c), size=rows)
+            lengths = rng.integers(0, 12, size=(3, rows, int(rng.integers(1, 7))))
+            out = simulation._prefix_counts(rng, probs, lengths)
+            assert np.array_equal(out.sum(axis=-1), lengths)
+            order = np.argsort(lengths, axis=-1, kind="stable")
+            along = np.take_along_axis(out, order[..., None], axis=-2)
+            assert np.all(np.diff(along, axis=-2) >= 0)
+            same = lengths[..., :, None] == lengths[..., None, :]
+            equal = (out[..., :, None, :] == out[..., None, :, :]).all(axis=-1)
+            assert np.all(equal[same])
+
+
+class TestStreamKeys:
+    def test_every_stream_key_seeds_a_distinct_state(self, monkeypatch):
+        keys = []
+        stream = simulation._stream
+        monkeypatch.setattr(simulation, "_stream", lambda *key: keys.append(key) or stream(*key))
+        for seed in (5, 2**32 - 1):
+            run_infinite_experiment(small_infinite_config(instances=3, replications=2, seed=seed))
+            for shared in (False, True):
+                run_finite_experiment(ExperimentConfig(
+                    k=2, instances=3, m_grid=(10,), n_grid=(10, 30), replications=2,
+                    seed=seed, shared_randomness=shared,
+                ))
+        # per seed: 3 instance, 12 infinite, 3 arrival, 9 + 3 reveal streams
+        assert len(set(keys)) == 2 * 30
+        states = {tuple(np.random.SeedSequence(key).generate_state(4)) for key in keys}
+        assert len(states) == len(set(keys))
+
+    def test_seed_words_would_alias_past_32_bits(self):
+        # why ExperimentConfig stops at 2**32: SeedSequence splits the int
+        alias = np.random.SeedSequence([2**32 + 5, 0, 3]).generate_state(4)
+        assert np.array_equal(alias, np.random.SeedSequence([5, 1, 0, 3]).generate_state(4))
 
 
 class TestConfigValidation:
@@ -365,6 +522,21 @@ class TestConfigValidation:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(seed=-1)
+
+    @pytest.mark.parametrize("seed", [2**32, 2**32 + 5, 2**64])
+    def test_rejects_seed_past_32_bits(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            ExperimentConfig(seed=seed)
+        assert ExperimentConfig(seed=2**32 - 1).seed == 2**32 - 1
+
+    @pytest.mark.parametrize(
+        "field",
+        [{"policies": ("nsp", "nsp", "usp")}, {"m_grid": (50, 50)}, {"n_grid": (100, 400, 100)}],
+    )
+    def test_rejects_repeated_entries(self, field):
+        (name,) = field
+        with pytest.raises(ValidationError, match=f"{name} repeats"):
+            ExperimentConfig(**field)
 
     def test_rejects_bool_seed(self):
         # bool is an int subclass; a flag passed as a seed is a mistake
