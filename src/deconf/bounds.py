@@ -25,8 +25,10 @@ against the threshold 50 * k^2 * ln(8k / delta) / epsilon^2.
 Every evaluator is an array expression over the (4, k) tables. The finite
 condition is one kernel batched over weights, m and n: ``finite_feasible``
 calls it for one point and ``allocate_budget`` once for its whole grid.
-Ties, and the witness of a vacuous bound, go to the first cell in
-canonical order.
+``solve_min_m`` inverts each cell's condition for m in closed form and
+confirms that guess with ``finite_feasible``, so a plan needs a few checks
+instead of a bisection over [1, n]. Ties, and the witness of a vacuous
+bound, go to the first cell in canonical order.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .model import (
     JointDistribution,
     ate_exact,
     binary_conditional,
+    check_int,
     joint_from_parts,
 )
 from .policies import Policy, PolicyWeights, as_policy, named_policies, policy_weights
@@ -66,8 +69,7 @@ class AccuracySpec:
             raise ValidationError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValidationError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.k < 2:
-            raise ValidationError(f"k must be >= 2, got {self.k}")
+        object.__setattr__(self, "k", check_int(self.k, "k", 2))
         if not 0.0 < self.beta < 0.5:
             raise ValidationError(f"beta must lie in (0, 0.5), got {self.beta}")
 
@@ -139,12 +141,8 @@ def _max_over_cells(numerators: np.ndarray, denominators: np.ndarray) -> CellMax
     return CellMax(values.flat[best], divmod(best, k))
 
 
-def m_base(p: JointDistribution, spec: AccuracySpec) -> float:
+def m_base(p: JointDistribution, spec: AccuracySpec) -> CellMax:
     """Deconfounded-data-alone bound: C * max over (t,z) of P(T,Z)^-2."""
-    return m_base_detail(p, spec).value
-
-
-def m_base_detail(p: JointDistribution, spec: AccuracySpec) -> CellMax:
     mx = _max_over_cells(np.float64(1.0), _arm_z_mass(p.p))
     return CellMax(spec.C * mx.value, mx.witness)
 
@@ -177,17 +175,8 @@ def m_policy(
     q: ConditionalTable,
     spec: AccuracySpec,
     policy: Union[Policy, str],
-) -> float:
-    """Policy-specific upper bound with infinite confounded data."""
-    return m_policy_detail(a, q, spec, policy).value
-
-
-def m_policy_detail(
-    a: ConfoundedDistribution,
-    q: ConditionalTable,
-    spec: AccuracySpec,
-    policy: Union[Policy, str],
 ) -> CellMax:
+    """Policy-specific upper bound with infinite confounded data."""
     numerators = _policy_numerators(a.a, as_policy(policy))
     mx = _max_over_cells(numerators, _arm_z_mass(a.a[:, None] * q.q))
     return CellMax(spec.C * mx.value, mx.witness)
@@ -316,14 +305,29 @@ def finite_feasible(
     Cells of zero-mass groups are vacuous and skipped; a zero weight on a
     positive-mass group makes the condition fail outright (margin 0).
     """
-    if m < 1 or n < 1:
-        raise ValidationError(f"m and n must be >= 1, got m={m}, n={n}")
+    m, n = check_int(m, "m", 1), check_int(n, "n", 1)
     worst, cell = _finite_min(a_hat.a, q.q, weights.x, m, n)
     threshold = finite_threshold(spec)
     g, z = divmod(int(cell), q.k)
     return FeasibilityResult(
         bool(worst >= threshold), float(worst / threshold), GROUPS[g] + (z,)
     )
+
+
+def _min_m_guess(
+    a: np.ndarray, q: np.ndarray, x: np.ndarray, n: int, threshold: float
+) -> int:
+    """The finite condition solved for m per cell, ceiled and clipped to [1, n].
+
+    A cell of a positive-mass group holds once 1 / (x[y,t] m) <= room, with
+    room = P(T=t, Z=z)^2 / threshold - q[y,t,z]^2 / n; with room <= 0 or a
+    zero weight it never holds. Rounding can put the guess off by a little.
+    """
+    room = np.tile(_sq(_arm_z_mass(a[:, None] * q)) / threshold, (2, 1)) - _sq(q) / n
+    with np.errstate(divide="ignore"):
+        need = np.where(room > 0.0, 1.0 / (x[:, None] * room), math.inf)
+    worst = float(np.max(need, initial=0.0, where=(a > 0.0)[:, None]))
+    return n if worst >= n else max(math.ceil(worst), 1)
 
 
 def solve_min_m(
@@ -335,16 +339,23 @@ def solve_min_m(
 ) -> Optional[int]:
     """Smallest m <= n satisfying the finite condition, or None if infeasible.
 
-    The condition is monotone in m, so a plain bisection applies once the
-    deconfound-everything point m = n is known to work.
+    Once m = n is known to work, the guess of ``_min_m_guess`` and the point
+    below it are checked, and a bisection finishes from that bracket, which
+    is already closed when the guess is right. The condition is monotone in
+    m in floating point too (each kernel operation rounds monotonically), so
+    the answer is that of a plain bisection over [1, n].
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    n = check_int(n, "n", 1)
     if not finite_feasible(a_hat, q, weights, n, n, spec).feasible:
         return None
-    lo, hi = 1, n  # hi always feasible
-    if finite_feasible(a_hat, q, weights, lo, n, spec).feasible:
-        return lo
+    guess = _min_m_guess(a_hat.a, q.q, weights.x, n, finite_threshold(spec))
+    lo, hi = 0, n  # lo infeasible (0: nothing below 1), hi feasible
+    for m in (guess, guess - 1):
+        if lo < m < hi:
+            if finite_feasible(a_hat, q, weights, m, n, spec).feasible:
+                hi = m
+            else:
+                lo = m
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if finite_feasible(a_hat, q, weights, mid, n, spec).feasible:
@@ -382,10 +393,9 @@ def allocate_budget(
     owsp. This numeric solver deliberately replaces the closed-form case
     analysis, which is not complete enough to implement.
     """
-    if budget <= 0.0 or c_confounded <= 0.0 or c_deconfound <= 0.0:
-        raise ValidationError("budget and costs must be positive")
-    if grid < 10:
-        raise ValidationError(f"grid must be >= 10, got {grid}")
+    if not all(0.0 < v < math.inf for v in (budget, c_confounded, c_deconfound)):
+        raise ValidationError("budget and costs must be finite and positive")
+    grid = check_int(grid, "grid", 10)
     m_max = int(budget / (c_confounded + c_deconfound))
     if m_max < 1:
         raise ValidationError(
@@ -442,25 +452,11 @@ def bound_report(
     spec: AccuracySpec,
     c1_constant: float = 1.0,
 ) -> BoundReport:
-    base = m_base_detail(joint_from_parts(a, q), spec)
-    nsp = m_policy_detail(a, q, spec, "nsp")
-    usp = m_policy_detail(a, q, spec, "usp")
-    owsp = m_policy_detail(a, q, spec, "owsp")
-    return BoundReport(
-        spec=spec,
-        m_base=base.value,
-        m_base_witness=base.witness,
-        m_nsp=nsp.value,
-        m_nsp_witness=nsp.witness,
-        m_usp=usp.value,
-        m_usp_witness=usp.witness,
-        m_owsp=owsp.value,
-        m_owsp_witness=owsp.witness,
-        M_nsp=worst_case_M(a, spec, "nsp"),
-        M_usp=worst_case_M(a, spec, "usp"),
-        M_owsp=worst_case_M(a, spec, "owsp"),
-        w_nsp=lower_bound_w(a, spec, "nsp", c1_constant),
-        w_usp=lower_bound_w(a, spec, "usp", c1_constant),
-        w_owsp=lower_bound_w(a, spec, "owsp", c1_constant),
-        c1_constant=c1_constant,
-    )
+    base = m_base(joint_from_parts(a, q), spec)
+    fields = {"m_base": base.value, "m_base_witness": base.witness}
+    for kind in ("nsp", "usp", "owsp"):
+        bound = m_policy(a, q, spec, kind)
+        fields[f"m_{kind}"], fields[f"m_{kind}_witness"] = bound
+        fields[f"M_{kind}"] = worst_case_M(a, spec, kind)
+        fields[f"w_{kind}"] = lower_bound_w(a, spec, kind, c1_constant)
+    return BoundReport(spec=spec, c1_constant=c1_constant, **fields)

@@ -175,7 +175,7 @@ def cmd_plan(args) -> int:
         ("w_owsp", report.w_owsp, None),
     ]
     if selected is not None and not isinstance(selected, str):
-        detail = bnd.m_policy_detail(inst.a, inst.q, spec, selected)
+        detail = bnd.m_policy(inst.a, inst.q, spec, selected)
         rows.append(("m_custom", detail.value, detail.witness))
 
     extra_rows = []

@@ -36,7 +36,7 @@ from .model import (
     JointDistribution,
     _as_readonly,
     ate_details,
-    check_k,
+    check_int,
     integer_array,
     joint_from_parts,
     parts_from_joint,
@@ -98,7 +98,7 @@ class Dataset:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "k", check_k(self.k))
+        object.__setattr__(self, "k", check_int(self.k, "k", 2))
         # frozen private copies: the caller's arrays stay theirs and writeable
         conf = _as_readonly(_records_array(self.confounded, 2, "confounded records"), int)
         dec = _as_readonly(_records_array(self.deconfounded, 3, "deconfounded records"), int)
@@ -226,7 +226,7 @@ class StratifiedDataset:
             raise ValidationError("stratified columns must share one length")
         for name, col in zip("xytz", cols):
             object.__setattr__(self, name, col)
-        object.__setattr__(self, "k", check_k(self.k))
+        object.__setattr__(self, "k", check_int(self.k, "k", 2))
         if x.size == 0:
             raise ValidationError("stratified dataset is empty")
         _validate_bits(y, "y")

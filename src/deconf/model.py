@@ -54,13 +54,13 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_k(k) -> int:
-    """``k`` as a Python int; it must be an integer (not a bool) >= 2."""
-    if not is_integer(k):
-        raise ValidationError(f"k must be an integer, got {k!r}")
-    if k < 2:
-        raise ValidationError(f"k must be >= 2, got {k}")
-    return int(k)
+def check_int(value, name: str, minimum: int) -> int:
+    """``value`` as a Python int; it must be an integer (not a bool) >= ``minimum``."""
+    if not is_integer(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 def integer_array(values, name: str) -> np.ndarray:
@@ -261,7 +261,7 @@ def random_instance(k: int, seed) -> JointDistribution:
     Normalized independent unit-rate exponentials, i.e. a flat Dirichlet;
     deterministic given the seed (an int or a numpy Generator).
     """
-    k = check_k(k)
+    k = check_int(k, "k", 2)
     rng = np.random.default_rng(seed)
     cells = rng.exponential(size=(4, k))
     return JointDistribution(cells / cells.sum())
@@ -382,7 +382,7 @@ def policy_lower_pair(
     gamma of row (0,1)'s mass onto z=0. The alternate flips rows (0,1) and
     (1,1). This is the gap-maximizing choice within the beta-interior family.
     """
-    k = check_k(k)
+    k = check_int(k, "k", 2)
     if not 0.0 < beta < 1.0 or k * beta >= 1.0:
         raise ValidationError(f"need 0 < beta and k*beta < 1, got beta={beta}, k={k}")
     if gamma < 0.0:

@@ -60,7 +60,7 @@ from .model import (
     JointDistribution,
     ate_batch,
     ate_exact,
-    check_k,
+    check_int,
     is_integer,
     joint_from_parts,
     parts_from_joint,
@@ -113,21 +113,14 @@ class ExperimentConfig:
     shared_randomness: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "k", check_k(self.k))
+        object.__setattr__(self, "k", check_int(self.k, "k", 2))
         for name in ("instances", "replications"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
         for name in ("include_baseline", "shared_randomness"):
             value = getattr(self, name)
             if not isinstance(value, (bool, np.bool_)):
                 raise ValidationError(f"{name} must be true or false, got {value!r}")
             object.__setattr__(self, name, bool(value))
-        if self.instances < 1:
-            raise ValidationError("instances must be >= 1")
-        if self.replications < 1:
-            raise ValidationError("replications must be >= 1")
         object.__setattr__(self, "policies", tuple(self.policies))
         for pol in self.policies:
             if pol not in ("nsp", "usp", "owsp"):

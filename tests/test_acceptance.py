@@ -142,10 +142,10 @@ def test_criterion_5_algebraic_dominance():
     worst_base_gap = 0.0
     for seed in range(10_000):
         parts = parts_from_joint(random_instance(2, seed))
-        usp = m_policy(parts.a, parts.q, spec, "usp")
-        owsp = m_policy(parts.a, parts.q, spec, "owsp")
-        nsp = m_policy(parts.a, parts.q, spec, "nsp")
-        base = m_base(joint_from_parts(parts.a, parts.q), spec)
+        usp = m_policy(parts.a, parts.q, spec, "usp").value
+        owsp = m_policy(parts.a, parts.q, spec, "owsp").value
+        nsp = m_policy(parts.a, parts.q, spec, "nsp").value
+        base = m_base(joint_from_parts(parts.a, parts.q), spec).value
         worst_usp_gap = max(worst_usp_gap, (owsp - usp) / usp)
         worst_base_gap = max(worst_base_gap, (nsp - base) / base)
     ok = worst_usp_gap <= 1e-9 and worst_base_gap <= 1e-9
@@ -187,7 +187,7 @@ def test_criterion_7_bound_sufficiency():
         parts = parts_from_joint(random_instance(2, 90_000 + seed))
         beta = min(max(instance_beta(parts.q), 1e-6), 0.499)
         spec = AccuracySpec(0.2, 0.1, 2, beta)
-        m = math.ceil(m_policy(parts.a, parts.q, spec, "nsp"))
+        m = math.ceil(m_policy(parts.a, parts.q, spec, "nsp").value)
         alloc = allocate_infinite("nsp", parts.a, m).counts
         truth = ate_exact(joint_from_parts(parts.a, parts.q))
         rng = np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 """Bound formulas, dominance relations, feasibility solver, budget planner."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,9 +27,10 @@ from deconf import (
     solve_min_m,
     worst_case_M,
 )
-from deconf.bounds import finite_threshold, m_base_detail, m_policy_detail
+from deconf import bounds
+from deconf.bounds import finite_threshold
 from deconf.model import GROUPS, ConditionalTable, JointDistribution
-from deconf.policies import PolicyWeights, custom_policy
+from deconf.policies import PolicyWeights, custom_policy, named_policies
 
 SPEC = AccuracySpec(epsilon=0.1, delta=0.05, k=2, beta=0.1)
 
@@ -171,6 +173,22 @@ def ref_allocate_budget(a, q, budget, c_confounded, c_deconfound, spec, grid):
     return best
 
 
+def ref_solve_min_m(a, q, weights, n, spec):
+    """The plain bisection over [1, n] that the closed-form bracket replaced."""
+    if not finite_feasible(a, q, weights, n, n, spec).feasible:
+        return None
+    lo, hi = 1, n  # hi always feasible
+    if finite_feasible(a, q, weights, lo, n, spec).feasible:
+        return lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if finite_feasible(a, q, weights, mid, n, spec).feasible:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def bits(value):
     return np.asarray(value, dtype=float).tobytes()
 
@@ -225,12 +243,12 @@ class TestScalarReferences:
     @example(ZERO_MASS_CASE)
     def test_bound_values_and_witnesses(self, case):
         a, q, weights, spec = case
-        got = m_base_detail(joint_from_parts(a, q), spec)
+        got = m_base(joint_from_parts(a, q), spec)
         want = ref_m_base(joint_from_parts(a, q), spec)
         assert bits(got.value) == bits(want[0]) and got.witness == want[1]
         for kind in ("nsp", "usp", "owsp", "custom"):
             policy = custom_policy(weights) if kind == "custom" else kind
-            got = m_policy_detail(a, q, spec, policy)
+            got = m_policy(a, q, spec, policy)
             want = ref_m_policy(a, q, spec, kind, weights.x)
             assert bits(got.value) == bits(want[0]) and got.witness == want[1], kind
         for kind in ("nsp", "usp", "owsp"):
@@ -268,6 +286,31 @@ class TestScalarReferences:
         assert bits(plan.weights.x) == bits(x)
         assert bits(plan.margin) == bits(margin)
 
+    @given(edge_instances(), st.integers(1, 10**12) | st.integers(1, 2000))
+    @settings(max_examples=150, deadline=None)
+    @example(ZERO_MASS_CASE, 10**6)
+    @example(EMPTY_ARM_CASE, 10**8)
+    @example(EMPTY_ARM_CASE, 1)
+    def test_solve_min_m(self, case, n):
+        a, q, weights, spec = case
+        for x in [weights] + [policy_weights(kind, a) for kind in named_policies(a)]:
+            got = solve_min_m(a, q, x, n, spec)
+            assert got == ref_solve_min_m(a, q, x, n, spec)
+            assert got is None or type(got) is int
+
+    @given(edge_instances(), st.integers(1, 10**12) | st.integers(1, 2000),
+           st.sampled_from(["one", "n", "random"]), st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    @example(ZERO_MASS_CASE, 10**6, "random", 0.5)
+    def test_solve_min_m_repairs_a_wrong_guess(self, case, n, where, fraction):
+        # whatever the closed form guesses, the bracket repair finds the
+        # bisection's answer
+        a, q, weights, spec = case
+        guess = {"one": 1, "n": n, "random": 1 + int(fraction * (n - 1))}[where]
+        with mock.patch.object(bounds, "_min_m_guess", return_value=guess):
+            for x in [weights] + [policy_weights(kind, a) for kind in named_policies(a)]:
+                assert solve_min_m(a, q, x, n, spec) == ref_solve_min_m(a, q, x, n, spec)
+
     def test_zero_weight_blocks_at_first_positive_mass_group(self):
         # group (0,0) has no mass, so its zero weight is skipped; the zero
         # weight on (1,0) blocks even though (0,1) has a cell of value 0
@@ -293,6 +336,15 @@ class TestAccuracySpec:
         with pytest.raises(ValidationError):
             AccuracySpec(0.1, 0.05, 2, 0.5)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "3"])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ValidationError, match="k must be an integer"):
+            AccuracySpec(0.1, 0.05, k, 0.1)
+
+    def test_numpy_k_becomes_a_python_int(self):
+        spec = AccuracySpec(0.1, 0.05, np.int64(3), 0.1)
+        assert type(spec.k) is int and spec.C == AccuracySpec(0.1, 0.05, 3, 0.1).C
+
     def test_c1_warns_outside_regime(self):
         spec = AccuracySpec(0.1, 0.05, 4, 0.3)  # k*beta = 1.2
         with pytest.warns(UserWarning, match="k\\*beta"):
@@ -305,32 +357,34 @@ class TestMBase:
         p = np.array([[0.05, 0.25], [0.2, 0.1], [0.05, 0.15], [0.1, 0.1]])
         joint = JointDistribution(p)
         # P(T=0,Z=0) = 0.1 is the smallest (t,z) marginal
-        assert m_base(joint, SPEC) == pytest.approx(SPEC.C / 0.1**2, rel=1e-12)
-        assert m_base(joint, SPEC) == pytest.approx(2.884e6, rel=1e-3)
+        assert m_base(joint, SPEC).value == pytest.approx(SPEC.C / 0.1**2, rel=1e-12)
+        assert m_base(joint, SPEC).value == pytest.approx(2.884e6, rel=1e-3)
 
     def test_uniform_is_16C(self):
         joint = JointDistribution(np.full((4, 2), 0.125))
-        assert m_base(joint, SPEC) == pytest.approx(16 * SPEC.C, rel=1e-12)
+        assert m_base(joint, SPEC).value == pytest.approx(16 * SPEC.C, rel=1e-12)
 
     def test_epsilon_scaling(self):
         joint = random_instance(2, 0)
         half = AccuracySpec(SPEC.epsilon / 2, SPEC.delta, SPEC.k, SPEC.beta)
-        assert m_base(joint, half) == pytest.approx(4 * m_base(joint, SPEC), rel=1e-12)
+        assert m_base(joint, half).value == pytest.approx(
+            4 * m_base(joint, SPEC).value, rel=1e-12
+        )
 
     def test_zero_marginal_reports_infinite(self):
         p = np.array([[0.5, 0.0], [0.2, 0.1], [0.1, 0.0], [0.05, 0.05]])
-        assert m_base(JointDistribution(p), SPEC) == math.inf
+        assert m_base(JointDistribution(p), SPEC).value == math.inf
 
     def test_vacuous_witness_is_first_empty_stratum(self):
         # strata (t=0,z=1), (t=1,z=0) and (t=1,z=1) are all empty
         p = np.array([[0.5, 0.0], [0.0, 0.0], [0.5, 0.0], [0.0, 0.0]])
-        assert m_base_detail(JointDistribution(p), SPEC) == (math.inf, (0, 1))
+        assert m_base(JointDistribution(p), SPEC) == (math.inf, (0, 1))
         a = ConfoundedDistribution(np.array([0.5, 0.2, 0.1, 0.2]))
         q = ConditionalTable(
             np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 1.0, 0.0]])
         )
         for kind in ("nsp", "usp", "owsp"):
-            assert m_policy_detail(a, q, SPEC, kind) == (math.inf, (0, 2))
+            assert m_policy(a, q, SPEC, kind) == (math.inf, (0, 2))
 
 
 class TestMPolicy:
@@ -338,21 +392,21 @@ class TestMPolicy:
         a = ConfoundedDistribution(np.full(4, 0.25))
         q = binary_conditional((0.5, 0.5, 0.5, 0.5))
         for kind in ("nsp", "usp", "owsp"):
-            assert m_policy(a, q, SPEC, kind) == pytest.approx(8 * SPEC.C, rel=1e-12)
+            assert m_policy(a, q, SPEC, kind).value == pytest.approx(8 * SPEC.C, rel=1e-12)
 
     def test_nsp_matches_cell_enumeration(self):
         a = ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3]))
         q = binary_conditional((0.5, 0.2, 0.7, 0.6))
         expected = brute_force_m_policy(a, q, SPEC, lambda a0, a1: a0 + a1)
-        assert m_policy(a, q, SPEC, "nsp") == pytest.approx(expected, rel=1e-12)
+        assert m_policy(a, q, SPEC, "nsp").value == pytest.approx(expected, rel=1e-12)
 
     def test_usp_owsp_match_cell_enumeration(self):
         a = ConfoundedDistribution(np.array([0.15, 0.35, 0.05, 0.45]))
         q = binary_conditional((0.9, 0.1, 0.5, 0.7))
         usp = brute_force_m_policy(a, q, SPEC, lambda a0, a1: 4 * (a0**2 + a1**2))
         owsp = brute_force_m_policy(a, q, SPEC, lambda a0, a1: 2 * (a0 + a1) ** 2)
-        assert m_policy(a, q, SPEC, "usp") == pytest.approx(usp, rel=1e-12)
-        assert m_policy(a, q, SPEC, "owsp") == pytest.approx(owsp, rel=1e-12)
+        assert m_policy(a, q, SPEC, "usp").value == pytest.approx(usp, rel=1e-12)
+        assert m_policy(a, q, SPEC, "owsp").value == pytest.approx(owsp, rel=1e-12)
 
     def test_custom_general_form_matches_named(self):
         a = ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3]))
@@ -360,25 +414,25 @@ class TestMPolicy:
         from deconf.policies import custom_policy
 
         nsp_like = custom_policy(a.a)
-        assert m_policy(a, q, SPEC, nsp_like) == pytest.approx(
-            m_policy(a, q, SPEC, "nsp"), rel=1e-9
+        assert m_policy(a, q, SPEC, nsp_like).value == pytest.approx(
+            m_policy(a, q, SPEC, "nsp").value, rel=1e-9
         )
 
     @given(instances)
     @settings(max_examples=200)
     def test_owsp_dominates_usp(self, parts):
         q = parts.q
-        usp = m_policy(parts.a, q, SPEC, "usp")
-        owsp = m_policy(parts.a, q, SPEC, "owsp")
+        usp = m_policy(parts.a, q, SPEC, "usp").value
+        owsp = m_policy(parts.a, q, SPEC, "owsp").value
         assert owsp <= usp * (1 + 1e-9)
 
     @given(instances)
     @settings(max_examples=200)
     def test_nsp_beats_baseline(self, parts):
         joint = joint_from_parts(parts.a, parts.q)
-        assert m_policy(parts.a, parts.q, SPEC, "nsp") <= m_base(joint, SPEC) * (
-            1 + 1e-9
-        )
+        assert m_policy(parts.a, parts.q, SPEC, "nsp").value <= m_base(
+            joint, SPEC
+        ).value * (1 + 1e-9)
 
 
 class TestWorstCase:
@@ -519,6 +573,43 @@ class TestFiniteFeasibility:
         assert res.feasible
 
 
+class TestCountArguments:
+    """m and n are counts: integers (not bools) >= 1, never coerced."""
+
+    def setup_method(self):
+        self.parts = parts_from_joint(random_instance(2, 5))
+        self.weights = policy_weights("owsp", self.parts.a)
+        self.spec = AccuracySpec(0.25, 0.1, 2, 0.1)
+
+    @pytest.mark.parametrize("bad", [True, 1e7, 1e7 + 0.5, math.nan, math.inf, "100"])
+    def test_finite_feasible_rejects_non_integers(self, bad):
+        p, w, spec = self.parts, self.weights, self.spec
+        with pytest.raises(ValidationError, match="m must be an integer"):
+            finite_feasible(p.a, p.q, w, bad, 10**7, spec)
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            finite_feasible(p.a, p.q, w, 100, bad, spec)
+
+    @pytest.mark.parametrize("bad", [True, False, 1e7, math.nan, "100"])
+    def test_solve_min_m_rejects_non_integers(self, bad):
+        p, w, spec = self.parts, self.weights, self.spec
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            solve_min_m(p.a, p.q, w, bad, spec)
+
+    @pytest.mark.parametrize("bad", [0, -3, np.int64(0)])
+    def test_counts_below_one_rejected(self, bad):
+        p, w, spec = self.parts, self.weights, self.spec
+        with pytest.raises(ValidationError, match="n must be >= 1"):
+            solve_min_m(p.a, p.q, w, bad, spec)
+        with pytest.raises(ValidationError, match="m must be >= 1"):
+            finite_feasible(p.a, p.q, w, bad, 10, spec)
+
+    def test_numpy_n_returns_a_python_int(self):
+        p, w, spec = self.parts, self.weights, self.spec
+        got = solve_min_m(p.a, p.q, w, np.int64(10**7), spec)
+        assert type(got) is int and got == solve_min_m(p.a, p.q, w, 10**7, spec)
+        assert finite_feasible(p.a, p.q, w, np.int32(got), np.int64(10**7), spec).feasible
+
+
 class TestSolveMinM:
     def test_bisection_contract(self):
         spec = AccuracySpec(0.25, 0.1, 2, 0.1)
@@ -591,6 +682,27 @@ class TestAllocateBudget:
         q = binary_conditional((0.5, 0.5, 0.5, 0.5))
         with pytest.raises(ValidationError):
             allocate_budget(a, q, 1.0, 1.0, 10.0, AccuracySpec(0.25, 0.1, 2, 0.1))
+
+
+    @pytest.mark.parametrize(
+        "budget, c_confounded, c_deconfound",
+        [(math.nan, 1.0, 10.0), (math.inf, 1.0, 10.0), (1e4, math.nan, 10.0),
+         (1e4, 1.0, math.nan), (1e4, math.inf, 10.0), (1e4, 1.0, -math.inf)],
+    )
+    def test_non_finite_budget_or_cost_rejected(self, budget, c_confounded, c_deconfound):
+        a = ConfoundedDistribution(np.full(4, 0.25))
+        q = binary_conditional((0.5, 0.5, 0.5, 0.5))
+        spec = AccuracySpec(0.25, 0.1, 2, 0.1)
+        with pytest.raises(ValidationError, match="finite and positive"):
+            allocate_budget(a, q, budget, c_confounded, c_deconfound, spec)
+
+    @pytest.mark.parametrize("grid", [10.5, 50.0, True, "50"])
+    def test_grid_must_be_an_integer(self, grid):
+        a = ConfoundedDistribution(np.full(4, 0.25))
+        q = binary_conditional((0.5, 0.5, 0.5, 0.5))
+        spec = AccuracySpec(0.25, 0.1, 2, 0.1)
+        with pytest.raises(ValidationError, match="grid must be an integer"):
+            allocate_budget(a, q, 1e4, 1.0, 10.0, spec, grid=grid)
 
 
 class TestBoundReport:

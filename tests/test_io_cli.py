@@ -512,6 +512,25 @@ class TestCliPlan:
         assert lines[0] == lines[1]
 
 
+class TestCliPlanBudgetInputs:
+    ARGS = ["--epsilon", "0.2", "--delta", "0.1", "--beta", "0.1"]
+
+    @pytest.mark.parametrize(
+        "budget, c_confounded, c_deconfound",
+        [("nan", "1", "20"), ("inf", "1", "20"), ("1e6", "nan", "20"),
+         ("1e6", "1", "inf"), ("0", "1", "20")],
+    )
+    def test_non_finite_or_non_positive_values_exit_2(
+        self, instance_file, capsys, budget, c_confounded, c_deconfound
+    ):
+        argv = ["plan", "--instance", str(instance_file)] + self.ARGS + [
+            "--budget", budget, "--cost-confounded", c_confounded,
+            "--cost-deconfound", c_deconfound,
+        ]
+        assert main(argv) == 2
+        assert "budget and costs must be finite and positive" in capsys.readouterr().err
+
+
 class TestCliPlanEmptyArm:
     """Treatment arm t=1 has no mass, so owsp is undefined on this instance."""
 
