@@ -78,8 +78,8 @@ class AccuracySpec:
         return 12.5 * self.k**2 * math.log(8 * self.k / self.delta) / self.epsilon**2
 
     def C1(self, c1_constant: float = 1.0) -> float:
-        if c1_constant <= 0.0:
-            raise ValidationError(f"c1 constant must be > 0, got {c1_constant}")
+        if not 0.0 < c1_constant < math.inf:
+            raise ValidationError(f"c1 constant must be finite and > 0, got {c1_constant}")
         if self.k * self.beta >= 1.0:
             warnings.warn(
                 f"lower-bound constructions assume k*beta < 1; got "

@@ -206,7 +206,7 @@ def cmd_plan(args) -> int:
     if args.csv:
         print("bound,value,witness")
         for name, value, witness in rows + extra_rows:
-            print(f"{name},{value!r},{_fmt_witness(witness)}")
+            print(f"{name},{float(value)!r},{_fmt_witness(witness)}")
         if plan is not None:
             print(f"budget_n,{plan.n},-")
             print(f"budget_m,{plan.m},-")

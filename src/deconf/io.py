@@ -261,21 +261,19 @@ def write_error_curve_csv(curve: ErrorCurve, path) -> None:
 
 def read_error_curve_csv(path) -> ErrorCurve:
     body = _open_rows(path, [CURVE_HEADER])
+    parsers = (str, str, int, float, float, int, int)
     rows = []
     for i, cells in enumerate(body, start=2):
         if len(cells) != 7:
             raise DataFormatError(f"row {i}: expected 7 fields, got {len(cells)}")
-        rows.append(
-            CurveRow(
-                cells[0],
-                cells[1],
-                int(cells[2]),
-                float(cells[3]),
-                float(cells[4]),
-                int(cells[5]),
-                int(cells[6]),
-            )
-        )
+        values = []
+        for name, parse, text in zip(CURVE_HEADER, parsers, cells):
+            try:
+                values.append(parse(text))
+            except ValueError:
+                kind = "an integer" if parse is int else "a number"
+                raise DataFormatError(f"row {i}: {name} must be {kind}, got {text!r}") from None
+        rows.append(CurveRow(*values))
     return ErrorCurve(tuple(rows))
 
 

@@ -24,11 +24,13 @@ one sequence per (replication, group). The empirical protocol keeps one
 stream per (policy, replication), drawn group by group in ascending reveal
 count. Seeds stay below 2**32, because numpy's ``SeedSequence`` splits a
 larger int into 32-bit words, so its keys would alias other seeds' keys.
-Errors are summed per (policy, grid point) in replication order, and
-aggregation merges per-work-item partial sums in a fixed order, so results
-are identical for any worker count and any execution order. Error
-statistics are the mean and population standard deviation of
-|estimate - truth| pooled over all replications of all instances.
+Each work item (an instance, or an empirical replication) returns its
+|estimate - truth| as one ``(replications, methods, sorted grid)`` array,
+and ``_sweep`` pools them: it sums in replication order within an item,
+then in item order, so results are identical for any worker count and any
+execution order. Error statistics are the mean and population standard
+deviation of |estimate - truth| pooled over all replications of all
+instances.
 
 Allocation runs through the policies kernel on plain arrays, once per
 (instance, policy): the infinite protocol allocates its whole m grid in one
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -204,67 +206,48 @@ def resolve_instances(
 
 
 # ---------------------------------------------------------------------------
-# aggregation helpers
-
-Key = Tuple[str, str, int]
-Partial = Dict[Key, Tuple[int, float, float]]  # count, sum, sum of squares
+# pooling
 
 
-def _accumulate(partial: Partial, policy: str, kind: str, grid, errors) -> None:
-    """Add ``errors[rep, j]`` (grid point ``grid[j]``) to one policy's keys.
+def _sweep(func, items, labels, kind, grid, workers: int, instances: int) -> ErrorCurve:
+    """Pool the ``(reps, labels, sorted grid)`` error arrays ``func`` maps items to.
 
-    ``cumsum`` adds strictly in replication order, as a running sum would;
-    ``np.sum`` would add pairwise and change the last bits.
+    Errors are summed in replication order within an item, then in item
+    order, whatever the pool size, so results are identical for any worker
+    count. ``cumsum`` adds strictly in that order; ``np.sum`` adds pairwise
+    along a contiguous axis, which would change the last bits.
     """
-    sums = np.cumsum(errors, axis=0)[-1]
-    squares = np.cumsum(errors * errors, axis=0)[-1]
-    for j, value in enumerate(grid):
-        partial[(policy, kind, int(value))] = (
-            errors.shape[0],
-            float(sums[j]),
-            float(squares[j]),
-        )
-
-
-def _merge(partials: Iterable[Partial]) -> Partial:
-    merged: Partial = {}
-    for partial in partials:
-        for key, (c, s, s2) in partial.items():
-            c0, s0, s20 = merged.get(key, (0, 0.0, 0.0))
-            merged[key] = (c0 + c, s0 + s, s20 + s2)
-    return merged
-
-
-def _curve_from(merged: Partial, instances: int) -> ErrorCurve:
-    rows = []
-    for (policy, kind, value), (count, s, s2) in merged.items():
-        mean = s / count
-        var = max(s2 / count - mean * mean, 0.0)
-        rows.append(
-            CurveRow(policy, kind, value, mean, float(np.sqrt(var)), count, instances)
-        )
-    rows.sort(key=lambda r: (r.policy, r.grid_kind, r.grid_value))
-    return ErrorCurve(tuple(rows))
-
-
-def _run_work_items(func, items, workers: int):
-    """Map work items to partials, merging in item order regardless of pool size."""
     if workers == 1:
-        return [func(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items, chunksize=max(1, len(items) // (workers * 4))))
+        errors = [func(item) for item in items]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunksize = max(1, len(items) // (workers * 4))
+            errors = list(pool.map(func, items, chunksize=chunksize))
+    count = sum(e.shape[0] for e in errors)
+    sums = np.cumsum([np.cumsum(e, axis=0)[-1] for e in errors], axis=0)[-1]
+    squares = np.cumsum([np.cumsum(e * e, axis=0)[-1] for e in errors], axis=0)[-1]
+    rows = []
+    for i, label in enumerate(labels):
+        for j, value in enumerate(sorted(grid)):
+            mean = float(sums[i, j]) / count
+            var = max(float(squares[i, j]) / count - mean * mean, 0.0)
+            rows.append(
+                CurveRow(label, kind, int(value), mean, float(np.sqrt(var)), count, instances)
+            )
+    rows.sort(key=lambda r: (r.policy, r.grid_value))
+    return ErrorCurve(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
 # infinite confounded data
 
 
-def _infinite_instance_partial(args) -> Partial:
+def _infinite_errors(args) -> np.ndarray:
     idx, inst, config = args
     a = ConfoundedDistribution(inst.a)
     k, reps = inst.q.shape[1], config.replications
-    partial: Partial = {}
     grid = np.array(sorted(config.m_grid))
+    ates = []
     for pol in config.method_labels():
         rng = _stream(config.seed, _DOM_INFINITE, idx, POLICY_IDS[pol])
         if pol == BASELINE:
@@ -274,8 +257,8 @@ def _infinite_instance_partial(args) -> Partial:
             alloc = _allocate(pol, grid, policy_weights(pol, a).x)
             cells = rng.multinomial(alloc, inst.q, size=(reps,) + alloc.shape)
             ate = ate_batch(inst.a[:, None] * q_hat_batch(cells, inst.a, config.fallback))
-        _accumulate(partial, pol, "m", grid, np.abs(ate - inst.ate))
-    return partial
+        ates.append(ate)
+    return np.abs(np.stack(ates, axis=1) - inst.ate)
 
 
 def run_infinite_experiment(
@@ -289,8 +272,8 @@ def run_infinite_experiment(
         raise ValidationError("shared_randomness applies to the finite protocol only")
     resolved = resolve_instances(config, instances)
     items = [(idx, inst, config) for idx, inst in enumerate(resolved)]
-    partials = _run_work_items(_infinite_instance_partial, items, workers)
-    return _curve_from(_merge(partials), len(resolved))
+    return _sweep(_infinite_errors, items, config.method_labels(), "m", config.m_grid,
+                  workers, len(resolved))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +295,7 @@ def _prefix_counts(rng: np.random.Generator, probs, lengths) -> np.ndarray:
     return out
 
 
-def _finite_instance_partial(args) -> Partial:
+def _finite_errors(args) -> np.ndarray:
     idx, inst, config = args
     k, reps, policies = inst.q.shape[1], config.replications, config.policies
     m, seed = config.m_grid[0], config.seed
@@ -343,11 +326,7 @@ def _finite_instance_partial(args) -> Partial:
     q_hat = np.empty(cells.shape)
     for rep, j, i in np.ndindex(cells.shape[:3]):
         q_hat[rep, j, i] = q_hat_batch(cells[rep, j, i], a_hat[rep, i], config.fallback)
-    ate = ate_batch(a_hat[:, None, :, :, None] * q_hat)
-    partial: Partial = {}
-    for j, pol in enumerate(policies):
-        _accumulate(partial, pol, "n", grid, np.abs(ate[:, j] - inst.ate))
-    return partial
+    return np.abs(ate_batch(a_hat[:, None, :, :, None] * q_hat) - inst.ate)
 
 
 def run_finite_experiment(
@@ -373,8 +352,8 @@ def run_finite_experiment(
         raise ValidationError("every n in n_grid must be >= m")
     resolved = resolve_instances(config, instances)
     items = [(idx, inst, config) for idx, inst in enumerate(resolved)]
-    partials = _run_work_items(_finite_instance_partial, items, workers)
-    return _curve_from(_merge(partials), len(resolved))
+    return _sweep(_finite_errors, items, config.policies, "n", config.n_grid,
+                  workers, len(resolved))
 
 
 # ---------------------------------------------------------------------------
@@ -399,20 +378,20 @@ def _reveal_prefixes(rng: np.random.Generator, cells, lengths) -> np.ndarray:
     return out
 
 
-def _empirical_rep_partial(args) -> Partial:
-    (rep, seed, labels, m_grid, allocations, cells, a_vec, ate_true, fallback) = args
-    partial: Partial = {}
-    grid = np.array(sorted(m_grid))
-    for pol in labels:
-        rng = _stream(seed, _DOM_EMPIRICAL, POLICY_IDS[pol], rep)
+def _empirical_errors(args) -> np.ndarray:
+    rep, cells, a_vec, ate_true, allocations, config = args
+    grid = np.array(sorted(config.m_grid))
+    ates = []
+    for pol in config.method_labels():
+        rng = _stream(config.seed, _DOM_EMPIRICAL, POLICY_IDS[pol], rep)
         if pol == BASELINE:
             drawn = _reveal_prefixes(rng, cells.reshape(1, -1), grid[:, None])
             ate = ate_batch(drawn.reshape(len(grid), *cells.shape) / grid[:, None, None])
         else:
             drawn = _reveal_prefixes(rng, cells, allocations[pol])
-            ate = ate_batch(a_vec[:, None] * q_hat_batch(drawn, a_vec, fallback))
-        _accumulate(partial, pol, "m", grid, np.abs(ate - ate_true)[None])
-    return partial
+            ate = ate_batch(a_vec[:, None] * q_hat_batch(drawn, a_vec, config.fallback))
+        ates.append(ate)
+    return np.abs(np.stack(ates) - ate_true)[None]
 
 
 def run_empirical_experiment(
@@ -459,10 +438,9 @@ def run_empirical_experiment(
             )
         allocations[pol] = counts[np.argsort(grid, kind="stable")]  # sorted-grid rows
 
-    shared = (config.seed, labels, config.m_grid, allocations, cells, a.a, ate_true)
-    items = [(rep, *shared, config.fallback) for rep in range(config.replications)]
-    partials = _run_work_items(_empirical_rep_partial, items, workers)
-    return _curve_from(_merge(partials), 1)
+    items = [(rep, cells, a.a, ate_true, allocations, config)
+             for rep in range(config.replications)]
+    return _sweep(_empirical_errors, items, labels, "m", config.m_grid, workers, 1)
 
 
 GROUP_NAMES = {0: "(y=0,t=0)", 1: "(y=0,t=1)", 2: "(y=1,t=0)", 3: "(y=1,t=1)"}

@@ -325,14 +325,10 @@ class TestConsistency:
                 for m in grid:
                     alloc = allocate_infinite(pol, parts.a, m).counts
                     rng = np.random.default_rng((idx, pol_id, m))
-                    errs = np.empty(reps)
-                    for r in range(reps):
-                        cells = np.stack(
-                            [rng.multinomial(int(alloc[g]), parts.q.q[g]) for g in range(4)]
-                        )
-                        est = estimate_with_known_confounded_counts(parts.a, cells)
-                        errs[r] = abs(est.ate_hat - truth)
-                    errors[m] = errs
+                    # the same draws as one multinomial per (replication, group)
+                    cells = rng.multinomial(alloc, parts.q.q, size=(reps, 4))
+                    q_hat = q_hat_batch(cells, parts.a.a)
+                    errors[m] = np.abs(ate_batch(parts.a.a[:, None] * q_hat) - truth)
                 for lo, hi in zip(grid, grid[1:]):
                     mean_lo, mean_hi = errors[lo].mean(), errors[hi].mean()
                     se = np.sqrt(

@@ -1,6 +1,7 @@
 """File formats and the command-line surface (exit codes, determinism)."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from deconf import (
 )
 from deconf.cli import main
 from deconf.io import (
+    CURVE_HEADER,
     read_dataset_csv,
     read_error_curve_csv,
     read_experiment_config,
@@ -292,6 +294,21 @@ class TestCurveCsv:
         write_error_curve_csv(curve, path)
         assert read_error_curve_csv(path) == curve
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("nsp,m,abc,0.1,0.05,20,2", "row 3: grid_value must be an integer, got 'abc'"),
+            ("nsp,m,200,x,0.05,20,2", "row 3: mean_abs_error must be a number, got 'x'"),
+            ("nsp,m,200,0.1,0.05,2.5,2", "row 3: reps must be an integer, got '2.5'"),
+        ],
+    )
+    def test_bad_cell_names_its_row_and_field(self, tmp_path, row, message):
+        path = tmp_path / "curve.csv"
+        header = ",".join(CURVE_HEADER)
+        path.write_text(f"{header}\nnsp,m,100,0.1,0.05,20,2\n{row}\n")
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            read_error_curve_csv(path)
+
 
 class TestConfigFiles:
     def test_config_with_extras(self, tmp_path):
@@ -510,6 +527,32 @@ class TestCliPlan:
             out = capsys.readouterr().out
             lines.append([l for l in out.splitlines() if l.startswith("M_owsp")])
         assert lines[0] == lines[1]
+
+    @pytest.mark.parametrize("a_vals", [[0.4, 0.1, 0.2, 0.3], [0.5, 0.0, 0.5, 0.0]])
+    @pytest.mark.parametrize(
+        "extra", [["--n", "1000000"], ["--policy", "custom", "--weights", "0.1,0.2,0.3,0.4"]]
+    )
+    def test_csv_values_parse_as_floats(self, tmp_path, capsys, a_vals, extra):
+        # the second marginal has an empty treatment arm
+        path = tmp_path / "instance.json"
+        write_instance(path, ConfoundedDistribution(np.array(a_vals)),
+                       binary_conditional((0.7, 0.5, 0.4, 0.5)))
+        argv = ["plan", "--instance", str(path), "--epsilon", "0.2", "--delta", "0.1",
+                "--beta", "0.1", "--csv"] + extra
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "bound,value,witness"
+        names = [line.split(",")[0] for line in lines[1:]]
+        assert {"m_base", "m_nsp", "m_usp", "m_owsp"} <= set(names)
+        for line in lines[1:]:
+            float(line.split(",")[1])
+
+    @pytest.mark.parametrize("c1", ["nan", "inf"])
+    def test_non_finite_c1_exits_2(self, instance_file, capsys, c1):
+        argv = ["plan", "--instance", str(instance_file), "--epsilon", "0.1",
+                "--delta", "0.05", "--beta", "0.1", "--c1", c1]
+        assert main(argv) == 2
+        assert "c1 constant must be finite and > 0" in capsys.readouterr().err
 
 
 class TestCliPlanBudgetInputs:

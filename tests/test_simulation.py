@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deconf import (
     ConditionalTable,
@@ -448,6 +450,75 @@ class TestStreamKeys:
         assert len(set(keys)) == 2 * 30
         states = {tuple(np.random.SeedSequence(key).generate_state(4)) for key in keys}
         assert len(states) == len(set(keys))
+
+
+# the keyed partial-sum aggregation that _sweep replaced, kept as reference
+
+
+def ref_accumulate(partial, policy, kind, grid, errors):
+    sums = np.cumsum(errors, axis=0)[-1]
+    squares = np.cumsum(errors * errors, axis=0)[-1]
+    for j, value in enumerate(grid):
+        partial[(policy, kind, int(value))] = (
+            errors.shape[0],
+            float(sums[j]),
+            float(squares[j]),
+        )
+
+
+def ref_merge(partials):
+    merged = {}
+    for partial in partials:
+        for key, (c, s, s2) in partial.items():
+            c0, s0, s20 = merged.get(key, (0, 0.0, 0.0))
+            merged[key] = (c0 + c, s0 + s, s20 + s2)
+    return merged
+
+
+def ref_curve_from(merged, instances):
+    rows = []
+    for (policy, kind, value), (count, s, s2) in merged.items():
+        mean = s / count
+        var = max(s2 / count - mean * mean, 0.0)
+        rows.append(simulation.CurveRow(
+            policy, kind, value, mean, float(np.sqrt(var)), count, instances
+        ))
+    rows.sort(key=lambda r: (r.policy, r.grid_kind, r.grid_value))
+    return simulation.ErrorCurve(tuple(rows))
+
+
+@st.composite
+def error_items(draw):
+    """(items, labels, grid): per-item ``(reps, labels, sorted grid)`` error arrays."""
+    labels = draw(st.lists(
+        st.sampled_from(sorted(simulation.POLICY_IDS)), min_size=1, max_size=4, unique=True
+    ))
+    grid = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=4, unique=True))
+    reps = draw(st.lists(st.integers(1, 40), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero_share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    shapes = [(r, len(labels), len(grid)) for r in reps]
+    items = [rng.uniform(0.0, 2.0, s) * (rng.random(s) >= zero_share) for s in shapes]
+    return items, tuple(labels), tuple(grid)
+
+
+class TestPoolingReference:
+    # one label at one grid point makes each sum a contiguous reduction,
+    # where np.sum would add pairwise instead of in order
+    @given(error_items())
+    @example(([np.linspace(0.1, 1.9, 20).reshape(20, 1, 1)] * 9, ("nsp",), (7,)))
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_matches_keyed_partial_sums(self, case):
+        items, labels, grid = case
+        partials = []
+        for errors in items:
+            partial = {}
+            for i, label in enumerate(labels):
+                ref_accumulate(partial, label, "n", sorted(grid), errors[:, i])
+            partials.append(partial)
+        want = ref_curve_from(ref_merge(partials), 3)
+        got = simulation._sweep(np.asarray, items, labels, "n", grid, 1, 3)
+        assert repr(got) == repr(want)
 
 
 class TestConfigValidation:
