@@ -59,15 +59,11 @@ from .model import (
     random_instance,
 )
 from .policies import (
-    NSP,
-    OWSP,
-    USP,
+    NAMED_POLICIES,
     Allocation,
-    Policy,
     PolicyWeights,
     allocate_finite,
     allocate_infinite,
-    custom_policy,
     policy_weights,
 )
 from .simulation import (

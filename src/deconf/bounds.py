@@ -52,7 +52,7 @@ from .model import (
     check_int,
     joint_from_parts,
 )
-from .policies import Policy, PolicyWeights, as_policy, named_policies, policy_weights
+from .policies import NAMED_POLICIES, PolicyWeights, _kind, named_policies, policy_weights
 
 
 @dataclass(frozen=True)
@@ -141,29 +141,36 @@ def _max_over_cells(numerators: np.ndarray, denominators: np.ndarray) -> CellMax
     return CellMax(values.flat[best], divmod(best, k))
 
 
+def _check_k(spec: AccuracySpec, k: int) -> None:
+    if spec.k != k:
+        raise ValidationError(f"spec has k={spec.k}, but the table has k={k}")
+
+
 def m_base(p: JointDistribution, spec: AccuracySpec) -> CellMax:
     """Deconfounded-data-alone bound: C * max over (t,z) of P(T,Z)^-2."""
+    _check_k(spec, p.k)
     mx = _max_over_cells(np.float64(1.0), _arm_z_mass(p.p))
     return CellMax(spec.C * mx.value, mx.witness)
 
 
-def _policy_numerators(a: np.ndarray, policy: Policy) -> np.ndarray:
+def _policy_numerators(a: np.ndarray, policy: Union[str, PolicyWeights]) -> np.ndarray:
     """The per-arm numerator of the general bound, (2, 1): constant across z.
 
     General form: sum_y a[y,t]^2 / x[y,t]. The three named policies reduce
     to closed forms (sum_y a, 4 sum_y a^2, 2 (sum_y a)^2), used directly so
     the algebraic dominance relations hold exactly in floating point.
     """
+    kind = _kind(policy)
     arm, sq, _ = _arm_terms(a)
-    if policy.kind == "nsp":
+    if kind == "nsp":
         per_arm = arm
-    elif policy.kind == "usp":
+    elif kind == "usp":
         per_arm = 4.0 * sq
-    elif policy.kind == "owsp":
+    elif kind == "owsp":
         per_arm = 2.0 * arm**2
     else:
         # zero-mass groups add nothing; a zero weight on any other is inf
-        x = policy.weights.x
+        x = policy.x
         terms = np.divide(_sq(a), x, out=np.full(4, math.inf), where=x > 0.0)
         terms[a == 0.0] = 0.0
         per_arm = terms.reshape(2, 2).sum(axis=0)
@@ -174,32 +181,33 @@ def m_policy(
     a: ConfoundedDistribution,
     q: ConditionalTable,
     spec: AccuracySpec,
-    policy: Union[Policy, str],
+    policy: Union[str, PolicyWeights],
 ) -> CellMax:
     """Policy-specific upper bound with infinite confounded data."""
-    numerators = _policy_numerators(a.a, as_policy(policy))
+    _check_k(spec, q.k)
+    numerators = _policy_numerators(a.a, policy)
     mx = _max_over_cells(numerators, _arm_z_mass(a.a[:, None] * q.q))
     return CellMax(spec.C * mx.value, mx.witness)
 
 
 def worst_case_M(
-    a: ConfoundedDistribution, spec: AccuracySpec, policy: Union[Policy, str]
+    a: ConfoundedDistribution, spec: AccuracySpec, policy: Union[str, PolicyWeights]
 ) -> float:
     """Worst case of the upper bound over all conditionals in [beta, 1-beta].
 
     The outcome-weighted policy is the one whose worst case, 2C/beta^2,
     does not depend on the marginal at all.
     """
-    policy = as_policy(policy)
+    kind = _kind(policy)
     C_over_b2 = spec.C / spec.beta**2
-    if policy.kind == "owsp":
+    if kind == "owsp":
         return 2.0 * C_over_b2
-    if policy.kind not in ("nsp", "usp"):
+    if kind == "custom":
         raise ValidationError("worst-case bound is defined for nsp, usp, and owsp only")
     arm, sq, _ = _arm_terms(a.a)
     if np.any(arm <= 0.0):
         return math.inf
-    if policy.kind == "nsp":
+    if kind == "nsp":
         return float(C_over_b2 * np.max(1.0 / arm))
     return float(4.0 * C_over_b2 * np.max(sq / arm**2))
 
@@ -207,24 +215,24 @@ def worst_case_M(
 def lower_bound_w(
     a: ConfoundedDistribution,
     spec: AccuracySpec,
-    policy: Union[Policy, str],
+    policy: Union[str, PolicyWeights],
     c1_constant: float = 1.0,
 ) -> float:
     """Instance-specific lower-bound witness value for a named policy.
 
     Stated up to the proportionality constant ``c1_constant`` (default 1).
     """
-    policy = as_policy(policy)
+    kind = _kind(policy)
     C1_over_b2 = spec.C1(c1_constant) / spec.beta**2
-    if policy.kind not in ("nsp", "usp", "owsp"):
+    if kind == "custom":
         raise ValidationError("lower bounds are defined for nsp, usp, and owsp only")
     arm, _, a_max = _arm_terms(a.a)
     if np.any(arm <= 0.0):
         return math.inf
     other = arm[::-1]
-    if policy.kind == "nsp":
+    if kind == "nsp":
         terms = a_max * _sq(other) / _sq(arm)
-    elif policy.kind == "usp":
+    elif kind == "usp":
         terms = 4.0 * _sq(a_max) * _sq(other) / _sq(arm)
     else:
         terms = 2.0 * a_max * _sq(other) / arm
@@ -305,6 +313,7 @@ def finite_feasible(
     Cells of zero-mass groups are vacuous and skipped; a zero weight on a
     positive-mass group makes the condition fail outright (margin 0).
     """
+    _check_k(spec, q.k)
     m, n = check_int(m, "m", 1), check_int(n, "n", 1)
     worst, cell = _finite_min(a_hat.a, q.q, weights.x, m, n)
     threshold = finite_threshold(spec)
@@ -395,6 +404,7 @@ def allocate_budget(
     """
     if not all(0.0 < v < math.inf for v in (budget, c_confounded, c_deconfound)):
         raise ValidationError("budget and costs must be finite and positive")
+    _check_k(spec, q.k)
     grid = check_int(grid, "grid", 10)
     m_max = int(budget / (c_confounded + c_deconfound))
     if m_max < 1:
@@ -454,7 +464,7 @@ def bound_report(
 ) -> BoundReport:
     base = m_base(joint_from_parts(a, q), spec)
     fields = {"m_base": base.value, "m_base_witness": base.witness}
-    for kind in ("nsp", "usp", "owsp"):
+    for kind in NAMED_POLICIES:
         bound = m_policy(a, q, spec, kind)
         fields[f"m_{kind}"], fields[f"m_{kind}_witness"] = bound
         fields[f"M_{kind}"] = worst_case_M(a, spec, kind)

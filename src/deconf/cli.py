@@ -41,7 +41,7 @@ from .model import (
     policy_lower_pair,
     random_instance,
 )
-from .policies import PolicyWeights, custom_policy, named_policies, policy_weights
+from .policies import NAMED_POLICIES, PolicyWeights, named_policies, policy_weights
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -139,11 +139,9 @@ def _fmt_witness(w) -> str:
 
 
 def _selected_policy(args):
-    """The --policy/--weights pair, or None when no policy was singled out."""
-    if args.policy is None:
-        if args.weights is not None:
-            raise ValidationError("--weights requires --policy custom")
-        return None
+    """The --policy name, the --weights of --policy custom, or None."""
+    if args.weights is not None and args.policy != "custom":
+        raise ValidationError("--weights requires --policy custom")
     if args.policy == "custom":
         if args.weights is None:
             raise ValidationError("--policy custom requires --weights w00,w01,w10,w11")
@@ -151,7 +149,7 @@ def _selected_policy(args):
             vals = [float(v) for v in args.weights.split(",")]
         except ValueError:
             raise ValidationError(f"--weights expects four reals, got {args.weights!r}")
-        return custom_policy(PolicyWeights(np.asarray(vals)))
+        return PolicyWeights(np.asarray(vals))
     return args.policy
 
 
@@ -174,7 +172,7 @@ def cmd_plan(args) -> int:
         ("w_usp", report.w_usp, None),
         ("w_owsp", report.w_owsp, None),
     ]
-    if selected is not None and not isinstance(selected, str):
+    if isinstance(selected, PolicyWeights):
         detail = bnd.m_policy(inst.a, inst.q, spec, selected)
         rows.append(("m_custom", detail.value, detail.witness))
 
@@ -185,7 +183,7 @@ def cmd_plan(args) -> int:
             weights = policy_weights(kind, inst.a)
             m_star = bnd.solve_min_m(inst.a, inst.q, weights, args.n, spec)
             value = float("nan") if m_star is None else float(m_star)
-            label = kind if isinstance(kind, str) else "custom"
+            label = "custom" if isinstance(kind, PolicyWeights) else kind
             extra_rows.append((f"m_star_{label}(n={args.n})", value, None))
     plan = None
     if args.budget is not None:
@@ -372,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost-confounded", dest="cost_confounded", type=float)
     p.add_argument("--cost-deconfound", dest="cost_deconfound", type=float)
     p.add_argument("--grid", type=int, default=200)
-    p.add_argument("--policy", choices=["nsp", "usp", "owsp", "custom"])
+    p.add_argument("--policy", choices=NAMED_POLICIES + ("custom",))
     p.add_argument("--weights", help="w00,w01,w10,w11 for --policy custom")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_plan)
@@ -383,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", action="store_true")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--seed", type=int)
-    p.add_argument("--adversarial", choices=["nsp", "usp", "owsp"])
+    p.add_argument("--adversarial", choices=NAMED_POLICIES)
     p.add_argument("--hardness", action="store_true")
     p.add_argument("--lower-bound", dest="lower_bound", choices=["general", "policy"])
     p.add_argument("--a")

@@ -304,11 +304,6 @@ def read_experiment_config(path) -> Tuple[ExperimentConfig, dict]:
         "instance_files": raw.pop("instance_files", None),
         "has_seed": "seed" in raw,
     }
-    if "policies" in raw:
-        raw["policies"] = tuple(raw["policies"])
-    for grid in ("m_grid", "n_grid"):
-        if raw.get(grid) is not None:
-            raw[grid] = tuple(raw[grid])
     try:
         config = ExperimentConfig(**raw)
     except (ValidationError, TypeError) as exc:

@@ -9,6 +9,10 @@ receives:
   split within the arm by outcome share
 * custom:                 caller-supplied weights
 
+A policy argument is one of the names in ``NAMED_POLICIES`` or, for a custom
+policy, the :class:`PolicyWeights` itself; anything else (a list, an array,
+``"NSP"``) raises ValidationError.
+
 One private kernel, :func:`_allocate`, turns a policy into integer counts
 for a whole stack of budgets: ``(..., 4)`` arrays in, broadcast over ``m``,
 no validation and no Python loop. Fractional weights are rounded by largest
@@ -29,7 +33,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ValidationError
-from .model import CONSTRUCT_ATOL, ConfoundedDistribution, integer_array, is_integer
+from .model import CONSTRUCT_ATOL, ConfoundedDistribution, check_int, integer_array
 
 
 @dataclass(frozen=True)
@@ -50,38 +54,18 @@ class PolicyWeights:
         object.__setattr__(self, "x", arr)
 
 
-@dataclass(frozen=True)
-class Policy:
-    kind: str  # 'nsp' | 'usp' | 'owsp' | 'custom'
-    weights: Optional[PolicyWeights] = None
-
-    def __post_init__(self):
-        if self.kind not in ("nsp", "usp", "owsp", "custom"):
-            raise ValidationError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "custom" and self.weights is None:
-            raise ValidationError("custom policy requires explicit weights")
-        if self.kind != "custom" and self.weights is not None:
-            raise ValidationError(f"{self.kind} policy does not take weights")
+NAMED_POLICIES = ("nsp", "usp", "owsp")
 
 
-NSP = Policy("nsp")
-USP = Policy("usp")
-OWSP = Policy("owsp")
-
-
-def custom_policy(weights) -> Policy:
-    if not isinstance(weights, PolicyWeights):
-        weights = PolicyWeights(np.asarray(weights, dtype=float))
-    return Policy("custom", weights)
-
-
-def as_policy(policy: Union[Policy, str]) -> Policy:
-    """Accept a Policy or one of the strings 'nsp' / 'usp' / 'owsp'."""
-    if isinstance(policy, Policy):
+def _kind(policy) -> str:
+    """``"custom"`` for a :class:`PolicyWeights`, else the policy's name."""
+    if isinstance(policy, PolicyWeights):
+        return "custom"
+    if isinstance(policy, str) and policy in NAMED_POLICIES:
         return policy
-    if policy in ("nsp", "usp", "owsp"):
-        return Policy(policy)
-    raise ValidationError(f"unknown policy {policy!r}")
+    raise ValidationError(
+        f"unknown policy {policy!r}: expected one of {NAMED_POLICIES} or PolicyWeights"
+    )
 
 
 @dataclass(frozen=True)
@@ -112,17 +96,21 @@ def _arm_mass(a: np.ndarray) -> np.ndarray:
 
 def named_policies(a: ConfoundedDistribution) -> Tuple[str, ...]:
     """The named policies defined on marginal ``a``: owsp needs both arms."""
-    return ("nsp", "usp", "owsp") if np.all(_arm_mass(a.a) > 0.0) else ("nsp", "usp")
+    if np.all(_arm_mass(a.a) > 0.0):
+        return NAMED_POLICIES
+    return tuple(name for name in NAMED_POLICIES if name != "owsp")
 
 
-def policy_weights(policy: Union[Policy, str], a: ConfoundedDistribution) -> PolicyWeights:
+def policy_weights(
+    policy: Union[str, PolicyWeights], a: ConfoundedDistribution
+) -> PolicyWeights:
     """Exact fractional weights of a policy for marginal ``a``."""
-    policy = as_policy(policy)
-    if policy.kind == "custom":
-        return policy.weights
-    if policy.kind == "nsp":
+    kind = _kind(policy)
+    if kind == "custom":
+        return policy
+    if kind == "nsp":
         return PolicyWeights(a.a)
-    if policy.kind == "usp":
+    if kind == "usp":
         return PolicyWeights(np.full(4, 0.25))
     # owsp: x[y, t] = a[y, t] / (2 P(T=t))
     arm = _arm_mass(a.a)
@@ -132,22 +120,16 @@ def policy_weights(policy: Union[Policy, str], a: ConfoundedDistribution) -> Pol
     return PolicyWeights((a.a.reshape(2, 2) / (2.0 * arm)).ravel())
 
 
-def _check_budget(m) -> None:
-    if not is_integer(m) or m < 0:
-        raise ValidationError(f"m must be a non-negative integer, got {m!r}")
-
-
 def allocate_infinite(
-    policy: Union[Policy, str], a: ConfoundedDistribution, m: int
+    policy: Union[str, PolicyWeights], a: ConfoundedDistribution, m: int
 ) -> Allocation:
     """Integer allocation of m samples under infinite confounded data."""
-    _check_budget(m)
-    policy = as_policy(policy)
-    return Allocation(_allocate(policy.kind, m, policy_weights(policy, a).x), m)
+    m = check_int(m, "m", 0)
+    return Allocation(_allocate(_kind(policy), m, policy_weights(policy, a).x), m)
 
 
 def allocate_finite(
-    policy: Union[Policy, str],
+    policy: Union[str, PolicyWeights],
     available: Sequence[int],
     m: int,
     a_hat: Optional[ConfoundedDistribution] = None,
@@ -168,19 +150,19 @@ def allocate_finite(
 
     At m = sum(available) every policy returns ``available``.
     """
-    policy = as_policy(policy)
+    kind = _kind(policy)
     available = integer_array(available, "available")
     if available.shape != (4,) or np.any(available < 0):
         raise ValidationError("available: expected 4 non-negative integers")
-    _check_budget(m)
+    m = check_int(m, "m", 0)
     total_avail = int(available.sum())
     if m > total_avail:
         raise ValidationError(f"cannot place m={m} samples; only {total_avail} available")
-    if policy.kind == "custom":
-        x = policy.weights.x
+    if kind == "custom":
+        x = policy.x
     else:
         x = np.zeros(4) if a_hat is None else a_hat.a
-    return Allocation(_allocate(policy.kind, m, x, available), m)
+    return Allocation(_allocate(kind, m, x, available), m)
 
 
 def _round_shares(targets: np.ndarray, total) -> np.ndarray:

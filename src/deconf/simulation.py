@@ -68,7 +68,7 @@ from .model import (
     parts_from_joint,
     random_instance,
 )
-from .policies import _allocate, policy_weights
+from .policies import NAMED_POLICIES, _allocate, policy_weights
 
 BASELINE = "deconf-only"
 POLICY_IDS = {BASELINE: 0, "nsp": 1, "usp": 2, "owsp": 3}
@@ -94,18 +94,13 @@ def _int_grid(name: str, values) -> Tuple[int, ...]:
     return tuple(int(v) for v in grid)
 
 
-def _check_workers(workers) -> None:
-    if not is_integer(workers) or workers < 1:
-        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a replication sweep needs besides the ground truth."""
 
     k: int = 2
     instances: int = 1
-    policies: Tuple[str, ...] = ("nsp", "usp", "owsp")
+    policies: Tuple[str, ...] = NAMED_POLICIES
     include_baseline: bool = False
     m_grid: Tuple[int, ...] = (100,)
     n_grid: Optional[Tuple[int, ...]] = None
@@ -123,9 +118,13 @@ class ExperimentConfig:
             if not isinstance(value, (bool, np.bool_)):
                 raise ValidationError(f"{name} must be true or false, got {value!r}")
             object.__setattr__(self, name, bool(value))
+        if isinstance(self.policies, str):
+            raise ValidationError(
+                f"policies must be a list of policy names, got the string {self.policies!r}"
+            )
         object.__setattr__(self, "policies", tuple(self.policies))
         for pol in self.policies:
-            if pol not in ("nsp", "usp", "owsp"):
+            if pol not in NAMED_POLICIES:
                 raise ValidationError(f"unknown policy {pol!r} in config")
         if not self.policies and not self.include_baseline:
             raise ValidationError("config selects no methods to run")
@@ -205,6 +204,14 @@ def resolve_instances(
     return out
 
 
+def _check_not_finite(config: ExperimentConfig, workers) -> None:
+    """Reject the finite protocol's settings in the other two protocols."""
+    check_int(workers, "workers", 1)
+    for name in ("n_grid", "shared_randomness"):
+        if getattr(config, name):
+            raise ValidationError(f"{name} applies to the finite protocol only")
+
+
 # ---------------------------------------------------------------------------
 # pooling
 
@@ -267,9 +274,7 @@ def run_infinite_experiment(
     workers: int = 1,
 ) -> ErrorCurve:
     """Policy comparison with the marginal known exactly."""
-    _check_workers(workers)
-    if config.shared_randomness:
-        raise ValidationError("shared_randomness applies to the finite protocol only")
+    _check_not_finite(config, workers)
     resolved = resolve_instances(config, instances)
     items = [(idx, inst, config) for idx, inst in enumerate(resolved)]
     return _sweep(_infinite_errors, items, config.method_labels(), "m", config.m_grid,
@@ -341,7 +346,7 @@ def run_finite_experiment(
     ``shared_randomness`` every policy reuses the same per-group reveal
     streams, making all policies coincide exactly at n = m.
     """
-    _check_workers(workers)
+    check_int(workers, "workers", 1)
     if config.n_grid is None:
         raise ValidationError("finite protocol requires n_grid")
     if len(config.m_grid) != 1:
@@ -405,9 +410,7 @@ def run_empirical_experiment(
     without-replacement prefixes per group (for the baseline, of the whole
     table), drawn as incremental multivariate hypergeometric steps.
     """
-    _check_workers(workers)
-    if config.shared_randomness:
-        raise ValidationError("shared_randomness applies to the finite protocol only")
+    _check_not_finite(config, workers)
     cells = deconfounded_counts(records, config.k)
     total = int(cells.sum())
     if total == 0:

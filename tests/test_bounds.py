@@ -12,6 +12,7 @@ from deconf import (
     AccuracySpec,
     ConfoundedDistribution,
     ValidationError,
+    adversarial_instance,
     allocate_budget,
     binary_conditional,
     bound_report,
@@ -30,7 +31,7 @@ from deconf import (
 from deconf import bounds
 from deconf.bounds import finite_threshold
 from deconf.model import GROUPS, ConditionalTable, JointDistribution
-from deconf.policies import PolicyWeights, custom_policy, named_policies
+from deconf.policies import PolicyWeights, named_policies
 
 SPEC = AccuracySpec(epsilon=0.1, delta=0.05, k=2, beta=0.1)
 
@@ -247,7 +248,7 @@ class TestScalarReferences:
         want = ref_m_base(joint_from_parts(a, q), spec)
         assert bits(got.value) == bits(want[0]) and got.witness == want[1]
         for kind in ("nsp", "usp", "owsp", "custom"):
-            policy = custom_policy(weights) if kind == "custom" else kind
+            policy = weights if kind == "custom" else kind
             got = m_policy(a, q, spec, policy)
             want = ref_m_policy(a, q, spec, kind, weights.x)
             assert bits(got.value) == bits(want[0]) and got.witness == want[1], kind
@@ -383,8 +384,9 @@ class TestMBase:
         q = ConditionalTable(
             np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 1.0, 0.0]])
         )
+        spec3 = AccuracySpec(epsilon=0.1, delta=0.05, k=3, beta=0.1)
         for kind in ("nsp", "usp", "owsp"):
-            assert m_policy(a, q, SPEC, kind) == (math.inf, (0, 2))
+            assert m_policy(a, q, spec3, kind) == (math.inf, (0, 2))
 
 
 class TestMPolicy:
@@ -411,9 +413,8 @@ class TestMPolicy:
     def test_custom_general_form_matches_named(self):
         a = ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3]))
         q = binary_conditional((0.5, 0.2, 0.7, 0.6))
-        from deconf.policies import custom_policy
 
-        nsp_like = custom_policy(a.a)
+        nsp_like = PolicyWeights(a.a)
         assert m_policy(a, q, SPEC, nsp_like).value == pytest.approx(
             m_policy(a, q, SPEC, "nsp").value, rel=1e-9
         )
@@ -511,7 +512,7 @@ class TestLowerBounds:
         a = ConfoundedDistribution(np.array([0.0, 0.6, 0.0, 0.4]))
         assert lower_bound_w(a, SPEC, "nsp") == math.inf
         with pytest.raises(ValidationError, match="nsp, usp, and owsp only"):
-            lower_bound_w(a, SPEC, custom_policy(np.full(4, 0.25)))
+            lower_bound_w(a, SPEC, PolicyWeights(np.full(4, 0.25)))
 
     def test_c1_multiplier_linear(self):
         a = ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3]))
@@ -703,6 +704,45 @@ class TestAllocateBudget:
         spec = AccuracySpec(0.25, 0.1, 2, 0.1)
         with pytest.raises(ValidationError, match="grid must be an integer"):
             allocate_budget(a, q, 1e4, 1.0, 10.0, spec, grid=grid)
+
+
+class TestSpecMatchesTableK:
+    """The spec's k sets C and the finite threshold, so it must be the table's k."""
+
+    A = adversarial_instance("nsp_worst")[0]
+    Q3 = ConditionalTable(np.full((4, 3), 1.0 / 3.0))
+    SPEC2 = AccuracySpec(epsilon=0.2, delta=0.1, k=2, beta=0.1)
+    SPEC3 = AccuracySpec(epsilon=0.2, delta=0.1, k=3, beta=0.1)
+    MISMATCH = "spec has k=2, but the table has k=3"
+
+    def test_m_base(self):
+        p = joint_from_parts(self.A, self.Q3)
+        with pytest.raises(ValidationError, match=self.MISMATCH):
+            m_base(p, self.SPEC2)
+        with pytest.raises(ValidationError, match=self.MISMATCH):
+            bound_report(self.A, self.Q3, self.SPEC2)
+        assert m_base(p, self.SPEC3).value > 0.0
+
+    def test_m_policy(self):
+        with pytest.raises(ValidationError, match=self.MISMATCH):
+            m_policy(self.A, self.Q3, self.SPEC2, "nsp")
+        # the same cells with C at k=2 would give 634,397
+        assert m_policy(self.A, self.Q3, self.SPEC3, "nsp").value == pytest.approx(
+            1_541_429.697, rel=1e-9
+        )
+
+    def test_finite_feasible(self):
+        weights = policy_weights("usp", self.A)
+        with pytest.raises(ValidationError, match=self.MISMATCH):
+            finite_feasible(self.A, self.Q3, weights, 1000, 1000, self.SPEC2)
+        with pytest.raises(ValidationError, match=self.MISMATCH):
+            solve_min_m(self.A, self.Q3, weights, 1000, self.SPEC2)
+        assert not finite_feasible(self.A, self.Q3, weights, 1000, 1000, self.SPEC3).feasible
+
+    def test_allocate_budget(self):
+        with pytest.raises(ValidationError, match=self.MISMATCH):
+            allocate_budget(self.A, self.Q3, 1e6, 1.0, 20.0, self.SPEC2)
+        assert allocate_budget(self.A, self.Q3, 1e6, 1.0, 20.0, self.SPEC3).m >= 1
 
 
 class TestBoundReport:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from deconf import (
+    NAMED_POLICIES,
     ConfoundedDistribution,
     DataFormatError,
     binary_conditional,
@@ -343,6 +344,18 @@ class TestConfigFiles:
         with pytest.raises(DataFormatError, match="replications"):
             read_experiment_config(path)
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [({"policies": "nsp"}, "policies must be a list of policy names, got the string"),
+         ({"policies": 3}, "not iterable"),
+         ({"m_grid": 100}, "not iterable")],
+    )
+    def test_non_list_fields_rejected(self, tmp_path, field, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 1, **field}))
+        with pytest.raises(DataFormatError, match=message):
+            read_experiment_config(path)
+
 
 class TestCliAte:
     def test_prints_value(self, instance_file, capsys):
@@ -546,6 +559,14 @@ class TestCliPlan:
         assert {"m_base", "m_nsp", "m_usp", "m_owsp"} <= set(names)
         for line in lines[1:]:
             float(line.split(",")[1])
+
+    @pytest.mark.parametrize("policy", NAMED_POLICIES)
+    def test_weights_with_a_named_policy_exits_2(self, instance_file, capsys, policy):
+        argv = ["plan", "--instance", str(instance_file), "--epsilon", "0.1",
+                "--delta", "0.05", "--beta", "0.1", "--policy", policy,
+                "--weights", "0.1,0.2,0.3,0.4"]
+        assert main(argv) == 2
+        assert "--weights requires --policy custom" in capsys.readouterr().err
 
     @pytest.mark.parametrize("c1", ["nan", "inf"])
     def test_non_finite_c1_exits_2(self, instance_file, capsys, c1):
@@ -796,6 +817,18 @@ class TestCliSimulate:
         out = tmp_path / "r.csv"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert f"{list(field)[-1]} repeats" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [({"n_grid": [100, 200]}, "n_grid applies to the finite protocol only"),
+         ({"policies": "nsp"}, "policies must be a list")],
+    )
+    def test_ignored_or_split_fields_exit_2(self, tmp_path, capsys, field, message):
+        cfg = self.write_config(tmp_path, **field)
+        out = tmp_path / "g.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_instance_file_k_must_match_config(self, tmp_path, capsys):

@@ -7,17 +7,24 @@ from hypothesis import strategies as st
 
 from deconf import (
     GROUPS,
+    NAMED_POLICIES,
+    AccuracySpec,
     ConfoundedDistribution,
+    ExperimentConfig,
     ValidationError,
     allocate_finite,
     allocate_infinite,
-    custom_policy,
+    binary_conditional,
     group_index,
+    lower_bound_w,
+    m_policy,
     parts_from_joint,
     policy_weights,
     random_instance,
+    worst_case_M,
 )
-from deconf.policies import _allocate, named_policies
+from deconf.cli import build_parser
+from deconf.policies import PolicyWeights, _allocate, named_policies
 
 EXACT = 1e-12
 
@@ -70,7 +77,7 @@ class TestPolicyWeights:
     def test_custom_weights_passed_through(self):
         w = (0.1, 0.2, 0.3, 0.4)
         a = ConfoundedDistribution(np.full(4, 0.25))
-        assert np.allclose(policy_weights(custom_policy(w), a).x, w, atol=EXACT)
+        assert np.allclose(policy_weights(PolicyWeights(w), a).x, w, atol=EXACT)
 
 
 class TestAllocateInfinite:
@@ -179,6 +186,58 @@ class TestBoundaryValidation:
         assert named_policies(ConfoundedDistribution(np.full(4, 0.25))) == ("nsp", "usp", "owsp")
         empty = ConfoundedDistribution(np.array([0.5, 0.0, 0.5, 0.0]))
         assert named_policies(empty) == ("nsp", "usp")
+
+
+class TestPolicyVocabulary:
+    """A policy is a name in NAMED_POLICIES or a PolicyWeights, and nothing else."""
+
+    A = ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3]))
+    Q = binary_conditional((0.5, 0.2, 0.7, 0.6))
+    SPEC = AccuracySpec(epsilon=0.1, delta=0.05, k=2, beta=0.1)
+    CALLS = {
+        "policy_weights": lambda p, c: policy_weights(p, c.A),
+        "allocate_infinite": lambda p, c: allocate_infinite(p, c.A, 10),
+        "allocate_finite": lambda p, c: allocate_finite(p, (5, 5, 5, 5), 10, c.A),
+        "m_policy": lambda p, c: m_policy(c.A, c.Q, c.SPEC, p),
+        "worst_case_M": lambda p, c: worst_case_M(c.A, c.SPEC, p),
+        "lower_bound_w": lambda p, c: lower_bound_w(c.A, c.SPEC, p),
+    }
+    NAMED_ONLY = ("worst_case_M", "lower_bound_w")
+
+    @pytest.mark.parametrize("func", list(CALLS))
+    @pytest.mark.parametrize(
+        "policy",
+        ["bogus", "NSP", None, ["nsp"], np.full(4, 0.25)],
+        ids=["bogus", "upper-case", "none", "list", "array"],
+    )
+    def test_anything_else_is_an_unknown_policy(self, func, policy):
+        with pytest.raises(ValidationError, match="unknown policy"):
+            self.CALLS[func](policy, self)
+
+    @pytest.mark.parametrize("func", list(CALLS))
+    def test_policy_weights_are_the_custom_policy(self, func):
+        weights = PolicyWeights(np.array([0.1, 0.2, 0.3, 0.4]))
+        if func in self.NAMED_ONLY:
+            with pytest.raises(ValidationError, match="nsp, usp, and owsp only"):
+                self.CALLS[func](weights, self)
+        else:
+            self.CALLS[func](weights, self)
+
+    def test_policy_weights_pass_through_unchanged(self):
+        weights = PolicyWeights(np.array([0.1, 0.2, 0.3, 0.4]))
+        assert policy_weights(weights, self.A) is weights
+
+    def test_one_list_of_names(self):
+        assert NAMED_POLICIES == ("nsp", "usp", "owsp")
+        assert ExperimentConfig().policies == NAMED_POLICIES
+        commands = build_parser()._subparsers._group_actions[0].choices
+
+        def choices(command, dest):
+            (action,) = [a for a in commands[command]._actions if a.dest == dest]
+            return tuple(action.choices)
+
+        assert choices("plan", "policy") == NAMED_POLICIES + ("custom",)
+        assert choices("gen-instance", "adversarial") == NAMED_POLICIES
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +369,7 @@ class TestLoopReferences:
     @settings(max_examples=400, deadline=None)
     def test_allocate_finite_matches_loops(self, case):
         kind, available, m, a_hat, weights = case
-        policy = custom_policy(weights) if kind == "custom" else kind
+        policy = PolicyWeights(weights) if kind == "custom" else kind
         a_vec = None if a_hat is None else a_hat.a
         want = ref_finite_counts(kind, available, m, a_vec, weights)
         assert allocate_finite(policy, available, m, a_hat).counts.tolist() == want.tolist()

@@ -654,6 +654,20 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             run_infinite_experiment(cfg)
 
+    def test_n_grid_only_for_finite(self):
+        # the infinite and empirical protocols sweep m_grid alone
+        records = records_from_cells(np.full((4, 2), 5))
+        cfg = small_infinite_config(m_grid=(8,), n_grid=(100, 200))
+        with pytest.raises(ValidationError, match="n_grid applies to the finite protocol"):
+            run_infinite_experiment(cfg)
+        with pytest.raises(ValidationError, match="n_grid applies to the finite protocol"):
+            run_empirical_experiment(records, cfg)
+
+    @pytest.mark.parametrize("policies", ["nsp", "owsp", ""])
+    def test_rejects_a_bare_string_of_policies(self, policies):
+        with pytest.raises(ValidationError, match="policies must be a list"):
+            ExperimentConfig(policies=policies)
+
 
 class TestStreamContract:
     """Golden rows pinning the RNG stream keying and draw order.
