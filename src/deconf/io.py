@@ -11,6 +11,15 @@ length. Dataset CSVs have
 header ``y,t,z`` (plus a leading ``x`` column for stratified data); an empty
 z field marks a confounded record. Readers fail fast with the offending
 row or field named, so nothing partially validated reaches the core types.
+A file that cannot be read or is not UTF-8 raises ``DataFormatError``
+naming its path.
+
+The table readers parse bytes with numpy when they can prove a file simple:
+printable ASCII without ``"``, every line ending in ``\n``, the header,
+the same field count on every line, fields of at most 8 bytes, and
+spellings the field parsers accept. Each field parser then runs once per
+distinct spelling in its column. Every other file goes through
+``csv.reader``, the one source of reader error messages.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import json
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -47,15 +56,26 @@ class LoadedInstance:
     form: str  # 'parts' or 'joint'
 
 
+def _read_error(path, exc: Exception) -> DataFormatError:
+    """The error reading ``path`` raised, as a ``DataFormatError`` naming the path."""
+    if isinstance(exc, FileNotFoundError):
+        return DataFormatError(f"{path}: file not found")
+    if isinstance(exc, UnicodeDecodeError):
+        return DataFormatError(f"{path}: not UTF-8 text ({exc.reason})")
+    if isinstance(exc, OSError):
+        return DataFormatError(f"{path}: cannot read ({exc.strerror or exc})")
+    return DataFormatError(f"{path}: {exc}")
+
+
 def _read_json_object(path) -> dict:
     """Parse a JSON file whose top level must be an object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise DataFormatError(f"{path}: file not found") from None
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _read_error(path, exc) from None
     if not isinstance(raw, dict):
         raise DataFormatError(f"{path}: expected a JSON object")
     return raw
@@ -160,8 +180,8 @@ def _open_rows(path, expected_headers) -> List[List[str]]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
-    except FileNotFoundError:
-        raise DataFormatError(f"{path}: file not found") from None
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise _read_error(path, exc) from None
     if not rows:
         raise DataFormatError(f"{path}: empty file")
     header = [h.strip().lower() for h in rows[0]]
@@ -174,6 +194,89 @@ def _open_rows(path, expected_headers) -> List[List[str]]:
 
 def _read_int_columns(path, header: List[str], parsers) -> np.ndarray:
     """The rows after ``header`` as a ``(rows, fields)`` int array, one parser per field.
+
+    The byte-level reader takes the files it can prove simple; every other
+    file goes to the ``csv`` reader, which alone raises the errors.
+    """
+    out = _read_int_columns_bytes(path, header, parsers)
+    return _read_int_columns_csv(path, header, parsers) if out is None else out
+
+
+_NL, _COMMA, _QUOTE = b"\n,\""
+_PACK = 8  # bytes of the widest field packed into one uint64 code
+_MASKS = np.array([(1 << 8 * n) - 1 for n in range(_PACK + 1)], dtype=np.uint64)
+
+
+def _read_int_columns_bytes(path, header: List[str], parsers) -> Optional[np.ndarray]:
+    """``_read_int_columns_csv``'s array, or None for a file it must decide.
+
+    Takes the files ``_field_codes`` takes whose every spelling each parser
+    accepts; each parser runs once per distinct code in its column.
+    """
+    codes = _field_codes(path, header, len(parsers))
+    if codes is None:
+        return None
+    out = np.empty(codes.shape, dtype=np.int64)
+    for j, parse in enumerate(parsers):
+        distinct, inverse = _distinct(codes[:, j])
+        try:
+            values = [parse(_spelling(code), 0) for code in distinct.tolist()]
+        except DataFormatError:
+            return None
+        out[:, j] = np.array(values, dtype=np.int64).take(inverse)
+    return out
+
+
+def _field_codes(path, header: List[str], width: int) -> Optional[np.ndarray]:
+    """Each data field's bytes packed into a ``(rows, width)`` uint64 array, or None.
+
+    Takes a file only if every byte is printable ASCII other than ``"`` or a
+    ``\n``, the file ends in ``\n``, the header matches, and every line has
+    ``width`` fields of at most 8 bytes. ``csv.reader`` splits such a file
+    at ``,`` and ``\n`` alone, so its cells are the fields' bytes as text.
+    """
+    try:
+        buf = np.fromfile(path, dtype=np.uint8)
+    except OSError:
+        return None
+    if not buf.size or buf[-1] != _NL or buf.max() > 0x7E:
+        return None
+    lines = np.count_nonzero(buf == _NL)
+    if lines < 2 or np.count_nonzero(buf < 0x20) != lines or np.count_nonzero(buf == _QUOTE):
+        return None
+    sep = np.flatnonzero((buf == _COMMA) | (buf == _NL))
+    if sep.size != lines * width or not (buf[sep[width - 1 :: width]] == _NL).all():
+        return None
+    line = buf[: sep[width - 1]].tobytes().decode("ascii")
+    if [h.strip().lower() for h in line.split(",")] != header:
+        return None
+    starts = sep[width - 1 : -1] + 1
+    lengths = sep[width:] - starts
+    if lengths.max() > _PACK:
+        return None
+    # the 8 bytes from each offset as one little-endian word; 7 zero bytes pad the end
+    padded = np.zeros(buf.size + _PACK - 1, dtype=np.uint8)
+    padded[: buf.size] = buf
+    words = np.ndarray((buf.size,), dtype="<u8", buffer=padded, strides=(1,))
+    return (words.take(starts) & _MASKS.take(lengths)).reshape(-1, width)
+
+
+def _distinct(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)``, through a lookup table when codes are small."""
+    if codes.max() >= 1 << 16:
+        return np.unique(codes, return_inverse=True)
+    index = codes.astype(np.intp)
+    present = np.bincount(index) > 0
+    return np.flatnonzero(present), (np.cumsum(present) - 1).take(index)
+
+
+def _spelling(code: int) -> str:
+    """The field text a ``_field_codes`` code packs (printable bytes, so no zero byte)."""
+    return code.to_bytes(_PACK, "little").rstrip(b"\0").decode("ascii")
+
+
+def _read_int_columns_csv(path, header: List[str], parsers) -> np.ndarray:
+    """``_read_int_columns`` through ``csv.reader``; the source of every reader error.
 
     Parsers are pure functions of the cell text, so each runs once per
     distinct spelling in its column. The first row with a wrong field count

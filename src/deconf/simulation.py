@@ -85,8 +85,19 @@ def _stream(*key: int) -> np.random.Generator:
     return np.random.default_rng(list(key))
 
 
+def _as_list(name: str, values, entries: str) -> tuple:
+    """``values`` as a tuple; a string or a non-iterable is not a list of ``entries``."""
+    if isinstance(values, str):
+        raise ValidationError(f"{name} must be a list of {entries}, got the string {values!r}")
+    try:
+        iter(values)
+    except TypeError:
+        raise ValidationError(f"{name} must be a list of {entries}, got {values!r}") from None
+    return tuple(values)
+
+
 def _int_grid(name: str, values) -> Tuple[int, ...]:
-    grid = tuple(values)
+    grid = _as_list(name, values, "positive integers")
     if not grid or not all(is_integer(v) and v > 0 for v in grid):
         raise ValidationError(
             f"{name} must be non-empty with positive integer entries, got {grid!r}"
@@ -118,11 +129,7 @@ class ExperimentConfig:
             if not isinstance(value, (bool, np.bool_)):
                 raise ValidationError(f"{name} must be true or false, got {value!r}")
             object.__setattr__(self, name, bool(value))
-        if isinstance(self.policies, str):
-            raise ValidationError(
-                f"policies must be a list of policy names, got the string {self.policies!r}"
-            )
-        object.__setattr__(self, "policies", tuple(self.policies))
+        object.__setattr__(self, "policies", _as_list("policies", self.policies, "policy names"))
         for pol in self.policies:
             if pol not in NAMED_POLICIES:
                 raise ValidationError(f"unknown policy {pol!r} in config")

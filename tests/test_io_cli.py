@@ -1,10 +1,15 @@
 """File formats and the command-line surface (exit codes, determinism)."""
 
+import csv
 import json
 import re
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deconf import (
     NAMED_POLICIES,
@@ -13,6 +18,7 @@ from deconf import (
     binary_conditional,
     joint_from_parts,
 )
+import deconf.io as dio
 from deconf.cli import main
 from deconf.io import (
     CURVE_HEADER,
@@ -281,6 +287,127 @@ class TestFullTableCsv:
         assert str(info.value) == "row 302: z must be an integer, got 'x'"
 
 
+# Generated tables: spellings every reader takes (z per reader), spellings some
+# reader rejects, and flaws that leave a file to the csv path or make it invalid.
+BITS = st.sampled_from(["0", "1", " 0", "1 ", " 1 "])
+GOOD = {
+    "x": st.tuples(
+        st.integers(0, 10**8),
+        st.sampled_from(["{}"] * 8 + ["+{}", " 00{}", "{} ", "{}_0", "1{:018}"]),
+    ).map(lambda pair: pair[1].format(pair[0])),
+    "y": BITS,
+    "t": BITS,
+}
+Z_REQUIRED = ["0", "1", "2", " 1", "+2", "02"]
+Z_OPTIONAL = Z_REQUIRED + ["", " "]
+BAD = {
+    "x": ["-1", "1.5", "", "x", "9" * 20],
+    "y": ["+1", "01", "2", "", "y"],
+    "t": ["+1", "01", "2", "", "t"],
+    "z": ["3", "-1", "1.0", "z", "", " "],
+}
+ROW_FLAWS = [  # a blank line, a field short, a field over, every cell quoted or tabbed
+    lambda cells: [],
+    lambda cells: cells[:-1],
+    lambda cells: cells + ["0"],
+    lambda cells: [f'"{cell}"' for cell in cells],
+    lambda cells: [f"\t{cell}" for cell in cells],
+]
+READERS = {
+    "full": (["y", "t", "z"], Z_REQUIRED, partial(read_full_table_csv, k=3), lambda r: (r,)),
+    "dataset": (["y", "t", "z"], Z_OPTIONAL, partial(read_dataset_csv, k=3),
+                lambda d: (d.confounded, d.deconfounded)),
+    "stratified": (["x", "y", "t", "z"], Z_OPTIONAL, partial(read_stratified_csv, k=3),
+                   lambda d: (d.x, d.y, d.t, d.z)),
+}
+
+
+@st.composite
+def table_files(draw, header, z_spellings):
+    """The bytes of a ``header`` CSV; about a quarter have no flaw and no bad spelling."""
+    good = dict(GOOD, z=st.sampled_from(z_spellings))
+    rows = draw(st.lists(st.tuples(*(good[name] for name in header)).map(list), max_size=25))
+    few = st.sampled_from([0, 0, 0, 0, 1, 2])
+    for _ in range(draw(few) if rows else 0):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(header) - 1))
+        rows[i][j] = draw(st.sampled_from(BAD[header[j]]))
+    for _ in range(draw(few) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = draw(st.sampled_from(ROW_FLAWS))(rows[i])
+    names = draw(st.sampled_from([header] * 12 + [[n.upper() for n in header],
+                                                  [f" {n} " for n in header], header[:-1]]))
+    newline = draw(st.sampled_from(["\n"] * 16 + ["\r\n", "\r"]))
+    text = newline.join(",".join(cells) for cells in [names] + rows)
+    text += draw(st.sampled_from([newline] * 16 + ["", newline * 2]))
+    prefix = draw(st.sampled_from([b""] * 24 + [b"\xef\xbb\xbf", b"\xe9"]))
+    return prefix + text.encode("ascii")
+
+
+def read_outcome(read, path, arrays):
+    """A reader's arrays, or the message of the error it raised."""
+    try:
+        return [a.tolist() for a in arrays(read(path))]
+    except DataFormatError as exc:
+        return str(exc)
+
+
+class TestReaderPaths:
+    """The byte-level path agrees with the csv path, which alone raises errors."""
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_byte_path_matches_csv_path(self, name, tmp_path_factory):
+        header, z_spellings, read, arrays = READERS[name]
+        path = tmp_path_factory.mktemp(name) / "table.csv"
+        taken = []
+
+        @given(table_files(header, z_spellings))
+        @settings(max_examples=200, deadline=None)
+        def check(content):
+            path.write_bytes(content)
+            taken.append(dio._field_codes(path, header, len(header)) is not None)
+            with mock.patch.object(dio, "_read_int_columns", dio._read_int_columns_csv):
+                expected = read_outcome(read, path, arrays)
+            assert read_outcome(read, path, arrays) == expected
+
+        check()
+        assert sum(taken) >= 20  # about a third of the files take the byte path
+
+    def test_plain_table_takes_the_byte_path(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        records = np.column_stack(
+            [rng.integers(0, 2, 50_000), rng.integers(0, 2, 50_000), rng.integers(0, 3, 50_000)]
+        )
+        path = tmp_path / "table.csv"
+        path.write_text("y,t,z\n" + "".join(f"{y},{t},{z}\n" for y, t, z in records.tolist()))
+
+        def no_csv(*args, **kwargs):
+            raise AssertionError("csv.reader called on a plain table")
+
+        monkeypatch.setattr(csv, "reader", no_csv)
+        assert np.array_equal(read_full_table_csv(path, k=3), records)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"y,t,z\r\n0,1,2\r\n", b"\xef\xbb\xbfy,t,z\n0,1,2\n", b"y,t,z\n0,1,\xe9\n",
+         b"y,t,z\n0,1,2", b'y,t,z\n0,"1",2\n', b"y,t,z\n0,1,2\n\n", b"y,t,z\n0,1,2,\n",
+         b"y,t,z\n0,1\n0,1,2,0\n", b"y,t,z\n0,1,\t2\n", b"y,t,q\n0,1,2\n",
+         b"y,t,z\n0,1,123456789\n", b"y,t,z\n", b""],
+    )
+    def test_byte_path_passes_what_it_cannot_prove_simple(self, tmp_path, content):
+        path = tmp_path / "table.csv"
+        path.write_bytes(content)
+        assert dio._field_codes(path, ["y", "t", "z"], 3) is None
+
+    def test_distinct_codes_match_numpy_unique(self):
+        rng = np.random.default_rng(6)
+        for high in (3, 1 << 16, 1 << 40):
+            codes = rng.integers(0, high, 1_000).astype(np.uint64)
+            distinct, inverse = dio._distinct(codes)
+            expected, expected_inverse = np.unique(codes, return_inverse=True)
+            assert distinct.tolist() == expected.tolist()
+            assert inverse.tolist() == expected_inverse.tolist()
+
+
 class TestCurveCsv:
     def test_roundtrip(self, tmp_path):
         from deconf.simulation import CurveRow, ErrorCurve
@@ -347,8 +474,8 @@ class TestConfigFiles:
     @pytest.mark.parametrize(
         "field, message",
         [({"policies": "nsp"}, "policies must be a list of policy names, got the string"),
-         ({"policies": 3}, "not iterable"),
-         ({"m_grid": 100}, "not iterable")],
+         ({"policies": 3}, "policies must be a list of policy names, got 3"),
+         ({"m_grid": 100}, "m_grid must be a list of positive integers, got 100")],
     )
     def test_non_list_fields_rejected(self, tmp_path, field, message):
         path = tmp_path / "cfg.json"
@@ -864,3 +991,46 @@ class TestCliSimulate:
         curve = read_error_curve_csv(out)
         keys = [(r.policy, r.grid_kind, r.grid_value) for r in curve.rows]
         assert keys == sorted(keys)
+
+
+class TestCliReadErrors:
+    """A file that cannot be read or decoded exits 2 with its path named."""
+
+    COMMANDS = {
+        "ate": ["ate", "--instance", "{input}"],
+        "estimate": ["estimate", "--data", "{input}", "--k", "3"],
+        "simulate": ["simulate", "--config", "{input}", "--out", "{out}"],
+        "simulate-real": ["simulate-real", "--config", "{config}", "--data", "{input}",
+                          "--out", "{out}"],
+    }
+
+    def run(self, tmp_path, command, path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"k": 3, "policies": ["nsp"], "m_grid": [4], "replications": 2, "seed": 1}
+        ))
+        names = {"input": path, "config": config, "out": tmp_path / "out.csv"}
+        return main([arg.format(**names) for arg in self.COMMANDS[command]])
+
+    @pytest.mark.parametrize(
+        "command, content, message",
+        [
+            ("simulate-real", b"y,t,z\n0,1,2\n1,0,\xe9\n", "not UTF-8 text"),
+            ("ate", b'{"p": [[0.25], [0.25], [0.25], [0.25]], "n": "\xe9"}', "not UTF-8 text"),
+            ("simulate", b'{"seed": 1, "policies": ["\xe9"]}', "not UTF-8 text"),
+            ("estimate", b"y,t,z\n0,1," + b"2" * 200_000 + b"\n", "field larger than field limit"),
+        ],
+        ids=["table", "instance", "config", "wide-field"],
+    )
+    def test_undecodable_file_exits_2(self, tmp_path, capsys, command, content, message):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        assert self.run(tmp_path, command, path) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_directory_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "folder"
+        path.mkdir()
+        assert self.run(tmp_path, command, path) == 2
+        assert f"error: {path}: cannot read (Is a directory)" in capsys.readouterr().err

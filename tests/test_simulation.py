@@ -668,6 +668,19 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="policies must be a list"):
             ExperimentConfig(policies=policies)
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [({"policies": None}, "policies must be a list of policy names, got None"),
+         ({"policies": 3}, "policies must be a list of policy names, got 3"),
+         ({"m_grid": 100}, "m_grid must be a list of positive integers, got 100"),
+         ({"m_grid": "100"}, "m_grid must be a list of positive integers, got the string '100'"),
+         ({"n_grid": 5}, "n_grid must be a list of positive integers, got 5")],
+    )
+    def test_rejects_non_list_fields(self, field, message):
+        with pytest.raises(ValidationError) as info:
+            ExperimentConfig(**field)
+        assert str(info.value) == message
+
 
 class TestStreamContract:
     """Golden rows pinning the RNG stream keying and draw order.
