@@ -293,6 +293,8 @@ def cmd_gen_instance(args) -> int:
 
 
 def _load_sim_inputs(args):
+    """Config, extras and instances of a ``simulate*`` command; checks ``--out`` first."""
+    dio.check_output_path(args.out)
     config, extras = dio.read_experiment_config(args.config)
     if args.seed is not None:
         config = sim.ExperimentConfig(

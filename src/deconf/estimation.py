@@ -80,7 +80,7 @@ def deconfounded_counts(records, k: int) -> np.ndarray:
 
 
 def _validate_bits(col, name):
-    if col.size and not np.isin(col, (0, 1)).all():
+    if col.size and (col.min() < 0 or col.max() > 1):
         raise ValidationError(f"{name} values must be 0 or 1")
 
 

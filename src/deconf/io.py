@@ -11,8 +11,9 @@ length. Dataset CSVs have
 header ``y,t,z`` (plus a leading ``x`` column for stratified data); an empty
 z field marks a confounded record. Readers fail fast with the offending
 row or field named, so nothing partially validated reaches the core types.
-A file that cannot be read or is not UTF-8 raises ``DataFormatError``
-naming its path.
+A file that cannot be read or is not UTF-8, and a path that cannot be
+written, raise ``DataFormatError`` naming the path. Integer fields are
+plain decimal: ``int``'s digit grouping (``1_000``) is rejected.
 
 The table readers parse bytes with numpy when they can prove a file simple:
 printable ASCII without ``"``, every line ending in ``\n``, the header,
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -125,15 +127,35 @@ def read_marginal(path) -> ConfoundedDistribution:
         raise DataFormatError(f"{path}: {exc}") from None
 
 
+def _open_for_writing(path, **kwargs):
+    """``open(path, "w")``; a path that cannot be written raises ``DataFormatError`` naming it."""
+    try:
+        return open(path, "w", encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot write ({exc.strerror or exc})") from None
+
+
+def check_output_path(path) -> None:
+    """Fail before a long run whose result could not be written to ``path``.
+
+    Checks only what ``_open_for_writing`` would fail on without creating
+    the file: ``path`` is a directory, or its directory does not exist.
+    """
+    if os.path.isdir(path):
+        raise DataFormatError(f"{path}: cannot write (Is a directory)")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise DataFormatError(f"{path}: cannot write (No such file or directory)")
+
+
 def write_instance(path, a: ConfoundedDistribution, q: ConditionalTable) -> None:
     payload = {"k": q.k, "a": a.a.tolist(), "q": q.q.tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_for_writing(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
 def write_joint_instance(path, joint: JointDistribution) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_for_writing(path) as fh:
         json.dump({"k": joint.k, "p": joint.p.tolist()}, fh, indent=2)
         fh.write("\n")
 
@@ -145,6 +167,13 @@ def _parse_bit(value: str, row: int, name: str) -> int:
     return int(value)
 
 
+def _int(text: str) -> int:
+    """``int(text)`` without the digit grouping ``int`` reads (``1_000`` is 1000)."""
+    if "_" in text:
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_z(value: str, row: int, k: int, required: bool = False) -> int:
     value = value.strip()
     if value == "":
@@ -152,7 +181,7 @@ def _parse_z(value: str, row: int, k: int, required: bool = False) -> int:
             raise DataFormatError(f"row {row}: ground-truth tables require z on every row")
         return -1
     try:
-        z = int(value)
+        z = _int(value)
     except ValueError:
         raise DataFormatError(f"row {row}: z must be an integer, got {value!r}") from None
     if not 0 <= z < k:
@@ -162,7 +191,7 @@ def _parse_z(value: str, row: int, k: int, required: bool = False) -> int:
 
 def _parse_x(value: str, row: int) -> int:
     try:
-        x = int(value.strip())
+        x = _int(value.strip())
     except ValueError:
         raise DataFormatError(f"row {row}: x must be an integer, got {value!r}") from None
     if x < 0:
@@ -345,7 +374,7 @@ CURVE_HEADER = [
 
 
 def write_error_curve_csv(curve: ErrorCurve, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_for_writing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CURVE_HEADER)
         for row in curve.rows:  # already sorted by policy then grid value

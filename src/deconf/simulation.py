@@ -9,28 +9,30 @@ Three protocols, mirroring the synthetic and real-data experiments:
   the realized group counts.
 * empirical -- a complete (y, t, z) table is the ground truth; reveals are
   uniform without-replacement draws within each group, taken from the
-  table's (4, k) cell counts as incremental multivariate hypergeometric
-  draws along the m grid.
+  table's (4, k) cell counts as nested hypergeometric draws along the m
+  grid.
 
 Reproducibility contract: every result is a pure function of the config
-and master seed. The synthetic protocols draw from one RNG stream per
-(instance, policy), or per instance for what policies share, and draw all
-replications of a work item with one call. The infinite protocol draws one
-``multinomial`` over (replication, grid point, group). The finite protocol
-draws each replication's arrivals as incremental multinomials along m and
-the sorted n grid; reveals come from one stream per (instance, policy), or
-with shared randomness from one stream per instance, as nested prefixes of
-one sequence per (replication, group). The empirical protocol keeps one
-stream per (policy, replication), drawn group by group in ascending reveal
-count. Seeds stay below 2**32, because numpy's ``SeedSequence`` splits a
-larger int into 32-bit words, so its keys would alias other seeds' keys.
-Each work item (an instance, or an empirical replication) returns its
-|estimate - truth| as one ``(replications, methods, sorted grid)`` array,
-and ``_sweep`` pools them: it sums in replication order within an item,
-then in item order, so results are identical for any worker count and any
-execution order. Error statistics are the mean and population standard
-deviation of |estimate - truth| pooled over all replications of all
-instances.
+and master seed. Every protocol draws from one RNG stream per
+(instance, policy), or per instance for what policies share, and draws all
+replications of a work item together. The infinite
+protocol draws one ``multinomial`` over (replication, grid point, group).
+The finite protocol draws each replication's arrivals as incremental
+multinomials along m and the sorted n grid; reveals come from one stream
+per (instance, policy), or with shared randomness from one stream per
+instance, as nested prefixes of one sequence per (replication, group). The
+empirical protocol, whose table is its only instance, has one stream per
+method and one work item; its policies are non-adaptive, so every
+replication's reveals are drawn at once, in ascending reveal count. Seeds
+stay below 2**32, because numpy's ``SeedSequence`` splits a larger int into
+32-bit words, so its keys would alias other seeds' keys. Each work item
+(an instance, or the empirical table) returns its |estimate - truth| as
+one ``(replications, methods, sorted grid)`` array, and ``_sweep`` pools
+them: it sums in replication order within an item, then in item order, so
+results are identical for any worker count and any execution order; a
+single work item runs in process, with no worker pool. Error statistics
+are the mean and population standard deviation of |estimate - truth|
+pooled over all replications of all instances.
 
 Allocation runs through the policies kernel on plain arrays, once per
 (instance, policy): the infinite protocol allocates its whole m grid in one
@@ -229,9 +231,10 @@ def _sweep(func, items, labels, kind, grid, workers: int, instances: int) -> Err
     Errors are summed in replication order within an item, then in item
     order, whatever the pool size, so results are identical for any worker
     count. ``cumsum`` adds strictly in that order; ``np.sum`` adds pairwise
-    along a contiguous axis, which would change the last bits.
+    along a contiguous axis, which would change the last bits. A single item
+    (or worker) runs in this process, with no pool to start.
     """
-    if workers == 1:
+    if min(workers, len(items)) == 1:
         errors = [func(item) for item in items]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -373,37 +376,52 @@ def run_finite_experiment(
 
 
 def _reveal_prefixes(rng: np.random.Generator, cells, lengths) -> np.ndarray:
-    """z-counts ``(grid, groups, k)`` of nested uniform without-replacement reveals.
+    """z-counts ``(..., grid, groups, k)`` of nested uniform without-replacement reveals.
 
-    Row g of the ``(groups, k)`` table ``cells`` reveals ``lengths[:, g]``
-    records. A group's prefixes are drawn in ascending length, each step one
-    multivariate hypergeometric draw from the records not yet revealed, so
-    they are the prefixes of one uniform random order of the group.
+    Row g of the ``(groups, k)`` table ``cells`` reveals ``lengths[..., g]``
+    records at each grid point, independently for every index of the
+    leading dims of ``lengths`` ``(..., grid, groups)``. Each (index, group)
+    draws its prefixes in ascending length; a step draws from the records
+    not yet revealed as a chain of hypergeometric draws, one per z < k-1,
+    and the last z takes the remainder. So the prefixes are those of one
+    uniform random order of the group. That is grid * (k-1) broadcast calls;
+    memory is O(lengths.size * k) int64.
     """
-    out = np.empty(lengths.shape + cells.shape[1:], dtype=np.int64)
-    for g, row in enumerate(cells):
-        drawn = np.zeros_like(row)
-        for i in np.argsort(lengths[:, g], kind="stable"):
-            step = lengths[i, g] - drawn.sum()
-            drawn += rng.multivariate_hypergeometric(row - drawn, step)
-            out[i, g] = drawn
+    order = np.argsort(lengths, axis=-2, kind="stable")
+    steps = np.diff(np.take_along_axis(lengths, order, -2), axis=-2, prepend=0)
+    left = np.array(np.broadcast_to(cells, steps.shape[:-2] + cells.shape), dtype=np.int64)
+    drawn = np.empty(steps.shape + cells.shape[1:], dtype=np.int64)
+    for i in range(steps.shape[-2]):
+        need = steps[..., i, :].copy()
+        rest = left.sum(axis=-1)
+        for z in range(cells.shape[1] - 1):
+            rest -= left[..., z]  # records of the later z values
+            got = rng.hypergeometric(left[..., z], rest, need)
+            left[..., z] -= got
+            need -= got
+        left[..., -1] -= need
+        drawn[..., i, :, :] = cells - left
+    out = np.empty_like(drawn)
+    np.put_along_axis(out, order[..., None], drawn, axis=-3)
     return out
 
 
 def _empirical_errors(args) -> np.ndarray:
-    rep, cells, a_vec, ate_true, allocations, config = args
-    grid = np.array(sorted(config.m_grid))
+    cells, a_vec, ate_true, allocations, config = args
+    reps, grid = config.replications, np.array(sorted(config.m_grid))
     ates = []
     for pol in config.method_labels():
-        rng = _stream(config.seed, _DOM_EMPIRICAL, POLICY_IDS[pol], rep)
+        rng = _stream(config.seed, _DOM_EMPIRICAL, POLICY_IDS[pol])
         if pol == BASELINE:
-            drawn = _reveal_prefixes(rng, cells.reshape(1, -1), grid[:, None])
-            ate = ate_batch(drawn.reshape(len(grid), *cells.shape) / grid[:, None, None])
+            lengths = np.broadcast_to(grid[:, None], (reps, len(grid), 1))
+            drawn = _reveal_prefixes(rng, cells.reshape(1, -1), lengths)
+            ate = ate_batch(drawn.reshape(reps, len(grid), *cells.shape) / grid[:, None, None])
         else:
-            drawn = _reveal_prefixes(rng, cells, allocations[pol])
+            lengths = np.broadcast_to(allocations[pol], (reps,) + allocations[pol].shape)
+            drawn = _reveal_prefixes(rng, cells, lengths)
             ate = ate_batch(a_vec[:, None] * q_hat_batch(drawn, a_vec, config.fallback))
         ates.append(ate)
-    return np.abs(np.stack(ates) - ate_true)[None]
+    return np.abs(np.stack(ates, axis=1) - ate_true)
 
 
 def run_empirical_experiment(
@@ -415,7 +433,9 @@ def run_empirical_experiment(
     (exact) marginal used for policy weights. Past validation only the
     ``(4, k)`` cell counts are used: a replication's reveals are uniform
     without-replacement prefixes per group (for the baseline, of the whole
-    table), drawn as incremental multivariate hypergeometric steps.
+    table), drawn for all replications at once as nested hypergeometric
+    steps from one stream per method, in one work item. The draws hold
+    O(replications * len(m_grid) * 4k) int64 counts at once.
     """
     _check_not_finite(config, workers)
     cells = deconfounded_counts(records, config.k)
@@ -448,8 +468,7 @@ def run_empirical_experiment(
             )
         allocations[pol] = counts[np.argsort(grid, kind="stable")]  # sorted-grid rows
 
-    items = [(rep, cells, a.a, ate_true, allocations, config)
-             for rep in range(config.replications)]
+    items = [(cells, a.a, ate_true, allocations, config)]
     return _sweep(_empirical_errors, items, labels, "m", config.m_grid, workers, 1)
 
 

@@ -237,6 +237,23 @@ class TestRecordValidation:
         data = Dataset([[0, 1]], [[0, 1, 0]], np.int64(3))
         assert type(data.k) is int and data.m_counts().shape == (4, 3)
 
+    @pytest.mark.parametrize("value", [-1, 2, 7])
+    def test_bit_columns_name_y_or_t(self, value):
+        for col, name in ((0, "y"), (1, "t")):
+            conf, dec = [[0, 1], [1, 0]], [[0, 1, 0], [1, 1, 1]]
+            conf[1][col] = dec[1][col] = value
+            with pytest.raises(ValidationError) as info:
+                Dataset(conf, [[0, 1, 0]], 2)
+            assert str(info.value) == f"{name} values must be 0 or 1"
+            with pytest.raises(ValidationError) as info:
+                Dataset([[0, 1]], dec, 2)
+            assert str(info.value) == f"{name} values must be 0 or 1"
+            cols = [[0, 1], [0, 1], [1, 0], [0, -1]]
+            cols[1 + col][1] = value
+            with pytest.raises(ValidationError) as info:
+                StratifiedDataset(*cols, 2)
+            assert str(info.value) == f"{name} values must be 0 or 1"
+
 
 class TestEquivariance:
     def test_z_relabeling_permutes_q_and_fixes_ate(self):

@@ -204,6 +204,23 @@ class TestDatasetCsv:
         assert data.y.tolist() == [1, 0, 1]
         assert data.z.tolist() == [0, -1, 1]
 
+    @pytest.mark.parametrize("x", ["1_000", "0_1", "1_0_0"])
+    def test_x_rejects_underscore_grouping(self, tmp_path, x):
+        path = tmp_path / "strat.csv"
+        path.write_text(f"x,y,t,z\n0,1,1,0\n{x},0,0,\n")
+        with pytest.raises(DataFormatError) as info:
+            read_stratified_csv(path, k=2)
+        assert str(info.value) == f"row 3: x must be an integer, got {x!r}"
+
+    @pytest.mark.parametrize("z", ["0_1", "1_", "_1"])
+    def test_z_rejects_underscore_grouping(self, tmp_path, z):
+        path = tmp_path / "data.csv"
+        path.write_text(f"y,t,z\n0,1,0\n1,1,{z}\n")
+        for read in (partial(read_dataset_csv, k=3), partial(read_full_table_csv, k=3)):
+            with pytest.raises(DataFormatError) as info:
+                read(path)
+            assert str(info.value) == f"row 3: z must be an integer, got {z!r}"
+
     def test_stratified_no_rows(self, tmp_path):
         path = tmp_path / "strat.csv"
         path.write_text("x,y,t,z\n")
@@ -795,6 +812,74 @@ class TestCliGenInstance:
         loaded = read_instance(base)
         assert np.allclose(loaded.a.a, [0.4, 0.1, 0.2, 0.3])
         assert read_instance(alt).q.q[1, 1] == pytest.approx(1e-4)
+
+
+class TestCliOutputPath:
+    """An --out that cannot be written exits 2 naming it, before any sweep runs."""
+
+    def config(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"k": 2, "policies": ["nsp"], "m_grid": [4], "replications": 2, "seed": 1}
+        ))
+        return path
+
+    @pytest.mark.parametrize("command, engine", [
+        ("simulate", "run_infinite_experiment"),
+        ("simulate-finite", "run_finite_experiment"),
+        ("simulate-real", "run_empirical_experiment"),
+    ])
+    def test_missing_directory_exits_2_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch, command, engine
+    ):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError(f"{engine} ran")
+
+        monkeypatch.setattr(f"deconf.simulation.{engine}", no_sweep)
+        data = tmp_path / "table.csv"
+        data.write_text("y,t,z\n0,0,0\n0,1,1\n1,0,0\n1,1,1\n")
+        out = tmp_path / "nodir" / "x.csv"
+        args = [command, "--config", str(self.config(tmp_path)), "--out", str(out)]
+        assert main(args + (["--data", str(data)] if command == "simulate-real" else [])) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {out}: cannot write (No such file or directory)\n"
+        assert not out.parent.exists()
+
+    def test_directory_as_out_exits_2(self, tmp_path, capsys):
+        args = ["simulate", "--config", str(self.config(tmp_path)), "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path}: cannot write (Is a directory)\n"
+
+    @pytest.mark.parametrize("flags", [
+        ["--adversarial", "nsp"],
+        ["--random", "--seed", "3"],
+        ["--hardness", "--a", "0.4,0.1,0.2,0.3", "--gamma", "1e-4"],
+    ])
+    def test_gen_instance_missing_directory_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "nodir" / "x.json"
+        assert main(["gen-instance", "--out", str(out)] + flags) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out}: cannot write (No such file or directory)\n"
+        )
+
+    def test_gen_instance_missing_alt_directory_exits_2(self, tmp_path, capsys):
+        base, alt = tmp_path / "base.json", tmp_path / "nodir" / "alt.json"
+        flags = ["--hardness", "--a", "0.4,0.1,0.2,0.3", "--gamma", "1e-4"]
+        assert main(["gen-instance", "--out", str(base), "--alt-out", str(alt)] + flags) == 2
+        assert f"error: {alt}: cannot write" in capsys.readouterr().err
+
+    def test_writers_name_the_path(self, tmp_path):
+        from deconf.simulation import CurveRow, ErrorCurve
+
+        a, q = example_instance()
+        curve = ErrorCurve((CurveRow("nsp", "m", 100, 0.125, 0.05, 200, 2),))
+        out = tmp_path / "nodir" / "file"
+        for write in (partial(write_instance, out, a, q),
+                      partial(write_joint_instance, out, joint_from_parts(a, q)),
+                      partial(write_error_curve_csv, curve, out)):
+            with pytest.raises(DataFormatError) as info:
+                write()
+            assert str(info.value) == f"{out}: cannot write (No such file or directory)"
 
 
 class TestCliSimulate:

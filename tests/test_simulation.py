@@ -257,6 +257,22 @@ def permutation_prefixes(rng, cells, lengths):
     return out
 
 
+def ref_reveal_prefixes(rng, cells, lengths):
+    """The engine's former reveal draw: one replication, one group at a time.
+
+    Each group's prefixes are drawn in ascending length, each step one
+    ``multivariate_hypergeometric`` draw from the records not yet revealed.
+    """
+    out = np.empty(lengths.shape + cells.shape[1:], dtype=np.int64)
+    for g, row in enumerate(cells):
+        drawn = np.zeros_like(row)
+        for i in np.argsort(lengths[:, g], kind="stable"):
+            step = lengths[i, g] - drawn.sum()
+            drawn += rng.multivariate_hypergeometric(row - drawn, step)
+            out[i, g] = drawn
+    return out
+
+
 def chi2_upper_quantile(df, z=3.09):
     """Wilson-Hilferty approximation of the chi-square quantile at normal score z."""
     c = 2.0 / (9.0 * df)
@@ -320,6 +336,46 @@ class TestEmpiricalReveals:
         assert out.shape == (3, 1, 12)
         assert np.array_equal(out[-1, 0], cells[0])
         assert np.all(np.diff(out[:, 0], axis=0) >= 0)
+
+
+class TestBatchedReveals:
+    """The all-replications reveal draw against the former per-replication draw."""
+
+    CELLS = TestEmpiricalReveals.CELLS
+    LENGTHS = TestEmpiricalReveals.LENGTHS
+    REPS = 3000
+
+    def per_group(self, runs):
+        return [[tuple(run[:, g].ravel()) for run in runs] for g in range(len(self.CELLS))]
+
+    def test_matches_per_replication_and_permutation_references(self):
+        lengths = np.broadcast_to(self.LENGTHS, (self.REPS,) + self.LENGTHS.shape)
+        new = simulation._reveal_prefixes(np.random.default_rng(31), self.CELLS, lengths)
+        assert new.shape == (self.REPS,) + self.LENGTHS.shape + (3,)
+        for ref, seed in ((ref_reveal_prefixes, 32), (permutation_prefixes, 33)):
+            rng = np.random.default_rng(seed)
+            old = [ref(rng, self.CELLS, self.LENGTHS) for _ in range(self.REPS)]
+            for g, (a, b) in enumerate(zip(self.per_group(new), self.per_group(old))):
+                assert_same_distribution(a, b, f"{ref.__name__} group {g}")
+
+    def test_nested_prefix_invariants_with_leading_dims(self):
+        rng = np.random.default_rng(34)
+        for _ in range(200):
+            k, grid = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+            lead = tuple(int(n) for n in rng.integers(1, 4, size=int(rng.integers(1, 3))))
+            cells = rng.integers(0, 30, size=(4, k))
+            sizes = cells.sum(axis=1)
+            lengths = np.floor(rng.random(lead + (grid, 4)) * (sizes + 1)).astype(int)
+            lengths[..., int(rng.integers(grid)), :] = sizes  # one point reveals everything
+            out = simulation._reveal_prefixes(rng, cells, lengths)
+            assert out.shape == lead + (grid, 4, k)
+            assert np.array_equal(out.sum(axis=-1), lengths)
+            assert np.all((out >= 0) & (out <= cells))
+            order = np.argsort(lengths, axis=-2, kind="stable")
+            along = np.take_along_axis(out, order[..., None], axis=-3)
+            assert np.all(np.diff(along, axis=-3) >= 0)
+            full = (lengths == sizes).all(axis=-1)
+            assert np.all(out[full] == cells)
 
 
 class TestBatchedDraws:
@@ -439,6 +495,7 @@ class TestStreamKeys:
         keys = []
         stream = simulation._stream
         monkeypatch.setattr(simulation, "_stream", lambda *key: keys.append(key) or stream(*key))
+        records = records_from_cells(np.array([[9, 3], [4, 6], [5, 5], [2, 8]]))
         for seed in (5, 2**32 - 1):
             run_infinite_experiment(small_infinite_config(instances=3, replications=2, seed=seed))
             for shared in (False, True):
@@ -446,8 +503,14 @@ class TestStreamKeys:
                     k=2, instances=3, m_grid=(10,), n_grid=(10, 30), replications=2,
                     seed=seed, shared_randomness=shared,
                 ))
-        # per seed: 3 instance, 12 infinite, 3 arrival, 9 + 3 reveal streams
-        assert len(set(keys)) == 2 * 30
+            run_empirical_experiment(records, ExperimentConfig(
+                k=2, include_baseline=True, m_grid=(8, 12), replications=2, seed=seed,
+            ))
+        # per seed: 3 instance, 12 infinite, 3 arrival, 9 + 3 reveal and 4 empirical
+        # streams. Distinct key tuples are not enough: SeedSequence pads its
+        # entropy with zeros, so [s, 4, 1] and [s, 4, 1, 0] seed the same state.
+        # A key must never be another key with its trailing zeros dropped.
+        assert len(set(keys)) == 2 * 34
         states = {tuple(np.random.SeedSequence(key).generate_state(4)) for key in keys}
         assert len(states) == len(set(keys))
 
@@ -519,6 +582,18 @@ class TestPoolingReference:
         want = ref_curve_from(ref_merge(partials), 3)
         got = simulation._sweep(np.asarray, items, labels, "n", grid, 1, 3)
         assert repr(got) == repr(want)
+
+    def test_one_item_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started for one work item")
+
+        items = [np.linspace(0.1, 1.9, 20).reshape(10, 1, 2)]
+        serial = simulation._sweep(np.asarray, items, ("nsp",), "m", (5, 7), 1, 1)
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_pool)
+        assert simulation._sweep(np.asarray, items, ("nsp",), "m", (5, 7), 4, 1) == serial
+        records = records_from_cells(np.array([[9, 3], [4, 6], [5, 5], [2, 8]]))
+        cfg = ExperimentConfig(k=2, include_baseline=True, m_grid=(12, 20), replications=5)
+        run_empirical_experiment(records, cfg, workers=4)
 
 
 class TestConfigValidation:
