@@ -13,7 +13,8 @@ z field marks a confounded record. Readers fail fast with the offending
 row or field named, so nothing partially validated reaches the core types.
 A file that cannot be read or is not UTF-8, and a path that cannot be
 written, raise ``DataFormatError`` naming the path. Integer fields are
-plain decimal: ``int``'s digit grouping (``1_000``) is rejected.
+plain ASCII decimal: ``int``'s digit grouping (``1_000``), non-ASCII digits
+and non-ASCII whitespace around a field are rejected.
 
 The table readers parse bytes with numpy when they can prove a file simple:
 printable ASCII without ``"``, every line ending in ``\n``, the header,
@@ -28,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import string
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -160,22 +162,31 @@ def write_joint_instance(path, joint: JointDistribution) -> None:
         fh.write("\n")
 
 
+# fields are stripped of ASCII whitespace only: a bare str.strip() also drops
+# a no-break space or a control character such as \x1c around a number
+_BLANKS = string.whitespace
+
+
 def _parse_bit(value: str, row: int, name: str) -> int:
-    value = value.strip()
+    value = value.strip(_BLANKS)
     if value not in ("0", "1"):
         raise DataFormatError(f"row {row}: {name} must be 0 or 1, got {value!r}")
     return int(value)
 
 
 def _int(text: str) -> int:
-    """``int(text)`` without the digit grouping ``int`` reads (``1_000`` is 1000)."""
-    if "_" in text:
+    """``int(text)`` for ASCII decimal text only.
+
+    ``int`` also reads digit grouping (``1_000`` is 1000) and any Unicode
+    decimal digit (Arabic-Indic two, U+0662, is 2).
+    """
+    if "_" in text or not text.isascii():
         raise ValueError(text)
     return int(text)
 
 
 def _parse_z(value: str, row: int, k: int, required: bool = False) -> int:
-    value = value.strip()
+    value = value.strip(_BLANKS)
     if value == "":
         if required:
             raise DataFormatError(f"row {row}: ground-truth tables require z on every row")
@@ -191,7 +202,7 @@ def _parse_z(value: str, row: int, k: int, required: bool = False) -> int:
 
 def _parse_x(value: str, row: int) -> int:
     try:
-        x = _int(value.strip())
+        x = _int(value.strip(_BLANKS))
     except ValueError:
         raise DataFormatError(f"row {row}: x must be an integer, got {value!r}") from None
     if x < 0:

@@ -29,8 +29,13 @@ stay below 2**32, because numpy's ``SeedSequence`` splits a larger int into
 (an instance, or the empirical table) returns its |estimate - truth| as
 one ``(replications, methods, sorted grid)`` array, and ``_sweep`` pools
 them: it sums in replication order within an item, then in item order, so
-results are identical for any worker count and any execution order; a
-single work item runs in process, with no worker pool. Error statistics
+results are identical for any worker count and any execution order.
+Where an item runs is therefore only a wall-time trade: ``_sweep`` runs the
+first item in process and times it, and starts a worker pool for the rest
+only when at least two items remain and their projected serial time is at
+least ``_POOL_MIN_S``; the pool has at most one worker per remaining item.
+So a single work item (every empirical run), or a sweep too small to repay
+a pool's start-up, runs in process. Error statistics
 are the mean and population standard deviation of |estimate - truth|
 pooled over all replications of all instances.
 
@@ -50,6 +55,7 @@ per replication.
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -224,6 +230,15 @@ def _check_not_finite(config: ExperimentConfig, workers) -> None:
 # ---------------------------------------------------------------------------
 # pooling
 
+# A pool for the items after the first pays off once their projected serial
+# time reaches this many seconds. Measured on 2 vCPUs (BENCH_13.json): a
+# two-worker pool's start-up and cold workers cost ~22 ms wall and ~30 CPU-ms
+# (3 infinite items: 28.5 ms pooled against 6.5 in process), so two workers
+# broke even or lost up to ~0.1 s of remaining work, and saved 15% of the
+# wall time at ~0.17 s (100 infinite or 6 finite items) and 24% at criterion
+# 1's 300 instances (~0.5 s), there at 1.25-1.4x the CPU.
+_POOL_MIN_S = 0.1
+
 
 def _sweep(func, items, labels, kind, grid, workers: int, instances: int) -> ErrorCurve:
     """Pool the ``(reps, labels, sorted grid)`` error arrays ``func`` maps items to.
@@ -231,15 +246,24 @@ def _sweep(func, items, labels, kind, grid, workers: int, instances: int) -> Err
     Errors are summed in replication order within an item, then in item
     order, whatever the pool size, so results are identical for any worker
     count. ``cumsum`` adds strictly in that order; ``np.sum`` adds pairwise
-    along a contiguous axis, which would change the last bits. A single item
-    (or worker) runs in this process, with no pool to start.
+    along a contiguous axis, which would change the last bits.
+
+    The first item runs in this process and is timed. A pool of
+    ``min(workers, remaining items)`` processes maps the rest only when
+    ``workers > 1``, at least two items remain and the first item's time
+    times their count is at least ``_POOL_MIN_S``; otherwise they run here
+    too. The pool lives for this call only.
     """
-    if min(workers, len(items)) == 1:
-        errors = [func(item) for item in items]
+    start = time.perf_counter()
+    errors = [func(items[0])]
+    rest = items[1:]
+    pool_size = min(workers, len(rest))
+    if pool_size > 1 and (time.perf_counter() - start) * len(rest) >= _POOL_MIN_S:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            chunksize = max(1, len(rest) // (pool_size * 4))
+            errors += pool.map(func, rest, chunksize=chunksize)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, len(items) // (workers * 4))
-            errors = list(pool.map(func, items, chunksize=chunksize))
+        errors += map(func, rest)
     count = sum(e.shape[0] for e in errors)
     sums = np.cumsum([np.cumsum(e, axis=0)[-1] for e in errors], axis=0)[-1]
     squares = np.cumsum([np.cumsum(e * e, axis=0)[-1] for e in errors], axis=0)[-1]

@@ -221,6 +221,33 @@ class TestDatasetCsv:
                 read(path)
             assert str(info.value) == f"row 3: z must be an integer, got {z!r}"
 
+    # Arabic-Indic two, fullwidth one, an ASCII digit after an Arabic-Indic zero,
+    # and ASCII digits behind a no-break space or a control character
+    @pytest.mark.parametrize("z", ["\u0662", "\uff11", "\u06601", "\u00a02", "1\x1c"])
+    def test_z_rejects_non_ascii_digits(self, tmp_path, z):
+        path = tmp_path / "data.csv"
+        path.write_text(f"y,t,z\n0,1,0\n1,1,{z}\n", encoding="utf-8")
+        for read in (partial(read_dataset_csv, k=3), partial(read_full_table_csv, k=3)):
+            with pytest.raises(DataFormatError) as info:
+                read(path)
+            assert str(info.value) == f"row 3: z must be an integer, got {z!r}"
+
+    @pytest.mark.parametrize("x", ["\u0661\u0662", "\uff15", "7\u0663", "\u20037"])
+    def test_x_rejects_non_ascii_digits(self, tmp_path, x):
+        path = tmp_path / "strat.csv"
+        path.write_text(f"x,y,t,z\n0,1,1,0\n{x},0,0,\n", encoding="utf-8")
+        with pytest.raises(DataFormatError) as info:
+            read_stratified_csv(path, k=2)
+        assert str(info.value) == f"row 3: x must be an integer, got {x!r}"
+
+    @pytest.mark.parametrize("bit", ["\u00a01", "0\u2003", "\x1c1"])
+    def test_bits_reject_non_ascii_blanks(self, tmp_path, bit):
+        path = tmp_path / "data.csv"
+        path.write_text(f"y,t,z\n0,1,0\n1,{bit},1\n", encoding="utf-8")
+        with pytest.raises(DataFormatError) as info:
+            read_full_table_csv(path, k=3)
+        assert str(info.value) == f"row 3: t must be 0 or 1, got {bit!r}"
+
     def test_stratified_no_rows(self, tmp_path):
         path = tmp_path / "strat.csv"
         path.write_text("x,y,t,z\n")

@@ -595,6 +595,87 @@ class TestPoolingReference:
         cfg = ExperimentConfig(k=2, include_baseline=True, m_grid=(12, 20), replications=5)
         run_empirical_experiment(records, cfg, workers=4)
 
+    def test_two_items_start_no_pool(self, monkeypatch):
+        # the first item runs in process, and one remaining item is no work to share
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started for two work items")
+
+        items = [np.linspace(0.1, 1.9, 20).reshape(10, 1, 2)] * 2
+        serial = simulation._sweep(np.asarray, items, ("nsp",), "m", (5, 7), 1, 2)
+        cfg = small_infinite_config(instances=2, replications=2)
+        expected = run_infinite_experiment(cfg)
+        monkeypatch.setattr(simulation, "_POOL_MIN_S", 0.0)
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_pool)
+        assert simulation._sweep(np.asarray, items, ("nsp",), "m", (5, 7), 4, 2) == serial
+        assert run_infinite_experiment(cfg, workers=4) == expected
+
+
+MAX_TEST_WORKERS = 3
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Make every sweep of >= 3 items pool; record each pool's ``max_workers``.
+
+    The recorder checks the size before it delegates to the real pool, so a
+    missing cap fails here instead of starting that many processes.
+    """
+    sizes = []
+    real = simulation.ProcessPoolExecutor
+
+    def recording(max_workers):
+        sizes.append(max_workers)
+        assert max_workers <= MAX_TEST_WORKERS, f"a pool of {max_workers} workers"
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(simulation, "_POOL_MIN_S", 0.0)
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", recording)
+    return sizes
+
+
+class TestWorkerPool:
+    """The pool path, forced with ``_POOL_MIN_S = 0`` on sweeps small enough to test."""
+
+    @pytest.mark.parametrize("n_items, workers, size", [(3, 64, 2), (4, 64, 3), (6, 2, 2)])
+    def test_pool_size_is_capped_at_the_remaining_items(self, pool_sizes, n_items, workers,
+                                                        size):
+        items = [np.linspace(0.1, 1.9, 20).reshape(10, 1, 2) * (i + 1) for i in range(n_items)]
+        serial = simulation._sweep(np.asarray, items, ("nsp",), "m", (5, 7), 1, n_items)
+        assert pool_sizes == []
+        pooled = simulation._sweep(np.asarray, items, ("nsp",), "m", (5, 7), workers, n_items)
+        assert pool_sizes == [size]
+        assert pooled == serial
+
+    def test_infinite_pool_matches_serial(self, pool_sizes):
+        cfg = small_infinite_config(instances=3, replications=3)
+        serial = run_infinite_experiment(cfg)
+        assert run_infinite_experiment(cfg, workers=2) == serial
+        assert pool_sizes == [2]
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_finite_pool_matches_serial(self, pool_sizes, shared):
+        cfg = TestFiniteProtocol().config(instances=3, replications=3, shared_randomness=shared)
+        serial = run_finite_experiment(cfg)
+        assert run_finite_experiment(cfg, workers=2) == serial
+        assert pool_sizes == [2]
+
+    def test_strict_fallback_raises_from_a_pooled_item(self, pool_sizes):
+        # the first item, run in process, is fine; nsp gives groups (0,1) and
+        # (1,0) of nsp_worst nothing at m=20, so the pooled items raise
+        fine = (ConfoundedDistribution(np.full(4, 0.25)), ConditionalTable(np.full((4, 2), 0.5)))
+        instances = [fine] + [adversarial_instance("nsp_worst")] * 2
+        cfg = ExperimentConfig(
+            k=2, policies=("nsp",), m_grid=(20,), replications=2, fallback="error"
+        )
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(DegenerateGroupError) as err:
+                run_infinite_experiment(cfg, instances=instances, workers=workers)
+            messages.append(str(err.value))
+        assert pool_sizes == [2]
+        assert messages[0] == messages[1]
+        assert "(y=0,t=1), (y=1,t=0)" in messages[0]
+
 
 class TestConfigValidation:
     def test_full_scale_sweep_config_validates(self):
