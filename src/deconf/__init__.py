@@ -31,9 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .estimation import (
-    Dataset,
     EstimationResult,
-    StratifiedDataset,
     StratifiedResult,
     estimate_deconfounded_only,
     estimate_finite,

@@ -89,9 +89,17 @@ def _print_result(result) -> None:
 
 
 def cmd_estimate(args) -> int:
+    if args.stratified and (args.mode is not None or args.a_file is not None):
+        raise ValidationError("--stratified takes neither --mode nor --a-file")
+    mode = args.mode or "finite"
+    if mode == "known-a" and args.a_file is None:
+        raise ValidationError("mode known-a requires --a-file")
+    if mode != "known-a" and args.a_file is not None:
+        raise ValidationError("--a-file requires --mode known-a")
+
     if args.stratified:
-        data = dio.read_stratified_csv(args.data, args.k)
-        result = estimate_stratified_ite(data, args.fallback)
+        cols = dio.read_stratified_csv(args.data, args.k)
+        result = estimate_stratified_ite(*cols.T, args.k, args.fallback)
         if args.json:
             payload = {
                 "aggregate": result.aggregate,
@@ -111,18 +119,15 @@ def cmd_estimate(args) -> int:
             print(f"aggregate = {result.aggregate:.10g}")
         return EXIT_OK
 
-    dataset = dio.read_dataset_csv(args.data, args.k)
-    if args.mode == "deconf-only":
-        result = estimate_deconfounded_only(dataset.deconfounded, args.k)
-    elif args.mode == "known-a":
-        if args.a_file is None:
-            raise ValidationError("mode known-a requires --a-file")
+    records = dio.read_dataset_csv(args.data, args.k)
+    revealed = records[records[:, 2] >= 0]
+    if mode == "deconf-only":
+        result = estimate_deconfounded_only(revealed, args.k)
+    elif mode == "known-a":
         a = dio.read_marginal(args.a_file)
-        result = estimate_with_known_confounded(
-            a, dataset.deconfounded, args.k, args.fallback
-        )
+        result = estimate_with_known_confounded(a, revealed, args.k, args.fallback)
     else:  # finite
-        result = estimate_finite(dataset, args.fallback)
+        result = estimate_finite(records[:, :2], revealed, args.k, args.fallback)
     if args.json:
         print(json.dumps(_result_payload(result), indent=2))
     else:
@@ -352,9 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="plug-in estimate from a dataset CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument(
-        "--mode", choices=["deconf-only", "known-a", "finite"], default="finite"
-    )
+    p.add_argument("--mode", choices=["deconf-only", "known-a", "finite"])
     p.add_argument("--a-file", dest="a_file")
     p.add_argument("--fallback", choices=["error", "uniform"], default="uniform")
     p.add_argument("--stratified", action="store_true")

@@ -14,17 +14,19 @@ row (long Monte Carlo sweeps), and either way the group is reported in
 ``degenerate_groups``. Zero-mass strata flagged by the ATE evaluation
 surface in ``degenerate_strata``.
 
-Record arrays use columns (y, t) for confounded data and (y, t, z) for
-deconfounded data; the ``*_counts`` variants accept pre-aggregated count
-tables. Every estimator here is a batch-of-one wrapper around the numeric
-kernel -- :func:`q_hat_batch` plus :func:`deconf.model.ate_batch` -- which
-the simulation engine calls directly on plain arrays.
+Every estimator runs on count tables, n[g] from (y, t) records and m[g, z]
+from (y, t, z) records: the ``*_counts`` variants take and check them, the
+record-level entry points check and count records (the stratified one x,
+y, t, z columns, z = -1 for a hidden confounder). Each makes one call of
+the numeric kernel, :func:`q_hat_batch` plus :func:`deconf.model.ate_batch`
+over ``(..., 4, k)`` stacks, all strata at once for the stratified one; the
+simulation engine calls the kernel directly on plain arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, NamedTuple
+from typing import Dict, List, NamedTuple
 
 import numpy as np
 
@@ -34,11 +36,11 @@ from .model import (
     ConditionalTable,
     ConfoundedDistribution,
     JointDistribution,
-    _as_readonly,
+    _empty_strata,
+    ate_batch,
     ate_details,
     check_int,
     integer_array,
-    joint_from_parts,
     parts_from_joint,
 )
 
@@ -59,6 +61,17 @@ def _records_array(records, cols: int, name: str) -> np.ndarray:
     return arr
 
 
+def _count_table(counts, name: str, ndim: int) -> np.ndarray:
+    """``counts`` as non-negative integers of shape (4,) (``ndim`` 1) or (4, k >= 2)."""
+    arr = integer_array(counts, name)
+    if arr.ndim != ndim or arr.shape[0] != 4 or arr.shape[-1] < 2:
+        expected = "(4,)" if ndim == 1 else "(4, k) with k >= 2"
+        raise ValidationError(f"{name}: expected shape {expected}, got {arr.shape}")
+    if arr.min() < 0:
+        raise ValidationError(f"{name}: entries must be non-negative")
+    return arr
+
+
 def confounded_counts(records) -> np.ndarray:
     """Group counts n[g] from (y, t) records."""
     arr = _records_array(records, 2, "confounded records")
@@ -70,6 +83,7 @@ def confounded_counts(records) -> np.ndarray:
 
 def deconfounded_counts(records, k: int) -> np.ndarray:
     """Cell counts m[g, z] from (y, t, z) records."""
+    k = check_int(k, "k", 2)
     arr = _records_array(records, 3, "deconfounded records")
     _validate_bits(arr[:, 0], "y")
     _validate_bits(arr[:, 1], "t")
@@ -82,45 +96,6 @@ def deconfounded_counts(records, k: int) -> np.ndarray:
 def _validate_bits(col, name):
     if col.size and (col.min() < 0 or col.max() > 1):
         raise ValidationError(f"{name} values must be 0 or 1")
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Confounded (y, t) records plus deconfounded (y, t, z) records.
-
-    Rows that were deconfounded are still confounded observations, so the
-    deconfounded records should also appear in (or be counted with) the
-    confounded side when the dataset represents one sampling process.
-    """
-
-    confounded: np.ndarray
-    deconfounded: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", check_int(self.k, "k", 2))
-        # frozen private copies: the caller's arrays stay theirs and writeable
-        conf = _as_readonly(_records_array(self.confounded, 2, "confounded records"), int)
-        dec = _as_readonly(_records_array(self.deconfounded, 3, "deconfounded records"), int)
-        object.__setattr__(self, "confounded", conf)
-        object.__setattr__(self, "deconfounded", dec)
-        # validate value ranges eagerly so counts never fail later
-        confounded_counts(conf)
-        deconfounded_counts(dec, self.k)
-
-    @property
-    def n(self) -> int:
-        return self.confounded.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.deconfounded.shape[0]
-
-    def n_counts(self) -> np.ndarray:
-        return confounded_counts(self.confounded)
-
-    def m_counts(self) -> np.ndarray:
-        return deconfounded_counts(self.deconfounded, self.k)
 
 
 @dataclass(frozen=True)
@@ -155,6 +130,26 @@ def q_hat_batch(counts, a, fallback: str = "uniform") -> np.ndarray:
     return np.divide(counts, totals, out=uniform, where=totals > 0.0)
 
 
+def _estimates(a_hat, m_counts, fallback: str) -> List[EstimationResult]:
+    """One result per member of an ``(X, 4)`` marginal and ``(X, 4, k)`` count stack.
+
+    One :func:`q_hat_batch` and one :func:`ate_batch` call cover the stack.
+    """
+    q_hat = q_hat_batch(m_counts, a_hat, fallback)
+    p = a_hat[:, :, None] * q_hat
+    empty = m_counts.sum(axis=2) == 0
+    return [
+        EstimationResult(
+            ate,
+            ConfoundedDistribution(a),
+            ConditionalTable(q),
+            frozenset(GROUPS[g] for g in np.flatnonzero(groups)),
+            _empty_strata(table),
+        )
+        for ate, a, q, groups, table in zip(ate_batch(p).tolist(), a_hat, q_hat, empty, p)
+    ]
+
+
 def estimate_deconfounded_only(deconfounded, k: int) -> EstimationResult:
     """Baseline estimator that ignores confounded data: the MLE joint of the cells."""
     m_counts = deconfounded_counts(deconfounded, k)
@@ -170,14 +165,11 @@ def estimate_deconfounded_only(deconfounded, k: int) -> EstimationResult:
 
 
 def estimate_with_known_confounded_counts(
-    a: ConfoundedDistribution, m_counts: np.ndarray, fallback: str = "uniform"
+    a: ConfoundedDistribution, m_counts, fallback: str = "uniform"
 ) -> EstimationResult:
     """Plug-in estimator with the marginal known exactly (infinite regime)."""
-    m_counts = np.asarray(m_counts, dtype=float)
-    q_hat = ConditionalTable(q_hat_batch(m_counts, a.a, fallback))
-    ate = ate_details(joint_from_parts(a, q_hat))
-    empty = frozenset(GROUPS[g] for g in np.nonzero(m_counts.sum(axis=1) == 0)[0])
-    return EstimationResult(ate.value, a, q_hat, empty, ate.degenerate_strata)
+    m_counts = _count_table(m_counts, "m_counts", 2)
+    return _estimates(a.a[None], m_counts[None], fallback)[0]
 
 
 def estimate_with_known_confounded(
@@ -188,53 +180,24 @@ def estimate_with_known_confounded(
     )
 
 
-def estimate_finite_counts(
-    n_counts: np.ndarray, m_counts: np.ndarray, fallback: str = "uniform"
-) -> EstimationResult:
+def estimate_finite_counts(n_counts, m_counts, fallback: str = "uniform") -> EstimationResult:
     """Plug-in estimator with both a and q estimated from counts."""
-    n_counts = np.asarray(n_counts, dtype=float)
-    if n_counts.sum() <= 0:
-        raise ValidationError("need at least one confounded record")
-    a_hat = ConfoundedDistribution(n_counts / n_counts.sum())
+    a_hat = ConfoundedDistribution.from_counts(_count_table(n_counts, "n_counts", 1))
     return estimate_with_known_confounded_counts(a_hat, m_counts, fallback)
 
 
-def estimate_finite(dataset: Dataset, fallback: str = "uniform") -> EstimationResult:
-    return estimate_finite_counts(dataset.n_counts(), dataset.m_counts(), fallback)
+def estimate_finite(
+    confounded, deconfounded, k: int, fallback: str = "uniform"
+) -> EstimationResult:
+    """Plug-in estimator from (y, t) and (y, t, z) records.
 
-
-@dataclass(frozen=True)
-class StratifiedDataset:
-    """Records (x, y, t, z) with z = -1 meaning the confounder is hidden.
-
-    Every record is a confounded observation of its stratum; records with
-    z >= 0 additionally contribute to the conditional estimates.
+    Rows that were deconfounded are still confounded observations, so when
+    the records come from one sampling process the deconfounded ones should
+    also appear among the confounded records.
     """
-
-    x: np.ndarray
-    y: np.ndarray
-    t: np.ndarray
-    z: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        # frozen private copies: the caller's arrays stay theirs and writeable
-        x, y, t, z = cols = [
-            _as_readonly(integer_array(getattr(self, name), name), int) for name in "xytz"
-        ]
-        if any(col.ndim != 1 or col.shape != x.shape for col in cols):
-            raise ValidationError("stratified columns must share one length")
-        for name, col in zip("xytz", cols):
-            object.__setattr__(self, name, col)
-        object.__setattr__(self, "k", check_int(self.k, "k", 2))
-        if x.size == 0:
-            raise ValidationError("stratified dataset is empty")
-        _validate_bits(y, "y")
-        _validate_bits(t, "t")
-        if x.min() < 0:
-            raise ValidationError("x values must be >= 0")
-        if np.any(z >= self.k) or np.any(z < -1):
-            raise ValidationError(f"z values must be -1 (hidden) or in [0, {self.k})")
+    return estimate_finite_counts(
+        confounded_counts(confounded), deconfounded_counts(deconfounded, k), fallback
+    )
 
 
 class StratifiedResult(NamedTuple):
@@ -243,23 +206,40 @@ class StratifiedResult(NamedTuple):
     aggregate: float
 
 
-def estimate_stratified_ite(
-    data: StratifiedDataset, fallback: str = "uniform"
-) -> StratifiedResult:
-    """Covariate-stratified effect: per-x finite estimates, weighted by x share."""
-    values = np.unique(data.x)
+def estimate_stratified_ite(x, y, t, z, k: int, fallback: str = "uniform") -> StratifiedResult:
+    """Covariate-stratified effect: per-x finite estimates, weighted by x share.
+
+    ``x, y, t, z`` are columns of one length; z = -1 marks a hidden
+    confounder. Every record is a confounded observation of its stratum, and
+    records with z >= 0 also count toward its conditionals. All strata are
+    estimated in one batch; under ``fallback="error"`` the first degenerate
+    stratum in sorted-x order is the one reported.
+    """
+    cols = [integer_array(col, name) for col, name in zip((x, y, t, z), "xytz")]
+    x, y, t, z = cols
+    if any(col.ndim != 1 or col.shape != x.shape for col in cols):
+        raise ValidationError("stratified columns must share one length")
+    k = check_int(k, "k", 2)
+    if x.size == 0:
+        raise ValidationError("stratified dataset is empty")
+    _validate_bits(y, "y")
+    _validate_bits(t, "t")
+    if x.min() < 0:
+        raise ValidationError("x values must be >= 0")
+    if z.min() < -1 or z.max() >= k:
+        raise ValidationError(f"z values must be -1 (hidden) or in [0, {k})")
+    strata, inverse = np.unique(x, return_inverse=True)
+    # one (4, k + 1) table per stratum, hidden records in column 0
+    flat = (4 * inverse + 2 * y + t) * (k + 1) + z + 1
+    cells = np.bincount(flat, minlength=len(strata) * 4 * (k + 1)).reshape(-1, 4, k + 1)
+    n_counts = cells.sum(axis=2)
+    sizes = n_counts.sum(axis=1)
+    results = _estimates(n_counts / sizes[:, None], cells[:, :, 1:], fallback)
     per: Dict[int, EstimationResult] = {}
     weights: Dict[int, float] = {}
-    total = data.x.shape[0]
     aggregate = 0.0
-    for xv in values:
-        mask = data.x == xv
-        conf = np.column_stack([data.y[mask], data.t[mask]])
-        rev = mask & (data.z >= 0)
-        dec = np.column_stack([data.y[rev], data.t[rev], data.z[rev]])
-        result = estimate_finite(Dataset(conf, dec, data.k), fallback)
-        weight = float(mask.sum()) / total
-        per[int(xv)] = result
-        weights[int(xv)] = weight
-        aggregate += weight * result.ate_hat
+    for xv, size, result in zip(strata.tolist(), sizes.tolist(), results):
+        per[xv] = result
+        weights[xv] = size / x.size
+        aggregate += weights[xv] * result.ate_hat  # a running sum in sorted-x order
     return StratifiedResult(per, weights, aggregate)

@@ -9,8 +9,10 @@ rows in canonical group order (0,0), (0,1), (1,0), (1,1); ``k`` is optional
 in either form, but when present it must be an integer equal to the row
 length. Dataset CSVs have
 header ``y,t,z`` (plus a leading ``x`` column for stratified data); an empty
-z field marks a confounded record. Readers fail fast with the offending
-row or field named, so nothing partially validated reaches the core types.
+z field marks a confounded record. The table readers return the rows as one
+``(rows, fields)`` int64 array, with z = -1 where the field was empty; the
+estimators count it. Readers fail fast with the offending row or field
+named, so nothing partially validated reaches the estimators.
 A file that cannot be read or is not UTF-8, and a path that cannot be
 written, raise ``DataFormatError`` naming the path. Integer fields are
 plain ASCII decimal: ``int``'s digit grouping (``1_000``), non-ASCII digits
@@ -38,11 +40,11 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import DataFormatError, ValidationError
-from .estimation import Dataset, StratifiedDataset
 from .model import (
     ConditionalTable,
     ConfoundedDistribution,
     JointDistribution,
+    check_int,
     is_integer,
     joint_from_parts,
     parts_from_joint,
@@ -353,18 +355,16 @@ def _read_int_columns_csv(path, header: List[str], parsers) -> np.ndarray:
     return out
 
 
-def read_dataset_csv(path, k: int) -> Dataset:
-    """Read ``y,t,z`` rows; rows with z revealed count on both sides."""
-    cols = _read_int_columns(path, ["y", "t", "z"], (_Y, _T, partial(_parse_z, k=k)))
-    return Dataset(cols[:, :2], cols[cols[:, 2] >= 0], k)
+def read_dataset_csv(path, k: int) -> np.ndarray:
+    """Read ``y,t,z`` rows as a ``(rows, 3)`` int array; z = -1 marks a hidden confounder."""
+    z = partial(_parse_z, k=check_int(k, "k", 2))
+    return _read_int_columns(path, ["y", "t", "z"], (_Y, _T, z))
 
 
-def read_stratified_csv(path, k: int) -> StratifiedDataset:
-    """Read ``x,y,t,z`` rows for the covariate-stratified estimator."""
-    cols = _read_int_columns(
-        path, ["x", "y", "t", "z"], (_parse_x, _Y, _T, partial(_parse_z, k=k))
-    )
-    return StratifiedDataset(*cols.T, k)
+def read_stratified_csv(path, k: int) -> np.ndarray:
+    """Read ``x,y,t,z`` rows as a ``(rows, 4)`` int array; z = -1 marks a hidden confounder."""
+    z = partial(_parse_z, k=check_int(k, "k", 2))
+    return _read_int_columns(path, ["x", "y", "t", "z"], (_parse_x, _Y, _T, z))
 
 
 def read_full_table_csv(path, k: int) -> np.ndarray:

@@ -199,16 +199,19 @@ def ate_batch(p) -> np.ndarray:
     return np.clip(np.cumsum(terms, axis=-1)[..., -1], -1.0, 1.0)
 
 
-def ate_details(p: JointDistribution) -> AteResult:
-    """Evaluate the back-door adjusted ATE with the 0/0 -> 0 convention."""
-    table = p.p
+def _empty_strata(table: np.ndarray) -> frozenset:
+    """The zero-mass strata (t, z) of one (4, k) table, where the ATE takes 0/0 -> 0."""
     mass_t0 = table[0] + table[2]
     mass_t1 = table[1] + table[3]
-    degenerate = frozenset(
+    return frozenset(
         {(0, int(z)) for z in np.nonzero(mass_t0 == 0.0)[0]}
         | {(1, int(z)) for z in np.nonzero(mass_t1 == 0.0)[0]}
     )
-    return AteResult(float(ate_batch(table)), degenerate)
+
+
+def ate_details(p: JointDistribution) -> AteResult:
+    """Evaluate the back-door adjusted ATE with the 0/0 -> 0 convention."""
+    return AteResult(float(ate_batch(p.p)), _empty_strata(p.p))
 
 
 def ate_exact(p: JointDistribution) -> float:

@@ -4,14 +4,18 @@ equivariance, and statistical consistency."""
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from deconf import (
+    ConditionalTable,
     ConfoundedDistribution,
-    Dataset,
     DegenerateGroupError,
     GROUPS,
-    StratifiedDataset,
+    EstimationResult,
     ValidationError,
     allocate_infinite,
+    ate_details,
     ate_exact,
     binary_conditional,
     estimate_deconfounded_only,
@@ -23,6 +27,9 @@ from deconf import (
     random_instance,
 )
 from deconf.estimation import (
+    FALLBACKS,
+    StratifiedResult,
+    deconfounded_counts,
     estimate_finite_counts,
     estimate_with_known_confounded_counts,
     q_hat_batch,
@@ -40,6 +47,64 @@ def records_from_cells(cells):
         for z, count in enumerate(cells[g]):
             rows.extend([(y, t, z)] * int(count))
     return np.array(rows)
+
+
+def ref_estimate_stratified_ite(x, y, t, z, k, fallback="uniform"):
+    """The per-stratum loop the batched stratified estimator replaced.
+
+    One scalar finite estimate per x value in sorted order, each computed as
+    ``estimate_finite_counts`` did then, weighted by the stratum's share.
+    """
+    x, y, t, z = (np.asarray(col) for col in (x, y, t, z))
+    per, weights, aggregate = {}, {}, 0.0
+    for xv in np.unique(x):
+        mask = x == xv
+        rev = mask & (z >= 0)
+        n_counts = np.bincount(2 * y[mask] + t[mask], minlength=4).astype(float)
+        flat = (2 * y[rev] + t[rev]) * k + z[rev]
+        m_counts = np.bincount(flat, minlength=4 * k).reshape(4, k).astype(float)
+        a_hat = ConfoundedDistribution(n_counts / n_counts.sum())
+        q_hat = ConditionalTable(q_hat_batch(m_counts, a_hat.a, fallback))
+        ate = ate_details(joint_from_parts(a_hat, q_hat))
+        empty = frozenset(GROUPS[g] for g in np.nonzero(m_counts.sum(axis=1) == 0)[0])
+        result = EstimationResult(ate.value, a_hat, q_hat, empty, ate.degenerate_strata)
+        weight = float(mask.sum()) / x.shape[0]
+        per[int(xv)] = result
+        weights[int(xv)] = weight
+        aggregate += weight * result.ate_hat
+    return StratifiedResult(per, weights, aggregate)
+
+
+def stratified_outcome(estimate, cols, k, fallback):
+    """Every float of a stratified result by ``repr``, or the error message it raised."""
+    try:
+        result = estimate(*cols, k, fallback)
+    except DegenerateGroupError as exc:
+        return str(exc)
+    return (
+        repr(result.aggregate),
+        repr(result.weights),
+        [
+            (x, repr(r.ate_hat), repr(r.a_hat.a.tolist()), repr(r.q_hat.q.tolist()),
+             sorted(r.degenerate_groups), sorted(r.degenerate_strata))
+            for x, r in result.per_stratum.items()
+        ],
+    )
+
+
+@st.composite
+def stratified_columns(draw):
+    """x, y, t, z columns and k; some strata have every z hidden, many have empty groups."""
+    k = draw(st.integers(2, 4))
+    strata = draw(st.lists(st.integers(0, 10**12), min_size=1, max_size=8, unique=True))
+    hidden = draw(st.sets(st.sampled_from(strata)))
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(strata), st.integers(0, 1), st.integers(0, 1),
+                  st.integers(-1, k - 1)),
+        min_size=1, max_size=80,
+    ))
+    rows = [(x, y, t, -1 if x in hidden else z) for x, y, t, z in rows]
+    return [np.array(col) for col in zip(*rows)], k
 
 
 class TestDeconfoundedOnly:
@@ -156,13 +221,13 @@ class TestFinite:
             [[y, t] for (y, t) in GROUPS], (a.a * 100).round().astype(int), axis=0
         )
         dec = records_from_cells((q.q * 10).round().astype(int))
-        result = estimate_finite(Dataset(conf, dec, 2))
+        result = estimate_finite(conf, dec, 2)
         assert result.ate_hat == pytest.approx(0.43349321266968324, abs=EXACT)
 
     def test_tiny_dataset_hand_oracle(self):
         conf = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
         dec = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 0], [1, 1, 1]])
-        result = estimate_finite(Dataset(conf, dec, 2))
+        result = estimate_finite(conf, dec, 2)
         # a_hat uniform, q rows one-hot: joint table known in closed form
         table = [[0.25, 0.0], [0.0, 0.25], [0.25, 0.0], [0.0, 0.25]]
         assert result.ate_hat == pytest.approx(brute_force_ate(table), abs=EXACT)
@@ -174,7 +239,7 @@ class TestFinite:
             cells = rng.multinomial(60, joint.p.ravel()).reshape(4, 2)
             dec = records_from_cells(cells)
             conf = dec[:, :2]
-            finite = estimate_finite(Dataset(conf, dec, 2))
+            finite = estimate_finite(conf, dec, 2)
             alone = estimate_deconfounded_only(dec, 2)
             assert finite.ate_hat == pytest.approx(alone.ate_hat, abs=EXACT)
 
@@ -188,9 +253,7 @@ class TestFinite:
 
     def test_empty_confounded_rejected(self):
         with pytest.raises(ValidationError):
-            estimate_finite(
-                Dataset(np.empty((0, 2), dtype=int), np.array([[0, 0, 0]]), 2)
-            )
+            estimate_finite(np.empty((0, 2), dtype=int), np.array([[0, 0, 0]]), 2)
 
 
 class TestRecordValidation:
@@ -199,7 +262,7 @@ class TestRecordValidation:
         with pytest.raises(ValidationError, match="integers"):
             estimate_with_known_confounded(a, [[0.7, 1, 0], [1, 1, 1]], 2)
         with pytest.raises(ValidationError, match="integers"):
-            Dataset([[0, 1.5]], [[0, 1, 0]], 2)
+            estimate_finite([[0, 1.5]], [[0, 1, 0]], 2)
 
     def test_integral_float_records_accepted(self):
         a = ConfoundedDistribution(np.full(4, 0.25))
@@ -209,33 +272,32 @@ class TestRecordValidation:
 
     def test_non_integral_stratified_columns_rejected(self):
         with pytest.raises(ValidationError, match="x: entries must be integers"):
-            StratifiedDataset([0.5, 1], [0, 1], [1, 0], [0, -1], 2)
+            estimate_stratified_ite([0.5, 1], [0, 1], [1, 0], [0, -1], 2)
         with pytest.raises(ValidationError, match="z: entries must be integers"):
-            StratifiedDataset([0, 1], [0, 1], [1, 0], [0.2, -1], 2)
+            estimate_stratified_ite([0, 1], [0, 1], [1, 0], [0.2, -1], 2)
 
     def test_caller_arrays_stay_writeable(self):
         conf = np.array([[0, 1], [1, 0]])
         dec = np.array([[0, 1, 1]])
-        data = Dataset(conf, dec, 2)
+        estimate_finite(conf, dec, 2)
         assert conf.flags.writeable and dec.flags.writeable
-        assert not data.confounded.flags.writeable
-        conf[0, 0] = 1
-        assert data.confounded.tolist() == [[0, 1], [1, 0]]
+        assert conf.tolist() == [[0, 1], [1, 0]] and dec.tolist() == [[0, 1, 1]]
         cols = [np.array([0, 1]), np.array([0, 1]), np.array([1, 0]), np.array([0, -1])]
-        strat = StratifiedDataset(*cols, 2)
+        estimate_stratified_ite(*cols, 2)
         assert all(col.flags.writeable for col in cols)
-        assert not strat.x.flags.writeable
+        assert [col.tolist() for col in cols] == [[0, 1], [0, 1], [1, 0], [0, -1]]
 
     @pytest.mark.parametrize("k", [2.5, True, "2", 1])
     def test_bad_k_rejected(self, k):
         with pytest.raises(ValidationError, match="k must be"):
-            Dataset([[0, 1]], [[0, 1, 0]], k)
+            estimate_finite([[0, 1]], [[0, 1, 0]], k)
         with pytest.raises(ValidationError, match="k must be"):
-            StratifiedDataset([0], [0], [1], [0], k)
+            estimate_stratified_ite([0], [0], [1], [0], k)
 
-    def test_numpy_k_stored_as_int(self):
-        data = Dataset([[0, 1]], [[0, 1, 0]], np.int64(3))
-        assert type(data.k) is int and data.m_counts().shape == (4, 3)
+    def test_numpy_k_accepted(self):
+        assert deconfounded_counts([[0, 1, 0]], np.int64(3)).shape == (4, 3)
+        assert estimate_finite([[0, 1]], [[0, 1, 0]], np.int64(3)).q_hat.k == 3
+        assert estimate_stratified_ite([0], [0], [1], [2], np.int64(3)).per_stratum[0].q_hat.k == 3
 
     @pytest.mark.parametrize("value", [-1, 2, 7])
     def test_bit_columns_name_y_or_t(self, value):
@@ -243,15 +305,15 @@ class TestRecordValidation:
             conf, dec = [[0, 1], [1, 0]], [[0, 1, 0], [1, 1, 1]]
             conf[1][col] = dec[1][col] = value
             with pytest.raises(ValidationError) as info:
-                Dataset(conf, [[0, 1, 0]], 2)
+                estimate_finite(conf, [[0, 1, 0]], 2)
             assert str(info.value) == f"{name} values must be 0 or 1"
             with pytest.raises(ValidationError) as info:
-                Dataset([[0, 1]], dec, 2)
+                estimate_finite([[0, 1]], dec, 2)
             assert str(info.value) == f"{name} values must be 0 or 1"
             cols = [[0, 1], [0, 1], [1, 0], [0, -1]]
             cols[1 + col][1] = value
             with pytest.raises(ValidationError) as info:
-                StratifiedDataset(*cols, 2)
+                estimate_stratified_ite(*cols, 2)
             assert str(info.value) == f"{name} values must be 0 or 1"
 
 
@@ -280,11 +342,10 @@ class TestStratified:
         joint = random_instance(2, rng)
         cells = rng.multinomial(200, joint.p.ravel()).reshape(4, 2)
         dec = records_from_cells(cells)
-        data = StratifiedDataset(
+        result = estimate_stratified_ite(
             np.zeros(len(dec), dtype=int), dec[:, 0], dec[:, 1], dec[:, 2], 2
         )
-        result = estimate_stratified_ite(data)
-        direct = estimate_finite(Dataset(dec[:, :2], dec, 2))
+        direct = estimate_finite(dec[:, :2], dec, 2)
         assert result.aggregate == pytest.approx(direct.ate_hat, abs=EXACT)
         assert result.weights == {0: 1.0}
 
@@ -300,8 +361,7 @@ class TestStratified:
         parts = [p[:size] for p in parts]
         x = np.concatenate([np.full(size, 0), np.full(size, 1)])
         rows = np.vstack(parts)
-        data = StratifiedDataset(x, rows[:, 0], rows[:, 1], rows[:, 2], 2)
-        result = estimate_stratified_ite(data)
+        result = estimate_stratified_ite(x, rows[:, 0], rows[:, 1], rows[:, 2], 2)
         mean = 0.5 * (result.per_stratum[0].ate_hat + result.per_stratum[1].ate_hat)
         assert result.aggregate == pytest.approx(mean, abs=EXACT)
 
@@ -319,11 +379,103 @@ class TestStratified:
             sizes.append(int(cells.sum()))
         x = np.concatenate([np.full(sizes[0], 0), np.full(sizes[1], 1)])
         rows = np.vstack(blocks)
-        data = StratifiedDataset(x, rows[:, 0], rows[:, 1], rows[:, 2], 2)
-        result = estimate_stratified_ite(data)
+        result = estimate_stratified_ite(x, rows[:, 0], rows[:, 1], rows[:, 2], 2)
         total = sum(sizes)
         expected = sum(t * s / total for t, s in zip(truths, sizes))
         assert result.aggregate == pytest.approx(expected, abs=EXACT)
+
+
+    @given(stratified_columns(), st.sampled_from(FALLBACKS))
+    @settings(max_examples=300, deadline=None)
+    def test_batched_matches_per_stratum_loop(self, data, fallback):
+        cols, k = data
+        expected = stratified_outcome(ref_estimate_stratified_ite, cols, k, fallback)
+        assert stratified_outcome(estimate_stratified_ite, cols, k, fallback) == expected
+
+    def test_large_table_matches_per_stratum_loop(self):
+        rng = np.random.default_rng(12)
+        rows = 20_000
+        x = rng.integers(0, 500, rows) * 7
+        cols = [x, rng.integers(0, 2, rows), rng.integers(0, 2, rows), rng.integers(-1, 3, rows)]
+        cols[3][x % 5 == 0] = -1  # every fifth stratum has no revealed record
+        expected = stratified_outcome(ref_estimate_stratified_ite, cols, 3, "uniform")
+        assert stratified_outcome(estimate_stratified_ite, cols, 3, "uniform") == expected
+
+    def test_error_names_first_degenerate_stratum_in_x_order(self):
+        # x=5 lacks reveals in (y=1,t=0); x=2, first in sorted order, in (y=0,t=1)
+        full = [(y, t, z) for y in (0, 1) for t in (0, 1) for z in (0, 1)]
+        rows = [(5, y, t, -1 if (y, t) == (1, 0) else z) for y, t, z in full]
+        rows += [(2, y, t, -1 if (y, t) == (0, 1) else z) for y, t, z in full]
+        rows += [(9, y, t, z) for y, t, z in full]
+        cols = [np.array(col) for col in zip(*rows)]
+        for estimate in (estimate_stratified_ite, ref_estimate_stratified_ite):
+            with pytest.raises(DegenerateGroupError) as info:
+                estimate(*cols, 2, "error")
+            assert info.value.groups == ((0, 1),)
+        result = estimate_stratified_ite(*cols, 2)
+        assert result.per_stratum[2].degenerate_groups == {(0, 1)}
+        assert result.per_stratum[5].degenerate_groups == {(1, 0)}
+        assert result.per_stratum[9].degenerate_groups == frozenset()
+
+    @pytest.mark.parametrize(
+        "cols, message",
+        [
+            (([], [], [], []), "stratified dataset is empty"),
+            (([0, -1], [0, 1], [1, 0], [0, -1]), "x values must be >= 0"),
+            (([0, 1], [0, 1], [1, 0], [0, 2]), "z values must be -1 (hidden) or in [0, 2)"),
+            (([0, 1], [0, 1], [1, 0], [0, -2]), "z values must be -1 (hidden) or in [0, 2)"),
+            (([0, 1], [0, 1], [1, 0], [0]), "stratified columns must share one length"),
+        ],
+    )
+    def test_column_messages(self, cols, message):
+        with pytest.raises(ValidationError) as info:
+            estimate_stratified_ite(*cols, 2)
+        assert str(info.value) == message
+
+
+class TestCountValidation:
+    """The ``*_counts`` estimators reject what no record set could count to."""
+
+    @pytest.mark.parametrize(
+        "m_counts, message",
+        [
+            ([[1, -2], [1, 1], [1, 1], [1, 1]], "m_counts: entries must be non-negative"),
+            ([[1.5, 1], [1, 1], [1, 1], [1, 1]], "m_counts: entries must be integers"),
+            ([[1], [1], [1], [1]], "m_counts: expected shape (4, k) with k >= 2, got (4, 1)"),
+            ([1, 1, 1, 1], "m_counts: expected shape (4, k) with k >= 2, got (4,)"),
+            ([[1, 1]] * 3, "m_counts: expected shape (4, k) with k >= 2, got (3, 2)"),
+        ],
+    )
+    def test_bad_m_counts_rejected(self, m_counts, message):
+        a = ConfoundedDistribution(np.full(4, 0.25))
+        with pytest.raises(ValidationError) as info:
+            estimate_with_known_confounded_counts(a, m_counts)
+        assert str(info.value) == message
+        with pytest.raises(ValidationError) as info:
+            estimate_finite_counts([1, 1, 1, 1], m_counts)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "n_counts, message",
+        [
+            ([1.5, 1, 1, 1], "n_counts: entries must be integers"),
+            ([1, -1, 1, 1], "n_counts: entries must be non-negative"),
+            ([1, 1, 1], "n_counts: expected shape (4,), got (3,)"),
+            ([[1, 1, 1, 1]], "n_counts: expected shape (4,), got (1, 4)"),
+            ([0, 0, 0, 0], "a: cannot normalize all-zero counts"),
+        ],
+    )
+    def test_bad_n_counts_rejected(self, n_counts, message):
+        with pytest.raises(ValidationError) as info:
+            estimate_finite_counts(n_counts, [[1, 1]] * 4)
+        assert str(info.value) == message
+
+    def test_integral_float_counts_accepted(self):
+        cells = [[3, 1], [0, 0], [4, 4], [1, 0]]
+        as_int = estimate_finite_counts([5, 2, 3, 1], cells)
+        as_float = estimate_finite_counts(np.array([5.0, 2, 3, 1]), np.array(cells, dtype=float))
+        assert as_float.ate_hat == as_int.ate_hat
+        assert as_float.degenerate_groups == as_int.degenerate_groups == {(0, 1)}
 
 
 class TestConsistency:

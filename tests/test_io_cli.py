@@ -15,6 +15,7 @@ from deconf import (
     NAMED_POLICIES,
     ConfoundedDistribution,
     DataFormatError,
+    ValidationError,
     binary_conditional,
     joint_from_parts,
 )
@@ -124,9 +125,9 @@ class TestDatasetCsv:
     def test_mixed_rows(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("y,t,z\n1,1,0\n0,0,\n1,0,1\n")
-        ds = read_dataset_csv(path, k=2)
-        assert ds.n == 3
-        assert ds.m == 2
+        rows = read_dataset_csv(path, k=2)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [[1, 1, 0], [0, 0, -1], [1, 0, 1]]
 
     def test_bad_row_number_reported(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -146,12 +147,26 @@ class TestDatasetCsv:
         with pytest.raises(DataFormatError, match="header"):
             read_dataset_csv(path, k=2)
 
+    @pytest.mark.parametrize("body", ["1,1,0\n0,0,\n1,0,1\n", "1,1,\n0,0,\n"])
+    def test_k_checked_before_the_file_is_read(self, tmp_path, body):
+        # with a revealed z or without one, the message names k
+        path = tmp_path / "data.csv"
+        path.write_text("y,t,z\n" + body)
+        strat = tmp_path / "strat.csv"
+        strat.write_text("x,y,t,z\n" + "".join(f"0,{line}\n" for line in body.split()))
+        for read, p in ((read_dataset_csv, path), (read_stratified_csv, strat)):
+            with pytest.raises(ValidationError) as info:
+                read(p, k=1)
+            assert str(info.value) == "k must be >= 2, got 1"
+            assert read(p, k=np.int64(3)).tolist() == read(p, k=3).tolist()
+
     def test_stratified_reader(self, tmp_path):
         path = tmp_path / "strat.csv"
         path.write_text("x,y,t,z\n0,1,1,0\n0,0,0,\n1,1,0,1\n1,0,1,0\n")
-        data = read_stratified_csv(path, k=2)
-        assert sorted(np.unique(data.x).tolist()) == [0, 1]
-        assert (data.z == -1).sum() == 1
+        rows = read_stratified_csv(path, k=2)
+        assert rows.dtype == np.int64
+        assert sorted(np.unique(rows[:, 0]).tolist()) == [0, 1]
+        assert (rows[:, 3] == -1).sum() == 1
 
     @pytest.mark.parametrize(
         "body, message",
@@ -174,9 +189,8 @@ class TestDatasetCsv:
     def test_dataset_accepts_int_spellings(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("y,t,z\n 1,0 ,+1\n0,1, \n1,1,01\n")
-        ds = read_dataset_csv(path, k=2)
-        assert ds.confounded.tolist() == [[1, 0], [0, 1], [1, 1]]
-        assert ds.deconfounded.tolist() == [[1, 0, 1], [1, 1, 1]]
+        rows = read_dataset_csv(path, k=2)
+        assert rows.tolist() == [[1, 0, 1], [0, 1, -1], [1, 1, 1]]
 
     @pytest.mark.parametrize(
         "body, message",
@@ -199,10 +213,10 @@ class TestDatasetCsv:
     def test_stratified_accepts_int_spellings(self, tmp_path):
         path = tmp_path / "strat.csv"
         path.write_text("x,y,t,z\n+3,1,1, 0\n 007,0,0,\n12,1 ,0,+1\n")
-        data = read_stratified_csv(path, k=2)
-        assert data.x.tolist() == [3, 7, 12]
-        assert data.y.tolist() == [1, 0, 1]
-        assert data.z.tolist() == [0, -1, 1]
+        x, y, t, z = read_stratified_csv(path, k=2).T
+        assert x.tolist() == [3, 7, 12]
+        assert y.tolist() == [1, 0, 1]
+        assert z.tolist() == [0, -1, 1]
 
     @pytest.mark.parametrize("x", ["1_000", "0_1", "1_0_0"])
     def test_x_rejects_underscore_grouping(self, tmp_path, x):
@@ -359,10 +373,9 @@ ROW_FLAWS = [  # a blank line, a field short, a field over, every cell quoted or
 ]
 READERS = {
     "full": (["y", "t", "z"], Z_REQUIRED, partial(read_full_table_csv, k=3), lambda r: (r,)),
-    "dataset": (["y", "t", "z"], Z_OPTIONAL, partial(read_dataset_csv, k=3),
-                lambda d: (d.confounded, d.deconfounded)),
+    "dataset": (["y", "t", "z"], Z_OPTIONAL, partial(read_dataset_csv, k=3), lambda r: (r,)),
     "stratified": (["x", "y", "t", "z"], Z_OPTIONAL, partial(read_stratified_csv, k=3),
-                   lambda d: (d.x, d.y, d.t, d.z)),
+                   lambda r: (r,)),
 }
 
 
@@ -663,6 +676,40 @@ class TestCliEstimate:
         path.write_text("\n".join(rows) + "\n")
         assert main(["estimate", "--data", str(path), "--k", "2", "--stratified"]) == 0
         assert "aggregate =" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--mode", "deconf-only"], ["--mode", "finite"], ["--a-file", "{a}"],
+         ["--mode", "known-a", "--a-file", "{a}"]],
+    )
+    def test_stratified_rejects_mode_and_a_file(self, tmp_path, capsys, flags):
+        a_path = tmp_path / "a.json"
+        a_path.write_text(json.dumps({"a": [0.25] * 4}))
+        path = tmp_path / "strat.csv"
+        path.write_text("x,y,t,z\n0,1,1,0\n0,0,0,1\n")
+        args = ["estimate", "--data", str(path), "--k", "2", "--stratified"]
+        assert main(args + [f.format(a=a_path) for f in flags]) == 2
+        assert "error: --stratified takes neither --mode nor --a-file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "finite"], ["--mode", "deconf-only"]])
+    def test_a_file_outside_known_a_exits_2(self, tmp_path, capsys, mode):
+        path = tmp_path / "data.csv"
+        path.write_text("y,t,z\n0,0,0\n0,1,1\n1,0,0\n1,1,1\n")
+        args = ["estimate", "--data", str(path), "--k", "2", "--a-file", str(tmp_path / "none")]
+        assert main(args + mode) == 2
+        assert "error: --a-file requires --mode known-a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stratified", [False, True])
+    @pytest.mark.parametrize("z", ["1", ""])
+    def test_k_below_two_exits_2(self, tmp_path, capsys, stratified, z):
+        path = tmp_path / "data.csv"
+        prefix = "x," if stratified else ""
+        row = "0," if stratified else ""
+        path.write_text(f"{prefix}y,t,z\n{row}0,0,\n{row}1,1,{z}\n")
+        args = ["estimate", "--data", str(path), "--k", "1"] + ["--stratified"] * stratified
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: k must be >= 2, got 1\n"
 
 
 class TestCliPlan:
