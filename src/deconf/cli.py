@@ -96,10 +96,13 @@ def cmd_estimate(args) -> int:
         raise ValidationError("mode known-a requires --a-file")
     if mode != "known-a" and args.a_file is not None:
         raise ValidationError("--a-file requires --mode known-a")
+    if mode == "deconf-only" and args.fallback is not None:
+        raise ValidationError("--fallback does not apply to --mode deconf-only")
+    fallback = args.fallback or "uniform"
 
     if args.stratified:
         cols = dio.read_stratified_csv(args.data, args.k)
-        result = estimate_stratified_ite(*cols.T, args.k, args.fallback)
+        result = estimate_stratified_ite(*cols.T, args.k, fallback)
         if args.json:
             payload = {
                 "aggregate": result.aggregate,
@@ -125,9 +128,9 @@ def cmd_estimate(args) -> int:
         result = estimate_deconfounded_only(revealed, args.k)
     elif mode == "known-a":
         a = dio.read_marginal(args.a_file)
-        result = estimate_with_known_confounded(a, revealed, args.k, args.fallback)
+        result = estimate_with_known_confounded(a, revealed, args.k, fallback)
     else:  # finite
-        result = estimate_finite(records[:, :2], revealed, args.k, args.fallback)
+        result = estimate_finite(records[:, :2], revealed, args.k, fallback)
     if args.json:
         print(json.dumps(_result_payload(result), indent=2))
     else:
@@ -359,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=["deconf-only", "known-a", "finite"])
     p.add_argument("--a-file", dest="a_file")
-    p.add_argument("--fallback", choices=["error", "uniform"], default="uniform")
+    p.add_argument("--fallback", choices=["error", "uniform"])
     p.add_argument("--stratified", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_estimate)

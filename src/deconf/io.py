@@ -21,9 +21,13 @@ and non-ASCII whitespace around a field are rejected.
 The table readers parse bytes with numpy when they can prove a file simple:
 printable ASCII without ``"``, every line ending in ``\n``, the header,
 the same field count on every line, fields of at most 8 bytes, and
-spellings the field parsers accept. Each field parser then runs once per
-distinct spelling in its column. Every other file goes through
-``csv.reader``, the one source of reader error messages.
+spellings the field parsers accept. A file whose data lines all have one
+length, with their commas in the same columns (every ground-truth table
+with k <= 10 is ``d,d,d``), is read as column slices of one byte grid;
+other files are scanned for their separators. Each field parser runs once
+per distinct spelling in its column, and one lookup fills the column.
+Every other file goes through ``csv.reader``, the one source of reader
+error messages.
 """
 
 from __future__ import annotations
@@ -253,29 +257,29 @@ def _read_int_columns_bytes(path, header: List[str], parsers) -> Optional[np.nda
     """``_read_int_columns_csv``'s array, or None for a file it must decide.
 
     Takes the files ``_field_codes`` takes whose every spelling each parser
-    accepts; each parser runs once per distinct code in its column.
+    accepts. The array is column-major: each column is one contiguous run.
     """
-    codes = _field_codes(path, header, len(parsers))
-    if codes is None:
+    columns = _field_codes(path, header, len(parsers))
+    if columns is None:
         return None
-    out = np.empty(codes.shape, dtype=np.int64)
-    for j, parse in enumerate(parsers):
-        distinct, inverse = _distinct(codes[:, j])
-        try:
-            values = [parse(_spelling(code), 0) for code in distinct.tolist()]
-        except DataFormatError:
+    out = np.empty((len(parsers), columns[0].size), dtype=np.int64)
+    for values, codes, parse in zip(out, columns, parsers):
+        if not _parse_codes(codes, parse, values):
             return None
-        out[:, j] = np.array(values, dtype=np.int64).take(inverse)
-    return out
+    return out.T
 
 
-def _field_codes(path, header: List[str], width: int) -> Optional[np.ndarray]:
-    """Each data field's bytes packed into a ``(rows, width)`` uint64 array, or None.
+def _field_codes(path, header: List[str], width: int) -> Optional[List[np.ndarray]]:
+    """Each data column's field codes, one per row, or None.
 
     Takes a file only if every byte is printable ASCII other than ``"`` or a
     ``\n``, the file ends in ``\n``, the header matches, and every line has
     ``width`` fields of at most 8 bytes. ``csv.reader`` splits such a file
     at ``,`` and ``\n`` alone, so its cells are the fields' bytes as text.
+    A field's code is its bytes as a little-endian integer. When every data
+    line is as long as the first, with its commas in the same columns, the
+    fields are column slices of the file (``_fixed_fields``); only other
+    files are scanned for separators.
     """
     try:
         buf = np.fromfile(path, dtype=np.uint8)
@@ -283,14 +287,54 @@ def _field_codes(path, header: List[str], width: int) -> Optional[np.ndarray]:
         return None
     if not buf.size or buf[-1] != _NL or buf.max() > 0x7E:
         return None
-    lines = np.count_nonzero(buf == _NL)
+    newline, comma = buf == _NL, buf == _COMMA
+    lines = np.count_nonzero(newline)
     if lines < 2 or np.count_nonzero(buf < 0x20) != lines or np.count_nonzero(buf == _QUOTE):
         return None
-    sep = np.flatnonzero((buf == _COMMA) | (buf == _NL))
-    if sep.size != lines * width or not (buf[sep[width - 1 :: width]] == _NL).all():
+    if np.count_nonzero(comma) != lines * (width - 1):
         return None
-    line = buf[: sep[width - 1]].tobytes().decode("ascii")
-    if [h.strip().lower() for h in line.split(",")] != header:
+    head = int(newline.argmax())
+    if [h.strip().lower() for h in buf[:head].tobytes().decode("ascii").split(",")] != header:
+        return None
+    fields = _fixed_fields(buf[head + 1 :], newline[head + 1 :], lines - 1, width)
+    if fields is None:
+        return _scan_codes(buf, comma | newline, width)
+    return None if max(f.shape[1] for f in fields) > _PACK else [_pack(f) for f in fields]
+
+
+def _fixed_fields(body: np.ndarray, newline: np.ndarray, rows: int, width: int):
+    """Each field's ``(rows, bytes)`` column slice of ``body``, or None if lines differ.
+
+    ``body`` holds ``rows`` lines (``newline`` marks their ends) and
+    ``rows * (width - 1)`` commas. If every line is as long as the first and
+    has a ``,`` in each column where the first has one, those are all of its
+    separators.
+    """
+    stride = int(newline.argmax()) + 1
+    if body.size != rows * stride:
+        return None
+    grid = body.reshape(rows, stride)
+    cuts = np.flatnonzero(grid[0] == _COMMA)
+    if cuts.size != width - 1 or not (grid[:, -1] == _NL).all():
+        return None
+    if not (grid[:, cuts] == _COMMA).all():
+        return None
+    return [grid[:, a:b] for a, b in zip([0, *(cuts + 1)], [*cuts, stride - 1])]
+
+
+def _pack(field: np.ndarray) -> np.ndarray:
+    """A ``(rows, n <= 8)`` byte slice as codes: the byte itself if n is 1, else uint64."""
+    if field.shape[1] == 1:
+        return field[:, 0]
+    packed = np.zeros((field.shape[0], _PACK), dtype=np.uint8)
+    packed[:, : field.shape[1]] = field
+    return packed.view("<u8")[:, 0]
+
+
+def _scan_codes(buf: np.ndarray, is_sep: np.ndarray, width: int) -> Optional[List[np.ndarray]]:
+    """``_field_codes`` of a file, split where ``is_sep`` marks a ``,`` or ``\n``."""
+    sep = np.flatnonzero(is_sep)
+    if not (buf[sep[width - 1 :: width]] == _NL).all():
         return None
     starts = sep[width - 1 : -1] + 1
     lengths = sep[width:] - starts
@@ -300,16 +344,29 @@ def _field_codes(path, header: List[str], width: int) -> Optional[np.ndarray]:
     padded = np.zeros(buf.size + _PACK - 1, dtype=np.uint8)
     padded[: buf.size] = buf
     words = np.ndarray((buf.size,), dtype="<u8", buffer=padded, strides=(1,))
-    return (words.take(starts) & _MASKS.take(lengths)).reshape(-1, width)
+    return list((words.take(starts) & _MASKS.take(lengths)).reshape(-1, width).T)
 
 
-def _distinct(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``np.unique(codes, return_inverse=True)``, through a lookup table when codes are small."""
-    if codes.max() >= 1 << 16:
-        return np.unique(codes, return_inverse=True)
-    index = codes.astype(np.intp)
-    present = np.bincount(index) > 0
-    return np.flatnonzero(present), (np.cumsum(present) - 1).take(index)
+def _parse_codes(codes: np.ndarray, parse, out: np.ndarray) -> bool:
+    """Fill ``out`` with ``parse`` of each code's spelling; False if it rejects one.
+
+    ``parse`` runs once per distinct code. Codes below 2**16 index a lookup
+    table of the values; larger ones go through ``np.unique``.
+    """
+    if codes.max() < 1 << 16:
+        index = codes.astype(np.intp)
+        distinct = slots = np.flatnonzero(np.bincount(index))
+    else:
+        distinct, index = np.unique(codes, return_inverse=True)
+        slots = np.arange(distinct.size)
+    try:
+        values = [parse(_spelling(code), 0) for code in distinct.tolist()]
+    except DataFormatError:
+        return False
+    table = np.zeros(slots[-1] + 1, dtype=np.int64)
+    table[slots] = values
+    table.take(index, out=out, mode="clip")
+    return True
 
 
 def _spelling(code: int) -> str:

@@ -400,6 +400,62 @@ def table_files(draw, header, z_spellings):
     return prefix + text.encode("ascii")
 
 
+# Fixed-stride tables: every column keeps one spelling width, so all data
+# lines have one length; a comma may move between two cells of a line.
+FIXED_GOOD = {
+    "y": {1: ["0", "1"], 2: [" 0", "1 ", " 1"]},
+    "z": {0: [""], 1: ["0", "1", "2", " "], 2: ["+2", "02", " 1", "2 "],
+          9: ["000000001", "        2"]},
+}
+FIXED_BAD = {
+    "y": {1: ["2", "y"], 2: ["+1", "01", "10"]},
+    "z": {0: [""], 1: ["3", "z"], 2: ["-1", "1.", "20"], 9: ["1.0000000"]},
+}
+FIXED_GOOD["t"], FIXED_BAD["t"] = FIXED_GOOD["y"], FIXED_BAD["y"]
+
+
+def fixed_spellings(name, width):
+    """Good and bad spellings ``width`` bytes wide for column ``name``."""
+    if name == "x":  # zero-padded, up to 9 digits
+        good = st.integers(0, 10**width - 1).map(lambda x: f"{x:0{width}}")
+        return good, st.sampled_from(["x" * width, "-" + "1" * (width - 1)])
+    return st.sampled_from(FIXED_GOOD[name][width]), st.sampled_from(FIXED_BAD[name][width])
+
+
+@st.composite
+def fixed_stride_files(draw, header):
+    """The bytes of a ``header`` CSV whose data lines all have one length."""
+    widths = {name: draw(st.integers(1, 9) if name == "x" else st.sampled_from(
+        sorted(FIXED_GOOD[name]))) for name in header}
+    good, bad = zip(*(fixed_spellings(name, widths[name]) for name in header))
+    rows = draw(st.lists(st.tuples(*good).map(list), min_size=1, max_size=25))
+    few = st.sampled_from([0, 0, 0, 1, 2])
+    for _ in range(draw(few)):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(header) - 1))
+        rows[i][j] = draw(bad[j])
+    for _ in range(draw(few)):  # move the comma between cells j and j + 1: 10,1 -> 1,01
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(header) - 2))
+        cells = rows[i][j] + rows[i][j + 1]
+        cut = draw(st.integers(0, len(cells)))
+        rows[i][j : j + 2] = cells[:cut], cells[cut:]
+    return "".join(",".join(cells) + "\n" for cells in [header] + rows).encode("ascii")
+
+
+def field_codes(path, header, fixed=True):
+    """``_field_codes`` as lists of ints; ``fixed=False`` turns the fixed-stride branch off."""
+    with mock.patch.object(dio, "_fixed_fields", dio._fixed_fields if fixed else
+                           lambda *args: None):
+        codes = dio._field_codes(path, header, len(header))
+    return None if codes is None else [column.tolist() for column in codes]
+
+
+def takes_fixed_branch(path, header):
+    """Whether ``_field_codes`` returns codes without a separator scan."""
+    with mock.patch.object(dio, "_scan_codes", wraps=dio._scan_codes) as scan:
+        codes = dio._field_codes(path, header, len(header))
+    return codes is not None and not scan.called
+
+
 def read_outcome(read, path, arrays):
     """A reader's arrays, or the message of the error it raised."""
     try:
@@ -455,14 +511,70 @@ class TestReaderPaths:
         path.write_bytes(content)
         assert dio._field_codes(path, ["y", "t", "z"], 3) is None
 
-    def test_distinct_codes_match_numpy_unique(self):
+    def test_distinct_codes_match_numpy_unique(self, monkeypatch):
+        # each code parses to the rank of its first parse call, so the parsed
+        # column is the inverse of the distinct codes in parse order
+        monkeypatch.setattr(dio, "_spelling", lambda code: code)
         rng = np.random.default_rng(6)
-        for high in (3, 1 << 16, 1 << 40):
-            codes = rng.integers(0, high, 1_000).astype(np.uint64)
-            distinct, inverse = dio._distinct(codes)
+        for high, dtype in ((3, np.uint64), (1 << 8, np.uint8), (1 << 16, np.uint64),
+                            (1 << 40, np.uint64)):
+            codes = rng.integers(0, high, 1_000).astype(dtype)
+            distinct, inverse = [], np.empty(codes.size, dtype=np.int64)
+            assert dio._parse_codes(codes, lambda code, row: distinct.append(code)
+                                    or len(distinct) - 1, inverse)
             expected, expected_inverse = np.unique(codes, return_inverse=True)
-            assert distinct.tolist() == expected.tolist()
+            assert distinct == expected.tolist()
             assert inverse.tolist() == expected_inverse.tolist()
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_fixed_stride_files_match_csv_path(self, name, tmp_path_factory):
+        header, _, read, arrays = READERS[name]
+        path = tmp_path_factory.mktemp(name) / "table.csv"
+        fixed = []
+
+        @given(fixed_stride_files(header))
+        @settings(max_examples=150, deadline=None)
+        def check(content):
+            path.write_bytes(content)
+            fixed.append(takes_fixed_branch(path, header))
+            assert field_codes(path, header) == field_codes(path, header, fixed=False)
+            with mock.patch.object(dio, "_read_int_columns", dio._read_int_columns_csv):
+                expected = read_outcome(read, path, arrays)
+            assert read_outcome(read, path, arrays) == expected
+
+        check()
+        assert sum(fixed) >= len(fixed) / 3
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"y,t,z\n10,1,2\n1,10,2\n", b"y,t,z\n0,1,1\n0,1,\n10,1,1\n", b"y,t,z\n0,1,2\n0,1,,\n",
+         b"y,t,z\n0,1,2\n0,1\n1,0,2\n", b"y,t,z\n0,1,2\n0,1,20\n"],
+    )
+    def test_near_fixed_files_give_the_scanned_codes(self, tmp_path, content):
+        # a moved comma, a line end off the stride, an extra comma, a line
+        # short by a field, lines of two lengths
+        path = tmp_path / "table.csv"
+        path.write_bytes(content)
+        assert not takes_fixed_branch(path, ["y", "t", "z"])
+        assert field_codes(path, ["y", "t", "z"]) == field_codes(path, ["y", "t", "z"], False)
+
+    def test_fixed_stride_tables_skip_the_scan(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(7)
+        records = rng.integers(0, [10**6, 2, 2, 3], (50_000, 4))
+        plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+        plain.write_text("y,t,z\n" + "".join(f"{y},{t},{z}\n" for _, y, t, z in records.tolist()))
+        padded.write_text("x,y,t,z\n" + "".join(f"{x:06},{y},{t},{z}\n"
+                                                  for x, y, t, z in records.tolist()))
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("separator scan on a fixed-stride table")
+
+        monkeypatch.setattr(dio, "_scan_codes", no_scan)
+        monkeypatch.setattr(csv, "reader", no_scan)
+        for got, want in [(read_full_table_csv(plain, k=3), records[:, 1:]),
+                          (read_dataset_csv(plain, k=3), records[:, 1:]),
+                          (read_stratified_csv(padded, k=3), records)]:
+            assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 class TestCurveCsv:
@@ -699,6 +811,18 @@ class TestCliEstimate:
         args = ["estimate", "--data", str(path), "--k", "2", "--a-file", str(tmp_path / "none")]
         assert main(args + mode) == 2
         assert "error: --a-file requires --mode known-a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fallback", ["error", "uniform"])
+    def test_fallback_with_deconf_only_exits_2(self, tmp_path, capsys, fallback):
+        path = tmp_path / "data.csv"
+        path.write_text("y,t,z\n0,0,0\n0,1,1\n1,0,\n1,1,1\n")  # (y=1,t=0) has no reveal
+        args = ["estimate", "--data", str(path), "--k", "2", "--mode", "deconf-only"]
+        assert main(args + ["--fallback", fallback]) == 2
+        assert capsys.readouterr().err == (
+            "error: --fallback does not apply to --mode deconf-only\n"
+        )
+        assert main(args) == 0
+        assert "degenerate groups: (y=1,t=0)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("stratified", [False, True])
     @pytest.mark.parametrize("z", ["1", ""])
