@@ -26,6 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .estimation import (
+    FALLBACKS,
     estimate_deconfounded_only,
     estimate_finite,
     estimate_stratified_ite,
@@ -71,21 +72,22 @@ def cmd_ate(args) -> int:
 
 def _result_payload(result) -> dict:
     return {
-        "ate_hat": result.ate_hat,
-        "a_hat": result.a_hat.a.tolist(),
-        "q_hat": result.q_hat.q.tolist(),
-        "degenerate_groups": sorted(result.degenerate_groups),
-        "degenerate_strata": sorted(result.degenerate_strata),
+        "ate_hat": float(result.ate_hat),
+        "a_hat": result.a_hat.tolist(),
+        "q_hat": result.q_hat.tolist(),
+        "degenerate_groups": [GROUPS[g] for g in np.flatnonzero(result.degenerate_groups)],
+        "degenerate_strata": np.argwhere(result.degenerate_strata).tolist(),
     }
 
 
 def _print_result(result) -> None:
-    print(f"ate_hat = {result.ate_hat:.10g}")
-    print(f"a_hat   = {np.array2string(result.a_hat.a, precision=6)}")
+    payload = _result_payload(result)
+    print(f"ate_hat = {payload['ate_hat']:.10g}")
+    print(f"a_hat   = {np.array2string(result.a_hat, precision=6)}")
     for g, (y, t) in enumerate(GROUPS):
-        print(f"q_hat(y={y},t={t}) = {np.array2string(result.q_hat.q[g], precision=6)}")
-    print(f"degenerate groups: {_fmt_groups(result.degenerate_groups)}")
-    print(f"degenerate strata: {_fmt_strata(result.degenerate_strata)}")
+        print(f"q_hat(y={y},t={t}) = {np.array2string(result.q_hat[g], precision=6)}")
+    print(f"degenerate groups: {_fmt_groups(payload['degenerate_groups'])}")
+    print(f"degenerate strata: {_fmt_strata(payload['degenerate_strata'])}")
 
 
 def cmd_estimate(args) -> int:
@@ -103,22 +105,20 @@ def cmd_estimate(args) -> int:
     if args.stratified:
         cols = dio.read_stratified_csv(args.data, args.k)
         result = estimate_stratified_ite(*cols.T, args.k, fallback)
+        strata, est = result.strata.tolist(), result.estimates
         if args.json:
             payload = {
                 "aggregate": result.aggregate,
-                "weights": result.weights,
+                "weights": dict(zip(strata, result.weights.tolist())),
                 "per_stratum": {
-                    str(x): _result_payload(r) for x, r in result.per_stratum.items()
+                    str(x): _result_payload(type(est)._make(f[i] for f in est))
+                    for i, x in enumerate(strata)
                 },
             }
             print(json.dumps(payload, indent=2))
         else:
-            for x in sorted(result.per_stratum):
-                r = result.per_stratum[x]
-                print(
-                    f"x={x}: ate_hat = {r.ate_hat:.10g} "
-                    f"(weight {result.weights[x]:.6g})"
-                )
+            for x, w, ate in zip(strata, result.weights.tolist(), est.ate_hat.tolist()):
+                print(f"x={x}: ate_hat = {ate:.10g} (weight {w:.6g})")
             print(f"aggregate = {result.aggregate:.10g}")
         return EXIT_OK
 
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=["deconf-only", "known-a", "finite"])
     p.add_argument("--a-file", dest="a_file")
-    p.add_argument("--fallback", choices=["error", "uniform"])
+    p.add_argument("--fallback", choices=FALLBACKS)
     p.add_argument("--stratified", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_estimate)

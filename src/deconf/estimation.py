@@ -10,38 +10,38 @@ from data:
 
 A group with no deconfounded samples has no q_hat row; the ``fallback``
 flag decides between raising (strict runs) and substituting the uniform
-row (long Monte Carlo sweeps), and either way the group is reported in
-``degenerate_groups``. Zero-mass strata flagged by the ATE evaluation
-surface in ``degenerate_strata``.
+row (long Monte Carlo sweeps), and either way the group is flagged in
+``degenerate_groups``. Zero-mass strata of the estimated joint table are
+flagged in ``degenerate_strata``.
 
 Every estimator runs on count tables, n[g] from (y, t) records and m[g, z]
-from (y, t, z) records: the ``*_counts`` variants take and check them, the
-record-level entry points check and count records (the stratified one x,
-y, t, z columns, z = -1 for a hidden confounder). Each makes one call of
-the numeric kernel, :func:`q_hat_batch` plus :func:`deconf.model.ate_batch`
-over ``(..., 4, k)`` stacks, all strata at once for the stratified one; the
-simulation engine calls the kernel directly on plain arrays.
+from (y, t, z) records. The ``*_counts`` variants take a ``(..., 4, k)``
+stack of m tables (n of shape ``(..., 4)``) and check it once per call; a
+single table is a stack with no leading dims. The record-level entry
+points check and count records (the stratified one x, y, t, z columns,
+z = -1 for a hidden confounder, into one table per stratum). Each returns
+one :class:`EstimationResult` of plain arrays over the stack. All but the
+deconfounded-only baseline make one call of the numeric kernel,
+:func:`q_hat_batch` plus :func:`deconf.model.ate_batch`, and nothing the
+kernel computes is validated again. The simulation engine calls the
+kernel directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateGroupError, ValidationError
 from .model import (
     GROUPS,
-    ConditionalTable,
     ConfoundedDistribution,
-    JointDistribution,
-    _empty_strata,
     ate_batch,
-    ate_details,
     check_int,
+    empty_strata,
     integer_array,
-    parts_from_joint,
+    split_joint,
 )
 
 FALLBACKS = ("error", "uniform")
@@ -61,13 +61,15 @@ def _records_array(records, cols: int, name: str) -> np.ndarray:
     return arr
 
 
-def _count_table(counts, name: str, ndim: int) -> np.ndarray:
-    """``counts`` as non-negative integers of shape (4,) (``ndim`` 1) or (4, k >= 2)."""
+def _count_stack(counts, name: str, shape=None) -> np.ndarray:
+    """``counts`` as non-negative integers of shape ``shape``, or a ``(..., 4, k >= 2)`` stack."""
     arr = integer_array(counts, name)
-    if arr.ndim != ndim or arr.shape[0] != 4 or arr.shape[-1] < 2:
-        expected = "(4,)" if ndim == 1 else "(4, k) with k >= 2"
-        raise ValidationError(f"{name}: expected shape {expected}, got {arr.shape}")
-    if arr.min() < 0:
+    if shape is None and (arr.ndim < 2 or arr.shape[-2] != 4 or arr.shape[-1] < 2):
+        expected = "(4, k)" if arr.ndim <= 2 else "(..., 4, k)"
+        raise ValidationError(f"{name}: expected shape {expected} with k >= 2, got {arr.shape}")
+    if shape is not None and arr.shape != shape:
+        raise ValidationError(f"{name}: expected shape {shape}, got {arr.shape}")
+    if np.any(arr < 0):
         raise ValidationError(f"{name}: entries must be non-negative")
     return arr
 
@@ -98,13 +100,19 @@ def _validate_bits(col, name):
         raise ValidationError(f"{name} values must be 0 or 1")
 
 
-@dataclass(frozen=True)
-class EstimationResult:
-    ate_hat: float
-    a_hat: ConfoundedDistribution
-    q_hat: ConditionalTable
-    degenerate_groups: frozenset
-    degenerate_strata: frozenset
+class EstimationResult(NamedTuple):
+    """Estimates for a ``(..., 4, k)`` stack of count tables, as plain arrays.
+
+    ``degenerate_groups[..., g]`` flags a group with no deconfounded
+    records and ``degenerate_strata[..., t, z]`` a zero-mass stratum of the
+    estimated joint table. A single (4, k) table has no leading dims.
+    """
+
+    ate_hat: np.ndarray  # (...)
+    a_hat: np.ndarray  # (..., 4)
+    q_hat: np.ndarray  # (..., 4, k)
+    degenerate_groups: np.ndarray  # (..., 4) bool
+    degenerate_strata: np.ndarray  # (..., 2, k) bool
 
 
 def q_hat_batch(counts, a, fallback: str = "uniform") -> np.ndarray:
@@ -130,24 +138,16 @@ def q_hat_batch(counts, a, fallback: str = "uniform") -> np.ndarray:
     return np.divide(counts, totals, out=uniform, where=totals > 0.0)
 
 
-def _estimates(a_hat, m_counts, fallback: str) -> List[EstimationResult]:
-    """One result per member of an ``(X, 4)`` marginal and ``(X, 4, k)`` count stack.
+def _estimate(a_hat, m_counts, fallback: str) -> EstimationResult:
+    """The estimates for an ``(..., 4)`` marginal and an ``(..., 4, k)`` count stack.
 
     One :func:`q_hat_batch` and one :func:`ate_batch` call cover the stack.
     """
     q_hat = q_hat_batch(m_counts, a_hat, fallback)
-    p = a_hat[:, :, None] * q_hat
-    empty = m_counts.sum(axis=2) == 0
-    return [
-        EstimationResult(
-            ate,
-            ConfoundedDistribution(a),
-            ConditionalTable(q),
-            frozenset(GROUPS[g] for g in np.flatnonzero(groups)),
-            _empty_strata(table),
-        )
-        for ate, a, q, groups, table in zip(ate_batch(p).tolist(), a_hat, q_hat, empty, p)
-    ]
+    p = a_hat[..., None] * q_hat
+    return EstimationResult(
+        ate_batch(p), a_hat, q_hat, m_counts.sum(axis=-1) == 0, empty_strata(p)
+    )
 
 
 def estimate_deconfounded_only(deconfounded, k: int) -> EstimationResult:
@@ -156,20 +156,20 @@ def estimate_deconfounded_only(deconfounded, k: int) -> EstimationResult:
     total = m_counts.sum()
     if total <= 0:
         raise ValidationError("need at least one deconfounded record")
-    joint = JointDistribution(m_counts / total)
-    ate = ate_details(joint)
-    parts = parts_from_joint(joint)
-    return EstimationResult(
-        ate.value, parts.a, parts.q, parts.degenerate_groups, ate.degenerate_strata
-    )
+    p = m_counts / total
+    groups = m_counts.sum(axis=-1) == 0
+    return EstimationResult(ate_batch(p), *split_joint(p), groups, empty_strata(p))
 
 
 def estimate_with_known_confounded_counts(
     a: ConfoundedDistribution, m_counts, fallback: str = "uniform"
 ) -> EstimationResult:
-    """Plug-in estimator with the marginal known exactly (infinite regime)."""
-    m_counts = _count_table(m_counts, "m_counts", 2)
-    return _estimates(a.a[None], m_counts[None], fallback)[0]
+    """Plug-in estimator with the marginal known exactly (infinite regime).
+
+    ``m_counts`` is a ``(..., 4, k)`` stack; ``a`` is the marginal of every member.
+    """
+    m_counts = _count_stack(m_counts, "m_counts")
+    return _estimate(np.broadcast_to(a.a, m_counts.shape[:-1]), m_counts, fallback)
 
 
 def estimate_with_known_confounded(
@@ -181,9 +181,16 @@ def estimate_with_known_confounded(
 
 
 def estimate_finite_counts(n_counts, m_counts, fallback: str = "uniform") -> EstimationResult:
-    """Plug-in estimator with both a and q estimated from counts."""
-    a_hat = ConfoundedDistribution.from_counts(_count_table(n_counts, "n_counts", 1))
-    return estimate_with_known_confounded_counts(a_hat, m_counts, fallback)
+    """Plug-in estimator with both a and q estimated from counts.
+
+    ``m_counts`` is a ``(..., 4, k)`` stack and ``n_counts`` its ``(..., 4)`` group counts.
+    """
+    m_counts = _count_stack(m_counts, "m_counts")
+    n_counts = _count_stack(n_counts, "n_counts", m_counts.shape[:-1])
+    totals = n_counts.sum(axis=-1, keepdims=True)
+    if np.any(totals == 0):
+        raise ValidationError("a: cannot normalize all-zero counts")
+    return _estimate(n_counts / totals, m_counts, fallback)
 
 
 def estimate_finite(
@@ -201,8 +208,9 @@ def estimate_finite(
 
 
 class StratifiedResult(NamedTuple):
-    per_stratum: Dict[int, EstimationResult]
-    weights: Dict[int, float]
+    strata: np.ndarray  # the x values, sorted
+    weights: np.ndarray  # each stratum's share of the records
+    estimates: EstimationResult  # one member per stratum
     aggregate: float
 
 
@@ -234,12 +242,9 @@ def estimate_stratified_ite(x, y, t, z, k: int, fallback: str = "uniform") -> St
     cells = np.bincount(flat, minlength=len(strata) * 4 * (k + 1)).reshape(-1, 4, k + 1)
     n_counts = cells.sum(axis=2)
     sizes = n_counts.sum(axis=1)
-    results = _estimates(n_counts / sizes[:, None], cells[:, :, 1:], fallback)
-    per: Dict[int, EstimationResult] = {}
-    weights: Dict[int, float] = {}
+    weights = sizes / x.size
+    estimates = _estimate(n_counts / sizes[:, None], cells[:, :, 1:], fallback)
     aggregate = 0.0
-    for xv, size, result in zip(strata.tolist(), sizes.tolist(), results):
-        per[xv] = result
-        weights[xv] = size / x.size
-        aggregate += weights[xv] * result.ate_hat  # a running sum in sorted-x order
-    return StratifiedResult(per, weights, aggregate)
+    for weight, ate in zip(weights.tolist(), estimates.ate_hat.tolist()):
+        aggregate += weight * ate  # a running sum in sorted-x order
+    return StratifiedResult(strata, weights, estimates, aggregate)

@@ -426,7 +426,7 @@ def read_stratified_csv(path, k: int) -> np.ndarray:
 
 def read_full_table_csv(path, k: int) -> np.ndarray:
     """Read a fully deconfounded ``y,t,z`` table (no empty z allowed)."""
-    z = partial(_parse_z, k=k, required=True)
+    z = partial(_parse_z, k=check_int(k, "k", 2), required=True)
     return _read_int_columns(path, ["y", "t", "z"], (_Y, _T, z))
 
 

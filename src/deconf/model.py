@@ -109,14 +109,6 @@ class ConfoundedDistribution:
         """P(T=t) = sum over outcomes of a[y, t]."""
         return float(self.a[group_index(0, t)] + self.a[group_index(1, t)])
 
-    @staticmethod
-    def from_counts(counts) -> "ConfoundedDistribution":
-        counts = np.asarray(counts, dtype=float)
-        total = counts.sum()
-        if total <= 0:
-            raise ValidationError("a: cannot normalize all-zero counts")
-        return ConfoundedDistribution(counts / total)
-
 
 @dataclass(frozen=True)
 class ConditionalTable:
@@ -199,19 +191,19 @@ def ate_batch(p) -> np.ndarray:
     return np.clip(np.cumsum(terms, axis=-1)[..., -1], -1.0, 1.0)
 
 
-def _empty_strata(table: np.ndarray) -> frozenset:
-    """The zero-mass strata (t, z) of one (4, k) table, where the ATE takes 0/0 -> 0."""
-    mass_t0 = table[0] + table[2]
-    mass_t1 = table[1] + table[3]
-    return frozenset(
-        {(0, int(z)) for z in np.nonzero(mass_t0 == 0.0)[0]}
-        | {(1, int(z)) for z in np.nonzero(mass_t1 == 0.0)[0]}
-    )
+def empty_strata(p) -> np.ndarray:
+    """Zero-mass strata of a ``(..., 4, k)`` stack as a ``(..., 2, k)`` mask indexed [t, z].
+
+    These are the strata where :func:`ate_batch` takes 0/0 -> 0.
+    """
+    p = np.asarray(p)
+    return p[..., :2, :] + p[..., 2:, :] == 0.0
 
 
 def ate_details(p: JointDistribution) -> AteResult:
     """Evaluate the back-door adjusted ATE with the 0/0 -> 0 convention."""
-    return AteResult(float(ate_batch(p.p)), _empty_strata(p.p))
+    strata = np.argwhere(empty_strata(p.p)).tolist()
+    return AteResult(float(ate_batch(p.p)), frozenset(map(tuple, strata)))
 
 
 def ate_exact(p: JointDistribution) -> float:
@@ -232,30 +224,29 @@ class Parts(NamedTuple):
     degenerate_groups: frozenset
 
 
+def split_joint(p):
+    """``(a, q)`` of a ``(..., 4, k)`` stack of joint tables, on plain arrays.
+
+    A group with no positive mass gets the uniform q row. q's rows are
+    renormalized against float drift, and a against the table's total.
+    """
+    p = np.asarray(p, dtype=float)
+    a = p.sum(axis=-1)
+    q = np.full(p.shape, 1.0 / p.shape[-1])
+    np.divide(p, a[..., None], out=q, where=a[..., None] > 0.0)
+    q /= q.sum(axis=-1, keepdims=True)
+    return a / a.sum(axis=-1, keepdims=True), q
+
+
 def parts_from_joint(p: JointDistribution) -> Parts:
     """Split a joint table into (a, q).
 
     Groups with zero marginal mass have no defined conditional; their rows
     are set to the uniform distribution and reported as degenerate.
     """
-    table = p.p
-    k = p.k
-    a = table.sum(axis=1)
-    q = np.empty_like(table)
-    degenerate = set()
-    for g, (y, t) in enumerate(GROUPS):
-        if a[g] > 0.0:
-            q[g] = table[g] / a[g]
-        else:
-            q[g] = 1.0 / k
-            degenerate.add((y, t))
-    # guard float drift so the ConditionalTable invariant holds exactly enough
-    q /= q.sum(axis=1, keepdims=True)
-    return Parts(
-        ConfoundedDistribution(a / a.sum()),
-        ConditionalTable(q),
-        frozenset(degenerate),
-    )
+    a, q = split_joint(p.p)
+    degenerate = frozenset(GROUPS[g] for g in np.flatnonzero(a <= 0.0))
+    return Parts(ConfoundedDistribution(a), ConditionalTable(q), degenerate)
 
 
 def random_instance(k: int, seed) -> JointDistribution:

@@ -62,6 +62,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import estimation
 from .errors import ExhaustedError, ValidationError
 from .estimation import deconfounded_counts, q_hat_batch
 from .model import (
@@ -150,8 +151,8 @@ class ExperimentConfig:
             values = getattr(self, name) or ()
             if len(set(values)) != len(values):
                 raise ValidationError(f"{name} repeats an entry: {values!r}")
-        if self.fallback not in ("error", "uniform"):
-            raise ValidationError(f"unknown fallback {self.fallback!r}")
+        # through the module: perfbench traces estimation functions imported by name
+        estimation._check_fallback(self.fallback)
         if not is_integer(self.seed) or not 0 <= self.seed < 2**32:
             raise ValidationError("seed must be an integer in [0, 2**32)")
         object.__setattr__(self, "seed", int(self.seed))

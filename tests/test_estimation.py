@@ -52,11 +52,12 @@ def records_from_cells(cells):
 def ref_estimate_stratified_ite(x, y, t, z, k, fallback="uniform"):
     """The per-stratum loop the batched stratified estimator replaced.
 
-    One scalar finite estimate per x value in sorted order, each computed as
-    ``estimate_finite_counts`` did then, weighted by the stratum's share.
+    One scalar finite estimate per x value in sorted order, each computed
+    through the validated model objects, weighted by the stratum's share;
+    the per-stratum values are stacked into one result at the end.
     """
     x, y, t, z = (np.asarray(col) for col in (x, y, t, z))
-    per, weights, aggregate = {}, {}, 0.0
+    strata, weights, members, aggregate = [], [], [], 0.0
     for xv in np.unique(x):
         mask = x == xv
         rev = mask & (z >= 0)
@@ -66,30 +67,60 @@ def ref_estimate_stratified_ite(x, y, t, z, k, fallback="uniform"):
         a_hat = ConfoundedDistribution(n_counts / n_counts.sum())
         q_hat = ConditionalTable(q_hat_batch(m_counts, a_hat.a, fallback))
         ate = ate_details(joint_from_parts(a_hat, q_hat))
-        empty = frozenset(GROUPS[g] for g in np.nonzero(m_counts.sum(axis=1) == 0)[0])
-        result = EstimationResult(ate.value, a_hat, q_hat, empty, ate.degenerate_strata)
+        empty_strata = np.zeros((2, k), dtype=bool)
+        for t_, z_ in ate.degenerate_strata:
+            empty_strata[t_, z_] = True
+        members.append(
+            (ate.value, a_hat.a, q_hat.q, m_counts.sum(axis=1) == 0, empty_strata)
+        )
         weight = float(mask.sum()) / x.shape[0]
-        per[int(xv)] = result
-        weights[int(xv)] = weight
-        aggregate += weight * result.ate_hat
-    return StratifiedResult(per, weights, aggregate)
+        strata.append(int(xv))
+        weights.append(weight)
+        aggregate += weight * ate.value
+    estimates = EstimationResult(*(np.array(field) for field in zip(*members)))
+    return StratifiedResult(np.array(strata), np.array(weights), estimates, aggregate)
 
 
 def stratified_outcome(estimate, cols, k, fallback):
-    """Every float of a stratified result by ``repr``, or the error message it raised."""
+    """Every value of a stratified result by ``repr``, or the error message it raised."""
     try:
         result = estimate(*cols, k, fallback)
     except DegenerateGroupError as exc:
         return str(exc)
     return (
         repr(result.aggregate),
-        repr(result.weights),
-        [
-            (x, repr(r.ate_hat), repr(r.a_hat.a.tolist()), repr(r.q_hat.q.tolist()),
-             sorted(r.degenerate_groups), sorted(r.degenerate_strata))
-            for x, r in result.per_stratum.items()
-        ],
+        repr(result.strata.tolist()),
+        repr(result.weights.tolist()),
+        [repr(field.tolist()) for field in result.estimates],
     )
+
+
+def assert_bitwise_stack(stacked, members, lead):
+    """``stacked`` holds ``members`` (C order over ``lead``), field by field, bit for bit."""
+    for name, field in zip(EstimationResult._fields, stacked):
+        field = np.asarray(field)
+        expected = np.array([getattr(r, name) for r in members])
+        expected = expected.reshape(lead + expected.shape[1:])
+        assert (field.shape, field.dtype) == (expected.shape, expected.dtype), name
+        assert field.tobytes() == expected.tobytes(), name
+
+
+@st.composite
+def count_stacks(draw):
+    """Leading dims (0 to 2 of them), k, and (..., 4) / (..., 4, k) count stacks.
+
+    Empty groups are common in m; n has a positive total in every member,
+    with some empty groups too.
+    """
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    k = draw(st.integers(2, 4))
+    size = int(np.prod(lead, dtype=int))
+    cells = st.lists(st.sampled_from((0, 0, 1, 3)), min_size=size * 4 * k, max_size=size * 4 * k)
+    m = np.array(draw(cells), dtype=int).reshape(lead + (4, k))
+    groups = st.lists(st.integers(0, 5), min_size=size * 4, max_size=size * 4)
+    n = np.array(draw(groups), dtype=int).reshape(lead + (4,))
+    n[..., 0] += n.sum(axis=-1) == 0
+    return lead, n, m
 
 
 @st.composite
@@ -123,7 +154,7 @@ class TestDeconfoundedOnly:
             brute_force_ate([[0, 0], [0, 0], [0, 0], [1, 0]]), abs=EXACT
         )
         assert result.ate_hat == pytest.approx(1.0, abs=EXACT)
-        assert (0, 0) in result.degenerate_strata
+        assert result.degenerate_strata.tolist() == [[True, True], [False, True]]
 
     def test_monte_carlo_closeness(self):
         # 10,000 samples from the worked joint: |error| < 0.05 on at least
@@ -160,8 +191,8 @@ class TestKnownConfounded:
         result = estimate_with_known_confounded(
             a, records_from_cells(cells), k=2, fallback="error"
         )
-        assert (0, 1) in result.degenerate_groups  # flagged, but no error
-        expected = ate_exact(joint_from_parts(a, result.q_hat))
+        assert result.degenerate_groups.tolist() == [False, True, False, False]  # no error
+        expected = ate_exact(joint_from_parts(a, ConditionalTable(result.q_hat)))
         assert result.ate_hat == pytest.approx(expected, abs=EXACT)
 
     def test_identical_rows_collapse(self):
@@ -181,8 +212,8 @@ class TestKnownConfounded:
         result = estimate_with_known_confounded(
             a, records_from_cells(cells), k=2, fallback="uniform"
         )
-        assert result.degenerate_groups == {(0, 1)}
-        assert np.allclose(result.q_hat.q[1], 0.5, atol=EXACT)
+        assert result.degenerate_groups.tolist() == [False, True, False, False]
+        assert np.allclose(result.q_hat[1], 0.5, atol=EXACT)
 
     def test_batch_matches_scalar_estimates(self):
         a, q = example_instance()
@@ -195,7 +226,7 @@ class TestKnownConfounded:
         q_hat = q_hat_batch(cells, a.a)
         assert np.all(q_hat[:, 1] == 0.5)
         scalar = [estimate_with_known_confounded_counts(a, c) for c in cells]
-        assert np.array_equal(q_hat, np.stack([r.q_hat.q for r in scalar]))
+        assert np.array_equal(q_hat, np.stack([r.q_hat for r in scalar]))
         values = ate_batch(a.a[:, None] * q_hat)
         assert values.tolist() == [r.ate_hat for r in scalar]
 
@@ -296,8 +327,9 @@ class TestRecordValidation:
 
     def test_numpy_k_accepted(self):
         assert deconfounded_counts([[0, 1, 0]], np.int64(3)).shape == (4, 3)
-        assert estimate_finite([[0, 1]], [[0, 1, 0]], np.int64(3)).q_hat.k == 3
-        assert estimate_stratified_ite([0], [0], [1], [2], np.int64(3)).per_stratum[0].q_hat.k == 3
+        assert estimate_finite([[0, 1]], [[0, 1, 0]], np.int64(3)).q_hat.shape == (4, 3)
+        result = estimate_stratified_ite([0], [0], [1], [2], np.int64(3))
+        assert result.estimates.q_hat.shape == (1, 4, 3)
 
     @pytest.mark.parametrize("value", [-1, 2, 7])
     def test_bit_columns_name_y_or_t(self, value):
@@ -331,8 +363,8 @@ class TestEquivariance:
         moved = estimate_with_known_confounded(a, relabeled, k=3)
         assert moved.ate_hat == base.ate_hat  # bitwise: same sums, same order
         inverse = np.argsort(perm)
-        assert np.array_equal(moved.q_hat.q[:, perm], base.q_hat.q) or np.array_equal(
-            moved.q_hat.q, base.q_hat.q[:, inverse]
+        assert np.array_equal(moved.q_hat[:, perm], base.q_hat) or np.array_equal(
+            moved.q_hat, base.q_hat[:, inverse]
         )
 
 
@@ -347,7 +379,8 @@ class TestStratified:
         )
         direct = estimate_finite(dec[:, :2], dec, 2)
         assert result.aggregate == pytest.approx(direct.ate_hat, abs=EXACT)
-        assert result.weights == {0: 1.0}
+        assert result.strata.tolist() == [0]
+        assert result.weights.tolist() == [1.0]
 
     def test_equal_strata_average(self):
         rng = np.random.default_rng(11)
@@ -362,7 +395,7 @@ class TestStratified:
         x = np.concatenate([np.full(size, 0), np.full(size, 1)])
         rows = np.vstack(parts)
         result = estimate_stratified_ite(x, rows[:, 0], rows[:, 1], rows[:, 2], 2)
-        mean = 0.5 * (result.per_stratum[0].ate_hat + result.per_stratum[1].ate_hat)
+        mean = 0.5 * (result.estimates.ate_hat[0] + result.estimates.ate_hat[1])
         assert result.aggregate == pytest.approx(mean, abs=EXACT)
 
     def test_exact_proportion_strata_match_weighted_truth(self):
@@ -413,9 +446,12 @@ class TestStratified:
                 estimate(*cols, 2, "error")
             assert info.value.groups == ((0, 1),)
         result = estimate_stratified_ite(*cols, 2)
-        assert result.per_stratum[2].degenerate_groups == {(0, 1)}
-        assert result.per_stratum[5].degenerate_groups == {(1, 0)}
-        assert result.per_stratum[9].degenerate_groups == frozenset()
+        assert result.strata.tolist() == [2, 5, 9]
+        assert result.estimates.degenerate_groups.tolist() == [
+            [False, True, False, False],
+            [False, False, True, False],
+            [False, False, False, False],
+        ]
 
     @pytest.mark.parametrize(
         "cols, message",
@@ -475,7 +511,82 @@ class TestCountValidation:
         as_int = estimate_finite_counts([5, 2, 3, 1], cells)
         as_float = estimate_finite_counts(np.array([5.0, 2, 3, 1]), np.array(cells, dtype=float))
         assert as_float.ate_hat == as_int.ate_hat
-        assert as_float.degenerate_groups == as_int.degenerate_groups == {(0, 1)}
+        for result in (as_int, as_float):
+            assert result.degenerate_groups.tolist() == [False, True, False, False]
+
+
+MARGINALS = (
+    ConfoundedDistribution(np.full(4, 0.25)),
+    ConfoundedDistribution(np.array([0.5, 0.0, 0.2, 0.3])),
+    ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3])),
+)
+
+
+def stack_estimators(n, m, a):
+    """(name, estimator of a stack or of one table) for both count estimators."""
+    return (
+        ("finite", lambda idx, fallback: estimate_finite_counts(n[idx], m[idx], fallback)),
+        ("known-a", lambda idx, fallback: estimate_with_known_confounded_counts(a, m[idx], fallback)),
+    )
+
+
+class TestStacks:
+    """A ``(..., 4, k)`` stack is estimated as its members are, one table at a time."""
+
+    @given(count_stacks(), st.sampled_from(MARGINALS), st.sampled_from(FALLBACKS))
+    @settings(max_examples=300, deadline=None)
+    def test_stack_equals_per_table_calls(self, data, a, fallback):
+        lead, n, m = data
+        for name, estimate in stack_estimators(n, m, a):
+            members, first_error = [], None
+            for idx in np.ndindex(lead):
+                try:
+                    members.append(estimate(idx, fallback))
+                except DegenerateGroupError as exc:
+                    first_error = first_error or exc.groups
+            if first_error is not None:
+                with pytest.raises(DegenerateGroupError) as info:
+                    estimate(..., fallback)
+                assert info.value.groups == first_error, name
+            else:
+                assert_bitwise_stack(estimate(..., fallback), members, lead)
+
+    def test_error_names_first_degenerate_member_in_c_order(self):
+        good = [[3, 3], [1, 1], [2, 4], [1, 5]]
+        m = np.array([good] * 6).reshape(2, 3, 4, 2)
+        m[1, 0, 2] = 0  # group (1,0) empty in member (1, 0)
+        m[0, 2, 1] = 0  # group (0,1) empty in member (0, 2), first in C order
+        n = np.ones((2, 3, 4), dtype=int)
+        for name, estimate in stack_estimators(n, m, MARGINALS[2]):
+            with pytest.raises(DegenerateGroupError) as info:
+                estimate(..., "error")
+            assert info.value.groups == ((0, 1),), name
+
+    @pytest.mark.parametrize("fallback", FALLBACKS)
+    def test_empty_stack_returns_empty_arrays(self, fallback):
+        n, m = np.zeros((0, 4), dtype=int), np.zeros((0, 4, 3), dtype=int)
+        for name, estimate in stack_estimators(n, m, MARGINALS[0]):
+            result = estimate(..., fallback)
+            shapes = [np.shape(field) for field in result]
+            assert shapes == [(0,), (0, 4), (0, 4, 3), (0, 4), (0, 2, 3)], name
+
+    @pytest.mark.parametrize(
+        "n_counts, m_counts, message",
+        [
+            (np.ones((3, 4)), np.ones((2, 4, 2)), "n_counts: expected shape (2, 4), got (3, 4)"),
+            (np.ones(4), np.ones((2, 4, 2)), "n_counts: expected shape (2, 4), got (4,)"),
+            (np.ones((2, 4)), np.ones((2, 3, 2)),
+             "m_counts: expected shape (..., 4, k) with k >= 2, got (2, 3, 2)"),
+            (np.ones((2, 4)), np.ones((2, 4, 1)),
+             "m_counts: expected shape (..., 4, k) with k >= 2, got (2, 4, 1)"),
+            ([[1, 1, 1, 1], [0, 0, 0, 0]], np.ones((2, 4, 2)), "a: cannot normalize all-zero counts"),
+            ([[1, 1, 1, 1], [0, -1, 1, 1]], np.ones((2, 4, 2)), "n_counts: entries must be non-negative"),
+        ],
+    )
+    def test_stack_messages(self, n_counts, m_counts, message):
+        with pytest.raises(ValidationError) as info:
+            estimate_finite_counts(n_counts, m_counts)
+        assert str(info.value) == message
 
 
 class TestConsistency:
@@ -496,8 +607,8 @@ class TestConsistency:
                     rng = np.random.default_rng((idx, pol_id, m))
                     # the same draws as one multinomial per (replication, group)
                     cells = rng.multinomial(alloc, parts.q.q, size=(reps, 4))
-                    q_hat = q_hat_batch(cells, parts.a.a)
-                    errors[m] = np.abs(ate_batch(parts.a.a[:, None] * q_hat) - truth)
+                    est = estimate_with_known_confounded_counts(parts.a, cells)
+                    errors[m] = np.abs(est.ate_hat - truth)
                 for lo, hi in zip(grid, grid[1:]):
                     mean_lo, mean_hi = errors[lo].mean(), errors[hi].mean()
                     se = np.sqrt(

@@ -154,10 +154,17 @@ class TestDatasetCsv:
         path.write_text("y,t,z\n" + body)
         strat = tmp_path / "strat.csv"
         strat.write_text("x,y,t,z\n" + "".join(f"0,{line}\n" for line in body.split()))
-        for read, p in ((read_dataset_csv, path), (read_stratified_csv, strat)):
+        full = tmp_path / "full.csv"  # every z revealed
+        full.write_text("y,t,z\n" + body.replace(",\n", ",0\n"))
+        readers = ((read_dataset_csv, path), (read_stratified_csv, strat), (read_full_table_csv, full))
+        for read, p in readers:
             with pytest.raises(ValidationError) as info:
                 read(p, k=1)
             assert str(info.value) == "k must be >= 2, got 1"
+            for k in (2.5, "3", True):
+                with pytest.raises(ValidationError) as info:
+                    read(p, k=k)
+                assert str(info.value) == f"k must be an integer, got {k!r}"
             assert read(p, k=np.int64(3)).tolist() == read(p, k=3).tolist()
 
     def test_stratified_reader(self, tmp_path):

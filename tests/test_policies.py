@@ -67,8 +67,8 @@ class TestPolicyWeights:
 
     def test_scale_invariance_via_counts(self):
         counts = np.array([40.0, 10.0, 20.0, 30.0])
-        small = ConfoundedDistribution.from_counts(counts)
-        large = ConfoundedDistribution.from_counts(counts * 37.0)
+        small = ConfoundedDistribution(counts / counts.sum())
+        large = ConfoundedDistribution(counts * 37.0 / (counts * 37.0).sum())
         for kind in ("nsp", "usp", "owsp"):
             assert np.array_equal(
                 policy_weights(kind, small).x, policy_weights(kind, large).x
@@ -142,7 +142,7 @@ class TestAllocateFinite:
         rng = np.random.default_rng(5)
         for _ in range(50):
             counts = rng.integers(1, 60, size=4)
-            a_hat = ConfoundedDistribution.from_counts(counts)
+            a_hat = ConfoundedDistribution(counts / counts.sum())
             m = int(rng.integers(1, 30)) * 2
             available = counts * m  # proportional and never binding
             fin = allocate_finite("owsp", available, m, a_hat).counts

@@ -741,6 +741,14 @@ class TestConfigValidation:
         )
         assert type(cfg.k) is int and type(cfg.m_grid[0]) is int and type(cfg.seed) is int
 
+    @pytest.mark.parametrize("fallback", ["strict", "Uniform", None])
+    def test_rejects_unknown_fallback_as_the_estimators_do(self, fallback):
+        with pytest.raises(ValidationError) as info:
+            ExperimentConfig(fallback=fallback)
+        assert str(info.value) == (
+            f"fallback must be one of ('error', 'uniform'), got {fallback!r}"
+        )
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(seed=-1)
