@@ -22,13 +22,15 @@ so no invented constant is baked in. The finite-data condition compares
 
 against the threshold 50 * k^2 * ln(8k / delta) / epsilon^2.
 
-Every evaluator is an array expression over the (4, k) tables. The finite
-condition is one kernel batched over weights, m and n: ``finite_feasible``
-calls it for one point and ``allocate_budget`` once for its whole grid.
-``solve_min_m`` inverts each cell's condition for m in closed form and
-confirms that guess with ``finite_feasible``, so a plan needs a few checks
-instead of a bisection over [1, n]. Ties, and the witness of a vacuous
-bound, go to the first cell in canonical order.
+Every evaluator is an array expression over the (4, k) tables. Each public
+one validates its arguments and calls a private helper, which
+``bound_report`` calls too, on terms it computes once. The finite condition
+is one kernel, ``_finite_cells``, with the cell axis first: weights (4, ...)
+give values (4k, ...), so each reduction over cells runs across the whole
+batch at once. Each question a plan asks is one kernel evaluation: a point
+(``finite_feasible``), a budget grid (``allocate_budget``), or a closed-form
+guess with the point below it (``solve_min_m``). Ties, and the witness of a
+vacuous bound, go to the first cell in canonical order.
 """
 
 from __future__ import annotations
@@ -47,12 +49,10 @@ from .model import (
     ConfoundedDistribution,
     HardInstancePair,
     JointDistribution,
-    ate_exact,
-    binary_conditional,
+    _pair_from_scalars,
     check_int,
-    joint_from_parts,
 )
-from .policies import NAMED_POLICIES, PolicyWeights, _kind, named_policies, policy_weights
+from .policies import NAMED_POLICIES, PolicyWeights, _kind, _named_weights, named_policies
 
 
 @dataclass(frozen=True)
@@ -113,18 +113,17 @@ def _sq(x) -> np.ndarray:
 
 def _arm_z_mass(table: np.ndarray) -> np.ndarray:
     """P(T=t, Z=z) = sum_y table[(y,t), z] of a (4, k) table, arranged (2, k)."""
-    y0, y1 = table.reshape(2, 2, -1)
-    return y0 + y1
+    return table[:2] + table[2:]
 
 
 def _arm_terms(a: np.ndarray):
     """Per arm t of a marginal: P(T=t), sum_y a[y,t]^2 and max_y a[y,t]."""
-    y0, y1 = a.reshape(2, 2)  # indexed by t
+    y0, y1 = a[:2], a[2:]  # indexed by t
     return y0 + y1, _sq(y0) + _sq(y1), np.maximum(y0, y1)
 
 
-def _max_over_cells(numerators: np.ndarray, denominators: np.ndarray) -> CellMax:
-    """max over (t, z) of num/denom^2 with 0/0 -> skip and x/0 -> inf.
+def _max_over_cells(scale: float, numerators, denominators: np.ndarray) -> CellMax:
+    """scale * max over (t, z) of num/denom^2 with 0/0 -> skip and x/0 -> inf.
 
     The witness is the first maximising cell in canonical (t, z) order; for
     an infinite (vacuous) bound it is the first cell with x/0.
@@ -134,11 +133,10 @@ def _max_over_cells(numerators: np.ndarray, denominators: np.ndarray) -> CellMax
     vacuous = ~positive & (numerators > 0.0)
     if vacuous.any():
         return CellMax(math.inf, divmod(int(vacuous.argmax()), k))
-    values = np.divide(
-        numerators, _sq(denominators), out=np.zeros(denominators.shape), where=positive
-    )
+    out = np.zeros(denominators.shape)
+    values = np.divide(numerators, _sq(denominators), out=out, where=positive)
     best = int(values.argmax())
-    return CellMax(values.flat[best], divmod(best, k))
+    return CellMax(scale * values.flat[best], divmod(best, k))
 
 
 def _check_k(spec: AccuracySpec, k: int) -> None:
@@ -149,19 +147,19 @@ def _check_k(spec: AccuracySpec, k: int) -> None:
 def m_base(p: JointDistribution, spec: AccuracySpec) -> CellMax:
     """Deconfounded-data-alone bound: C * max over (t,z) of P(T,Z)^-2."""
     _check_k(spec, p.k)
-    mx = _max_over_cells(np.float64(1.0), _arm_z_mass(p.p))
-    return CellMax(spec.C * mx.value, mx.witness)
+    return _max_over_cells(spec.C, np.float64(1.0), _arm_z_mass(p.p))
 
 
-def _policy_numerators(a: np.ndarray, policy: Union[str, PolicyWeights]) -> np.ndarray:
+def _policy_numerators(a: np.ndarray, arm_terms, policy: Union[str, PolicyWeights]):
     """The per-arm numerator of the general bound, (2, 1): constant across z.
 
     General form: sum_y a[y,t]^2 / x[y,t]. The three named policies reduce
-    to closed forms (sum_y a, 4 sum_y a^2, 2 (sum_y a)^2), used directly so
-    the algebraic dominance relations hold exactly in floating point.
+    to closed forms (sum_y a, 4 sum_y a^2, 2 (sum_y a)^2) of ``arm_terms``,
+    used directly so the algebraic dominance relations hold exactly in
+    floating point.
     """
     kind = _kind(policy)
-    arm, sq, _ = _arm_terms(a)
+    arm, sq, _ = arm_terms
     if kind == "nsp":
         per_arm = arm
     elif kind == "usp":
@@ -185,9 +183,8 @@ def m_policy(
 ) -> CellMax:
     """Policy-specific upper bound with infinite confounded data."""
     _check_k(spec, q.k)
-    numerators = _policy_numerators(a.a, policy)
-    mx = _max_over_cells(numerators, _arm_z_mass(a.a[:, None] * q.q))
-    return CellMax(spec.C * mx.value, mx.witness)
+    numerators = _policy_numerators(a.a, _arm_terms(a.a), policy)
+    return _max_over_cells(spec.C, numerators, _arm_z_mass(a.a[:, None] * q.q))
 
 
 def worst_case_M(
@@ -198,18 +195,20 @@ def worst_case_M(
     The outcome-weighted policy is the one whose worst case, 2C/beta^2,
     does not depend on the marginal at all.
     """
-    kind = _kind(policy)
-    C_over_b2 = spec.C / spec.beta**2
+    return _worst_case_M(_kind(policy), spec.C / spec.beta**2, _arm_terms(a.a))
+
+
+def _worst_case_M(kind: str, C_over_b2: float, arm_terms) -> float:
     if kind == "owsp":
         return 2.0 * C_over_b2
     if kind == "custom":
         raise ValidationError("worst-case bound is defined for nsp, usp, and owsp only")
-    arm, sq, _ = _arm_terms(a.a)
-    if np.any(arm <= 0.0):
+    arm, sq, _ = arm_terms
+    if (arm <= 0.0).any():
         return math.inf
     if kind == "nsp":
-        return float(C_over_b2 * np.max(1.0 / arm))
-    return float(4.0 * C_over_b2 * np.max(sq / arm**2))
+        return float(C_over_b2 * (1.0 / arm).max())
+    return float(4.0 * C_over_b2 * (sq / arm**2).max())
 
 
 def lower_bound_w(
@@ -222,12 +221,14 @@ def lower_bound_w(
 
     Stated up to the proportionality constant ``c1_constant`` (default 1).
     """
-    kind = _kind(policy)
-    C1_over_b2 = spec.C1(c1_constant) / spec.beta**2
+    return _lower_bound_w(_kind(policy), spec.C1(c1_constant) / spec.beta**2, _arm_terms(a.a))
+
+
+def _lower_bound_w(kind: str, C1_over_b2: float, arm_terms) -> float:
     if kind == "custom":
         raise ValidationError("lower bounds are defined for nsp, usp, and owsp only")
-    arm, _, a_max = _arm_terms(a.a)
-    if np.any(arm <= 0.0):
+    arm, _, a_max = arm_terms
+    if (arm <= 0.0).any():
         return math.inf
     other = arm[::-1]
     if kind == "nsp":
@@ -256,10 +257,8 @@ def owsp_vs_nsp_ratio_witness(eta: float, spec: AccuracySpec) -> RatioWitness:
     beta = spec.beta
     c = (1.0 - beta) / beta
     a = ConfoundedDistribution(np.array([1.0 - 3 * eta, eta, eta, eta]))
-    base = binary_conditional((beta, beta, beta, c * beta))
-    alt = binary_conditional((beta, beta, beta, beta))
-    gap = abs(ate_exact(joint_from_parts(a, base)) - ate_exact(joint_from_parts(a, alt)))
-    pair = HardInstancePair(a, base, alt, gap, {"eta": eta, "beta": beta, "c": c})
+    params = {"eta": eta, "beta": beta, "c": c}
+    pair = _pair_from_scalars(a, (beta, beta, beta, c * beta), (beta,) * 4, params)
     return RatioWitness(pair, 4.0 * eta)
 
 
@@ -273,31 +272,30 @@ def finite_threshold(spec: AccuracySpec) -> float:
     return 50.0 * spec.k**2 * math.log(8 * spec.k / spec.delta) / spec.epsilon**2
 
 
-def _finite_min(a: np.ndarray, q: np.ndarray, x: np.ndarray, m, n):
-    """Min over (y, t, z) cells of the finite condition's left side, batched.
+def _mass_sq(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """P(T=t, Z=z)^2, (2, k): the finite condition's numerator for cell (y, t, z)."""
+    return _sq(_arm_z_mass(a[:, None] * q))
 
-    ``a`` (4,) and ``q`` (4, k) are the instance and ``x`` (..., 4) the
-    group weights; ``m`` and ``n`` broadcast against ``x[..., 0]``. Returns
-    the minimum and the flat index ``g * k + z`` of the first minimising
-    cell in canonical (y, t, z) order. Cells of zero-mass groups are vacuous
-    and skipped; a zero weight on a positive-mass group makes the minimum 0,
-    witnessed at the first such group's first cell.
+
+def _finite_cells(a: np.ndarray, q: np.ndarray, x: np.ndarray, m, n) -> np.ndarray:
+    """The finite condition's left side per (y, t, z) cell, cell axis first.
+
+    ``a`` (4,) and ``q`` (4, k) are the instance and ``x`` (4, ...) the group
+    weights; ``m`` and ``n`` broadcast against ``x[0]``. The values have
+    shape (4k, ...), cell ``g * k + z`` in canonical (y, t, z) order, so the
+    min and argmin over cells reduce the leading axis. Cells of zero-mass
+    groups are vacuous (inf); a zero weight on a positive-mass group makes
+    its cells 0.
     """
-    k = q.shape[1]
-    m = np.asarray(m, dtype=float)[..., None, None]
-    n = np.asarray(n, dtype=float)[..., None, None]
+    k, tail = q.shape[1], x.shape[1:]
+    ones = (1,) * len(tail)
     with np.errstate(divide="ignore"):
-        sampling_var = 1.0 / (x[..., None] * m) + _sq(q) / n
-    # [..., y, t, z]: the squared P(T=t, Z=z) broadcasts over y
-    by_y = sampling_var.reshape(sampling_var.shape[:-2] + (2, 2, k))
-    values = np.where(
-        a.reshape(2, 2, 1) > 0.0, _sq(_arm_z_mass(a[:, None] * q)) / by_y, math.inf
-    )
-    values = values.reshape(values.shape[:-3] + (4 * k,))
-    worst, cell = values.min(axis=-1), values.argmin(axis=-1)
-    blocked = (a > 0.0) & (x == 0.0)
-    cell = np.where(blocked.any(axis=-1), blocked.argmax(axis=-1) * k, cell)
-    return worst, cell
+        inv_xm = 1.0 / (x.reshape((2, 2, 1) + tail) * np.asarray(m, dtype=float))
+    sampling_var = inv_xm + _sq(q).reshape((2, 2, k) + ones) / np.asarray(n, dtype=float)
+    values = _mass_sq(a, q).reshape((2, k) + ones) / sampling_var  # [y, t, z, ...]
+    values = values.reshape((4, k) + values.shape[3:])
+    values[a == 0.0] = math.inf
+    return values.reshape((4 * k,) + values.shape[2:])
 
 
 def finite_feasible(
@@ -311,31 +309,30 @@ def finite_feasible(
     """Check the finite-confounded-data sufficient condition at (m, n).
 
     Cells of zero-mass groups are vacuous and skipped; a zero weight on a
-    positive-mass group makes the condition fail outright (margin 0).
+    positive-mass group makes the condition fail outright (margin 0),
+    witnessed at the first such group's first cell.
     """
     _check_k(spec, q.k)
     m, n = check_int(m, "m", 1), check_int(n, "n", 1)
-    worst, cell = _finite_min(a_hat.a, q.q, weights.x, m, n)
-    threshold = finite_threshold(spec)
-    g, z = divmod(int(cell), q.k)
-    return FeasibilityResult(
-        bool(worst >= threshold), float(worst / threshold), GROUPS[g] + (z,)
-    )
+    cells = _finite_cells(a_hat.a, q.q, weights.x, m, n)
+    blocked = (a_hat.a > 0.0) & (weights.x == 0.0)
+    cell = int(blocked.argmax()) * q.k if blocked.any() else int(cells.argmin())
+    worst, threshold = cells[cell], finite_threshold(spec)
+    g, z = divmod(cell, q.k)
+    return FeasibilityResult(bool(worst >= threshold), float(worst / threshold), GROUPS[g] + (z,))
 
 
-def _min_m_guess(
-    a: np.ndarray, q: np.ndarray, x: np.ndarray, n: int, threshold: float
-) -> int:
+def _min_m_guess(a: np.ndarray, q: np.ndarray, x: np.ndarray, n: int, threshold: float) -> int:
     """The finite condition solved for m per cell, ceiled and clipped to [1, n].
 
     A cell of a positive-mass group holds once 1 / (x[y,t] m) <= room, with
     room = P(T=t, Z=z)^2 / threshold - q[y,t,z]^2 / n; with room <= 0 or a
     zero weight it never holds. Rounding can put the guess off by a little.
     """
-    room = np.tile(_sq(_arm_z_mass(a[:, None] * q)) / threshold, (2, 1)) - _sq(q) / n
+    room = (_mass_sq(a, q) / threshold - (_sq(q) / n).reshape(2, 2, -1)).reshape(4, -1)
     with np.errstate(divide="ignore"):
         need = np.where(room > 0.0, 1.0 / (x[:, None] * room), math.inf)
-    worst = float(np.max(need, initial=0.0, where=(a > 0.0)[:, None]))
+    worst = float(need.max(initial=0.0, where=(a > 0.0)[:, None]))
     return n if worst >= n else max(math.ceil(worst), 1)
 
 
@@ -348,29 +345,29 @@ def solve_min_m(
 ) -> Optional[int]:
     """Smallest m <= n satisfying the finite condition, or None if infeasible.
 
-    Once m = n is known to work, the guess of ``_min_m_guess`` and the point
-    below it are checked, and a bisection finishes from that bracket, which
-    is already closed when the guess is right. The condition is monotone in
-    m in floating point too (each kernel operation rounds monotonically), so
-    the answer is that of a plain bisection over [1, n].
+    Once m = n is known to work, one kernel evaluation checks the guess of
+    ``_min_m_guess`` and the point below it; a bisection on the kernel closes
+    the bracket when the guess is off. The condition is monotone in m in
+    floating point too (each kernel operation rounds monotonically), so the
+    answer is that of a plain bisection over [1, n].
     """
     n = check_int(n, "n", 1)
     if not finite_feasible(a_hat, q, weights, n, n, spec).feasible:
         return None
-    guess = _min_m_guess(a_hat.a, q.q, weights.x, n, finite_threshold(spec))
+    a, x, threshold = a_hat.a, weights.x[:, None], finite_threshold(spec)
+
+    def feasible(ms):
+        return _finite_cells(a, q.q, x, ms, n).min(axis=0) >= threshold
+
+    guess = _min_m_guess(a, q.q, weights.x, n, threshold)
+    probes = [m for m in (guess, guess - 1) if 0 < m < n]
     lo, hi = 0, n  # lo infeasible (0: nothing below 1), hi feasible
-    for m in (guess, guess - 1):
+    for m, ok in zip(probes, feasible(probes)):
         if lo < m < hi:
-            if finite_feasible(a_hat, q, weights, m, n, spec).feasible:
-                hi = m
-            else:
-                lo = m
+            lo, hi = (lo, m) if ok else (m, hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if finite_feasible(a_hat, q, weights, mid, n, spec).feasible:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if feasible([mid])[0] else (mid, hi)
     return hi
 
 
@@ -408,30 +405,24 @@ def allocate_budget(
     grid = check_int(grid, "grid", 10)
     m_max = int(budget / (c_confounded + c_deconfound))
     if m_max < 1:
-        raise ValidationError(
-            "budget too small for one deconfounded sample plus its confounded draw"
-        )
+        raise ValidationError("budget too small for one deconfounded sample plus its "
+                              "confounded draw")
 
-    m = np.unique(np.linspace(1, m_max, num=min(grid, m_max), dtype=int))
+    # at most m_max points, so the step is >= 1 and the floored points are distinct
+    m = np.linspace(1, m_max, num=min(grid, m_max), dtype=int)
     n = np.trunc((budget - c_deconfound * m) / c_confounded)
     on_line = n >= m
     if not on_line.any():
         raise ValidationError("no feasible (m, n) point on the budget line")
     m, n = m[on_line, None], n[on_line, None]
     kinds = named_policies(a_hat)
-    base = np.stack([policy_weights(kind, a_hat).x for kind in kinds])
-    capped = np.minimum(base, (a_hat.a * n / m)[:, None, :])  # (grid, policy, group)
-    weights = capped / capped.sum(axis=-1, keepdims=True)
-    worst, _ = _finite_min(a_hat.a, q.q, weights, m, n)
-    margins = worst / finite_threshold(spec)
+    base = _named_weights(a_hat.a).T[:, None, : len(kinds)]
+    capped = np.minimum(base, a_hat.a[:, None, None] * n / m)  # (group, grid, policy)
+    weights = capped / capped.sum(axis=0)
+    margins = _finite_cells(a_hat.a, q.q, weights, m, n).min(axis=0) / finite_threshold(spec)
     i, j = divmod(int(margins.argmax()), len(kinds))
-    return BudgetPlan(
-        int(n[i, 0]),
-        int(m[i, 0]),
-        PolicyWeights(weights[i, j]),
-        kinds[j],
-        float(margins[i, j]),
-    )
+    winner = PolicyWeights(weights[:, i, j])
+    return BudgetPlan(int(n[i, 0]), int(m[i, 0]), winner, kinds[j], float(margins[i, j]))
 
 
 @dataclass(frozen=True)
@@ -462,11 +453,20 @@ def bound_report(
     spec: AccuracySpec,
     c1_constant: float = 1.0,
 ) -> BoundReport:
-    base = m_base(joint_from_parts(a, q), spec)
+    """Every bound for one instance, each field bitwise equal to its evaluator's.
+
+    The helpers behind ``m_base``, ``m_policy``, ``worst_case_M`` and
+    ``lower_bound_w`` run on arm terms, masses and constants computed once.
+    """
+    _check_k(spec, q.k)
+    terms, tz = _arm_terms(a.a), _arm_z_mass(a.a[:, None] * q.q)
+    C, beta2 = spec.C, spec.beta**2
+    C_over_b2, C1_over_b2 = C / beta2, spec.C1(c1_constant) / beta2
+    base = _max_over_cells(C, np.float64(1.0), tz)
     fields = {"m_base": base.value, "m_base_witness": base.witness}
     for kind in NAMED_POLICIES:
-        bound = m_policy(a, q, spec, kind)
+        bound = _max_over_cells(C, _policy_numerators(a.a, terms, kind), tz)
         fields[f"m_{kind}"], fields[f"m_{kind}_witness"] = bound
-        fields[f"M_{kind}"] = worst_case_M(a, spec, kind)
-        fields[f"w_{kind}"] = lower_bound_w(a, spec, kind, c1_constant)
+        fields[f"M_{kind}"] = _worst_case_M(kind, C_over_b2, terms)
+        fields[f"w_{kind}"] = _lower_bound_w(kind, C1_over_b2, terms)
     return BoundReport(spec=spec, c1_constant=c1_constant, **fields)

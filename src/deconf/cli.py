@@ -162,29 +162,29 @@ def _selected_policy(args):
 
 
 def cmd_plan(args) -> int:
+    selected = _selected_policy(args)
+    if isinstance(selected, str) and args.n is None:
+        raise ValidationError(f"--policy {selected} requires --n")
+    if args.budget is None:
+        for flag, value in (("--cost-confounded", args.cost_confounded),
+                            ("--cost-deconfound", args.cost_deconfound), ("--grid", args.grid)):
+            if value is not None:
+                raise ValidationError(f"{flag} requires --budget")
+    elif args.cost_confounded is None or args.cost_deconfound is None:
+        raise ValidationError("--budget requires --cost-confounded and --cost-deconfound")
     inst = dio.read_instance(args.instance)
     spec = bnd.AccuracySpec(args.epsilon, args.delta, inst.q.k, args.beta)
     report = bnd.bound_report(inst.a, inst.q, spec, args.c1)
-    selected = _selected_policy(args)
 
-    rows = [
-        ("C", spec.C, None),
-        ("m_base", report.m_base, report.m_base_witness),
-        ("m_nsp", report.m_nsp, report.m_nsp_witness),
-        ("m_usp", report.m_usp, report.m_usp_witness),
-        ("m_owsp", report.m_owsp, report.m_owsp_witness),
-        ("M_nsp", report.M_nsp, None),
-        ("M_usp", report.M_usp, None),
-        ("M_owsp", report.M_owsp, None),
-        ("w_nsp", report.w_nsp, None),
-        ("w_usp", report.w_usp, None),
-        ("w_owsp", report.w_owsp, None),
-    ]
+    rows = [("C", spec.C, None), ("m_base", report.m_base, report.m_base_witness)]
+    rows += [(f"m_{kind}", getattr(report, f"m_{kind}"), getattr(report, f"m_{kind}_witness"))
+             for kind in NAMED_POLICIES]
+    rows += [(f"{name}_{kind}", getattr(report, f"{name}_{kind}"), None)
+             for name in ("M", "w") for kind in NAMED_POLICIES]
     if isinstance(selected, PolicyWeights):
         detail = bnd.m_policy(inst.a, inst.q, spec, selected)
         rows.append(("m_custom", detail.value, detail.witness))
 
-    extra_rows = []
     if args.n is not None:
         kinds = named_policies(inst.a) if selected is None else [selected]
         for kind in kinds:
@@ -192,26 +192,16 @@ def cmd_plan(args) -> int:
             m_star = bnd.solve_min_m(inst.a, inst.q, weights, args.n, spec)
             value = float("nan") if m_star is None else float(m_star)
             label = "custom" if isinstance(kind, PolicyWeights) else kind
-            extra_rows.append((f"m_star_{label}(n={args.n})", value, None))
+            rows.append((f"m_star_{label}(n={args.n})", value, None))
     plan = None
     if args.budget is not None:
-        if args.cost_confounded is None or args.cost_deconfound is None:
-            raise ValidationError(
-                "--budget requires --cost-confounded and --cost-deconfound"
-            )
-        plan = bnd.allocate_budget(
-            inst.a,
-            inst.q,
-            args.budget,
-            args.cost_confounded,
-            args.cost_deconfound,
-            spec,
-            grid=args.grid,
-        )
+        plan = bnd.allocate_budget(inst.a, inst.q, args.budget, args.cost_confounded,
+                                   args.cost_deconfound, spec,
+                                   grid=200 if args.grid is None else args.grid)
 
     if args.csv:
         print("bound,value,witness")
-        for name, value, witness in rows + extra_rows:
+        for name, value, witness in rows:
             print(f"{name},{float(value)!r},{_fmt_witness(witness)}")
         if plan is not None:
             print(f"budget_n,{plan.n},-")
@@ -223,17 +213,15 @@ def cmd_plan(args) -> int:
               f"beta = {spec.beta}, c1 = {args.c1}")
         check = "ok" if spec.k * spec.beta < 1.0 else "VIOLATED"
         print(f"assumption k*beta < 1: {check}")
-        for name, value, witness in rows + extra_rows:
+        for name, value, witness in rows:
             name_s = f"{name:<22}"
             if math.isnan(value):
                 print(f"{name_s} infeasible")
             else:
                 print(f"{name_s} {_fmt_value(value):>14}  {_fmt_witness(witness)}")
         if plan is not None:
-            print(
-                f"budget plan: n = {plan.n}, m = {plan.m}, policy = {plan.policy}, "
-                f"margin = {plan.margin:.6g}"
-            )
+            print(f"budget plan: n = {plan.n}, m = {plan.m}, policy = {plan.policy}, "
+                  f"margin = {plan.margin:.6g}")
             print(f"budget weights = {np.array2string(plan.weights.x, precision=6)}")
     return EXIT_OK
 
@@ -377,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float)
     p.add_argument("--cost-confounded", dest="cost_confounded", type=float)
     p.add_argument("--cost-deconfound", dest="cost_deconfound", type=float)
-    p.add_argument("--grid", type=int, default=200)
+    p.add_argument("--grid", type=int)
     p.add_argument("--policy", choices=NAMED_POLICIES + ("custom",))
     p.add_argument("--weights", help="w00,w01,w10,w11 for --policy custom")
     p.add_argument("--csv", action="store_true")

@@ -80,10 +80,21 @@ def _as_readonly(arr, dtype=float) -> np.ndarray:
 
 
 def _check_unit_interval(name: str, arr: np.ndarray) -> None:
+    # min and max propagate nan, so one pass each clears every valid table
+    if arr.min() >= -CONSTRUCT_ATOL and arr.max() <= 1 + CONSTRUCT_ATOL:
+        return
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name}: entries must be finite")
-    if np.any(arr < -CONSTRUCT_ATOL) or np.any(arr > 1 + CONSTRUCT_ATOL):
-        raise ValidationError(f"{name}: entries must lie in [0, 1]")
+    raise ValidationError(f"{name}: entries must lie in [0, 1]")
+
+
+def _checked_table(name: str, values) -> np.ndarray:
+    """``values`` as a read-only (4, k) float array, k >= 2, with entries in [0, 1]."""
+    arr = _as_readonly(values)
+    if arr.ndim != 2 or arr.shape[0] != 4 or arr.shape[1] < 2:
+        raise ValidationError(f"{name}: expected shape (4, k) with k >= 2, got {arr.shape}")
+    _check_unit_interval(name, arr)
+    return arr
 
 
 def _check_sums_to_one(name: str, total: float) -> None:
@@ -117,14 +128,9 @@ class ConditionalTable:
     q: np.ndarray
 
     def __post_init__(self):
-        arr = _as_readonly(self.q)
-        if arr.ndim != 2 or arr.shape[0] != 4 or arr.shape[1] < 2:
-            raise ValidationError(
-                f"q: expected shape (4, k) with k >= 2, got {arr.shape}"
-            )
-        _check_unit_interval("q", arr)
-        for g, (y, t) in enumerate(GROUPS):
-            _check_sums_to_one(f"q row (y={y},t={t})", float(arr[g].sum()))
+        arr = _checked_table("q", self.q)
+        for (y, t), total in zip(GROUPS, arr.sum(axis=1).tolist()):
+            _check_sums_to_one(f"q row (y={y},t={t})", total)
         object.__setattr__(self, "q", arr)
 
     @property
@@ -139,12 +145,7 @@ class JointDistribution:
     p: np.ndarray
 
     def __post_init__(self):
-        arr = _as_readonly(self.p)
-        if arr.ndim != 2 or arr.shape[0] != 4 or arr.shape[1] < 2:
-            raise ValidationError(
-                f"p: expected shape (4, k) with k >= 2, got {arr.shape}"
-            )
-        _check_unit_interval("p", arr)
+        arr = _checked_table("p", self.p)
         _check_sums_to_one("p", float(arr.sum()))
         object.__setattr__(self, "p", arr)
 

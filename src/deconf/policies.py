@@ -47,7 +47,7 @@ class PolicyWeights:
         arr.setflags(write=False)
         if arr.shape != (4,):
             raise ValidationError(f"weights: expected 4 entries, got {arr.shape}")
-        if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+        if not (arr.min() >= 0.0 and arr.max() < np.inf):  # nan fails both
             raise ValidationError("weights: entries must be finite and >= 0")
         if abs(float(arr.sum()) - 1.0) > CONSTRUCT_ATOL:
             raise ValidationError(f"weights: must sum to 1 (got {float(arr.sum())!r})")
@@ -96,9 +96,22 @@ def _arm_mass(a: np.ndarray) -> np.ndarray:
 
 def named_policies(a: ConfoundedDistribution) -> Tuple[str, ...]:
     """The named policies defined on marginal ``a``: owsp needs both arms."""
-    if np.all(_arm_mass(a.a) > 0.0):
+    if (_arm_mass(a.a) > 0.0).all():
         return NAMED_POLICIES
     return tuple(name for name in NAMED_POLICIES if name != "owsp")
+
+
+def _named_weights(a: np.ndarray) -> np.ndarray:
+    """The nsp, usp and owsp weights of a (4,) marginal, as the rows of a (3, 4) array.
+
+    owsp's row, x[y, t] = a[y, t] / (2 P(T=t)), is nan on an empty
+    treatment arm, where owsp is undefined.
+    """
+    weights = np.empty((3, 4))
+    weights[0], weights[1] = a, 0.25
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(a.reshape(2, 2), 2.0 * _arm_mass(a), out=weights[2].reshape(2, 2))
+    return weights
 
 
 def policy_weights(
@@ -108,16 +121,12 @@ def policy_weights(
     kind = _kind(policy)
     if kind == "custom":
         return policy
-    if kind == "nsp":
-        return PolicyWeights(a.a)
-    if kind == "usp":
-        return PolicyWeights(np.full(4, 0.25))
-    # owsp: x[y, t] = a[y, t] / (2 P(T=t))
-    arm = _arm_mass(a.a)
-    if np.any(arm <= 0.0):
-        t = int(np.argmin(arm))
-        raise ValidationError(f"owsp undefined: treatment arm t={t} has zero mass")
-    return PolicyWeights((a.a.reshape(2, 2) / (2.0 * arm)).ravel())
+    if kind == "owsp":
+        arm = _arm_mass(a.a)
+        if (arm <= 0.0).any():
+            t = int(np.argmin(arm))
+            raise ValidationError(f"owsp undefined: treatment arm t={t} has zero mass")
+    return PolicyWeights(_named_weights(a.a)[NAMED_POLICIES.index(kind)])
 
 
 def allocate_infinite(

@@ -292,6 +292,9 @@ class TestScalarReferences:
     @example(ZERO_MASS_CASE, 10**6)
     @example(EMPTY_ARM_CASE, 10**8)
     @example(EMPTY_ARM_CASE, 1)
+    @example(ZERO_MASS_CASE, 1)
+    @example(ZERO_MASS_CASE, 2)
+    @example(EMPTY_ARM_CASE, 2)
     def test_solve_min_m(self, case, n):
         a, q, weights, spec = case
         for x in [weights] + [policy_weights(kind, a) for kind in named_policies(a)]:
@@ -650,6 +653,41 @@ class TestSolveMinM:
         assert solve_min_m(parts.a, parts.q, weights, 10, spec) is None
 
 
+class TestKernelEvaluations:
+    """Each question a plan asks is one evaluation of the finite-condition kernel."""
+
+    def test_one_evaluation_per_question(self):
+        spec = AccuracySpec(0.25, 0.1, 2, 0.1)
+        parts = parts_from_joint(random_instance(2, 5))
+        weights = policy_weights("owsp", parts.a)
+        with mock.patch.object(bounds, "_finite_cells", wraps=bounds._finite_cells) as kernel:
+            finite_feasible(parts.a, parts.q, weights, 100, 10**8, spec)
+            assert kernel.call_count == 1
+            # m = n, then the closed-form guess and the point below it at once
+            m_star = solve_min_m(parts.a, parts.q, weights, 10**8, spec)
+            assert kernel.call_count == 3
+            assert list(kernel.call_args.args[3]) == [m_star, m_star - 1]
+            allocate_budget(parts.a, parts.q, 1e6, 1.0, 20.0, spec)
+            assert kernel.call_count == 4
+            assert kernel.call_args.args[2].shape == (4, 200, 3)  # (group, grid, policy)
+
+    @given(st.floats(1e2, 1e9), st.floats(0.5, 3.0), st.floats(1.0, 50.0),
+           st.integers(10, 5000))
+    @settings(max_examples=100, deadline=None)
+    def test_budget_grid_points_are_distinct(self, budget, c_confounded, c_deconfound, grid):
+        # the grid has at most m_max points over [1, m_max], so nothing to dedupe
+        assume(budget >= c_confounded + c_deconfound)
+        a, q, _, spec = EMPTY_ARM_CASE
+        with mock.patch.object(bounds, "_finite_cells", wraps=bounds._finite_cells) as kernel:
+            try:
+                allocate_budget(a, q, budget, c_confounded, c_deconfound, spec, grid=grid)
+            except ValidationError:  # no point on the line: the kernel never ran
+                assert kernel.call_count == 0
+                return
+        m = kernel.call_args.args[3][:, 0]
+        assert (np.diff(m) > 0).all()
+
+
 class TestAllocateBudget:
     def test_symmetric_costs_push_m_to_half(self):
         a = ConfoundedDistribution(np.full(4, 0.25))
@@ -746,6 +784,26 @@ class TestSpecMatchesTableK:
 
 
 class TestBoundReport:
+    @given(edge_instances())
+    @settings(max_examples=150, deadline=None)
+    @example(ZERO_MASS_CASE)
+    @example(EMPTY_ARM_CASE)
+    def test_fields_match_the_evaluators(self, case):
+        # the report shares its terms across fields but no formula: every
+        # field and witness is the individual evaluator's, bit for bit
+        a, q, _, spec = case
+        report = bound_report(a, q, spec, c1_constant=1.5)
+        base = m_base(joint_from_parts(a, q), spec)
+        assert bits(report.m_base) == bits(base.value)
+        assert report.m_base_witness == base.witness
+        for kind in ("nsp", "usp", "owsp"):
+            bound = m_policy(a, q, spec, kind)
+            assert bits(getattr(report, f"m_{kind}")) == bits(bound.value), kind
+            assert getattr(report, f"m_{kind}_witness") == bound.witness, kind
+            assert bits(getattr(report, f"M_{kind}")) == bits(worst_case_M(a, spec, kind))
+            assert bits(getattr(report, f"w_{kind}")) == bits(lower_bound_w(a, spec, kind, 1.5))
+        assert report.c1_constant == 1.5 and report.spec is spec
+
     def test_report_orderings(self):
         parts = parts_from_joint(random_instance(2, 21))
         report = bound_report(parts.a, parts.q, SPEC)

@@ -925,6 +925,43 @@ class TestCliPlan:
         assert "c1 constant must be finite and > 0" in capsys.readouterr().err
 
 
+class TestCliPlanFlags:
+    """Every flag deconf plan takes changes its output, or the command exits 2."""
+
+    ARGS = ["--epsilon", "0.2", "--delta", "0.1", "--beta", "0.1"]
+    BUDGET = ["--budget", "1e5", "--cost-confounded", "1", "--cost-deconfound", "20"]
+
+    @pytest.mark.parametrize(
+        "flags", [["--grid", "5"], ["--grid", "200"], ["--cost-confounded", "1"],
+                  ["--cost-deconfound", "20"], ["--n", "1000", "--grid", "50"]],
+    )
+    def test_budget_flags_without_budget_exit_2(self, instance_file, capsys, flags):
+        argv = ["plan", "--instance", str(instance_file)] + self.ARGS + flags
+        assert main(argv) == 2
+        flag = next(f for f in flags if f in ("--grid", "--cost-confounded", "--cost-deconfound"))
+        assert capsys.readouterr().err == f"error: {flag} requires --budget\n"
+
+    @pytest.mark.parametrize("policy", NAMED_POLICIES)
+    def test_named_policy_without_n_exits_2(self, instance_file, capsys, policy):
+        argv = ["plan", "--instance", str(instance_file)] + self.ARGS + ["--policy", policy]
+        assert main(argv + self.BUDGET) == 2
+        assert capsys.readouterr().err == f"error: --policy {policy} requires --n\n"
+
+    def test_custom_policy_without_n_prints_its_bound(self, instance_file, capsys):
+        argv = ["plan", "--instance", str(instance_file)] + self.ARGS + [
+            "--policy", "custom", "--weights", "0.1,0.2,0.3,0.4", "--csv"]
+        assert main(argv) == 0
+        assert "\nm_custom," in capsys.readouterr().out
+
+    def test_grid_defaults_to_200(self, instance_file, capsys):
+        argv = ["plan", "--instance", str(instance_file)] + self.ARGS + self.BUDGET
+        outputs = []
+        for grid in ([], ["--grid", "200"], ["--grid", "20"]):
+            assert main(argv + grid) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != outputs[2]
+
+
 class TestCliPlanBudgetInputs:
     ARGS = ["--epsilon", "0.2", "--delta", "0.1", "--beta", "0.1"]
 
@@ -973,6 +1010,12 @@ class TestCliPlanEmptyArm:
         argv = ["plan", "--instance", str(path)] + self.ARGS + ["--n", "1000", "--policy", "owsp"]
         assert main(argv) == 2
         assert "owsp undefined" in capsys.readouterr().err
+
+    def test_owsp_without_n_exits_2(self, path, capsys):
+        # without --n the policy would select nothing, so it is rejected too
+        argv = ["plan", "--instance", str(path)] + self.ARGS + ["--policy", "owsp"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --policy owsp requires --n\n"
 
 
 class TestCliGenInstance:

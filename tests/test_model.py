@@ -190,6 +190,52 @@ class TestValidation:
         with pytest.raises(ValidationError):
             JointDistribution(np.array([[0.25], [0.25], [0.25], [0.25]]))
 
+    @pytest.mark.parametrize("k", [2, 3, 9, 40])
+    def test_first_bad_row_is_named_with_its_sum(self, k):
+        # rows (0,1) and (1,1) are off; the message names the first with its
+        # own sum, for short rows and for rows long enough to sum pairwise
+        rows = np.random.default_rng(k).dirichlet(np.ones(k), size=4)
+        rows[1] *= 1.0 + 1e-9
+        rows[3] *= 1.0 - 1e-9
+        got = repr(float(rows[1].sum()))
+        message = f"q row (y=0,t=1): must sum to 1 (got {got})"
+        with pytest.raises(ValidationError) as info:
+            ConditionalTable(rows)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(np.nan, "entries must be finite"), (np.inf, "entries must be finite"),
+         (-np.inf, "entries must be finite"), (-0.1, "entries must lie in [0, 1]"),
+         (1.1, "entries must lie in [0, 1]")],
+    )
+    def test_entry_messages(self, bad, message):
+        # the non-finite check comes first, whatever else is wrong
+        a = np.array([bad, 0.2, 0.3, 0.5])
+        q, p = np.full((4, 3), 1.0 / 3.0), np.full((4, 3), 1.0 / 12.0)
+        q[2, 1] = p[2, 1] = bad
+        cases = [(ConfoundedDistribution, a, "a"), (ConditionalTable, q, "q"),
+                 (JointDistribution, p, "p")]
+        for cls, values, name in cases:
+            with pytest.raises(ValidationError) as info:
+                cls(values)
+            assert str(info.value) == f"{name}: {message}"
+
+    def test_shape_and_sum_messages(self):
+        with pytest.raises(ValidationError) as info:
+            JointDistribution(np.full((3, 2), 1.0 / 6.0))
+        assert str(info.value) == "p: expected shape (4, k) with k >= 2, got (3, 2)"
+        with pytest.raises(ValidationError) as info:
+            ConditionalTable(np.full((4, 1), 1.0))
+        assert str(info.value) == "q: expected shape (4, k) with k >= 2, got (4, 1)"
+        with pytest.raises(ValidationError) as info:
+            JointDistribution(np.full((4, 2), 0.1))
+        assert str(info.value) == f"p: must sum to 1 (got {float(np.full(8, 0.1).sum())!r})"
+        a = np.array([0.4, 0.1, 0.2, 0.2])
+        with pytest.raises(ValidationError) as info:
+            ConfoundedDistribution(a)
+        assert str(info.value) == f"a: must sum to 1 (got {float(a.sum())!r})"
+
     def test_types_are_immutable(self):
         a, _ = example_instance()
         with pytest.raises(ValueError):

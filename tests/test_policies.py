@@ -79,6 +79,19 @@ class TestPolicyWeights:
         a = ConfoundedDistribution(np.full(4, 0.25))
         assert np.allclose(policy_weights(PolicyWeights(w), a).x, w, atol=EXACT)
 
+    @pytest.mark.parametrize(
+        "w, message",
+        [((0.1, 0.2, 0.3), "weights: expected 4 entries, got (3,)"),
+         ((-0.1, 0.3, 0.4, 0.4), "weights: entries must be finite and >= 0"),
+         ((np.nan, 0.2, 0.3, 0.5), "weights: entries must be finite and >= 0"),
+         ((np.inf, 0.2, 0.3, 0.5), "weights: entries must be finite and >= 0"),
+         ((0.1, 0.2, 0.3, 0.3), f"weights: must sum to 1 (got {0.1 + 0.2 + 0.3 + 0.3!r})")],
+    )
+    def test_invalid_weights_messages(self, w, message):
+        with pytest.raises(ValidationError) as info:
+            PolicyWeights(np.array(w))
+        assert str(info.value) == message
+
 
 class TestAllocateInfinite:
     def test_owsp_largest_remainder_example(self):
