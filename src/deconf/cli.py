@@ -63,8 +63,7 @@ def _fmt_strata(strata) -> str:
 
 
 def cmd_ate(args) -> int:
-    inst = dio.read_instance(args.instance)
-    result = ate_details(inst.joint)
+    result = ate_details(dio.read_joint(args.instance))
     print(f"ate = {result.value:.10g}")
     print(f"degenerate strata: {_fmt_strata(result.degenerate_strata)}")
     return EXIT_OK

@@ -124,18 +124,24 @@ def q_hat_batch(counts, a, fallback: str = "uniform") -> np.ndarray:
     ``fallback="error"`` an empty group with positive mass in any member of
     the batch raises :class:`DegenerateGroupError` naming the groups of the
     first such member.
+
+    A float stack is read as it is; an int stack is copied to float. Most
+    of a call's cost is fixed numpy overhead, so callers pass whole stacks;
+    the finite protocol still calls once per estimate (see
+    :mod:`deconf.simulation`).
     """
     _check_fallback(fallback)
     counts = np.asarray(counts, dtype=float)
-    totals = counts.sum(axis=-1, keepdims=True)
+    totals = np.add.reduce(counts, axis=-1, keepdims=True)
     if fallback == "error":
         bad = (totals[..., 0] == 0.0) & (np.asarray(a) > 0.0)
         if bad.any():
             rows = bad.reshape(-1, 4)
             first = rows[rows.any(axis=1)][0]
             raise DegenerateGroupError([GROUPS[g] for g in np.nonzero(first)[0]])
-    uniform = np.full(counts.shape, 1.0 / counts.shape[-1])
-    return np.divide(counts, totals, out=uniform, where=totals > 0.0)
+    q_hat = np.empty(counts.shape)
+    q_hat.fill(1.0 / counts.shape[-1])
+    return np.divide(counts, totals, out=q_hat, where=totals > 0.0)
 
 
 def _estimate(a_hat, m_counts, fallback: str) -> EstimationResult:

@@ -58,11 +58,14 @@ from .simulation import CurveRow, ErrorCurve, ExperimentConfig
 
 @dataclass(frozen=True)
 class LoadedInstance:
-    """An instance file in both encodings, whichever was on disk."""
+    """An instance file as parts, and its joint table when that was on disk.
+
+    A parts-form file has ``joint = None``; :func:`read_joint` builds it.
+    """
 
     a: ConfoundedDistribution
     q: ConditionalTable
-    joint: JointDistribution
+    joint: Optional[JointDistribution]
     form: str  # 'parts' or 'joint'
 
 
@@ -111,7 +114,7 @@ def _instance_from(raw: dict, path) -> LoadedInstance:
             a = ConfoundedDistribution(np.asarray(raw["a"], dtype=float))
             q = ConditionalTable(np.asarray(raw["q"], dtype=float))
             _check_k(raw, q.k)
-            return LoadedInstance(a, q, joint_from_parts(a, q), "parts")
+            return LoadedInstance(a, q, None, "parts")
     except (ValidationError, ValueError, TypeError) as exc:
         raise DataFormatError(f"{path}: {exc}") from None
     raise DataFormatError(f"{path}: expected fields ('a', 'q') or 'p'")
@@ -119,6 +122,17 @@ def _instance_from(raw: dict, path) -> LoadedInstance:
 
 def read_instance(path) -> LoadedInstance:
     return _instance_from(_read_json_object(path), path)
+
+
+def read_joint(path) -> JointDistribution:
+    """The joint table of an instance file: as read, or ``a * q`` of a parts-form file."""
+    inst = read_instance(path)
+    if inst.joint is not None:
+        return inst.joint
+    try:
+        return joint_from_parts(inst.a, inst.q)
+    except ValidationError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def read_marginal(path) -> ConfoundedDistribution:

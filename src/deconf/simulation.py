@@ -47,10 +47,14 @@ takes the first m arrivals instead). The empirical protocol allocates each
 policy's grid once for the whole run. Allocation consumes no randomness.
 Estimation runs on plain arrays through the batched kernel
 (:func:`deconf.estimation.q_hat_batch` and :func:`deconf.model.ate_batch`),
-once per work item over all of its replications; the finite protocol calls
-``q_hat_batch`` once per replication-estimate, so the estimation layer is
-entered once per estimate there. Dataclasses are built per instance, never
-per replication.
+once per work item over all of its replications. The finite protocol
+converts a work item's counts to float once and walks that copy as
+``(4, k)`` tables, calling ``q_hat_batch`` once per replication-estimate in
+(replication, policy, n) order, so no call converts its table and a
+strict run names the first degenerate estimate in that order. The
+benchmark's tracer test counts one estimation call per estimate, so the
+loop stays until that test is revised. Dataclasses are built per
+instance, never per replication.
 """
 
 from __future__ import annotations
@@ -363,9 +367,12 @@ def _finite_errors(args) -> np.ndarray:
             )
             for j, pol in enumerate(policies)
         ], axis=1)
+    # one kernel call per (rep, policy, n) in C order, on one float copy
+    cells = cells.astype(float)
     q_hat = np.empty(cells.shape)
-    for rep, j, i in np.ndindex(cells.shape[:3]):
-        q_hat[rep, j, i] = q_hat_batch(cells[rep, j, i], a_hat[rep, i], config.fallback)
+    rows = np.broadcast_to(a_hat[:, None], cells.shape[:-1]).reshape(-1, 4)
+    for out, table, a_row in zip(q_hat.reshape(-1, 4, k), cells.reshape(-1, 4, k), rows):
+        out[...] = q_hat_batch(table, a_row, config.fallback)
     return np.abs(ate_batch(a_hat[:, None, :, :, None] * q_hat) - inst.ate)
 
 

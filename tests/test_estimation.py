@@ -589,6 +589,60 @@ class TestStacks:
         assert str(info.value) == message
 
 
+def q_hat_reference(counts, a, fallback):
+    """``q_hat_batch`` as first written: a float copy, ``ndarray.sum`` and ``np.full``."""
+    counts = np.asarray(counts, dtype=float)
+    totals = counts.sum(axis=-1, keepdims=True)
+    if fallback == "error":
+        bad = (totals[..., 0] == 0.0) & (np.asarray(a) > 0.0)
+        if bad.any():
+            rows = bad.reshape(-1, 4)
+            first = rows[rows.any(axis=1)][0]
+            raise DegenerateGroupError([GROUPS[g] for g in np.nonzero(first)[0]])
+    uniform = np.full(counts.shape, 1.0 / counts.shape[-1])
+    return np.divide(counts, totals, out=uniform, where=totals > 0.0)
+
+
+def q_hat_outcome(counts, a, fallback):
+    """``(dtype, shape, bytes)`` of ``q_hat_batch``'s result, or the groups it raised with."""
+    try:
+        q_hat = q_hat_batch(counts, a, fallback)
+    except DegenerateGroupError as exc:
+        return exc.groups
+    return q_hat.dtype, q_hat.shape, q_hat.tobytes()
+
+
+class TestKernel:
+    @given(count_stacks(), st.sampled_from(FALLBACKS),
+           st.floats(0.01, 100.0, allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_reference(self, data, fallback, scale):
+        # a_hat = n / n.sum() is zero where n is empty, so under "error" some
+        # members raise and others pass an empty group through
+        _, n, m = data
+        a_hat = n / n.sum(axis=-1, keepdims=True)
+        float_counts = m.astype(float)
+        outcomes = []
+        for counts in (m, float_counts, float_counts * scale):
+            try:
+                ref = q_hat_reference(counts, a_hat, fallback)
+            except DegenerateGroupError as exc:
+                expected = exc.groups
+            else:
+                expected = ref.dtype, ref.shape, ref.tobytes()
+            outcomes.append(q_hat_outcome(counts, a_hat, fallback))
+            assert outcomes[-1] == expected
+        assert outcomes[0] == outcomes[1]
+
+    def test_float_stack_is_not_modified(self):
+        counts = np.array([[[2.0, 2.0], [0.0, 0.0], [1.0, 3.0], [4.0, 0.0]]] * 2)
+        before = counts.copy()
+        q_hat = q_hat_batch(counts, np.full(4, 0.25))
+        assert not np.shares_memory(q_hat, counts)
+        assert np.array_equal(counts, before)
+        assert q_hat[0].tolist() == [[0.5, 0.5], [0.5, 0.5], [0.25, 0.75], [1.0, 0.0]]
+
+
 class TestConsistency:
     def test_error_shrinks_as_m_doubles(self):
         # 20 fixed instances x 200 replications; mean |error| must not

@@ -16,6 +16,7 @@ from deconf import (
     ConfoundedDistribution,
     DataFormatError,
     ValidationError,
+    ate_exact,
     binary_conditional,
     joint_from_parts,
 )
@@ -28,6 +29,7 @@ from deconf.io import (
     read_experiment_config,
     read_full_table_csv,
     read_instance,
+    read_joint,
     read_marginal,
     read_stratified_csv,
     write_error_curve_csv,
@@ -113,6 +115,35 @@ class TestInstanceFiles:
             read_instance(path)
         assert main(["ate", "--instance", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_joint_is_read_or_built_only_for_ate(self, instance_file, tmp_path, capsys):
+        a, q = example_instance()
+        joint_file = tmp_path / "joint.json"
+        write_joint_instance(joint_file, joint_from_parts(a, q))
+        assert read_instance(instance_file).joint is None
+        for path in (instance_file, joint_file):
+            inst = read_instance(path)
+            joint = read_joint(path)
+            expected = joint_from_parts(inst.a, inst.q) if inst.form == "parts" else inst.joint
+            assert joint.p.tobytes() == expected.p.tobytes()
+            assert main(["ate", "--instance", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert out == f"ate = {ate_exact(joint):.10g}\ndegenerate strata: none\n"
+
+    def test_joint_checked_only_where_ate_builds_it(self, tmp_path, capsys):
+        # a and each q row sum to 1 + 0.9e-12, inside the 1e-12 tolerance,
+        # so the product's total, 1 + 1.8e-12, fails only the joint's check
+        path = tmp_path / "drift.json"
+        a, q = [0.25 + 2.25e-13] * 4, [[0.5 + 4.5e-13] * 2] * 4
+        path.write_text(json.dumps({"k": 2, "a": a, "q": q}))
+        total = float((np.array(a)[:, None] * np.array(q)).sum())
+        assert read_instance(path).q.k == 2
+        with pytest.raises(DataFormatError) as err:
+            read_joint(path)
+        message = f"{path}: p: must sum to 1 (got {total!r})"
+        assert str(err.value) == message
+        assert main(["ate", "--instance", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_joint_k_may_be_omitted_or_match(self, tmp_path):
         for raw in ({"p": [[0.125, 0.125]] * 4}, {"k": 2, "p": [[0.125, 0.125]] * 4}):

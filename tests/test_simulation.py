@@ -13,6 +13,7 @@ from deconf import (
     DegenerateGroupError,
     ExhaustedError,
     ExperimentConfig,
+    GROUPS,
     ValidationError,
     adversarial_instance,
     allocate_infinite,
@@ -675,6 +676,43 @@ class TestWorkerPool:
         assert pool_sizes == [2]
         assert messages[0] == messages[1]
         assert "(y=0,t=1), (y=1,t=0)" in messages[0]
+
+    def test_strict_finite_names_the_first_degenerate_estimate(self, pool_sizes, monkeypatch):
+        # the first item, run in process, is fine; on nsp_worst several
+        # (replication, policy, n) estimates leave different positive-mass
+        # groups without reveals, and the error names those of the first in
+        # that C order, from the first pooled item
+        fine = (ConfoundedDistribution(np.full(4, 0.25)), ConditionalTable(np.full((4, 2), 0.5)))
+        instances = [fine] + [adversarial_instance("nsp_worst")] * 2
+        settings = dict(k=2, policies=("nsp", "usp", "owsp"), m_grid=(20,),
+                        n_grid=(20, 100, 500), replications=4, seed=1)
+        groups = []
+        for workers in (1, 2):
+            with pytest.raises(DegenerateGroupError) as err:
+                run_finite_experiment(ExperimentConfig(fallback="error", **settings),
+                                      instances=instances, workers=workers)
+            groups.append(err.value.groups)
+        assert pool_sizes == [2]
+        assert groups == [((0, 1),)] * 2  # the last degenerate estimate's are ((1, 0),)
+
+        inputs = []
+        kernel = simulation.q_hat_batch
+
+        def recorded(cells, a_hat, fallback):
+            inputs.append((cells.copy(), a_hat.copy()))
+            return kernel(cells, a_hat, fallback)
+
+        monkeypatch.setattr(simulation, "q_hat_batch", recorded)
+        run_finite_experiment(ExperimentConfig(**settings), instances=instances[:2])
+        # read per estimate, in call order, whatever tables a call stacks
+        cells = np.concatenate([c.reshape(-1, 4, 2) for c, _ in inputs])
+        a_hat = np.concatenate([np.broadcast_to(a, c.shape[:-1]).reshape(-1, 4)
+                                for c, a in inputs])
+        empty = (cells.sum(axis=-1) == 0) & (a_hat > 0)
+        degenerate = np.flatnonzero(empty.any(axis=1))
+        assert degenerate[0] >= 4 * 3 * 3  # every estimate of the fine item
+        assert tuple(GROUPS[g] for g in np.flatnonzero(empty[degenerate[0]])) == groups[0]
+        assert len(np.unique(empty[degenerate], axis=0)) > 1
 
 
 class TestConfigValidation:
