@@ -45,7 +45,6 @@ from .model import (
     HardInstancePair,
     JointDistribution,
     adversarial_instance,
-    ate_details,
     ate_exact,
     binary_conditional,
     general_lower_pair,

@@ -36,7 +36,8 @@ from .model import (
     GROUPS,
     ConfoundedDistribution,
     adversarial_instance,
-    ate_details,
+    ate_exact,
+    empty_strata,
     general_lower_pair,
     hardness_pair,
     policy_lower_pair,
@@ -63,9 +64,9 @@ def _fmt_strata(strata) -> str:
 
 
 def cmd_ate(args) -> int:
-    result = ate_details(dio.read_joint(args.instance))
-    print(f"ate = {result.value:.10g}")
-    print(f"degenerate strata: {_fmt_strata(result.degenerate_strata)}")
+    joint = dio.read_joint(args.instance)
+    print(f"ate = {ate_exact(joint):.10g}")
+    print(f"degenerate strata: {_fmt_strata(np.argwhere(empty_strata(joint.p)).tolist())}")
     return EXIT_OK
 
 

@@ -23,9 +23,9 @@ The average treatment effect is evaluated by stratifying on z:
 
     ate = sum_z (P(Y=1|T=1,Z=z) - P(Y=1|T=0,Z=z)) * P(Z=z)
 
-A stratum (t, z) with zero mass contributes 0 to its conditional term and
-is reported in the result's ``degenerate_strata`` set; this keeps the
-evaluation total on small empirical tables where empty strata are routine.
+A stratum (t, z) with zero mass contributes 0 to its conditional term;
+:func:`empty_strata` reports those strata. This keeps the evaluation total
+on small empirical tables where empty strata are routine.
 """
 
 from __future__ import annotations
@@ -165,13 +165,6 @@ def binary_conditional(q1) -> ConditionalTable:
     return ConditionalTable(np.column_stack([1.0 - q1, q1]))
 
 
-class AteResult(NamedTuple):
-    """Exact ATE value plus the set of zero-mass (t, z) strata encountered."""
-
-    value: float
-    degenerate_strata: frozenset
-
-
 def ate_batch(p) -> np.ndarray:
     """Back-door ATE of every (4, k) table in a ``(..., 4, k)`` stack.
 
@@ -201,15 +194,13 @@ def empty_strata(p) -> np.ndarray:
     return p[..., :2, :] + p[..., 2:, :] == 0.0
 
 
-def ate_details(p: JointDistribution) -> AteResult:
-    """Evaluate the back-door adjusted ATE with the 0/0 -> 0 convention."""
-    strata = np.argwhere(empty_strata(p.p)).tolist()
-    return AteResult(float(ate_batch(p.p)), frozenset(map(tuple, strata)))
-
-
 def ate_exact(p: JointDistribution) -> float:
-    """The exact ATE of a joint table (see :func:`ate_details` for flags)."""
-    return ate_details(p).value
+    """The exact ATE of one validated joint table, as a float.
+
+    This is :func:`ate_batch` on ``p.p``; :func:`empty_strata` of ``p.p``
+    names the zero-mass strata it took as 0/0 -> 0.
+    """
+    return float(ate_batch(p.p))
 
 
 def joint_from_parts(a: ConfoundedDistribution, q: ConditionalTable) -> JointDistribution:
@@ -314,11 +305,14 @@ class HardInstancePair:
         return joint_from_parts(self.a, self.alternate_q)
 
 
+def _pair(a, base, alt, params) -> HardInstancePair:
+    """The pair and its gap, from one :func:`ate_batch` call on the (2, 4, k) joints."""
+    base_ate, alt_ate = ate_batch(a.a[:, None] * np.stack([base.q, alt.q])).tolist()
+    return HardInstancePair(a, base, alt, abs(base_ate - alt_ate), params)
+
+
 def _pair_from_scalars(a, base_q1, alt_q1, params) -> HardInstancePair:
-    base = binary_conditional(base_q1)
-    alt = binary_conditional(alt_q1)
-    gap = abs(ate_exact(joint_from_parts(a, base)) - ate_exact(joint_from_parts(a, alt)))
-    return HardInstancePair(a, base, alt, gap, params)
+    return _pair(a, binary_conditional(base_q1), binary_conditional(alt_q1), params)
 
 
 def hardness_pair(
@@ -402,7 +396,5 @@ def policy_lower_pair(
         rows = rows / rows.sum(axis=1, keepdims=True)
         return ConditionalTable(rows)
 
-    base = build(row_01, row_11)
-    alt = build(row_11, row_01)
-    gap = abs(ate_exact(joint_from_parts(a, base)) - ate_exact(joint_from_parts(a, alt)))
-    return HardInstancePair(a, base, alt, gap, {"k": k, "beta": beta, "gamma": gamma})
+    return _pair(a, build(row_01, row_11), build(row_11, row_01),
+                 {"k": k, "beta": beta, "gamma": gamma})

@@ -114,6 +114,13 @@ def _named_weights(a: np.ndarray) -> np.ndarray:
     return weights
 
 
+def _check_owsp(a: np.ndarray) -> None:
+    """Raise unless every (..., 4) marginal has mass on both treatment arms, as owsp needs."""
+    empty = np.argwhere(_arm_mass(a) <= 0.0)  # rows (..., t); one arm at most per marginal
+    if len(empty):
+        raise ValidationError(f"owsp undefined: treatment arm t={empty[0, -1]} has zero mass")
+
+
 def policy_weights(
     policy: Union[str, PolicyWeights], a: ConfoundedDistribution
 ) -> PolicyWeights:
@@ -122,10 +129,7 @@ def policy_weights(
     if kind == "custom":
         return policy
     if kind == "owsp":
-        arm = _arm_mass(a.a)
-        if (arm <= 0.0).any():
-            t = int(np.argmin(arm))
-            raise ValidationError(f"owsp undefined: treatment arm t={t} has zero mass")
+        _check_owsp(a.a)
     return PolicyWeights(_named_weights(a.a)[NAMED_POLICIES.index(kind)])
 
 

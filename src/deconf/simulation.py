@@ -53,8 +53,10 @@ converts a work item's counts to float once and walks that copy as
 (replication, policy, n) order, so no call converts its table and a
 strict run names the first degenerate estimate in that order. The
 benchmark's tracer test counts one estimation call per estimate, so the
-loop stays until that test is revised. Dataclasses are built per
-instance, never per replication.
+loop stays until that test is revised. Model objects are the types of the
+API and the file boundary only: no model object is built inside a sweep.
+The infinite and empirical protocols check owsp's arms once per run,
+before any work item.
 """
 
 from __future__ import annotations
@@ -72,16 +74,13 @@ from .estimation import deconfounded_counts, q_hat_batch
 from .model import (
     ConditionalTable,
     ConfoundedDistribution,
-    JointDistribution,
     ate_batch,
-    ate_exact,
     check_int,
     is_integer,
-    joint_from_parts,
-    parts_from_joint,
     random_instance,
+    split_joint,
 )
-from .policies import NAMED_POLICIES, _allocate, policy_weights
+from .policies import NAMED_POLICIES, _allocate, _check_owsp, _named_weights
 
 BASELINE = "deconf-only"
 POLICY_IDS = {BASELINE: 0, "nsp": 1, "usp": 2, "owsp": 3}
@@ -194,16 +193,11 @@ class SyntheticInstance(NamedTuple):
     p_flat: np.ndarray  # (4k,), the joint table row-major
 
 
-def make_instance(a: ConfoundedDistribution, q: ConditionalTable) -> SyntheticInstance:
-    joint = joint_from_parts(a, q)
-    return SyntheticInstance(a.a, q.q, ate_exact(joint), joint.p.ravel())
-
-
 def resolve_instances(
     config: ExperimentConfig,
     explicit: Optional[Sequence[Tuple[ConfoundedDistribution, ConditionalTable]]] = None,
 ) -> List[SyntheticInstance]:
-    """Explicit (a, q) pairs, or uniform-simplex draws keyed by the seed."""
+    """Arrays of explicit (a, q) pairs, or of uniform-simplex draws keyed by the seed."""
     if explicit is not None:
         explicit = list(explicit)
         if not explicit:
@@ -213,15 +207,17 @@ def resolve_instances(
                 raise ValidationError(
                     f"instance {i} has k={q.k}, but the config sets k={config.k}"
                 )
-        return [make_instance(a, q) for a, q in explicit]
-    out = []
-    for i in range(config.instances):
-        joint = random_instance(config.k, _stream(config.seed, _DOM_INSTANCE, i))
-        parts = parts_from_joint(joint)
-        out.append(
-            SyntheticInstance(parts.a.a, parts.q.q, ate_exact(joint), joint.p.ravel())
-        )
-    return out
+        a = np.stack([marginal.a for marginal, _ in explicit])
+        q = np.stack([table.q for _, table in explicit])
+        p = a[..., None] * q
+    else:
+        p = np.stack([
+            random_instance(config.k, _stream(config.seed, _DOM_INSTANCE, i)).p
+            for i in range(config.instances)
+        ])
+        a, q = split_joint(p)
+    ates = ate_batch(p).tolist()
+    return [SyntheticInstance(*f) for f in zip(a, q, ates, p.reshape(len(p), -1))]
 
 
 def _check_not_finite(config: ExperimentConfig, workers) -> None:
@@ -290,9 +286,9 @@ def _sweep(func, items, labels, kind, grid, workers: int, instances: int) -> Err
 
 def _infinite_errors(args) -> np.ndarray:
     idx, inst, config = args
-    a = ConfoundedDistribution(inst.a)
     k, reps = inst.q.shape[1], config.replications
     grid = np.array(sorted(config.m_grid))
+    weights = _named_weights(inst.a)
     ates = []
     for pol in config.method_labels():
         rng = _stream(config.seed, _DOM_INFINITE, idx, POLICY_IDS[pol])
@@ -300,7 +296,7 @@ def _infinite_errors(args) -> np.ndarray:
             cells = rng.multinomial(grid, inst.p_flat, size=(reps, len(grid)))
             ate = ate_batch(cells.reshape(reps, len(grid), 4, k) / grid[:, None, None])
         else:
-            alloc = _allocate(pol, grid, policy_weights(pol, a).x)
+            alloc = _allocate(pol, grid, weights[NAMED_POLICIES.index(pol)])
             cells = rng.multinomial(alloc, inst.q, size=(reps,) + alloc.shape)
             ate = ate_batch(inst.a[:, None] * q_hat_batch(cells, inst.a, config.fallback))
         ates.append(ate)
@@ -315,6 +311,8 @@ def run_infinite_experiment(
     """Policy comparison with the marginal known exactly."""
     _check_not_finite(config, workers)
     resolved = resolve_instances(config, instances)
+    if "owsp" in config.policies:
+        _check_owsp(np.stack([inst.a for inst in resolved]))
     items = [(idx, inst, config) for idx, inst in enumerate(resolved)]
     return _sweep(_infinite_errors, items, config.method_labels(), "m", config.m_grid,
                   workers, len(resolved))
@@ -474,10 +472,10 @@ def run_empirical_experiment(
     total = int(cells.sum())
     if total == 0:
         raise ValidationError("empirical dataset is empty")
-    joint = JointDistribution(cells / total)
-    ate_true = ate_exact(joint)
+    ate_true = ate_batch(cells / total)
     sizes = cells.sum(axis=1)
-    a = ConfoundedDistribution(sizes / total)
+    a = sizes / total
+    weights = _named_weights(a)
 
     labels = config.method_labels()
     grid = np.array(config.m_grid)
@@ -489,7 +487,9 @@ def run_empirical_experiment(
                     f"baseline needs {max(config.m_grid)} records, table has {total}"
                 )
             continue
-        counts = _allocate(pol, grid, policy_weights(pol, a).x)
+        if pol == "owsp":
+            _check_owsp(a)
+        counts = _allocate(pol, grid, weights[NAMED_POLICIES.index(pol)])
         shortfall = counts - sizes
         if np.any(shortfall > 0):  # report the first m in config order, then group
             i, g = divmod(int(np.argmax(shortfall > 0)), 4)
@@ -500,7 +500,7 @@ def run_empirical_experiment(
             )
         allocations[pol] = counts[np.argsort(grid, kind="stable")]  # sorted-grid rows
 
-    items = [(cells, a.a, ate_true, allocations, config)]
+    items = [(cells, a, ate_true, allocations, config)]
     return _sweep(_empirical_errors, items, labels, "m", config.m_grid, workers, 1)
 
 

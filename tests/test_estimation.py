@@ -15,7 +15,6 @@ from deconf import (
     EstimationResult,
     ValidationError,
     allocate_infinite,
-    ate_details,
     ate_exact,
     binary_conditional,
     estimate_deconfounded_only,
@@ -34,7 +33,7 @@ from deconf.estimation import (
     estimate_with_known_confounded_counts,
     q_hat_batch,
 )
-from deconf.model import ate_batch
+from deconf.model import ate_batch, empty_strata
 from test_model import brute_force_ate, example_instance
 
 EXACT = 1e-12
@@ -66,17 +65,15 @@ def ref_estimate_stratified_ite(x, y, t, z, k, fallback="uniform"):
         m_counts = np.bincount(flat, minlength=4 * k).reshape(4, k).astype(float)
         a_hat = ConfoundedDistribution(n_counts / n_counts.sum())
         q_hat = ConditionalTable(q_hat_batch(m_counts, a_hat.a, fallback))
-        ate = ate_details(joint_from_parts(a_hat, q_hat))
-        empty_strata = np.zeros((2, k), dtype=bool)
-        for t_, z_ in ate.degenerate_strata:
-            empty_strata[t_, z_] = True
+        joint = joint_from_parts(a_hat, q_hat)
+        ate = ate_exact(joint)
         members.append(
-            (ate.value, a_hat.a, q_hat.q, m_counts.sum(axis=1) == 0, empty_strata)
+            (ate, a_hat.a, q_hat.q, m_counts.sum(axis=1) == 0, empty_strata(joint.p))
         )
         weight = float(mask.sum()) / x.shape[0]
         strata.append(int(xv))
         weights.append(weight)
-        aggregate += weight * ate.value
+        aggregate += weight * ate
     estimates = EstimationResult(*(np.array(field) for field in zip(*members)))
     return StratifiedResult(np.array(strata), np.array(weights), estimates, aggregate)
 

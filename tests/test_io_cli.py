@@ -1048,6 +1048,15 @@ class TestCliPlanEmptyArm:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: --policy owsp requires --n\n"
 
+    def test_simulate_owsp_exits_2(self, path, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 2, "instance_files": [str(path)], "m_grid": [50],
+                                   "replications": 5, "seed": 1}))
+        out = tmp_path / "e.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: owsp undefined: treatment arm t=1 has zero mass\n"
+        assert not out.exists()
+
 
 class TestCliGenInstance:
     def test_adversarial_file_contents(self, tmp_path):
@@ -1347,6 +1356,29 @@ class TestCliSimulate:
         code = main(["simulate", "--config", str(cfg), "--out", str(out), "--workers", "2"])
         assert code == 3
         assert "(y=0,t=1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, fields",
+        [
+            ("simulate", {}),
+            ("simulate", {"include_baseline": False}),
+            ("simulate-finite", {"include_baseline": False, "m_grid": [50], "n_grid": [50, 200]}),
+        ],
+    )
+    def test_parts_drift_file_runs(self, tmp_path, capsys, command, fields):
+        # the file of test_joint_checked_only_where_ate_builds_it: its parts
+        # pass their checks and their product's total does not, so only the
+        # commands that build the joint (ate) reject it
+        inst = tmp_path / "drift.json"
+        a, q = [0.25 + 2.25e-13] * 4, [[0.5 + 4.5e-13] * 2] * 4
+        inst.write_text(json.dumps({"k": 2, "a": a, "q": q}))
+        cfg = self.write_config(tmp_path, instance_files=[str(inst)], **fields)
+        out = tmp_path / "drift.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = read_error_curve_csv(out).rows
+        labels = ["deconf-only"] * bool(fields.get("include_baseline", True))
+        assert sorted({row.policy for row in rows}) == sorted(labels + list(NAMED_POLICIES))
 
     def test_output_sorted(self, tmp_path):
         cfg = self.write_config(tmp_path)

@@ -14,6 +14,9 @@ from deconf import (
     ExhaustedError,
     ExperimentConfig,
     GROUPS,
+    JointDistribution,
+    NAMED_POLICIES,
+    PolicyWeights,
     ValidationError,
     adversarial_instance,
     allocate_infinite,
@@ -247,6 +250,89 @@ class TestEmpiricalProtocol:
         )
 
 
+MODEL_TYPES = (ConfoundedDistribution, ConditionalTable, JointDistribution, PolicyWeights)
+
+
+def count_validations(monkeypatch):
+    """The names of the model objects built from now on, in build order."""
+    built = []
+    for cls in MODEL_TYPES:
+        def counted(self, original=cls.__post_init__):
+            built.append(type(self).__name__)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
+class TestArraysPastTheBoundary:
+    """Instances are validated where they are built; a sweep works on their arrays."""
+
+    EMPTY_ARM = (  # treatment arm t=1 has no mass, so owsp is undefined
+        ConfoundedDistribution(np.array([0.5, 0.0, 0.5, 0.0])),
+        binary_conditional((0.7, 0.5, 0.4, 0.5)),
+    )
+
+    def test_counter_sees_every_model_type(self, monkeypatch):
+        built = count_validations(monkeypatch)
+        a, q = adversarial_instance("nsp_worst")
+        joint_from_parts(a, q)
+        policy_weights("usp", a)
+        assert built == [cls.__name__ for cls in MODEL_TYPES]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_synthetic_sweeps_build_no_model_object(self, monkeypatch, workers, shared):
+        instances = [adversarial_instance(w) for w in ("usp_worst", "owsp_worst")]
+        infinite = small_infinite_config(replications=10)
+        finite = ExperimentConfig(
+            k=2, m_grid=(50,), n_grid=(200, 50), replications=10, seed=3,
+            shared_randomness=shared,
+        )
+        built = count_validations(monkeypatch)
+        run_infinite_experiment(infinite, instances, workers=workers)
+        run_finite_experiment(finite, instances, workers=workers)
+        assert built == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empirical_sweep_builds_no_model_object(self, monkeypatch, workers):
+        records, _ = TestEmpiricalProtocol().full_table()
+        cfg = ExperimentConfig(
+            k=2, include_baseline=True, m_grid=(30, 15), replications=10, seed=4
+        )
+        built = count_validations(monkeypatch)
+        run_empirical_experiment(records, cfg, workers=workers)
+        assert built == []
+
+    @pytest.mark.parametrize("t, a", [(1, (0.5, 0.0, 0.5, 0.0)), (0, (0.0, 0.5, 0.0, 0.5))])
+    def test_empty_arm_stops_owsp_before_the_first_item(self, monkeypatch, t, a):
+        ran = []
+        errors = simulation._infinite_errors
+
+        def recorded(args):
+            ran.append(args[0])
+            return errors(args)
+
+        monkeypatch.setattr(simulation, "_infinite_errors", recorded)
+        empty_arm = (ConfoundedDistribution(np.array(a)), self.EMPTY_ARM[1])
+        instances = [adversarial_instance("nsp_worst"), empty_arm]
+        with pytest.raises(ValidationError) as info:
+            run_infinite_experiment(small_infinite_config(replications=5), instances)
+        assert str(info.value) == f"owsp undefined: treatment arm t={t} has zero mass"
+        assert ran == []
+        run_infinite_experiment(
+            small_infinite_config(policies=("nsp", "usp"), replications=5), instances
+        )
+        assert ran == [0, 1]
+
+    def test_finite_protocol_runs_on_an_empty_arm(self):
+        # owsp splits by the empirical marginal here, which is defined
+        cfg = ExperimentConfig(k=2, m_grid=(50,), n_grid=(50, 200), replications=5, seed=3)
+        curve = run_finite_experiment(cfg, [adversarial_instance("nsp_worst"), self.EMPTY_ARM])
+        assert sorted({row.policy for row in curve.rows}) == sorted(NAMED_POLICIES)
+        assert all(np.isfinite(row.mean_abs_error) for row in curve.rows)
+
+
 def permutation_prefixes(rng, cells, lengths):
     """Reference reveal path: prefixes of one random permutation of each group's z."""
     k = cells.shape[1]
@@ -411,7 +497,7 @@ class TestBatchedDraws:
             replications=self.REPS, seed=seed,
         )
         run_infinite_experiment(cfg, instances=[(self.A, self.Q)])
-        inst = simulation.make_instance(self.A, self.Q)
+        inst = simulation.resolve_instances(cfg, [(self.A, self.Q)])[0]
         alloc = simulation._allocate("usp", grid, policy_weights("usp", self.A).x)
         for pol, n, probs, rows in (
             (simulation.BASELINE, grid, inst.p_flat, range(8)),
