@@ -288,15 +288,29 @@ def cmd_gen_instance(args) -> int:
     return EXIT_OK
 
 
+# config-file fields each simulate command would ignore; setting one exits 2
+_IGNORED_FIELDS = {"simulate": ("dataset",), "simulate-finite": ("dataset",),
+                   "simulate-real": ("instances", "instance_files")}
+
+
 def _load_sim_inputs(args):
     """Config, extras and instances of a ``simulate*`` command; checks ``--out`` first."""
     dio.check_output_path(args.out)
     config, extras = dio.read_experiment_config(args.config)
+    for name in _IGNORED_FIELDS[args.command]:
+        if name in extras["fields"]:
+            raise DataFormatError(
+                f"{args.config}: config field {name!r} does not apply to {args.command}"
+            )
+    if extras["instance_files"] and "instances" in extras["fields"]:
+        raise DataFormatError(  # the files set the instance count
+            f"{args.config}: config field 'instances' does not apply next to instance_files"
+        )
     if args.seed is not None:
         config = sim.ExperimentConfig(
             **{**config.__dict__, "seed": args.seed}
         )
-    elif not extras.get("has_seed", False):
+    elif "seed" not in extras["fields"]:
         raise ValidationError("no seed: pass --seed or set 'seed' in the config")
     instances = None
     if extras.get("instance_files"):

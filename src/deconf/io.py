@@ -36,7 +36,7 @@ import csv
 import json
 import os
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from functools import partial
 from itertools import chain
 from typing import List, Optional, Tuple
@@ -491,32 +491,21 @@ def read_error_curve_csv(path) -> ErrorCurve:
     return ErrorCurve(tuple(rows))
 
 
-_CONFIG_FIELDS = {
-    "k",
-    "instances",
-    "policies",
-    "include_baseline",
-    "m_grid",
-    "n_grid",
-    "replications",
-    "seed",
-    "fallback",
-    "shared_randomness",
-    "dataset",
-    "instance_files",
-}
+_CONFIG_FIELDS = {"dataset", "instance_files"}.union(
+    f.name for f in dataclass_fields(ExperimentConfig)
+)
 
 
 def read_experiment_config(path) -> Tuple[ExperimentConfig, dict]:
-    """Load a config JSON; returns the config plus extras (dataset path, files)."""
+    """Load a config JSON: the config plus extras (dataset, instance files, fields set)."""
     raw = _read_json_object(path)
     unknown = set(raw) - _CONFIG_FIELDS
     if unknown:
         raise DataFormatError(f"{path}: unknown config fields {sorted(unknown)}")
     extras = {
+        "fields": frozenset(raw),
         "dataset": raw.pop("dataset", None),
         "instance_files": raw.pop("instance_files", None),
-        "has_seed": "seed" in raw,
     }
     try:
         config = ExperimentConfig(**raw)

@@ -247,10 +247,13 @@ def random_instance(k: int, seed) -> JointDistribution:
     Normalized independent unit-rate exponentials, i.e. a flat Dirichlet;
     deterministic given the seed (an int or a numpy Generator).
     """
-    k = check_int(k, "k", 2)
-    rng = np.random.default_rng(seed)
-    cells = rng.exponential(size=(4, k))
-    return JointDistribution(cells / cells.sum())
+    return JointDistribution(_random_joint(check_int(k, "k", 2), seed))
+
+
+def _random_joint(k: int, seed) -> np.ndarray:
+    """:func:`random_instance`'s ``(4, k)`` table as a plain array, unchecked."""
+    cells = np.random.default_rng(seed).exponential(size=(4, k))
+    return cells / cells.sum()
 
 
 #: Fixed adversarial k=2 instances, as (a, P(Z=1|y,t)) scalar vectors.

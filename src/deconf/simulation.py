@@ -18,9 +18,9 @@ and master seed. Every protocol draws from one RNG stream per
 replications of a work item together. The infinite
 protocol draws one ``multinomial`` over (replication, grid point, group).
 The finite protocol draws each replication's arrivals as incremental
-multinomials along m and the sorted n grid; reveals come from one stream
-per (instance, policy), or with shared randomness from one stream per
-instance, as nested prefixes of one sequence per (replication, group). The
+multinomials along m and the sorted n grid. Its reveals come from one
+stream per instance: a record's z is drawn once, so every policy at every
+n reveals a prefix of one z sequence per (replication, group). The
 empirical protocol, whose table is its only instance, has one stream per
 method and one work item; its policies are non-adaptive, so every
 replication's reveals are drawn at once, in ascending reveal count. Seeds
@@ -74,10 +74,10 @@ from .estimation import deconfounded_counts, q_hat_batch
 from .model import (
     ConditionalTable,
     ConfoundedDistribution,
+    _random_joint,
     ate_batch,
     check_int,
     is_integer,
-    random_instance,
     split_joint,
 )
 from .policies import NAMED_POLICIES, _allocate, _check_owsp, _named_weights
@@ -130,17 +130,15 @@ class ExperimentConfig:
     replications: int = 100
     seed: int = 0
     fallback: str = "uniform"
-    shared_randomness: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "k", check_int(self.k, "k", 2))
         for name in ("instances", "replications"):
             object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
-        for name in ("include_baseline", "shared_randomness"):
-            value = getattr(self, name)
-            if not isinstance(value, (bool, np.bool_)):
-                raise ValidationError(f"{name} must be true or false, got {value!r}")
-            object.__setattr__(self, name, bool(value))
+        flag = self.include_baseline
+        if not isinstance(flag, (bool, np.bool_)):
+            raise ValidationError(f"include_baseline must be true or false, got {flag!r}")
+        object.__setattr__(self, "include_baseline", bool(flag))
         object.__setattr__(self, "policies", _as_list("policies", self.policies, "policy names"))
         for pol in self.policies:
             if pol not in NAMED_POLICIES:
@@ -212,7 +210,7 @@ def resolve_instances(
         p = a[..., None] * q
     else:
         p = np.stack([
-            random_instance(config.k, _stream(config.seed, _DOM_INSTANCE, i)).p
+            _random_joint(config.k, _stream(config.seed, _DOM_INSTANCE, i))
             for i in range(config.instances)
         ])
         a, q = split_joint(p)
@@ -223,9 +221,8 @@ def resolve_instances(
 def _check_not_finite(config: ExperimentConfig, workers) -> None:
     """Reject the finite protocol's settings in the other two protocols."""
     check_int(workers, "workers", 1)
-    for name in ("n_grid", "shared_randomness"):
-        if getattr(config, name):
-            raise ValidationError(f"{name} applies to the finite protocol only")
+    if config.n_grid:
+        raise ValidationError("n_grid applies to the finite protocol only")
 
 
 # ---------------------------------------------------------------------------
@@ -353,18 +350,11 @@ def _finite_errors(args) -> np.ndarray:
         else _allocate(pol, m, a_hat, avail)
         for pol in policies
     ], axis=1)  # (reps, policies, grid, 4)
-    if config.shared_randomness:  # allocations are prefixes of one sequence per group
-        lengths = allocs.transpose(0, 3, 1, 2).reshape(reps, 4, -1)
-        cells = _prefix_counts(_stream(seed, _DOM_CONDITIONAL, idx), inst.q, lengths)
-        cells = cells.reshape(reps, 4, len(policies), len(grid), k)
-        cells = cells.transpose(0, 2, 3, 1, 4)
-    else:
-        cells = np.stack([
-            _stream(seed, _DOM_CONDITIONAL, idx, POLICY_IDS[pol]).multinomial(
-                allocs[:, j], inst.q, size=allocs[:, j].shape
-            )
-            for j, pol in enumerate(policies)
-        ], axis=1)
+    # every allocation reveals a prefix of one z sequence per (rep, group)
+    lengths = allocs.transpose(0, 3, 1, 2).reshape(reps, 4, -1)
+    cells = _prefix_counts(_stream(seed, _DOM_CONDITIONAL, idx), inst.q, lengths)
+    cells = cells.reshape(reps, 4, len(policies), len(grid), k)
+    cells = cells.transpose(0, 2, 3, 1, 4)
     # one kernel call per (rep, policy, n) in C order, on one float copy
     cells = cells.astype(float)
     q_hat = np.empty(cells.shape)
@@ -382,9 +372,10 @@ def run_finite_experiment(
     """Error as a function of the confounded sample count n, m held fixed.
 
     Natural sampling deconfounds the first m arrivals; the other policies
-    allocate m reveals against the realized group counts at each n. With
-    ``shared_randomness`` every policy reuses the same per-group reveal
-    streams, making all policies coincide exactly at n = m.
+    allocate m reveals against the realized group counts at each n. Each
+    record's z is drawn once: every allocation reveals a prefix of one z
+    sequence per (replication, group), so all policies coincide exactly at
+    n = m and compare on common random numbers elsewhere.
     """
     check_int(workers, "workers", 1)
     if config.n_grid is None:

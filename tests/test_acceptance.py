@@ -248,7 +248,6 @@ def test_criterion_9_finite_data_ordering():
             n_grid=(100,),
             replications=20,
             seed=778,
-            shared_randomness=True,
         )
     )
     at_saturation = {row.policy: row.mean_abs_error for row in shared.rows}
@@ -259,7 +258,7 @@ def test_criterion_9_finite_data_ordering():
         9,
         "finite-data ordering",
         ordering_ok and equal_ok,
-        "; ".join(details) + f"; shared-randomness equality at n=100: {equal_ok}",
+        "; ".join(details) + f"; equality at n=m=100: {equal_ok}",
     )
 
 

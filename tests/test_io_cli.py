@@ -664,7 +664,8 @@ class TestConfigFiles:
         config, extras = read_experiment_config(path)
         assert config.instances == 3
         assert extras["dataset"] == "table.csv"
-        assert extras["has_seed"]
+        assert extras["fields"] == {"k", "instances", "policies", "m_grid", "replications",
+                                    "seed", "dataset"}
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -1172,6 +1173,7 @@ class TestCliOutputPath:
 
 class TestCliSimulate:
     def write_config(self, tmp_path, **overrides):
+        """A config file of the defaults below; an override of None leaves its field out."""
         cfg = {
             "k": 2,
             "instances": 3,
@@ -1183,7 +1185,7 @@ class TestCliSimulate:
         }
         cfg.update(overrides)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps({name: v for name, v in cfg.items() if v is not None}))
         return path
 
     def test_workers_byte_identical(self, tmp_path):
@@ -1233,6 +1235,7 @@ class TestCliSimulate:
         total = int(cells.sum())
         cfg = self.write_config(
             tmp_path,
+            instances=None,
             include_baseline=False,
             policies=["nsp"],
             m_grid=[total],
@@ -1260,7 +1263,7 @@ class TestCliSimulate:
         rows = ["0,0,0"] + ["0,1,0", "1,0,1", "1,1,1"] * 5
         data.write_text("y,t,z\n" + "\n".join(rows))
         cfg = self.write_config(
-            tmp_path, include_baseline=False, policies=["usp"], m_grid=[8]
+            tmp_path, instances=None, include_baseline=False, policies=["usp"], m_grid=[8]
         )
         out = tmp_path / "real.csv"
         code = main(
@@ -1331,11 +1334,54 @@ class TestCliSimulate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, field",
+        [
+            ("simulate-real", {"instance_files": ["missing.json"]}),
+            ("simulate-real", {"instances": 3}),
+            ("simulate", {"dataset": "table.csv"}),
+            ("simulate-finite", {"dataset": "table.csv"}),
+        ],
+    )
+    def test_field_the_command_ignores_exits_2(self, tmp_path, capsys, command, field):
+        # checked before any file the config names is read
+        finite = {"include_baseline": False, "m_grid": [50], "n_grid": [50, 200]}
+        fields = {"instances": None, **(finite if command == "simulate-finite" else {}), **field}
+        cfg = self.write_config(tmp_path, **fields)
+        data = tmp_path / "table.csv"
+        data.write_text("y,t,z\n" + "0,0,0\n0,1,1\n1,0,0\n1,1,1\n" * 20)
+        out = tmp_path / "i.csv"
+        args = [command, "--config", str(cfg), "--out", str(out)]
+        assert main(args + (["--data", str(data)] if command == "simulate-real" else [])) == 2
+        (name,) = field
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config field {name!r} does not apply to {command}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, fields", [
+        ("simulate", {}),
+        ("simulate-finite", {"include_baseline": False, "m_grid": [50], "n_grid": [50, 200]}),
+    ])
+    def test_instances_next_to_instance_files_exits_2(self, tmp_path, capsys, command, fields):
+        # the files set the instance count, so 7 would have run one instance
+        inst = tmp_path / "usp_worst.json"
+        assert main(["gen-instance", "--adversarial", "usp", "--out", str(inst)]) == 0
+        capsys.readouterr()
+        cfg = self.write_config(tmp_path, instances=7, instance_files=[str(inst)], **fields)
+        out = tmp_path / "n.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config field 'instances' does not apply next to instance_files\n"
+        )
+        assert not out.exists()
+
     def test_instance_file_k_must_match_config(self, tmp_path, capsys):
         inst = tmp_path / "k3.json"
         assert main(["gen-instance", "--random", "--k", "3", "--seed", "1",
                      "--out", str(inst)]) == 0
-        cfg = self.write_config(tmp_path, instance_files=[str(inst)], replications=2)
+        cfg = self.write_config(tmp_path, instances=None, instance_files=[str(inst)],
+                                replications=2)
         out = tmp_path / "k.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert "k=3" in capsys.readouterr().err
@@ -1346,6 +1392,7 @@ class TestCliSimulate:
         assert main(["gen-instance", "--adversarial", "nsp", "--out", str(inst)]) == 0
         cfg = self.write_config(
             tmp_path,
+            instances=None,
             instance_files=[str(inst)] * 2,
             policies=["nsp"],
             include_baseline=False,
@@ -1372,7 +1419,7 @@ class TestCliSimulate:
         inst = tmp_path / "drift.json"
         a, q = [0.25 + 2.25e-13] * 4, [[0.5 + 4.5e-13] * 2] * 4
         inst.write_text(json.dumps({"k": 2, "a": a, "q": q}))
-        cfg = self.write_config(tmp_path, instance_files=[str(inst)], **fields)
+        cfg = self.write_config(tmp_path, instances=None, instance_files=[str(inst)], **fields)
         out = tmp_path / "drift.csv"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""

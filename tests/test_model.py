@@ -259,6 +259,34 @@ class TestRandomInstance:
         assert np.all(np.abs(draws.mean(axis=0) - 0.125) < 3 * se)
 
 
+class TestTwoConfounders:
+    """The paper's two-confounder passage, with z = 2*z1 + z2 (k = 4).
+
+    With no independence assumed between z1 and z2, the ATE needs
+    P(z1, z2 | y, t). Adding eta * [+1, -1, -1, +1] to one group's 2x2 table
+    keeps every (y, t, z1) and (y, t, z2) margin, so reveals of z1 and z2 on
+    separate records see the same distribution under both tables, while the
+    ATE moves.
+    """
+
+    A = np.array([0.4, 0.1, 0.2, 0.3])
+    Q = np.array([(0.1, 0.2, 0.3, 0.4), (0.25, 0.25, 0.25, 0.25),
+                  (0.4, 0.1, 0.1, 0.4), (0.3, 0.3, 0.2, 0.2)])
+
+    def test_single_confounder_margins_keep_and_the_ate_moves(self):
+        alternate = self.Q.copy()
+        alternate[group_index(1, 1)] += 0.1 * np.array([1.0, -1.0, -1.0, 1.0])
+        tables = self.A[:, None] * np.stack([self.Q, alternate])  # (2, 4, 4)
+        joints = tables.reshape(2, 4, 2, 2)  # (table, group, z1, z2)
+        for margin in (joints.sum(axis=3), joints.sum(axis=2)):  # over z2, over z1
+            assert np.max(np.abs(margin[0] - margin[1])) <= 1e-15
+        for table in tables:
+            JointDistribution(table)  # both are valid joints
+        ate = ate_batch(tables)
+        assert ate == pytest.approx([0.40026635, 0.37423116], abs=1e-8)
+        assert ate[0] - ate[1] > 0.026
+
+
 class TestAdversarialInstances:
     @pytest.mark.parametrize(
         "which,a_expected,q1_expected",

@@ -1,5 +1,6 @@
 """The three replication protocols: determinism, config validation, stream contract."""
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -30,6 +31,7 @@ from deconf import (
 )
 
 from deconf import simulation
+from deconf.cli import main
 from test_estimation import records_from_cells
 
 
@@ -122,7 +124,7 @@ class TestFiniteProtocol:
             return kernel(cells, a_hat, fallback)
 
         monkeypatch.setattr(simulation, "q_hat_batch", recorded)
-        cfg = self.config(shared_randomness=True)
+        cfg = self.config()
         curve = run_finite_experiment(cfg)
         at_m = {r.policy: r.mean_abs_error for r in curve.rows if r.grid_value == 100}
         assert at_m["nsp"] == at_m["usp"] == at_m["owsp"]
@@ -281,13 +283,14 @@ class TestArraysPastTheBoundary:
         assert built == [cls.__name__ for cls in MODEL_TYPES]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_synthetic_sweeps_build_no_model_object(self, monkeypatch, workers, shared):
-        instances = [adversarial_instance(w) for w in ("usp_worst", "owsp_worst")]
+    @pytest.mark.parametrize("drawn", [False, True])
+    def test_synthetic_sweeps_build_no_model_object(self, monkeypatch, workers, drawn):
+        # explicit instances, or instances drawn from the config seed
+        explicit = [adversarial_instance(w) for w in ("usp_worst", "owsp_worst")]
+        instances = None if drawn else explicit
         infinite = small_infinite_config(replications=10)
         finite = ExperimentConfig(
-            k=2, m_grid=(50,), n_grid=(200, 50), replications=10, seed=3,
-            shared_randomness=shared,
+            k=2, instances=3, m_grid=(50,), n_grid=(200, 50), replications=10, seed=3,
         )
         built = count_validations(monkeypatch)
         run_infinite_experiment(infinite, instances, workers=workers)
@@ -531,7 +534,7 @@ class TestBatchedDraws:
             replications=self.REPS, seed=seed,
         )
         run_finite_experiment(cfg, instances=[(self.A, self.Q)])
-        (new,) = drawn  # independent reveals: the arrivals are the only prefixes
+        new = drawn[0]  # the arrivals; the reveals are drawn after them
         old = np.empty_like(new)
         for rep in range(self.REPS):
             rng = simulation._stream(seed, simulation._DOM_ARRIVAL, 0, rep)
@@ -585,19 +588,17 @@ class TestStreamKeys:
         records = records_from_cells(np.array([[9, 3], [4, 6], [5, 5], [2, 8]]))
         for seed in (5, 2**32 - 1):
             run_infinite_experiment(small_infinite_config(instances=3, replications=2, seed=seed))
-            for shared in (False, True):
-                run_finite_experiment(ExperimentConfig(
-                    k=2, instances=3, m_grid=(10,), n_grid=(10, 30), replications=2,
-                    seed=seed, shared_randomness=shared,
-                ))
+            run_finite_experiment(ExperimentConfig(
+                k=2, instances=3, m_grid=(10,), n_grid=(10, 30), replications=2, seed=seed,
+            ))
             run_empirical_experiment(records, ExperimentConfig(
                 k=2, include_baseline=True, m_grid=(8, 12), replications=2, seed=seed,
             ))
-        # per seed: 3 instance, 12 infinite, 3 arrival, 9 + 3 reveal and 4 empirical
+        # per seed: 3 instance, 12 infinite, 3 arrival, 3 reveal and 4 empirical
         # streams. Distinct key tuples are not enough: SeedSequence pads its
         # entropy with zeros, so [s, 4, 1] and [s, 4, 1, 0] seed the same state.
         # A key must never be another key with its trailing zeros dropped.
-        assert len(set(keys)) == 2 * 34
+        assert len(set(keys)) == 2 * 25
         states = {tuple(np.random.SeedSequence(key).generate_state(4)) for key in keys}
         assert len(states) == len(set(keys))
 
@@ -739,11 +740,13 @@ class TestWorkerPool:
         assert run_infinite_experiment(cfg, workers=2) == serial
         assert pool_sizes == [2]
 
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_finite_pool_matches_serial(self, pool_sizes, shared):
-        cfg = TestFiniteProtocol().config(instances=3, replications=3, shared_randomness=shared)
-        serial = run_finite_experiment(cfg)
-        assert run_finite_experiment(cfg, workers=2) == serial
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_finite_pool_matches_serial(self, pool_sizes, explicit):
+        cfg = TestFiniteProtocol().config(instances=3, replications=3)
+        names = ("nsp_worst", "usp_worst", "owsp_worst")
+        instances = [adversarial_instance(w) for w in names] if explicit else None
+        serial = run_finite_experiment(cfg, instances)
+        assert run_finite_experiment(cfg, instances, workers=2) == serial
         assert pool_sizes == [2]
 
     def test_strict_fallback_raises_from_a_pooled_item(self, pool_sizes):
@@ -841,7 +844,7 @@ class TestConfigValidation:
             {"m_grid": (np.float64(100.0),)},
             {"n_grid": (100, 250.5)},
             {"include_baseline": 1},
-            {"shared_randomness": "yes"},
+            {"include_baseline": "yes"},
         ],
     )
     def test_rejects_non_integer_and_non_bool_values(self, field):
@@ -937,10 +940,20 @@ class TestConfigValidation:
                 run_infinite_experiment(cfg, instances=[(a, q)] * 2, workers=workers)
             assert err.value.groups == ((0, 1), (1, 0))
 
-    def test_shared_randomness_only_for_finite(self):
-        cfg = small_infinite_config(shared_randomness=True)
-        with pytest.raises(ValidationError):
-            run_infinite_experiment(cfg)
+    def test_shared_randomness_is_an_unknown_config_field(self, tmp_path, capsys):
+        # the finite protocol has one reveal model, so no option selects one
+        with pytest.raises(TypeError, match="shared_randomness"):
+            ExperimentConfig(shared_randomness=True)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        for value in (True, False):
+            cfg.write_text(json.dumps({"k": 2, "m_grid": [10], "n_grid": [10, 20],
+                                       "replications": 2, "seed": 1,
+                                       "shared_randomness": value}))
+            assert main(["simulate-finite", "--config", str(cfg), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {cfg}: unknown config fields ['shared_randomness']\n"
+            )
+        assert not out.exists()
 
     def test_n_grid_only_for_finite(self):
         # the infinite and empirical protocols sweep m_grid alone
@@ -976,8 +989,8 @@ class TestStreamContract:
     Each (instance, policy) stream draws all replications in one call, in
     replication, grid point and canonical group order. The finite protocol
     adds one arrival stream per instance, drawn along m and the sorted n
-    grid; with shared randomness one reveal stream per instance replaces
-    the per-policy ones. The values below were recorded when this keying
+    grid, and one reveal stream per instance: every policy reveals prefixes
+    of its z sequences. The values below were recorded when this keying
     replaced the per-(instance, policy, replication) streams, so any change
     to the keying, the draw order or the k=2 arithmetic fails here. k >= 3
     sums may move by a few ulp and are compared within 1e-12 relative.
@@ -1011,7 +1024,7 @@ class TestStreamContract:
             ("usp", 100, 0.00994455776740145, 0.008030537323646003, 12),
         ]
 
-    def finite_config(self, shared):
+    def finite_config(self):
         return ExperimentConfig(
             k=2,
             instances=2,
@@ -1020,24 +1033,10 @@ class TestStreamContract:
             n_grid=(20, 60, 200),
             replications=6,
             seed=7,
-            shared_randomness=shared,
         )
 
-    def test_finite_k2_independent_streams(self):
-        assert self.rows(run_finite_experiment(self.finite_config(False))) == [
-            ("nsp", 20, 0.18882557257557253, 0.14254900640249893, 12),
-            ("nsp", 60, 0.09073857428281229, 0.06697660550404584, 12),
-            ("nsp", 200, 0.12096545686920569, 0.054787069119441686, 12),
-            ("owsp", 20, 0.17806707934376653, 0.13499117913516673, 12),
-            ("owsp", 60, 0.10582380532593384, 0.09465112573870374, 12),
-            ("owsp", 200, 0.05420143181660044, 0.05686440696011454, 12),
-            ("usp", 20, 0.11864126809010171, 0.1103235984833758, 12),
-            ("usp", 60, 0.11950369801701337, 0.07982418422456997, 12),
-            ("usp", 200, 0.07898799805285739, 0.060961450908589995, 12),
-        ]
-
     def test_finite_k2_shared_streams(self):
-        assert self.rows(run_finite_experiment(self.finite_config(True))) == [
+        assert self.rows(run_finite_experiment(self.finite_config())) == [
             ("nsp", 20, 0.1725432070187278, 0.12890585337680216, 12),
             ("nsp", 60, 0.1129222578761801, 0.08652029444688315, 12),
             ("nsp", 200, 0.06733260092803113, 0.06032503529066996, 12),
