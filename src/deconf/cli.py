@@ -234,38 +234,56 @@ def _parse_a(text) -> ConfoundedDistribution:
     return ConfoundedDistribution(np.asarray(vals))
 
 
+# the optional flags each gen-instance mode reads; setting another exits 2
+_GEN_FLAGS = {
+    "random": ("k", "seed"),
+    "adversarial": (),
+    "hardness": ("a", "gamma", "q_floor", "alt_out"),
+    "lower-bound general": ("a", "q00", "q01", "beta", "gamma", "alt_out"),
+    "lower-bound policy": ("a", "k", "beta", "gamma", "alt_out"),
+}
+
+
 def cmd_gen_instance(args) -> int:
-    modes = [args.random, args.adversarial is not None, args.hardness,
-             args.lower_bound is not None]
-    if sum(bool(m) for m in modes) != 1:
+    chosen = [mode for mode, on in (
+        ("random", args.random), ("adversarial", args.adversarial is not None),
+        ("hardness", args.hardness), (f"lower-bound {args.lower_bound}", args.lower_bound),
+    ) if on]
+    if len(chosen) != 1:
         raise ValidationError(
             "choose exactly one of --random, --adversarial, --hardness, --lower-bound"
         )
+    mode = chosen[0]
+    for flag in sorted(set().union(*_GEN_FLAGS.values()) - set(_GEN_FLAGS[mode])):
+        if getattr(args, flag) is not None:
+            raise ValidationError(f"--{flag.replace('_', '-')} does not apply to --{mode}")
+    k = 2 if args.k is None else args.k
 
-    if args.random:
+    if mode == "random":
         if args.seed is None:
             raise ValidationError("--random requires --seed")
-        joint = random_instance(args.k, args.seed)
+        joint = random_instance(k, args.seed)
         dio.write_joint_instance(args.out, joint)
-        print(f"wrote random k={args.k} instance to {args.out}")
+        print(f"wrote random k={k} instance to {args.out}")
         return EXIT_OK
 
-    if args.adversarial is not None:
+    if mode == "adversarial":
         a, q = adversarial_instance(f"{args.adversarial}_worst")
         dio.write_instance(args.out, a, q)
         print(f"wrote {args.adversarial}_worst instance to {args.out}")
         return EXIT_OK
 
-    if args.hardness:
+    if mode == "hardness":
         if args.a is None or args.gamma is None:
             raise ValidationError("--hardness requires --a and --gamma")
         a = _parse_a(args.a)
-        pair = hardness_pair(a, args.gamma, args.q_floor)
+        pair = (hardness_pair(a, args.gamma) if args.q_floor is None
+                else hardness_pair(a, args.gamma, args.q_floor))
     else:  # lower-bound construction
         if args.a is None:
             raise ValidationError("--lower-bound requires --a")
         a = _parse_a(args.a)
-        if args.lower_bound == "general":
+        if mode == "lower-bound general":
             needed = (args.q00, args.q01, args.beta, args.gamma)
             if any(v is None for v in needed):
                 raise ValidationError(
@@ -277,7 +295,7 @@ def cmd_gen_instance(args) -> int:
                 raise ValidationError(
                     "--lower-bound policy requires --beta --gamma (and --k)"
                 )
-            pair = policy_lower_pair(a, args.k, args.beta, args.gamma)
+            pair = policy_lower_pair(a, k, args.beta, args.gamma)
 
     dio.write_instance(args.out, pair.a, pair.base_q)
     if args.alt_out is not None:
@@ -313,7 +331,7 @@ def _load_sim_inputs(args):
     elif "seed" not in extras["fields"]:
         raise ValidationError("no seed: pass --seed or set 'seed' in the config")
     instances = None
-    if extras.get("instance_files"):
+    if extras["instance_files"] is not None:  # an empty list is rejected, not ignored
         loaded = [dio.read_instance(p) for p in extras["instance_files"]]
         instances = [(inst.a, inst.q) for inst in loaded]
     return config, extras, instances
@@ -337,7 +355,11 @@ def cmd_simulate_finite(args) -> int:
 
 def cmd_simulate_real(args) -> int:
     config, extras, _ = _load_sim_inputs(args)
-    data_path = args.data or extras.get("dataset")
+    if args.data is not None and "dataset" in extras["fields"]:
+        raise DataFormatError(
+            f"{args.config}: config field 'dataset' does not apply next to --data"
+        )
+    data_path = args.data or extras["dataset"]
     if data_path is None:
         raise ValidationError("simulate-real needs --data or a 'dataset' config field")
     records = dio.read_full_table_csv(data_path, config.k)
@@ -389,14 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--alt-out", dest="alt_out")
     p.add_argument("--random", action="store_true")
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=int, help="default 2")
     p.add_argument("--seed", type=int)
     p.add_argument("--adversarial", choices=NAMED_POLICIES)
     p.add_argument("--hardness", action="store_true")
     p.add_argument("--lower-bound", dest="lower_bound", choices=["general", "policy"])
     p.add_argument("--a")
     p.add_argument("--gamma", type=float)
-    p.add_argument("--q-floor", dest="q_floor", type=float, default=1.0 - 1e-6)
+    p.add_argument("--q-floor", dest="q_floor", type=float, help="default 1 - 1e-6")
     p.add_argument("--q00", type=float)
     p.add_argument("--q01", type=float)
     p.add_argument("--beta", type=float)

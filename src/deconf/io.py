@@ -507,6 +507,13 @@ def read_experiment_config(path) -> Tuple[ExperimentConfig, dict]:
         "dataset": raw.pop("dataset", None),
         "instance_files": raw.pop("instance_files", None),
     }
+    files, dataset = extras["instance_files"], extras["dataset"]
+    if files is not None and not (
+        isinstance(files, list) and all(isinstance(f, str) for f in files)
+    ):
+        raise DataFormatError(f"{path}: instance_files must be a list of paths, got {files!r}")
+    if dataset is not None and not isinstance(dataset, str):
+        raise DataFormatError(f"{path}: dataset must be a path, got {dataset!r}")
     try:
         config = ExperimentConfig(**raw)
     except (ValidationError, TypeError) as exc:

@@ -13,31 +13,26 @@ Three protocols, mirroring the synthetic and real-data experiments:
   grid.
 
 Reproducibility contract: every result is a pure function of the config
-and master seed. Every protocol draws from one RNG stream per
-(instance, policy), or per instance for what policies share, and draws all
-replications of a work item together. The infinite
-protocol draws one ``multinomial`` over (replication, grid point, group).
-The finite protocol draws each replication's arrivals as incremental
-multinomials along m and the sorted n grid. Its reveals come from one
-stream per instance: a record's z is drawn once, so every policy at every
-n reveals a prefix of one z sequence per (replication, group). The
-empirical protocol, whose table is its only instance, has one stream per
-method and one work item; its policies are non-adaptive, so every
-replication's reveals are drawn at once, in ascending reveal count. Seeds
-stay below 2**32, because numpy's ``SeedSequence`` splits a larger int into
-32-bit words, so its keys would alias other seeds' keys. Each work item
-(an instance, or the empirical table) returns its |estimate - truth| as
-one ``(replications, methods, sorted grid)`` array, and ``_sweep`` pools
-them: it sums in replication order within an item, then in item order, so
-results are identical for any worker count and any execution order.
-Where an item runs is therefore only a wall-time trade: ``_sweep`` runs the
-first item in process and times it, and starts a worker pool for the rest
-only when at least two items remain and their projected serial time is at
-least ``_POOL_MIN_S``; the pool has at most one worker per remaining item.
-So a single work item (every empirical run), or a sweep too small to repay
-a pool's start-up, runs in process. Error statistics
-are the mean and population standard deviation of |estimate - truth|
-pooled over all replications of all instances.
+and master seed. The paper's policies are non-adaptive, and each record's
+z exists before any policy looks, so there is one reveal model: a work
+item (an instance, or the empirical table) draws one z sequence per
+(replication, group) from one stream, and every policy at every grid point
+reveals a prefix of it, so policy contrasts use common random numbers. The
+synthetic protocols draw it as incremental multinomials along the sorted
+union of the allocation lengths; the empirical protocol as nested
+hypergeometric steps, the prefixes of one random order of each group. The
+baseline's records and the finite protocol's arrivals (incremental along m
+and the sorted n grid) come from their own streams. Each stream draws all
+replications of its item in one call. Seeds stay below 2**32, because
+numpy's ``SeedSequence`` splits a larger int into 32-bit words, so its keys
+would alias other seeds' keys. Each work item returns its |estimate -
+truth| as one ``(replications, methods, sorted grid)`` array, and
+``_sweep`` pools them: it sums in replication order within an item, then
+in item order, so results are identical for any worker count and any
+execution order, and where an item runs (see ``_sweep``) is only a
+wall-time trade. Error statistics are the mean and population standard
+deviation of |estimate - truth| pooled over all replications of all
+instances.
 
 Allocation runs through the policies kernel on plain arrays, once per
 (instance, policy): the infinite protocol allocates its whole m grid in one
@@ -72,6 +67,7 @@ from . import estimation
 from .errors import ExhaustedError, ValidationError
 from .estimation import deconfounded_counts, q_hat_batch
 from .model import (
+    GROUPS,
     ConditionalTable,
     ConfoundedDistribution,
     _random_joint,
@@ -83,7 +79,6 @@ from .model import (
 from .policies import NAMED_POLICIES, _allocate, _check_owsp, _named_weights
 
 BASELINE = "deconf-only"
-POLICY_IDS = {BASELINE: 0, "nsp": 1, "usp": 2, "owsp": 3}
 
 # stream domains keep the per-purpose RNG streams disjoint
 _DOM_INSTANCE = 0
@@ -159,8 +154,7 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", int(self.seed))
 
     def method_labels(self) -> Tuple[str, ...]:
-        labels = ((BASELINE,) if self.include_baseline else ()) + self.policies
-        return labels
+        return ((BASELINE,) if self.include_baseline else ()) + self.policies
 
 
 class CurveRow(NamedTuple):
@@ -283,21 +277,23 @@ def _sweep(func, items, labels, kind, grid, workers: int, instances: int) -> Err
 
 def _infinite_errors(args) -> np.ndarray:
     idx, inst, config = args
-    k, reps = inst.q.shape[1], config.replications
+    k, reps, policies = inst.q.shape[1], config.replications, config.policies
     grid = np.array(sorted(config.m_grid))
-    weights = _named_weights(inst.a)
     ates = []
-    for pol in config.method_labels():
-        rng = _stream(config.seed, _DOM_INFINITE, idx, POLICY_IDS[pol])
-        if pol == BASELINE:
-            cells = rng.multinomial(grid, inst.p_flat, size=(reps, len(grid)))
-            ate = ate_batch(cells.reshape(reps, len(grid), 4, k) / grid[:, None, None])
-        else:
-            alloc = _allocate(pol, grid, weights[NAMED_POLICIES.index(pol)])
-            cells = rng.multinomial(alloc, inst.q, size=(reps,) + alloc.shape)
-            ate = ate_batch(inst.a[:, None] * q_hat_batch(cells, inst.a, config.fallback))
-        ates.append(ate)
-    return np.abs(np.stack(ates, axis=1) - inst.ate)
+    if config.include_baseline:
+        rng = _stream(config.seed, _DOM_INFINITE, idx)
+        cells = rng.multinomial(grid, inst.p_flat, size=(reps, len(grid)))
+        cells = cells.reshape(reps, len(grid), 4, k)
+        ates.append(ate_batch(cells / grid[:, None, None])[:, None])
+    if policies:
+        weights = _named_weights(inst.a)
+        allocs = np.stack([
+            _allocate(pol, grid, weights[NAMED_POLICIES.index(pol)]) for pol in policies
+        ])
+        allocs = np.broadcast_to(allocs, (reps,) + allocs.shape)
+        cells = _shared_reveals(_stream(config.seed, _DOM_CONDITIONAL, idx), inst.q, allocs)
+        ates.append(ate_batch(inst.a[:, None] * q_hat_batch(cells, inst.a, config.fallback)))
+    return np.abs(np.concatenate(ates, axis=1) - inst.ate)
 
 
 def run_infinite_experiment(
@@ -326,12 +322,24 @@ def _prefix_counts(rng: np.random.Generator, probs, lengths) -> np.ndarray:
     incremental multinomials along its sorted lengths, so equal lengths get
     equal counts.
     """
+    # flat row indices of each row's sorted order, to gather lengths and scatter counts
     order = np.argsort(lengths, axis=-1, kind="stable")
-    steps = np.diff(np.take_along_axis(lengths, order, -1), prepend=0)
+    order += np.arange(0, order.size, order.shape[-1]).reshape(order.shape[:-1] + (1,))
+    order = order.ravel()
+    steps = np.diff(np.ravel(lengths)[order].reshape(lengths.shape), prepend=0)
     drawn = rng.multinomial(steps, probs[:, None], size=steps.shape)
     out = np.empty_like(drawn)
-    np.put_along_axis(out, order[..., None], np.cumsum(drawn, axis=-2), axis=-2)
+    c = drawn.shape[-1]
+    out.reshape(-1, c)[order] = np.cumsum(drawn, axis=-2).reshape(-1, c)
     return out
+
+
+def _shared_reveals(rng: np.random.Generator, q, allocs) -> np.ndarray:
+    """z-counts ``allocs.shape + (k,)``: every allocation in ``allocs`` ``(reps, ..., 4)``
+    reveals a prefix of one z sequence per (replication, group)."""
+    lengths = np.moveaxis(allocs, -1, 1).reshape(len(allocs), 4, -1)
+    cells = _prefix_counts(rng, q, lengths)
+    return np.moveaxis(cells.reshape(lengths.shape[:2] + allocs.shape[1:-1] + q.shape[1:]), 1, -2)
 
 
 def _finite_errors(args) -> np.ndarray:
@@ -350,11 +358,7 @@ def _finite_errors(args) -> np.ndarray:
         else _allocate(pol, m, a_hat, avail)
         for pol in policies
     ], axis=1)  # (reps, policies, grid, 4)
-    # every allocation reveals a prefix of one z sequence per (rep, group)
-    lengths = allocs.transpose(0, 3, 1, 2).reshape(reps, 4, -1)
-    cells = _prefix_counts(_stream(seed, _DOM_CONDITIONAL, idx), inst.q, lengths)
-    cells = cells.reshape(reps, 4, len(policies), len(grid), k)
-    cells = cells.transpose(0, 2, 3, 1, 4)
+    cells = _shared_reveals(_stream(seed, _DOM_CONDITIONAL, idx), inst.q, allocs)
     # one kernel call per (rep, policy, n) in C order, on one float copy
     cells = cells.astype(float)
     q_hat = np.empty(cells.shape)
@@ -429,20 +433,23 @@ def _reveal_prefixes(rng: np.random.Generator, cells, lengths) -> np.ndarray:
 
 def _empirical_errors(args) -> np.ndarray:
     cells, a_vec, ate_true, allocations, config = args
-    reps, grid = config.replications, np.array(sorted(config.m_grid))
+    reps, policies = config.replications, config.policies
+    grid = np.array(sorted(config.m_grid))
     ates = []
-    for pol in config.method_labels():
-        rng = _stream(config.seed, _DOM_EMPIRICAL, POLICY_IDS[pol])
-        if pol == BASELINE:
-            lengths = np.broadcast_to(grid[:, None], (reps, len(grid), 1))
-            drawn = _reveal_prefixes(rng, cells.reshape(1, -1), lengths)
-            ate = ate_batch(drawn.reshape(reps, len(grid), *cells.shape) / grid[:, None, None])
-        else:
-            lengths = np.broadcast_to(allocations[pol], (reps,) + allocations[pol].shape)
-            drawn = _reveal_prefixes(rng, cells, lengths)
-            ate = ate_batch(a_vec[:, None] * q_hat_batch(drawn, a_vec, config.fallback))
-        ates.append(ate)
-    return np.abs(np.stack(ates, axis=1) - ate_true)
+    if config.include_baseline:
+        lengths = np.broadcast_to(grid[:, None], (reps, len(grid), 1))
+        rng = _stream(config.seed, _DOM_EMPIRICAL)
+        drawn = _reveal_prefixes(rng, cells.reshape(1, -1), lengths)
+        drawn = drawn.reshape(reps, len(grid), *cells.shape)
+        ates.append(ate_batch(drawn / grid[:, None, None])[:, None])
+    if policies:
+        # every allocation reveals a prefix of one random order per (rep, group)
+        lengths = np.concatenate(allocations)  # (policies * grid, 4)
+        lengths = np.broadcast_to(lengths, (reps,) + lengths.shape)
+        drawn = _reveal_prefixes(_stream(config.seed, _DOM_CONDITIONAL, 0), cells, lengths)
+        drawn = drawn.reshape(reps, len(policies), len(grid), *cells.shape)
+        ates.append(ate_batch(a_vec[:, None] * q_hat_batch(drawn, a_vec, config.fallback)))
+    return np.abs(np.concatenate(ates, axis=1) - ate_true)
 
 
 def run_empirical_experiment(
@@ -452,11 +459,10 @@ def run_empirical_experiment(
 
     The empirical joint of the full table defines the true ATE and the
     (exact) marginal used for policy weights. Past validation only the
-    ``(4, k)`` cell counts are used: a replication's reveals are uniform
-    without-replacement prefixes per group (for the baseline, of the whole
-    table), drawn for all replications at once as nested hypergeometric
-    steps from one stream per method, in one work item. The draws hold
-    O(replications * len(m_grid) * 4k) int64 counts at once.
+    ``(4, k)`` cell counts are used, in one work item: every policy reveals
+    prefixes of one uniform random order per (replication, group), and the
+    baseline prefixes of one of the whole table. The draws hold
+    O(replications * len(methods) * len(m_grid) * 4k) int64 counts at once.
     """
     _check_not_finite(config, workers)
     cells = deconfounded_counts(records, config.k)
@@ -468,16 +474,11 @@ def run_empirical_experiment(
     a = sizes / total
     weights = _named_weights(a)
 
-    labels = config.method_labels()
+    if config.include_baseline and max(config.m_grid) > total:
+        raise ExhaustedError(f"baseline needs {max(config.m_grid)} records, table has {total}")
     grid = np.array(config.m_grid)
-    allocations = {}
-    for pol in labels:
-        if pol == BASELINE:
-            if max(config.m_grid) > total:
-                raise ExhaustedError(
-                    f"baseline needs {max(config.m_grid)} records, table has {total}"
-                )
-            continue
+    allocations = []
+    for pol in config.policies:
         if pol == "owsp":
             _check_owsp(a)
         counts = _allocate(pol, grid, weights[NAMED_POLICIES.index(pol)])
@@ -486,13 +487,12 @@ def run_empirical_experiment(
             i, g = divmod(int(np.argmax(shortfall > 0)), 4)
             raise ExhaustedError(
                 f"policy {pol} at m={grid[i]} needs {int(counts[i, g])} reveals in "
-                f"group {GROUP_NAMES[g]}, only {sizes[g]} records exist",
+                f"group (y={GROUPS[g][0]},t={GROUPS[g][1]}), only {sizes[g]} records exist",
                 shortfall=int(shortfall[i, g]),
             )
-        allocations[pol] = counts[np.argsort(grid, kind="stable")]  # sorted-grid rows
+        allocations.append(counts[np.argsort(grid, kind="stable")])  # sorted-grid rows
 
     items = [(cells, a, ate_true, allocations, config)]
-    return _sweep(_empirical_errors, items, labels, "m", config.m_grid, workers, 1)
+    return _sweep(_empirical_errors, items, config.method_labels(), "m", config.m_grid,
+                  workers, 1)
 
-
-GROUP_NAMES = {0: "(y=0,t=0)", 1: "(y=0,t=1)", 2: "(y=1,t=0)", 3: "(y=1,t=1)"}

@@ -691,6 +691,20 @@ class TestConfigFiles:
         with pytest.raises(DataFormatError, match=message):
             read_experiment_config(path)
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [({"instance_files": "nsp.json"}, "instance_files must be a list of paths, got 'nsp"),
+         ({"instance_files": 0}, "instance_files must be a list of paths, got 0"),
+         ({"instance_files": [3]}, r"instance_files must be a list of paths, got \[3\]"),
+         ({"dataset": 5}, "dataset must be a path, got 5")],
+    )
+    def test_path_fields_must_be_paths(self, tmp_path, field, message):
+        # a string would be read as one path per character, and 5 as a file descriptor
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 1, **field}))
+        with pytest.raises(DataFormatError, match=message):
+            read_experiment_config(path)
+
 
 class TestCliAte:
     def test_prints_value(self, instance_file, capsys):
@@ -1079,6 +1093,26 @@ class TestCliGenInstance:
             ) == 0
         assert p1.read_text() == p2.read_text()
 
+    A = "0.4,0.1,0.2,0.3"
+
+    @pytest.mark.parametrize("mode, flags, ignored", [
+        ("adversarial", ["--adversarial", "nsp"], ["--k", "3"]),
+        ("random", ["--random", "--seed", "1"], ["--alt-out", "b.json"]),
+        ("random", ["--random", "--seed", "1"], ["--gamma", "0.3"]),
+        ("hardness", ["--hardness", "--a", A, "--gamma", "1e-4"], ["--seed", "3"]),
+        ("lower-bound general", ["--lower-bound", "general", "--a", A, "--q00", "0.3",
+                                 "--q01", "0.4", "--beta", "0.1", "--gamma", "0.01"],
+         ["--k", "3"]),
+        ("lower-bound policy", ["--lower-bound", "policy", "--a", A, "--beta", "0.1",
+                                "--gamma", "0.01"], ["--q-floor", "0.9"]),
+    ])
+    def test_flag_the_mode_ignores_exits_2(self, tmp_path, capsys, monkeypatch, mode, flags,
+                                           ignored):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-instance", "--out", "a.json"] + flags + ignored) == 2
+        assert capsys.readouterr().err == f"error: {ignored[0]} does not apply to --{mode}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_hardness_pair_files(self, tmp_path, capsys):
         base, alt = tmp_path / "base.json", tmp_path / "alt.json"
         code = main(
@@ -1373,6 +1407,30 @@ class TestCliSimulate:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"error: {cfg}: config field 'instances' does not apply next to instance_files\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, fields", [
+        ("simulate", {}),
+        ("simulate-finite", {"include_baseline": False, "m_grid": [50], "n_grid": [50, 200]}),
+    ])
+    def test_empty_instance_files_exits_2(self, tmp_path, capsys, command, fields):
+        # an empty list is not a missing one: 4 random instances would have run
+        cfg = self.write_config(tmp_path, instances=4, instance_files=[], **fields)
+        out = tmp_path / "e.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: explicit instance list is empty\n"
+        assert not out.exists()
+
+    def test_data_next_to_dataset_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "table.csv"
+        data.write_text("y,t,z\n" + "0,0,0\n0,1,1\n1,0,0\n1,1,1\n" * 20)
+        cfg = self.write_config(tmp_path, instances=None, dataset=str(tmp_path / "missing.csv"))
+        out = tmp_path / "d.csv"
+        args = ["simulate-real", "--config", str(cfg), "--data", str(data), "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config field 'dataset' does not apply next to --data\n"
         )
         assert not out.exists()
 

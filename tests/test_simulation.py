@@ -471,10 +471,10 @@ class TestBatchedReveals:
 class TestBatchedDraws:
     """The one-call synthetic draws against the former per-replication streams.
 
-    The references below are the engine's former draws: one stream per
-    (instance, policy, replication) for the infinite cells, one per
-    (instance, replication) for the finite arrivals (``choice`` then prefix
-    counts) and for the shared reveals (one ``choice`` sequence per group).
+    The references below draw from one stream per (instance, replication):
+    a ``multinomial`` per grid point for the baseline, a ``choice``
+    sequence then prefix counts for the finite arrivals, and one ``choice``
+    sequence per group for the reveals every policy shares.
     """
 
     A = ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3]))
@@ -482,8 +482,8 @@ class TestBatchedDraws:
     REPS = 3000
 
     def test_infinite_cells_match_per_replication_streams(self, monkeypatch):
-        drawn = {}
-        stream = simulation._stream
+        drawn, reveals = {}, []
+        stream, kernel = simulation._stream, simulation._prefix_counts
 
         class Recorder:  # a stream that keeps its multinomial draws by key
             def __init__(self, *key):
@@ -493,31 +493,47 @@ class TestBatchedDraws:
                 drawn[self.key] = self.rng.multinomial(*args, **kwargs)
                 return drawn[self.key]
 
+        def recorded(rng, probs, lengths):
+            reveals.append((lengths, kernel(rng, probs, lengths)))
+            return reveals[-1][1]
+
         monkeypatch.setattr(simulation, "_stream", Recorder)
+        monkeypatch.setattr(simulation, "_prefix_counts", recorded)
         seed, grid = 3, np.array([8, 20])
         cfg = ExperimentConfig(
-            k=2, policies=("usp",), include_baseline=True, m_grid=tuple(grid),
+            k=2, policies=("usp", "owsp"), include_baseline=True, m_grid=tuple(grid),
             replications=self.REPS, seed=seed,
         )
         run_infinite_experiment(cfg, instances=[(self.A, self.Q)])
         inst = simulation.resolve_instances(cfg, [(self.A, self.Q)])[0]
-        alloc = simulation._allocate("usp", grid, policy_weights("usp", self.A).x)
-        for pol, n, probs, rows in (
-            (simulation.BASELINE, grid, inst.p_flat, range(8)),
-            ("usp", alloc, inst.q, range(4)),
-        ):
-            key = (seed, simulation._DOM_INFINITE, 0, simulation.POLICY_IDS[pol])
-            old = np.stack([
-                stream(*key, rep).multinomial(n, probs) for rep in range(self.REPS)
-            ])
-            new = drawn[key]
-            assert new.shape == old.shape
-            for r in rows:  # a baseline cell, or a group's z-counts, over the grid
-                assert_same_distribution(
-                    [tuple(x.ravel()) for x in new[:, :, r]],
-                    [tuple(x.ravel()) for x in old[:, :, r]],
-                    f"{pol} row {r}",
-                )
+        # the baseline: one multinomial per (replication, grid point) from the flat joint
+        new = drawn[(seed, simulation._DOM_INFINITE, 0)]
+        old = np.stack([
+            stream(seed + 1, simulation._DOM_INFINITE, 0, rep).multinomial(grid, inst.p_flat)
+            for rep in range(self.REPS)
+        ])
+        assert new.shape == old.shape
+        for r in range(8):
+            assert_same_distribution(
+                [tuple(x) for x in new[:, :, r]], [tuple(x) for x in old[:, :, r]],
+                f"baseline cell {r}",
+            )
+        # the policies: per group, prefixes of one z sequence at every allocation
+        (lengths, new), = reveals
+        allocs = [simulation._allocate(pol, grid, policy_weights(pol, self.A).x)
+                  for pol in cfg.policies]
+        assert np.array_equal(lengths[0], np.concatenate(allocs).T)
+        old = np.empty_like(new)
+        for rep in range(self.REPS):
+            rng = stream(seed + 1, simulation._DOM_CONDITIONAL, 0, rep)
+            for g, row in enumerate(lengths[rep]):
+                seq = rng.choice(2, size=row.max(), p=inst.q[g])
+                old[rep, g] = [np.bincount(seq[:n], minlength=2) for n in row]
+        for g in range(4):
+            assert_same_distribution(
+                [tuple(x.ravel()) for x in new[:, g]], [tuple(x.ravel()) for x in old[:, g]],
+                f"group {g}",
+            )
 
     def test_finite_arrivals_match_per_replication_sequences(self, monkeypatch):
         drawn = []
@@ -594,13 +610,65 @@ class TestStreamKeys:
             run_empirical_experiment(records, ExperimentConfig(
                 k=2, include_baseline=True, m_grid=(8, 12), replications=2, seed=seed,
             ))
-        # per seed: 3 instance, 12 infinite, 3 arrival, 3 reveal and 4 empirical
-        # streams. Distinct key tuples are not enough: SeedSequence pads its
-        # entropy with zeros, so [s, 4, 1] and [s, 4, 1, 0] seed the same state.
+        # per seed: 3 instance, 3 baseline, 3 arrival and 3 reveal streams for
+        # the instances (the infinite and finite protocols share the reveal
+        # keys), and the empirical table's baseline stream; its reveal stream
+        # is item 0's. Distinct key tuples are not enough: SeedSequence pads
+        # its entropy with zeros, so [s, 4] and [s, 4, 0] seed the same state.
         # A key must never be another key with its trailing zeros dropped.
-        assert len(set(keys)) == 2 * 25
+        assert len(set(keys)) == 2 * 13
         states = {tuple(np.random.SeedSequence(key).generate_state(4)) for key in keys}
         assert len(states) == len(set(keys))
+
+
+class TestCommonReveals:
+    """Every policy reveals prefixes of one z sequence per (replication, group)."""
+
+    # a uniform marginal makes nsp, usp and owsp allocate alike
+    INSTANCES = [
+        (ConfoundedDistribution(np.full(4, 0.25)), TestBatchedDraws.Q),
+        (TestBatchedDraws.A, TestBatchedDraws.Q),
+    ]
+    CELLS = np.array([[40, 25, 15], [12, 30, 18], [20, 20, 20], [35, 10, 15]])
+
+    def run(self, protocol, **overrides):
+        cfg = ExperimentConfig(**{
+            "k": 3 if protocol == "empirical" else 2, "policies": ("nsp", "usp", "owsp"),
+            "include_baseline": True, "m_grid": (60, 12, 30), "replications": 25, "seed": 8,
+            **overrides,
+        })
+        if protocol == "empirical":
+            return run_empirical_experiment(records_from_cells(self.CELLS), cfg)
+        return run_infinite_experiment(cfg, self.INSTANCES)
+
+    @pytest.mark.parametrize("protocol", ["infinite", "empirical"])
+    def test_baseline_leaves_policy_rows_unchanged(self, protocol):
+        with_baseline = self.run(protocol).rows
+        assert {r.policy for r in with_baseline} == {simulation.BASELINE, *NAMED_POLICIES}
+        policy_rows = tuple(r for r in with_baseline if r.policy != simulation.BASELINE)
+        assert self.run(protocol, include_baseline=False).rows == policy_rows
+
+    @pytest.mark.parametrize("protocol", ["infinite", "empirical"])
+    def test_equal_allocations_reveal_equal_counts(self, protocol, monkeypatch):
+        recorded = []
+        kernel = simulation.q_hat_batch
+
+        def recording(cells, a, fallback):
+            recorded.append(cells)
+            return kernel(cells, a, fallback)
+
+        monkeypatch.setattr(simulation, "q_hat_batch", recording)
+        self.run(protocol)
+        ties = 0
+        for cells in recorded:  # (reps, policies, grid, 4, k) per work item
+            reps, k = cells.shape[0], cells.shape[-1]
+            cells = np.moveaxis(cells.reshape(reps, -1, 4, k), 2, 1)  # (reps, 4, allocs, k)
+            n = cells.sum(axis=-1)
+            below = n[..., :, None] <= n[..., None, :]
+            dominated = (cells[..., :, None, :] <= cells[..., None, :, :]).all(axis=-1)
+            assert np.all(dominated[below])  # so equal allocations reveal equal counts
+            ties += np.count_nonzero(n[..., :, None] == n[..., None, :]) - n.size
+        assert ties > 0
 
 
 # the keyed partial-sum aggregation that _sweep replaced, kept as reference
@@ -642,7 +710,8 @@ def ref_curve_from(merged, instances):
 def error_items(draw):
     """(items, labels, grid): per-item ``(reps, labels, sorted grid)`` error arrays."""
     labels = draw(st.lists(
-        st.sampled_from(sorted(simulation.POLICY_IDS)), min_size=1, max_size=4, unique=True
+        st.sampled_from(sorted((simulation.BASELINE,) + NAMED_POLICIES)),
+        min_size=1, max_size=4, unique=True,
     ))
     grid = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=4, unique=True))
     reps = draw(st.lists(st.integers(1, 40), min_size=1, max_size=12))
@@ -986,12 +1055,14 @@ class TestConfigValidation:
 class TestStreamContract:
     """Golden rows pinning the RNG stream keying and draw order.
 
-    Each (instance, policy) stream draws all replications in one call, in
-    replication, grid point and canonical group order. The finite protocol
-    adds one arrival stream per instance, drawn along m and the sorted n
-    grid, and one reveal stream per instance: every policy reveals prefixes
-    of its z sequences. The values below were recorded when this keying
-    replaced the per-(instance, policy, replication) streams, so any change
+    Each work item draws all replications of a stream in one call, in
+    replication, grid point and canonical group order. Every policy reveals
+    prefixes of one z sequence (one random order, for the empirical table)
+    per (replication, group) from one reveal stream per item; the baseline
+    and the finite protocol's arrivals have their own streams. The policy
+    rows below were recorded when the infinite and empirical protocols took
+    this reveal model, and the infinite ``deconf-only`` rows when one
+    stream per method replaced the per-replication streams, so any change
     to the keying, the draw order or the k=2 arithmetic fails here. k >= 3
     sums may move by a few ulp and are compared within 1e-12 relative.
     """
@@ -1016,12 +1087,12 @@ class TestStreamContract:
         assert self.rows(run_infinite_experiment(cfg)) == [
             ("deconf-only", 30, 0.18705536592146244, 0.15287464309518217, 12),
             ("deconf-only", 100, 0.06759289254746907, 0.04954907509995548, 12),
-            ("nsp", 30, 0.02900588336111935, 0.026019564634157, 12),
-            ("nsp", 100, 0.02082621235764645, 0.020047259098270615, 12),
-            ("owsp", 30, 0.027568940949243143, 0.023301620889484554, 12),
-            ("owsp", 100, 0.01962995550546967, 0.012959655660852668, 12),
-            ("usp", 30, 0.03641076182451724, 0.04068955709916055, 12),
-            ("usp", 100, 0.00994455776740145, 0.008030537323646003, 12),
+            ("nsp", 30, 0.06118740262172293, 0.04467983254353422, 12),
+            ("nsp", 100, 0.02201087081625221, 0.02640377476987347, 12),
+            ("owsp", 30, 0.04239900321187722, 0.025580818018159267, 12),
+            ("owsp", 100, 0.019717514577706763, 0.024348780395080413, 12),
+            ("usp", 30, 0.03885441778669566, 0.02715767521813452, 12),
+            ("usp", 100, 0.01989008539979996, 0.01858090196287569, 12),
         ]
 
     def finite_config(self):
@@ -1063,10 +1134,39 @@ class TestStreamContract:
         )
         assert self.rows(run_infinite_experiment(cfg, instances=[(a, q)])) == [
             ("deconf-only", 20, 0.4184214094554206, 0.12882810370626907, 10),
-            ("nsp", 20, 0.47506422702379736, 0.1327160675507391, 10),
-            ("owsp", 20, 0.1174567961336491, 0.09978638802408418, 10),
-            ("usp", 20, 0.21243496067987994, 0.21843754476344576, 10),
+            ("nsp", 20, 0.2863236244315363, 0.1726880571812698, 10),
+            ("owsp", 20, 0.07917617937828977, 0.06707901086148815, 10),
+            ("usp", 20, 0.1926794605593504, 0.22607336956968166, 10),
         ]
+
+    def assert_within_ulps(self, got, expected):
+        assert [(r[0], r[1], r[4]) for r in got] == [(e[0], e[1], e[4]) for e in expected]
+        for row, want in zip(got, expected):
+            assert row[2] == pytest.approx(want[2], rel=1e-12, abs=0.0)
+            assert row[3] == pytest.approx(want[3], rel=1e-12, abs=0.0)
+
+    def test_empirical_k3(self):
+        records = records_from_cells(
+            np.array([[30, 12, 8], [9, 14, 6], [11, 20, 25], [16, 7, 22]])
+        )
+        cfg = ExperimentConfig(
+            k=3,
+            policies=("nsp", "usp", "owsp"),
+            include_baseline=True,
+            m_grid=(40, 12),
+            replications=6,
+            seed=17,
+        )
+        self.assert_within_ulps(self.rows(run_empirical_experiment(records, cfg)), [
+            ("deconf-only", 12, 0.31836259224064106, 0.15436595058559563, 6),
+            ("deconf-only", 40, 0.24743080412135288, 0.07692494022488551, 6),
+            ("nsp", 12, 0.0722500115658938, 0.045073040964816874, 6),
+            ("nsp", 40, 0.03395800735280727, 0.03281144935983304, 6),
+            ("owsp", 12, 0.14213069860768654, 0.0855091152027379, 6),
+            ("owsp", 40, 0.027096142243725158, 0.02740330464712026, 6),
+            ("usp", 12, 0.10973040181703242, 0.07034868682561858, 6),
+            ("usp", 40, 0.03166947417055407, 0.03923050996305596, 6),
+        ])
 
     def test_infinite_k3_within_ulps(self):
         cfg = ExperimentConfig(
@@ -1080,12 +1180,8 @@ class TestStreamContract:
         )
         expected = [
             ("deconf-only", 40, 0.12607549131683585, 0.07356923755308407, 12),
-            ("nsp", 40, 0.05790433981916976, 0.037080786135737794, 12),
-            ("owsp", 40, 0.06844000981606857, 0.04378781631769591, 12),
-            ("usp", 40, 0.05112692249914344, 0.03745196753399658, 12),
+            ("nsp", 40, 0.07225669951314444, 0.032096627853412225, 12),
+            ("owsp", 40, 0.07011103110297655, 0.02676365538346134, 12),
+            ("usp", 40, 0.06689038692885728, 0.03515035672386916, 12),
         ]
-        got = self.rows(run_infinite_experiment(cfg))
-        assert [(r[0], r[1], r[4]) for r in got] == [(e[0], e[1], e[4]) for e in expected]
-        for row, want in zip(got, expected):
-            assert row[2] == pytest.approx(want[2], rel=1e-12, abs=0.0)
-            assert row[3] == pytest.approx(want[3], rel=1e-12, abs=0.0)
+        self.assert_within_ulps(self.rows(run_infinite_experiment(cfg)), expected)
