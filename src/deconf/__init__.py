@@ -57,7 +57,6 @@ from .model import (
 )
 from .policies import (
     NAMED_POLICIES,
-    Allocation,
     PolicyWeights,
     allocate_finite,
     allocate_infinite,

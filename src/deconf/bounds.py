@@ -403,7 +403,11 @@ def allocate_budget(
         raise ValidationError("budget and costs must be finite and positive")
     _check_k(spec, q.k)
     grid = check_int(grid, "grid", 10)
-    m_max = int(budget / (c_confounded + c_deconfound))
+    m_max = budget / (c_confounded + c_deconfound)
+    if not m_max < 2**63:
+        raise ValidationError(f"budget {budget!r}: the largest m on its line ({m_max:.3g}) "
+                              "does not fit a 64-bit integer")
+    m_max = int(m_max)
     if m_max < 1:
         raise ValidationError("budget too small for one deconfounded sample plus its "
                               "confounded draw")

@@ -66,7 +66,6 @@ class LoadedInstance:
     a: ConfoundedDistribution
     q: ConditionalTable
     joint: Optional[JointDistribution]
-    form: str  # 'parts' or 'joint'
 
 
 def _read_error(path, exc: Exception) -> DataFormatError:
@@ -109,12 +108,12 @@ def _instance_from(raw: dict, path) -> LoadedInstance:
             joint = JointDistribution(np.asarray(raw["p"], dtype=float))
             _check_k(raw, joint.k)
             parts = parts_from_joint(joint)
-            return LoadedInstance(parts.a, parts.q, joint, "joint")
+            return LoadedInstance(parts.a, parts.q, joint)
         if "a" in raw and "q" in raw:
             a = ConfoundedDistribution(np.asarray(raw["a"], dtype=float))
             q = ConditionalTable(np.asarray(raw["q"], dtype=float))
             _check_k(raw, q.k)
-            return LoadedInstance(a, q, None, "parts")
+            return LoadedInstance(a, q, None)
     except (ValidationError, ValueError, TypeError) as exc:
         raise DataFormatError(f"{path}: {exc}") from None
     raise DataFormatError(f"{path}: expected fields ('a', 'q') or 'p'")

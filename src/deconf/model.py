@@ -213,7 +213,6 @@ class Parts(NamedTuple):
 
     a: ConfoundedDistribution
     q: ConditionalTable
-    degenerate_groups: frozenset
 
 
 def split_joint(p):
@@ -233,20 +232,21 @@ def split_joint(p):
 def parts_from_joint(p: JointDistribution) -> Parts:
     """Split a joint table into (a, q).
 
-    Groups with zero marginal mass have no defined conditional; their rows
-    are set to the uniform distribution and reported as degenerate.
+    Groups with zero marginal mass (``a.a == 0``) have no defined
+    conditional; their rows are set to the uniform distribution.
     """
     a, q = split_joint(p.p)
-    degenerate = frozenset(GROUPS[g] for g in np.flatnonzero(a <= 0.0))
-    return Parts(ConfoundedDistribution(a), ConditionalTable(q), degenerate)
+    return Parts(ConfoundedDistribution(a), ConditionalTable(q))
 
 
 def random_instance(k: int, seed) -> JointDistribution:
     """Draw a joint table uniformly from the (4k-1)-simplex.
 
     Normalized independent unit-rate exponentials, i.e. a flat Dirichlet;
-    deterministic given the seed (an int or a numpy Generator).
+    deterministic given the seed, a non-negative int or a numpy Generator.
     """
+    if not isinstance(seed, np.random.Generator):
+        check_int(seed, "seed", 0)
     return JointDistribution(_random_joint(check_int(k, "k", 2), seed))
 
 
@@ -298,14 +298,6 @@ class HardInstancePair:
         if self.base_q.k != self.alternate_q.k:
             raise ValidationError("base and alternate tables must share k")
         object.__setattr__(self, "params", dict(self.params))
-
-    @property
-    def base_joint(self) -> JointDistribution:
-        return joint_from_parts(self.a, self.base_q)
-
-    @property
-    def alternate_joint(self) -> JointDistribution:
-        return joint_from_parts(self.a, self.alternate_q)
 
 
 def _pair(a, base, alt, params) -> HardInstancePair:

@@ -21,8 +21,8 @@ supply, usp fills every group to a common water level, owsp splits m across
 the treatment arms and then within each arm, and nsp and custom spill any
 excess past a cap to the groups with room, in canonical order.
 :func:`allocate_infinite` and :func:`allocate_finite` validate their inputs
-and call the kernel for one budget; the replication engine calls it once
-per (instance, policy) on plain arrays.
+and return the kernel's (4,) counts for one budget as a read-only array; the
+replication engine calls it once per (instance, policy) on plain arrays.
 """
 
 from __future__ import annotations
@@ -66,27 +66,6 @@ def _kind(policy) -> str:
     raise ValidationError(
         f"unknown policy {policy!r}: expected one of {NAMED_POLICIES} or PolicyWeights"
     )
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """Integer deconfounding counts per group, summing to m."""
-
-    counts: np.ndarray
-    m: int
-
-    def __post_init__(self):
-        arr = np.array(self.counts, dtype=int, copy=True)
-        arr.setflags(write=False)
-        if arr.shape != (4,):
-            raise ValidationError(f"counts: expected 4 entries, got {arr.shape}")
-        if np.any(arr < 0):
-            raise ValidationError("counts: entries must be >= 0")
-        if int(arr.sum()) != self.m:
-            raise ValidationError(
-                f"counts sum {int(arr.sum())} does not match m={self.m}"
-            )
-        object.__setattr__(self, "counts", arr)
 
 
 def _arm_mass(a: np.ndarray) -> np.ndarray:
@@ -135,10 +114,12 @@ def policy_weights(
 
 def allocate_infinite(
     policy: Union[str, PolicyWeights], a: ConfoundedDistribution, m: int
-) -> Allocation:
-    """Integer allocation of m samples under infinite confounded data."""
+) -> np.ndarray:
+    """Integer counts (4,) of m samples under infinite confounded data, read-only."""
     m = check_int(m, "m", 0)
-    return Allocation(_allocate(_kind(policy), m, policy_weights(policy, a).x), m)
+    counts = _allocate(_kind(policy), m, policy_weights(policy, a).x)
+    counts.setflags(write=False)
+    return counts
 
 
 def allocate_finite(
@@ -146,7 +127,7 @@ def allocate_finite(
     available: Sequence[int],
     m: int,
     a_hat: Optional[ConfoundedDistribution] = None,
-) -> Allocation:
+) -> np.ndarray:
     """Approximate a policy when only ``available[g]`` records can be revealed.
 
     * nsp: proportional to availability (the simulation engine overrides
@@ -161,7 +142,8 @@ def allocate_finite(
     * custom: the weights, with any excess over a cap spilled to the
       groups with room in canonical order.
 
-    At m = sum(available) every policy returns ``available``.
+    Returns the read-only (4,) integer counts; at m = sum(available)
+    every policy returns ``available``.
     """
     kind = _kind(policy)
     available = integer_array(available, "available")
@@ -175,7 +157,9 @@ def allocate_finite(
         x = policy.x
     else:
         x = np.zeros(4) if a_hat is None else a_hat.a
-    return Allocation(_allocate(kind, m, x, available), m)
+    counts = _allocate(kind, m, x, available)
+    counts.setflags(write=False)
+    return counts
 
 
 def _round_shares(targets: np.ndarray, total) -> np.ndarray:

@@ -188,7 +188,7 @@ def test_criterion_7_bound_sufficiency():
         beta = min(max(instance_beta(parts.q), 1e-6), 0.499)
         spec = AccuracySpec(0.2, 0.1, 2, beta)
         m = math.ceil(m_policy(parts.a, parts.q, spec, "nsp").value)
-        alloc = allocate_infinite("nsp", parts.a, m).counts
+        alloc = allocate_infinite("nsp", parts.a, m)
         truth = ate_exact(joint_from_parts(parts.a, parts.q))
         rng = np.random.default_rng(seed)
         cells = [
@@ -281,7 +281,7 @@ def test_criterion_10_finite_bound_consistency():
 
         # Monte Carlo at the planned (m, n)
         truth = ate_exact(joint_from_parts(parts.a, parts.q))
-        alloc = allocate_infinite("owsp", parts.a, m_star).counts
+        alloc = allocate_infinite("owsp", parts.a, m_star)
         rng = np.random.default_rng(2_000 + seed)
         n_counts, m_counts = [], []
         for _ in range(500):
@@ -355,14 +355,14 @@ def test_criterion_11_property_suites_standalone():
             if abs(x.sum() - 1.0) > 1e-12:
                 ok = False
                 notes.append("weights not normalized")
-            counts = allocate_infinite(kind, parts.a, m).counts
+            counts = allocate_infinite(kind, parts.a, m)
             if counts.sum() != m or np.any(np.abs(counts - m * x) >= 1.0):
                 ok = False
                 notes.append("infinite allocation invariant failed")
         available = rng.integers(0, 60, size=4)
         m_fin = int(rng.integers(0, available.sum() + 1))
         for kind in ("nsp", "usp", "owsp"):
-            counts = allocate_finite(kind, available, m_fin, parts.a).counts
+            counts = allocate_finite(kind, available, m_fin, parts.a)
             if counts.sum() != m_fin or np.any(counts > available):
                 ok = False
                 notes.append("finite allocation invariant failed")

@@ -1,6 +1,7 @@
 """Bound formulas, dominance relations, feasibility solver, budget planner."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -699,6 +700,21 @@ class TestAllocateBudget:
         step = m_cap / 99  # grid spacing
         assert abs(plan.m - m_cap) <= step + 1
         assert plan.n >= plan.m
+
+    @pytest.mark.parametrize("budget, cost", [(2e19, 1.0), (1e25, 1.0), (1e12, 1e-300)])
+    def test_m_past_int64_names_the_budget(self, budget, cost):
+        a = ConfoundedDistribution(np.full(4, 0.25))
+        q = binary_conditional((0.5, 0.5, 0.5, 0.5))
+        spec = AccuracySpec(0.25, 0.1, 2, 0.1)
+        message = f"^budget {re.escape(repr(budget))}: .* does not fit a 64-bit integer$"
+        with pytest.raises(ValidationError, match=message):
+            allocate_budget(a, q, budget, cost, cost, spec)
+
+    def test_m_inside_int64_plans(self):
+        a = ConfoundedDistribution(np.full(4, 0.25))
+        q = binary_conditional((0.5, 0.5, 0.5, 0.5))
+        plan = allocate_budget(a, q, 1e19, 1.0, 1.0, AccuracySpec(0.25, 0.1, 2, 0.1))
+        assert 2**32 < plan.m <= plan.n
 
     def test_expensive_deconfounding_shrinks_m(self):
         a = ConfoundedDistribution(np.full(4, 0.25))

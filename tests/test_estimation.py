@@ -654,7 +654,7 @@ class TestConsistency:
             for pol_id, pol in enumerate(("nsp", "usp", "owsp")):
                 errors = {}
                 for m in grid:
-                    alloc = allocate_infinite(pol, parts.a, m).counts
+                    alloc = allocate_infinite(pol, parts.a, m)
                     rng = np.random.default_rng((idx, pol_id, m))
                     # the same draws as one multinomial per (replication, group)
                     cells = rng.multinomial(alloc, parts.q.q, size=(reps, 4))

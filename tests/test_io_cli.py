@@ -53,7 +53,7 @@ class TestInstanceFiles:
     def test_parts_roundtrip(self, instance_file):
         a, q = example_instance()
         loaded = read_instance(instance_file)
-        assert loaded.form == "parts"
+        assert loaded.joint is None
         assert np.allclose(loaded.a.a, a.a)
         assert np.allclose(loaded.q.q, q.q)
 
@@ -63,7 +63,6 @@ class TestInstanceFiles:
         path = tmp_path / "joint.json"
         write_joint_instance(path, joint)
         loaded = read_instance(path)
-        assert loaded.form == "joint"
         assert np.allclose(loaded.joint.p, joint.p)
 
     def test_bad_sum_names_field(self, tmp_path):
@@ -124,7 +123,7 @@ class TestInstanceFiles:
         for path in (instance_file, joint_file):
             inst = read_instance(path)
             joint = read_joint(path)
-            expected = joint_from_parts(inst.a, inst.q) if inst.form == "parts" else inst.joint
+            expected = joint_from_parts(inst.a, inst.q) if inst.joint is None else inst.joint
             assert joint.p.tobytes() == expected.p.tobytes()
             assert main(["ate", "--instance", str(path)]) == 0
             out = capsys.readouterr().out
@@ -1026,6 +1025,23 @@ class TestCliPlanBudgetInputs:
         assert main(argv) == 2
         assert "budget and costs must be finite and positive" in capsys.readouterr().err
 
+    def budget_argv(self, instance_file, budget, cost):
+        return ["plan", "--instance", str(instance_file)] + self.ARGS + [
+            "--budget", budget, "--cost-confounded", cost, "--cost-deconfound", cost,
+        ]
+
+    @pytest.mark.parametrize("budget, cost", [("1e25", "1"), ("1e12", "1e-300")])
+    def test_m_past_int64_exits_2(self, instance_file, capsys, budget, cost):
+        assert main(self.budget_argv(instance_file, budget, cost)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: budget {float(budget)!r}: ")
+        assert err.endswith("does not fit a 64-bit integer\n")
+
+    def test_m_inside_int64_plans(self, instance_file, capsys):
+        assert main(self.budget_argv(instance_file, "1e19", "1")) == 0
+        plan = re.search(r"budget plan: n = (\d+), m = (\d+),", capsys.readouterr().out)
+        assert 2**32 < int(plan[2]) <= int(plan[1])
+
 
 class TestCliPlanEmptyArm:
     """Treatment arm t=1 has no mass, so owsp is undefined on this instance."""
@@ -1084,6 +1100,12 @@ class TestCliGenInstance:
         path = tmp_path / "rand.json"
         assert main(["gen-instance", "--random", "--out", str(path)]) == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "rand.json"
+        assert main(["gen-instance", "--random", "--seed", "-1", "--out", str(path)]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not path.exists()
 
     def test_random_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"

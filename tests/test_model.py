@@ -1,5 +1,7 @@
 """Core distribution types, exact ATE, and instance constructions."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,7 +103,8 @@ class TestAteExact:
 
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 3, 5]))
     def test_batch_equals_each_table(self, seed, k):
-        tables = np.stack([random_instance(k, [seed, i]).p for i in range(6)])
+        rngs = [np.random.default_rng([seed, i]) for i in range(6)]
+        tables = np.stack([random_instance(k, rng).p for rng in rngs])
         expected = [ate_exact(JointDistribution(t)) for t in tables]
         assert ate_batch(tables).tolist() == expected
         # the batch shape does not change a value
@@ -113,7 +116,8 @@ class TestAteExact:
         st.integers(min_value=0, max_value=10**6),
     )
     def test_batch_bitwise_z_permutation_invariant(self, seed, k, perm_seed):
-        tables = np.stack([random_instance(k, [seed, i]).p for i in range(4)])
+        rngs = [np.random.default_rng([seed, i]) for i in range(4)]
+        tables = np.stack([random_instance(k, rng).p for rng in rngs])
         perm = np.random.default_rng(perm_seed).permutation(k)
         assert np.array_equal(ate_batch(tables[..., perm]), ate_batch(tables))
 
@@ -150,7 +154,7 @@ class TestFactorization:
         parts = parts_from_joint(JointDistribution(np.full((4, 2), 0.125)))
         assert np.allclose(parts.a.a, 0.25, atol=EXACT)
         assert np.allclose(parts.q.q, 0.5, atol=EXACT)
-        assert not parts.degenerate_groups
+        assert (parts.a.a > 0.0).all()
 
     @given(joint_instances)
     def test_roundtrip_identity(self, joint):
@@ -169,7 +173,7 @@ class TestFactorization:
         parts = parts_from_joint(JointDistribution(p))
         assert parts.a.a[group_index(0, 1)] == 0.0
         assert np.allclose(parts.q.q[group_index(0, 1)], 0.5, atol=EXACT)
-        assert parts.degenerate_groups == {(0, 1)}
+        assert np.flatnonzero(parts.a.a == 0.0).tolist() == [group_index(0, 1)]
 
 
 class TestValidation:
@@ -246,6 +250,16 @@ class TestRandomInstance:
     def test_deterministic_given_seed(self):
         assert np.array_equal(random_instance(2, 123).p, random_instance(2, 123).p)
         assert not np.array_equal(random_instance(2, 123).p, random_instance(2, 124).p)
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (True, "seed must be an integer, got True"),
+        (None, "seed must be an integer, got None"),
+        (1.5, "seed must be an integer, got 1.5"),
+    ], ids=["negative", "bool", "none", "float"])
+    def test_seed_must_be_a_generator_or_non_negative_int(self, seed, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            random_instance(2, seed)
 
     def test_shape_and_normalization(self):
         joint = random_instance(3, 0)
@@ -330,7 +344,8 @@ class TestHardnessPair:
         assert pair.a is a
         assert pair.base_q.k == pair.alternate_q.k == 2
         assert pair.gap == pytest.approx(
-            abs(ate_exact(pair.base_joint) - ate_exact(pair.alternate_joint)),
+            abs(ate_exact(joint_from_parts(pair.a, pair.base_q))
+                - ate_exact(joint_from_parts(pair.a, pair.alternate_q))),
             abs=1e-10,
         )
 

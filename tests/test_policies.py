@@ -1,5 +1,7 @@
 """Policy weights and integer allocations (infinite and finite regimes)."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,23 +98,23 @@ class TestPolicyWeights:
 class TestAllocateInfinite:
     def test_owsp_largest_remainder_example(self):
         a = ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3]))
-        assert allocate_infinite("owsp", a, 8).counts.tolist() == [3, 1, 1, 3]
+        assert allocate_infinite("owsp", a, 8).tolist() == [3, 1, 1, 3]
 
     def test_usp_tie_break_in_group_order(self):
         a = ConfoundedDistribution(np.full(4, 0.25))
-        assert allocate_infinite("usp", a, 7).counts.tolist() == [2, 2, 2, 1]
+        assert allocate_infinite("usp", a, 7).tolist() == [2, 2, 2, 1]
 
     def test_zero_budget(self):
         a = ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3]))
         for kind in ("nsp", "usp", "owsp"):
-            assert allocate_infinite(kind, a, 0).counts.tolist() == [0, 0, 0, 0]
+            assert allocate_infinite(kind, a, 0).tolist() == [0, 0, 0, 0]
 
     @given(marginals, st.integers(min_value=0, max_value=5000))
     @settings(max_examples=100)
     def test_counts_within_one_of_targets(self, a, m):
         for kind in ("nsp", "usp", "owsp"):
             x = policy_weights(kind, a).x
-            counts = allocate_infinite(kind, a, m).counts
+            counts = allocate_infinite(kind, a, m)
             assert counts.sum() == m
             assert np.all(np.abs(counts - m * x) < 1.0)
 
@@ -120,21 +122,21 @@ class TestAllocateInfinite:
 class TestAllocateFinite:
     def test_usp_bottleneck_example(self):
         alloc = allocate_finite("usp", (5, 50, 50, 50), 40)
-        assert alloc.counts.tolist() == [5, 12, 12, 11]
+        assert alloc.tolist() == [5, 12, 12, 11]
 
     def test_usp_even_split_tie_break(self):
-        assert allocate_finite("usp", (50, 50, 50, 50), 6).counts.tolist() == [2, 2, 1, 1]
+        assert allocate_finite("usp", (50, 50, 50, 50), 6).tolist() == [2, 2, 1, 1]
 
     def test_owsp_symmetric_example(self):
         a = ConfoundedDistribution(np.full(4, 0.25))
         alloc = allocate_finite("owsp", (30, 30, 30, 30), 20, a)
-        assert alloc.counts.tolist() == [5, 5, 5, 5]
+        assert alloc.tolist() == [5, 5, 5, 5]
 
     def test_all_policies_coincide_at_saturation(self):
         available = (7, 3, 11, 9)
         a = ConfoundedDistribution(np.array([0.2, 0.3, 0.1, 0.4]))
         results = [
-            allocate_finite(kind, available, 30, a).counts.tolist()
+            allocate_finite(kind, available, 30, a).tolist()
             for kind in ("nsp", "usp", "owsp")
         ]
         assert results[0] == results[1] == results[2] == list(available)
@@ -147,8 +149,8 @@ class TestAllocateFinite:
         # arm t=1 has only 3 records; its shortfall moves to arm t=0
         a = ConfoundedDistribution(np.array([0.25, 0.25, 0.25, 0.25]))
         alloc = allocate_finite("owsp", (20, 2, 20, 1), 20, a)
-        assert alloc.counts.sum() == 20
-        assert alloc.counts[1] + alloc.counts[3] == 3
+        assert alloc.sum() == 20
+        assert alloc[1] + alloc[3] == 3
 
     def test_owsp_matches_infinite_when_unconstrained_even_m(self):
         # availability proportional to a_hat, generous caps, even m
@@ -158,8 +160,8 @@ class TestAllocateFinite:
             a_hat = ConfoundedDistribution(counts / counts.sum())
             m = int(rng.integers(1, 30)) * 2
             available = counts * m  # proportional and never binding
-            fin = allocate_finite("owsp", available, m, a_hat).counts
-            inf = allocate_infinite("owsp", a_hat, m).counts
+            fin = allocate_finite("owsp", available, m, a_hat)
+            inf = allocate_infinite("owsp", a_hat, m)
             assert fin.tolist() == inf.tolist()
 
     @given(
@@ -173,7 +175,7 @@ class TestAllocateFinite:
         if m > total:
             m = total
         for kind in ("nsp", "usp", "owsp"):
-            counts = allocate_finite(kind, available, m, a_hat).counts
+            counts = allocate_finite(kind, available, m, a_hat)
             assert counts.sum() == m
             assert np.all(counts <= np.asarray(available))
             assert np.all(counts >= 0)
@@ -185,7 +187,7 @@ class TestBoundaryValidation:
             allocate_finite("usp", (1.7, 2.2, 3.9, 4.0), 5)
 
     def test_integral_float_availability_accepted(self):
-        assert allocate_finite("usp", (2.0, 2.0, 3.0, 4.0), 5).counts.tolist() == [2, 1, 1, 1]
+        assert allocate_finite("usp", (2.0, 2.0, 3.0, 4.0), 5).tolist() == [2, 1, 1, 1]
 
     @pytest.mark.parametrize("m", [2.5, True, -1, "3"])
     def test_budget_must_be_a_non_negative_int(self, m):
@@ -199,6 +201,43 @@ class TestBoundaryValidation:
         assert named_policies(ConfoundedDistribution(np.full(4, 0.25))) == ("nsp", "usp", "owsp")
         empty = ConfoundedDistribution(np.array([0.5, 0.0, 0.5, 0.0]))
         assert named_policies(empty) == ("nsp", "usp")
+
+
+class TestArrayAllocations:
+    """The allocators return the kernel's counts as read-only (4,) integer arrays."""
+
+    A = ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3]))
+
+    @pytest.mark.parametrize("policy", [*NAMED_POLICIES, PolicyWeights([0.1, 0.2, 0.3, 0.4])],
+                             ids=[*NAMED_POLICIES, "custom"])
+    @pytest.mark.parametrize("m", [0, 1, 7, 30])
+    @pytest.mark.parametrize("available", [(7, 3, 11, 9), (30, 0, 1, 0), (8, 8, 8, 8)])
+    def test_read_only_kernel_counts(self, policy, m, available):
+        kind = "custom" if isinstance(policy, PolicyWeights) else policy
+        weights = policy_weights(policy, self.A).x
+        pairs = [(allocate_infinite(policy, self.A, m), _allocate(kind, m, weights))]
+        if m <= sum(available):
+            x = weights if kind == "custom" else self.A.a
+            pairs.append((allocate_finite(policy, available, m, self.A),
+                          _allocate(kind, m, x, np.array(available))))
+        for counts, want in pairs:
+            assert counts.shape == (4,) and counts.dtype.kind == "i"
+            assert counts.tolist() == want.tolist() and counts.sum() == m
+            with pytest.raises(ValueError, match="read-only"):
+                counts[0] = 1
+
+    def test_bad_inputs_keep_their_messages(self):
+        with pytest.raises(ValidationError, match=r"^cannot place m=5 samples; only 4 available$"):
+            allocate_finite("usp", (1, 1, 1, 1), 5)
+        for available in ((1, 2, 3), (1, -1, 3, 4)):
+            with pytest.raises(ValidationError,
+                               match=r"^available: expected 4 non-negative integers$"):
+                allocate_finite("usp", available, 1)
+        for m, message in ((-1, "m must be >= 0, got -1"), (2.5, "m must be an integer, got 2.5")):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                allocate_infinite("usp", self.A, m)
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                allocate_finite("usp", (5, 5, 5, 5), m)
 
 
 class TestPolicyVocabulary:
@@ -385,7 +424,7 @@ class TestLoopReferences:
         policy = PolicyWeights(weights) if kind == "custom" else kind
         a_vec = None if a_hat is None else a_hat.a
         want = ref_finite_counts(kind, available, m, a_vec, weights)
-        assert allocate_finite(policy, available, m, a_hat).counts.tolist() == want.tolist()
+        assert allocate_finite(policy, available, m, a_hat).tolist() == want.tolist()
 
     @given(st.lists(finite_cases(), min_size=1, max_size=12))
     @settings(max_examples=150, deadline=None)
@@ -413,12 +452,12 @@ class TestLoopReferences:
             x = ref_policy_weights(kind, a)
             assert policy_weights(kind, a).x.tobytes() == x.tobytes()
             want = [ref_largest_remainder(m * x, m).tolist() for m in grid]
-            assert [allocate_infinite(kind, a, m).counts.tolist() for m in grid] == want
+            assert [allocate_infinite(kind, a, m).tolist() for m in grid] == want
             assert _allocate(kind, np.array(grid), x).tolist() == want
 
     def test_owsp_without_a_hat_splits_arms_evenly(self):
         # 7 units: arm t=0 gets 4 (odd unit), arm t=1 gets 3; each splits 50/50
         # with the tie to y=0, and group (1,1) is capped at 1
-        counts = allocate_finite("owsp", (10, 10, 10, 1), 7).counts
+        counts = allocate_finite("owsp", (10, 10, 10, 1), 7)
         assert counts.tolist() == [2, 2, 2, 1]
         assert counts.tolist() == ref_finite_counts("owsp", np.array([10, 10, 10, 1]), 7).tolist()

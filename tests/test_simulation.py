@@ -1123,7 +1123,7 @@ class TestStreamContract:
         # nsp spends [18, 0, 0, 2] of m=20 here, so groups (0,1) and (1,0)
         # take the uniform row in every replication
         a, q = adversarial_instance("nsp_worst")
-        assert allocate_infinite("nsp", a, 20).counts.tolist() == [18, 0, 0, 2]
+        assert allocate_infinite("nsp", a, 20).tolist() == [18, 0, 0, 2]
         cfg = ExperimentConfig(
             k=2,
             policies=("nsp", "usp", "owsp"),
