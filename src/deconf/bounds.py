@@ -418,15 +418,29 @@ def allocate_budget(
     on_line = n >= m
     if not on_line.any():
         raise ValidationError("no feasible (m, n) point on the budget line")
-    m, n = m[on_line, None], n[on_line, None]
     kinds = named_policies(a_hat)
     base = _named_weights(a_hat.a).T[:, None, : len(kinds)]
-    capped = np.minimum(base, a_hat.a[:, None, None] * n / m)  # (group, grid, policy)
-    weights = capped / capped.sum(axis=0)
-    margins = _finite_cells(a_hat.a, q.q, weights, m, n).min(axis=0) / finite_threshold(spec)
+
+    def score(m, n):  # weights (group, point, policy) and margins (point, policy)
+        capped = np.minimum(base, a_hat.a[:, None, None] * n / m)
+        weights = capped / capped.sum(axis=0)
+        cells = _finite_cells(a_hat.a, q.q, weights, m, n)
+        return weights, cells.min(axis=0) / finite_threshold(spec)
+
+    weights, margins = score(m[on_line, None], n[on_line, None])
     i, j = divmod(int(margins.argmax()), len(kinds))
-    winner = PolicyWeights(weights[:, i, j])
-    return BudgetPlan(int(n[i, 0]), int(m[i, 0]), winner, kinds[j], float(margins[i, j]))
+    m, n = int(m[on_line][i]), int(n[on_line][i])
+    # The float line can round n up past the budget (by 512 at a budget of 1e19),
+    # so the winner's spend is checked exactly, in integers over the floats'
+    # ratios. An overspending n drops to the exact floor and the point is scored
+    # again, since its capped weights depend on n.
+    (b, b_d), (c, c_d), (z, z_d) = (float(v).as_integer_ratio()
+                                    for v in (budget, c_confounded, c_deconfound))
+    if (c * n * z_d + z * m * c_d) * b_d > b * c_d * z_d:
+        n = (b * z_d - z * m * b_d) * c_d // (c * z_d * b_d)
+        weights, margins = score(np.array([[m]]), np.array([[n]], dtype=float))
+        i = 0
+    return BudgetPlan(n, m, PolicyWeights(weights[:, i, j]), kinds[j], float(margins[i, j]))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -91,15 +92,7 @@ def _print_result(result) -> None:
 
 
 def cmd_estimate(args) -> int:
-    if args.stratified and (args.mode is not None or args.a_file is not None):
-        raise ValidationError("--stratified takes neither --mode nor --a-file")
     mode = args.mode or "finite"
-    if mode == "known-a" and args.a_file is None:
-        raise ValidationError("mode known-a requires --a-file")
-    if mode != "known-a" and args.a_file is not None:
-        raise ValidationError("--a-file requires --mode known-a")
-    if mode == "deconf-only" and args.fallback is not None:
-        raise ValidationError("--fallback does not apply to --mode deconf-only")
     fallback = args.fallback or "uniform"
 
     if args.stratified:
@@ -148,30 +141,17 @@ def _fmt_witness(w) -> str:
 
 def _selected_policy(args):
     """The --policy name, the --weights of --policy custom, or None."""
-    if args.weights is not None and args.policy != "custom":
-        raise ValidationError("--weights requires --policy custom")
-    if args.policy == "custom":
-        if args.weights is None:
-            raise ValidationError("--policy custom requires --weights w00,w01,w10,w11")
-        try:
-            vals = [float(v) for v in args.weights.split(",")]
-        except ValueError:
-            raise ValidationError(f"--weights expects four reals, got {args.weights!r}")
-        return PolicyWeights(np.asarray(vals))
-    return args.policy
+    if args.policy != "custom":
+        return args.policy
+    try:
+        vals = [float(v) for v in args.weights.split(",")]
+    except ValueError:
+        raise ValidationError(f"--weights expects four reals, got {args.weights!r}")
+    return PolicyWeights(np.asarray(vals))
 
 
 def cmd_plan(args) -> int:
     selected = _selected_policy(args)
-    if isinstance(selected, str) and args.n is None:
-        raise ValidationError(f"--policy {selected} requires --n")
-    if args.budget is None:
-        for flag, value in (("--cost-confounded", args.cost_confounded),
-                            ("--cost-deconfound", args.cost_deconfound), ("--grid", args.grid)):
-            if value is not None:
-                raise ValidationError(f"{flag} requires --budget")
-    elif args.cost_confounded is None or args.cost_deconfound is None:
-        raise ValidationError("--budget requires --cost-confounded and --cost-deconfound")
     inst = dio.read_instance(args.instance)
     spec = bnd.AccuracySpec(args.epsilon, args.delta, inst.q.k, args.beta)
     report = bnd.bound_report(inst.a, inst.q, spec, args.c1)
@@ -234,68 +214,28 @@ def _parse_a(text) -> ConfoundedDistribution:
     return ConfoundedDistribution(np.asarray(vals))
 
 
-# the optional flags each gen-instance mode reads; setting another exits 2
-_GEN_FLAGS = {
-    "random": ("k", "seed"),
-    "adversarial": (),
-    "hardness": ("a", "gamma", "q_floor", "alt_out"),
-    "lower-bound general": ("a", "q00", "q01", "beta", "gamma", "alt_out"),
-    "lower-bound policy": ("a", "k", "beta", "gamma", "alt_out"),
-}
-
-
 def cmd_gen_instance(args) -> int:
-    chosen = [mode for mode, on in (
-        ("random", args.random), ("adversarial", args.adversarial is not None),
-        ("hardness", args.hardness), (f"lower-bound {args.lower_bound}", args.lower_bound),
-    ) if on]
-    if len(chosen) != 1:
-        raise ValidationError(
-            "choose exactly one of --random, --adversarial, --hardness, --lower-bound"
-        )
-    mode = chosen[0]
-    for flag in sorted(set().union(*_GEN_FLAGS.values()) - set(_GEN_FLAGS[mode])):
-        if getattr(args, flag) is not None:
-            raise ValidationError(f"--{flag.replace('_', '-')} does not apply to --{mode}")
     k = 2 if args.k is None else args.k
-
-    if mode == "random":
-        if args.seed is None:
-            raise ValidationError("--random requires --seed")
+    if args.random:
         joint = random_instance(k, args.seed)
         dio.write_joint_instance(args.out, joint)
         print(f"wrote random k={k} instance to {args.out}")
         return EXIT_OK
 
-    if mode == "adversarial":
+    if args.adversarial is not None:
         a, q = adversarial_instance(f"{args.adversarial}_worst")
         dio.write_instance(args.out, a, q)
         print(f"wrote {args.adversarial}_worst instance to {args.out}")
         return EXIT_OK
 
-    if mode == "hardness":
-        if args.a is None or args.gamma is None:
-            raise ValidationError("--hardness requires --a and --gamma")
-        a = _parse_a(args.a)
+    a = _parse_a(args.a)
+    if args.hardness:
         pair = (hardness_pair(a, args.gamma) if args.q_floor is None
                 else hardness_pair(a, args.gamma, args.q_floor))
-    else:  # lower-bound construction
-        if args.a is None:
-            raise ValidationError("--lower-bound requires --a")
-        a = _parse_a(args.a)
-        if mode == "lower-bound general":
-            needed = (args.q00, args.q01, args.beta, args.gamma)
-            if any(v is None for v in needed):
-                raise ValidationError(
-                    "--lower-bound general requires --q00 --q01 --beta --gamma"
-                )
-            pair = general_lower_pair(a, args.q00, args.q01, args.beta, args.gamma)
-        else:
-            if args.beta is None or args.gamma is None:
-                raise ValidationError(
-                    "--lower-bound policy requires --beta --gamma (and --k)"
-                )
-            pair = policy_lower_pair(a, k, args.beta, args.gamma)
+    elif args.lower_bound == "general":
+        pair = general_lower_pair(a, args.q00, args.q01, args.beta, args.gamma)
+    else:
+        pair = policy_lower_pair(a, k, args.beta, args.gamma)
 
     dio.write_instance(args.out, pair.a, pair.base_q)
     if args.alt_out is not None:
@@ -306,20 +246,15 @@ def cmd_gen_instance(args) -> int:
     return EXIT_OK
 
 
-# config-file fields each simulate command would ignore; setting one exits 2
-_IGNORED_FIELDS = {"simulate": ("dataset",), "simulate-finite": ("dataset",),
-                   "simulate-real": ("instances", "instance_files")}
-
-
 def _load_sim_inputs(args):
     """Config, extras and instances of a ``simulate*`` command; checks ``--out`` first."""
     dio.check_output_path(args.out)
     config, extras = dio.read_experiment_config(args.config)
-    for name in _IGNORED_FIELDS[args.command]:
-        if name in extras["fields"]:
-            raise DataFormatError(
-                f"{args.config}: config field {name!r} does not apply to {args.command}"
-            )
+    ignored = sorted(extras["fields"] - set(_ROWS[args.command, ""][2].split()))
+    if ignored:
+        raise DataFormatError(
+            f"{args.config}: config field {ignored[0]!r} does not apply to {args.command}"
+        )
     if extras["instance_files"] and "instances" in extras["fields"]:
         raise DataFormatError(  # the files set the instance count
             f"{args.config}: config field 'instances' does not apply next to instance_files"
@@ -339,15 +274,8 @@ def _load_sim_inputs(args):
 
 def cmd_simulate(args) -> int:
     config, _, instances = _load_sim_inputs(args)
-    curve = sim.run_infinite_experiment(config, instances, workers=args.workers)
-    dio.write_error_curve_csv(curve, args.out)
-    print(f"wrote {len(curve.rows)} rows to {args.out}")
-    return EXIT_OK
-
-
-def cmd_simulate_finite(args) -> int:
-    config, _, instances = _load_sim_inputs(args)
-    curve = sim.run_finite_experiment(config, instances, workers=args.workers)
+    run = {"simulate": sim.run_infinite_experiment, "simulate-finite": sim.run_finite_experiment}
+    curve = run[args.command](config, instances, workers=args.workers)
     dio.write_error_curve_csv(curve, args.out)
     print(f"wrote {len(curve.rows)} rows to {args.out}")
     return EXIT_OK
@@ -426,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, handler, with_data in (
         ("simulate", cmd_simulate, False),
-        ("simulate-finite", cmd_simulate_finite, False),
+        ("simulate-finite", cmd_simulate, False),
         ("simulate-real", cmd_simulate_real, True),
     ):
         p = sub.add_parser(name, help=f"run the {name} protocol")
@@ -441,6 +369,74 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One row per (command, mode): the optional flags (by dest) the mode needs, the
+# ones it also reads, and for simulate* the config fields the command reads.
+# main exits 2 on a set flag outside its row and on a needed one left unset.
+_FIELDS = "k policies include_baseline m_grid replications seed fallback"
+_SYNTHETIC = f"{_FIELDS} instances instance_files"
+_ROWS = {
+    ("ate", ""): ("", "", ""),
+    ("estimate", "--stratified"): ("stratified", "fallback json", ""),
+    ("estimate", "--mode finite"): ("", "mode fallback json", ""),
+    ("estimate", "--mode known-a"): ("mode a_file", "fallback json", ""),
+    ("estimate", "--mode deconf-only"): ("mode", "json", ""),
+    ("gen-instance", "--random"): ("random seed", "k", ""),
+    ("gen-instance", "--adversarial"): ("adversarial", "", ""),
+    ("gen-instance", "--hardness"): ("hardness a gamma", "q_floor alt_out", ""),
+    ("gen-instance", "--lower-bound general"): ("lower_bound a q00 q01 beta gamma", "alt_out",
+                                               ""),
+    ("gen-instance", "--lower-bound policy"): ("lower_bound a beta gamma", "k alt_out", ""),
+    ("simulate", ""): ("", "seed workers", _SYNTHETIC),
+    ("simulate-finite", ""): ("", "seed workers", f"{_SYNTHETIC} n_grid"),
+    ("simulate-real", ""): ("", "seed workers data", f"{_FIELDS} dataset"),
+}
+for _policy, _needs, _reads in [("", "", "n"), (" --policy custom", "policy weights", "n")] + [
+        (f" --policy {name}", "policy n", "") for name in NAMED_POLICIES]:
+    _ROWS["plan", f"plan{_policy}"] = (_needs, f"c1 csv {_reads}", "")
+    _ROWS["plan", f"plan{_policy} --budget"] = (
+        f"{_needs} budget cost_confounded cost_deconfound", f"c1 csv grid {_reads}", "")
+
+
+def _mode(args) -> str:
+    """The mode of the parsed command, as its row in ``_ROWS`` names it."""
+    if args.command == "estimate":
+        return "--stratified" if args.stratified else f"--mode {args.mode or 'finite'}"
+    if args.command == "plan":
+        policy = "" if args.policy is None else f" --policy {args.policy}"
+        return f"plan{policy}" + " --budget" * (args.budget is not None)
+    if args.command == "gen-instance":
+        chosen = [mode for mode, on in (
+            ("--random", args.random), ("--adversarial", args.adversarial is not None),
+            ("--hardness", args.hardness), (f"--lower-bound {args.lower_bound}", args.lower_bound),
+        ) if on]
+        if len(chosen) != 1:
+            raise ValidationError(
+                "choose exactly one of --random, --adversarial, --hardness, --lower-bound"
+            )
+        return chosen[0]
+    return ""
+
+
+def _optional_flags(parser, command):
+    """(dest, flag) of each optional flag of a command, in parser order."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(a.dest, a.option_strings[0]) for a in sub.choices[command]._actions
+            if a.option_strings and not a.required and a.dest != "help"]
+
+
+def _check_flags(parser, args) -> None:
+    """Hold the parsed flags to their row; a flag is set unless None or False."""
+    mode = _mode(args)
+    needs, reads, _ = (set(names.split()) for names in _ROWS[args.command, mode])
+    for dest, flag in _optional_flags(parser, args.command):
+        value = getattr(args, dest)
+        if value is None or value is False:
+            if dest in needs:
+                raise ValidationError(f"{mode} requires {flag}")
+        elif dest not in needs | reads:
+            raise ValidationError(f"{flag} does not apply to {mode}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -448,7 +444,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad flags already
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        _check_flags(parser, args)
+        with warnings.catch_warnings():
+            # one line per warning, without the source line
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            return args.func(args)
     except (DataFormatError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

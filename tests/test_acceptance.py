@@ -12,6 +12,7 @@ import pytest
 
 from deconf import (
     AccuracySpec,
+    ConditionalTable,
     ConfoundedDistribution,
     ExperimentConfig,
     adversarial_instance,
@@ -36,6 +37,7 @@ from deconf.estimation import (
     estimate_finite_counts,
     estimate_with_known_confounded_counts,
 )
+from deconf.model import ate_batch
 
 
 def report(number, name, ok, detail=""):
@@ -384,3 +386,34 @@ def test_criterion_11_property_suites_standalone():
             notes.append("z-relabeling changed the estimate")
 
     report(11, "standalone property suites", ok, "; ".join(notes) or "all invariants hold")
+
+
+def test_criterion_12_two_confounders_at_fixed_m():
+    """Joint reveals of z = 2*z1 + z2 beat the bias of adjusting for one confounder.
+
+    The instance is ``tests/test_model.py::TestTwoConfounders``'. Adjusting for
+    z1 alone sums q over z2 (and the reverse); the gaps to the true ATE are
+    exact bias floors, which no amount of data on one confounder removes.
+    """
+    a = np.array([0.4, 0.1, 0.2, 0.3])
+    q = np.array([(0.1, 0.2, 0.3, 0.4), (0.25, 0.25, 0.25, 0.25),
+                  (0.4, 0.1, 0.1, 0.4), (0.3, 0.3, 0.2, 0.2)])
+    joint = (a[:, None] * q).reshape(4, 2, 2)  # (group, z1, z2)
+    ate = ate_batch(joint.reshape(4, 4))
+    floors = {name: abs(ate_batch(joint.sum(axis=axis)) - ate)
+              for name, axis in (("z1", 2), ("z2", 1))}
+    exact_ok = (abs(ate - 0.4002664) < 5e-8 and abs(floors["z1"] - 0.0091394) < 5e-8
+                and abs(floors["z2"] - 0.0139870) < 5e-8)
+    config = ExperimentConfig(k=4, policies=("nsp", "usp", "owsp"), m_grid=(400, 1600),
+                              replications=2000, seed=12)
+    curve = run_infinite_experiment(
+        config, instances=[(ConfoundedDistribution(a), ConditionalTable(q))])
+    upper = {(row.policy, row.grid_value):
+             (row.mean_abs_error, row.mean_abs_error + 4 * row.std_abs_error / row.reps**0.5)
+             for row in curve.rows}
+    ok = exact_ok and all(hi < floors["z1"] for (_, m), (_, hi) in upper.items() if m == 1600)
+    detail = f"floors z1 = {floors['z1']:.7f}, z2 = {floors['z2']:.7f}; " + "; ".join(
+        f"m={m}: " + " ".join(f"{pol}={upper[pol, m][0]:.5f}" for pol in config.policies)
+        for m in config.m_grid
+    ) + " (mean |err|; at m=1600 mean + 4 SE must be below the z1 floor)"
+    report(12, "two confounders at fixed m", ok, detail)

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -715,6 +716,23 @@ class TestAllocateBudget:
         q = binary_conditional((0.5, 0.5, 0.5, 0.5))
         plan = allocate_budget(a, q, 1e19, 1.0, 1.0, AccuracySpec(0.25, 0.1, 2, 0.1))
         assert 2**32 < plan.m <= plan.n
+
+    @pytest.mark.parametrize("budget, c_confounded, c_deconfound, over",
+                             [(1e19, 1.0, 1.0, 512), (1e17, 3.0, 7.0, 5)])
+    def test_plan_never_spends_past_the_budget(self, budget, c_confounded, c_deconfound, over):
+        a = ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3]))
+        q = binary_conditional((0.5, 0.2, 0.7, 0.6))
+        spec = AccuracySpec(0.2, 0.1, 2, 0.1)
+        plan = allocate_budget(a, q, budget, c_confounded, c_deconfound, spec)
+        b, c_c, c_z = map(Fraction, (budget, c_confounded, c_deconfound))
+        float_n = int(np.trunc((budget - c_deconfound * plan.m) / c_confounded))
+        assert c_c * float_n + c_z * plan.m - b == over  # the float line's overspend
+        assert b - c_c < c_c * plan.n + c_z * plan.m <= b  # n is the exact floor
+        # the point is scored again at that n: weights capped at a * n / m
+        capped = np.minimum(policy_weights(plan.policy, a).x, a.a * plan.n / plan.m)
+        np.testing.assert_allclose(plan.weights.x, capped / capped.sum(), rtol=1e-15)
+        check = finite_feasible(a, q, plan.weights, plan.m, plan.n, spec)
+        assert plan.margin == pytest.approx(check.margin, rel=1e-12)
 
     def test_expensive_deconfounding_shrinks_m(self):
         a = ConfoundedDistribution(np.full(4, 0.25))

@@ -1,5 +1,6 @@
 """File formats and the command-line surface (exit codes, determinism)."""
 
+import argparse
 import csv
 import json
 import re
@@ -21,7 +22,8 @@ from deconf import (
     joint_from_parts,
 )
 import deconf.io as dio
-from deconf.cli import main
+from deconf import cli
+from deconf.cli import build_parser, main
 from deconf.io import (
     CURVE_HEADER,
     read_dataset_csv,
@@ -705,6 +707,93 @@ class TestConfigFiles:
             read_experiment_config(path)
 
 
+def _commands(parser):
+    """The sub-parser of each command."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _flag_argv(action, mode):
+    """argv setting one flag: the value its mode names, else a choice, else "1"."""
+    flag = action.option_strings[0]
+    if action.nargs == 0:
+        return [flag]
+    words = mode.split()
+    if flag in words[:-1] and not words[words.index(flag) + 1].startswith("--"):
+        return [flag, words[words.index(flag) + 1]]
+    return [flag, action.choices[0] if action.choices else "1"]
+
+
+def _flag_matrix():
+    """(command, mode, dest) for every row and optional flag, from the parser."""
+    parser = build_parser()
+    return [(command, mode, dest) for command in _commands(parser)
+            for mode in sorted(m for c, m in cli._ROWS if c == command)
+            for dest, _ in cli._optional_flags(parser, command)]
+
+
+class TestFlagTable:
+    """One table decides which optional flags each (command, mode) reads."""
+
+    def test_every_flag_and_field_has_a_row(self):
+        parser = build_parser()
+        commands = _commands(parser)
+        assert {c for c, _ in cli._ROWS} == set(commands)
+        for command in commands:
+            flags = {dest for dest, _ in cli._optional_flags(parser, command)}
+            rows = [row for (c, _), row in cli._ROWS.items() if c == command]
+            named = {dest for needs, reads, _ in rows for dest in (needs + " " + reads).split()}
+            assert named == flags, command
+        fields = {f for row in cli._ROWS.values() for f in row[2].split()}
+        assert fields == dio._CONFIG_FIELDS
+        assert {c for (c, _), row in cli._ROWS.items() if row[2]} == {
+            "simulate", "simulate-finite", "simulate-real"}
+
+    def test_zero_is_a_set_value(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        assert main(["gen-instance", "--random", "--seed", "0", "--out", str(path)]) == 0
+        assert capsys.readouterr().out == f"wrote random k=2 instance to {path}\n"
+
+    @pytest.mark.parametrize("command, mode, dest", _flag_matrix())
+    def test_flag_outside_its_row_exits_2(self, tmp_path, monkeypatch, capsys, command,
+                                          mode, dest):
+        monkeypatch.chdir(tmp_path)  # no file is read or written; none of them exists
+        parser = build_parser()
+        actions = [a for a in _commands(parser)[command]._actions if a.option_strings]
+        needs, reads, _ = (names.split() for names in cli._ROWS[command, mode])
+
+        def argv_without(skip):  # required flags and the mode's needs, in parser order
+            return [command] + [word for a in actions if a.dest != skip
+                                and (a.required or a.dest in needs)
+                                for word in _flag_argv(a, mode)]
+
+        args = parser.parse_args(argv_without(None))
+        assert cli._mode(args) == mode
+        cli._check_flags(parser, args)  # the row accepts the flags it needs
+        action = next(a for a in actions if a.dest == dest)
+        flag = action.option_strings[0]
+        if dest in reads:
+            cli._check_flags(parser, parser.parse_args(argv_without(None)
+                                                       + _flag_argv(action, mode)))
+            return
+        if dest in needs:
+            argv, message = argv_without(dest), f"error: {mode} requires {flag}\n"
+        else:
+            argv = argv_without(None) + _flag_argv(action, mode)
+            message = f"error: {flag} does not apply to {mode}\n"
+        try:
+            other = cli._mode(parser.parse_args(argv))
+        except ValidationError:  # gen-instance without exactly one mode flag
+            other = None
+        if other not in (mode, None):  # a mode flag selects another row
+            assert (command, other) in cli._ROWS
+            return
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == message if other == mode else flag in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCliAte:
     def test_prints_value(self, instance_file, capsys):
         assert main(["ate", "--instance", str(instance_file)]) == 0
@@ -854,7 +943,7 @@ class TestCliEstimate:
         path.write_text("x,y,t,z\n0,1,1,0\n0,0,0,1\n")
         args = ["estimate", "--data", str(path), "--k", "2", "--stratified"]
         assert main(args + [f.format(a=a_path) for f in flags]) == 2
-        assert "error: --stratified takes neither --mode nor --a-file" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {flags[0]} does not apply to --stratified\n"
 
     @pytest.mark.parametrize("mode", [[], ["--mode", "finite"], ["--mode", "deconf-only"]])
     def test_a_file_outside_known_a_exits_2(self, tmp_path, capsys, mode):
@@ -862,7 +951,9 @@ class TestCliEstimate:
         path.write_text("y,t,z\n0,0,0\n0,1,1\n1,0,0\n1,1,1\n")
         args = ["estimate", "--data", str(path), "--k", "2", "--a-file", str(tmp_path / "none")]
         assert main(args + mode) == 2
-        assert "error: --a-file requires --mode known-a" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: --a-file does not apply to --mode {(mode or ['', 'finite'])[1]}\n"
+        )
 
     @pytest.mark.parametrize("fallback", ["error", "uniform"])
     def test_fallback_with_deconf_only_exits_2(self, tmp_path, capsys, fallback):
@@ -958,9 +1049,26 @@ class TestCliPlan:
     def test_weights_with_a_named_policy_exits_2(self, instance_file, capsys, policy):
         argv = ["plan", "--instance", str(instance_file), "--epsilon", "0.1",
                 "--delta", "0.05", "--beta", "0.1", "--policy", policy,
-                "--weights", "0.1,0.2,0.3,0.4"]
+                "--weights", "0.1,0.2,0.3,0.4", "--n", "1000"]
         assert main(argv) == 2
-        assert "--weights requires --policy custom" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: --weights does not apply to plan --policy {policy}\n"
+        )
+
+    @pytest.mark.parametrize("csv_flag", [[], ["--csv"]])
+    def test_warning_is_one_line(self, tmp_path, capsys, csv_flag):
+        path = tmp_path / "k3.json"
+        assert main(["gen-instance", "--random", "--k", "3", "--seed", "1",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        argv = ["plan", "--instance", str(path), "--epsilon", "0.1", "--delta", "0.05",
+                "--beta", "0.4"]
+        assert main(argv + csv_flag) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: lower-bound constructions assume k*beta < 1; got k*beta = 1.2\n"
+        )
+        assert ("VIOLATED" in captured.out) != bool(csv_flag)
 
     @pytest.mark.parametrize("c1", ["nan", "inf"])
     def test_non_finite_c1_exits_2(self, instance_file, capsys, c1):
@@ -984,13 +1092,13 @@ class TestCliPlanFlags:
         argv = ["plan", "--instance", str(instance_file)] + self.ARGS + flags
         assert main(argv) == 2
         flag = next(f for f in flags if f in ("--grid", "--cost-confounded", "--cost-deconfound"))
-        assert capsys.readouterr().err == f"error: {flag} requires --budget\n"
+        assert capsys.readouterr().err == f"error: {flag} does not apply to plan\n"
 
     @pytest.mark.parametrize("policy", NAMED_POLICIES)
     def test_named_policy_without_n_exits_2(self, instance_file, capsys, policy):
         argv = ["plan", "--instance", str(instance_file)] + self.ARGS + ["--policy", policy]
         assert main(argv + self.BUDGET) == 2
-        assert capsys.readouterr().err == f"error: --policy {policy} requires --n\n"
+        assert capsys.readouterr().err == f"error: plan --policy {policy} --budget requires --n\n"
 
     def test_custom_policy_without_n_prints_its_bound(self, instance_file, capsys):
         argv = ["plan", "--instance", str(instance_file)] + self.ARGS + [
@@ -1077,7 +1185,7 @@ class TestCliPlanEmptyArm:
         # without --n the policy would select nothing, so it is rejected too
         argv = ["plan", "--instance", str(path)] + self.ARGS + ["--policy", "owsp"]
         assert main(argv) == 2
-        assert capsys.readouterr().err == "error: --policy owsp requires --n\n"
+        assert capsys.readouterr().err == "error: plan --policy owsp requires --n\n"
 
     def test_simulate_owsp_exits_2(self, path, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1380,7 +1488,8 @@ class TestCliSimulate:
 
     @pytest.mark.parametrize(
         "field, message",
-        [({"n_grid": [100, 200]}, "n_grid applies to the finite protocol only"),
+        [pytest.param({"n_grid": [100, 200]}, "config field 'n_grid' does not apply to simulate",
+                      id="field0-n_grid applies to the finite protocol only"),
          ({"policies": "nsp"}, "policies must be a list")],
     )
     def test_ignored_or_split_fields_exit_2(self, tmp_path, capsys, field, message):
