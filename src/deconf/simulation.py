@@ -4,25 +4,28 @@ Three protocols, mirroring the synthetic and real-data experiments:
 
 * infinite  -- the marginal is known exactly; policies spend m reveals on
   the conditional rows; the optional baseline draws m full joint samples.
+* empirical -- a complete (y, t, z) table is the ground truth, so its
+  marginal is known too; every draw is uniform without replacement.
 * finite    -- n confounded samples are drawn first; natural sampling
   deconfounds the first m arrivals, the other policies allocate against
   the realized group counts.
-* empirical -- a complete (y, t, z) table is the ground truth; reveals are
-  uniform without-replacement draws within each group, taken from the
-  table's (4, k) cell counts as nested hypergeometric draws along the m
-  grid.
+
+With the marginal known, the two populations differ only in how they are
+drawn from, so one error function serves both: a work item carries its
+sampler, ``_prefix_counts`` (with replacement, from an instance's
+probabilities) or ``_reveal_prefixes`` (without replacement, from the
+table's counts). Both take lengths ``(..., grid, rows)`` and return the
+counts ``(..., grid, rows, c)`` of prefixes of one sequence per row.
 
 Reproducibility contract: every result is a pure function of the config
 and master seed. The paper's policies are non-adaptive, and each record's
-z exists before any policy looks, so there is one reveal model: a work
+z exists before any policy looks, so every grid draw is nested. A work
 item (an instance, or the empirical table) draws one z sequence per
 (replication, group) from one stream, and every policy at every grid point
 reveals a prefix of it, so policy contrasts use common random numbers. The
-synthetic protocols draw it as incremental multinomials along the sorted
-union of the allocation lengths; the empirical protocol as nested
-hypergeometric steps, the prefixes of one random order of each group. The
-baseline's records and the finite protocol's arrivals (incremental along m
-and the sorted n grid) come from their own streams. Each stream draws all
+baseline reveals prefixes of one sequence of whole records per replication,
+and the finite protocol's arrivals prefixes of one sequence along m and
+the sorted n grid, each from its own stream. Each stream draws all
 replications of its item in one call. Seeds stay below 2**32, because
 numpy's ``SeedSequence`` splits a larger int into 32-bit words, so its keys
 would alias other seeds' keys. Each work item returns its |estimate -
@@ -35,23 +38,21 @@ deviation of |estimate - truth| pooled over all replications of all
 instances.
 
 Allocation runs through the policies kernel on plain arrays, once per
-(instance, policy): the infinite protocol allocates its whole m grid in one
-call, and the finite protocol draws every replication's arrivals first and
-then allocates all (replication, n) points in one call (natural sampling
-takes the first m arrivals instead). The empirical protocol allocates each
-policy's grid once for the whole run. Allocation consumes no randomness.
-Estimation runs on plain arrays through the batched kernel
-(:func:`deconf.estimation.q_hat_batch` and :func:`deconf.model.ate_batch`),
-once per work item over all of its replications. The finite protocol
-converts a work item's counts to float once and walks that copy as
-``(4, k)`` tables, calling ``q_hat_batch`` once per replication-estimate in
-(replication, policy, n) order, so no call converts its table and a
-strict run names the first degenerate estimate in that order. The
-benchmark's tracer test counts one estimation call per estimate, so the
-loop stays until that test is revised. Model objects are the types of the
-API and the file boundary only: no model object is built inside a sweep.
-The infinite and empirical protocols check owsp's arms once per run,
-before any work item.
+(instance, policy) and consumes no randomness: the known-marginal protocols
+allocate each policy's whole m grid before the sweep, after checking
+owsp's arms, and the finite protocol draws every replication's arrivals
+first and then allocates all (replication, n) points in one call (natural
+sampling takes the first m arrivals instead). Estimation runs on plain
+arrays through the batched kernel (:func:`deconf.estimation.q_hat_batch`
+and :func:`deconf.model.ate_batch`), once per work item over all of its
+replications. The finite protocol converts a work item's counts to float
+once and walks that copy as ``(4, k)`` tables, calling ``q_hat_batch``
+once per replication-estimate in (replication, policy, n) order, so no
+call converts its table and a strict run names the first degenerate
+estimate in that order. The benchmark's tracer test counts one estimation
+call per estimate, so the loop stays until that test is revised. Model
+objects are the types of the API and the file boundary only: no model
+object is built inside a sweep.
 """
 
 from __future__ import annotations
@@ -182,7 +183,6 @@ class SyntheticInstance(NamedTuple):
     a: np.ndarray  # (4,)
     q: np.ndarray  # (4, k)
     ate: float
-    p_flat: np.ndarray  # (4k,), the joint table row-major
 
 
 def resolve_instances(
@@ -209,7 +209,7 @@ def resolve_instances(
         ])
         a, q = split_joint(p)
     ates = ate_batch(p).tolist()
-    return [SyntheticInstance(*f) for f in zip(a, q, ates, p.reshape(len(p), -1))]
+    return [SyntheticInstance(*f) for f in zip(a, q, ates)]
 
 
 def _check_not_finite(config: ExperimentConfig, workers) -> None:
@@ -272,28 +272,95 @@ def _sweep(func, items, labels, kind, grid, workers: int, instances: int) -> Err
 
 
 # ---------------------------------------------------------------------------
-# infinite confounded data
+# prefix samplers: lengths (..., grid, rows) in, counts (..., grid, rows, c) out
 
 
-def _infinite_errors(args) -> np.ndarray:
-    idx, inst, config = args
-    k, reps, policies = inst.q.shape[1], config.replications, config.policies
-    grid = np.array(sorted(config.m_grid))
+def _prefix_counts(rng: np.random.Generator, probs, lengths) -> np.ndarray:
+    """Counts ``(..., grid, rows, c)`` of prefixes of one i.i.d. sequence per row.
+
+    Row r of ``lengths`` ``(..., grid, rows)`` draws from ``probs[r]`` as
+    incremental multinomials along its sorted lengths, in (..., row, sorted
+    length) order, so equal lengths get equal counts.
+    """
+    lengths = np.swapaxes(lengths, -1, -2)
+    # flat row indices of each row's sorted order, to gather lengths and scatter counts
+    order = np.argsort(lengths, axis=-1, kind="stable")
+    order += np.arange(0, order.size, order.shape[-1]).reshape(order.shape[:-1] + (1,))
+    order = order.ravel()
+    steps = np.diff(np.ravel(lengths)[order].reshape(lengths.shape), prepend=0)
+    drawn = rng.multinomial(steps, probs[:, None], size=steps.shape)
+    out = np.empty_like(drawn)
+    c = drawn.shape[-1]
+    out.reshape(-1, c)[order] = np.cumsum(drawn, axis=-2).reshape(-1, c)
+    return np.swapaxes(out, -2, -3)
+
+
+def _reveal_prefixes(rng: np.random.Generator, cells, lengths) -> np.ndarray:
+    """Counts ``(..., grid, rows, k)`` of prefixes of one uniform random order per row.
+
+    Row g of the ``(rows, k)`` table ``cells`` reveals ``lengths[..., g]``
+    records at each grid point, independently for every index of the
+    leading dims of ``lengths`` ``(..., grid, rows)``. Each (index, row)
+    draws its prefixes in ascending length; a step draws from the records
+    not yet revealed as a chain of hypergeometric draws, one per z < k-1,
+    and the last z takes the remainder. That is grid * (k-1) broadcast calls;
+    memory is O(lengths.size * k) int64.
+    """
+    order = np.argsort(lengths, axis=-2, kind="stable")
+    steps = np.diff(np.take_along_axis(lengths, order, -2), axis=-2, prepend=0)
+    left = np.array(np.broadcast_to(cells, steps.shape[:-2] + cells.shape), dtype=np.int64)
+    drawn = np.empty(steps.shape + cells.shape[1:], dtype=np.int64)
+    for i in range(steps.shape[-2]):
+        need = steps[..., i, :].copy()
+        rest = left.sum(axis=-1)
+        for z in range(cells.shape[1] - 1):
+            rest -= left[..., z]  # records of the later z values
+            got = rng.hypergeometric(left[..., z], rest, need)
+            left[..., z] -= got
+            need -= got
+        left[..., -1] -= need
+        drawn[..., i, :, :] = cells - left
+    out = np.empty_like(drawn)
+    np.put_along_axis(out, order[..., None], drawn, axis=-3)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# known marginal: an instance, or the empirical table
+
+
+def _allocations(policies, grid, a) -> np.ndarray:
+    """The named policies' allocations ``(policies, grid, 4)`` of budgets ``grid`` on ``a``."""
+    weights = _named_weights(a)
+    counts = [_allocate(pol, grid, weights[NAMED_POLICIES.index(pol)]) for pol in policies]
+    return np.array(counts, dtype=np.int64).reshape(len(policies), len(grid), 4)
+
+
+def _known_marginal_errors(item) -> np.ndarray:
+    """|estimate - truth| ``(reps, methods, sorted grid)`` of one known-marginal work item.
+
+    ``sample`` draws prefixes: ``_prefix_counts`` with replacement from an
+    instance's probabilities, ``_reveal_prefixes`` without replacement from
+    the table's counts. The baseline reveals prefixes of one sequence of
+    whole records per replication from ``joint``, on stream ``(seed, dom,
+    idx)``; the policies reveal their ``(policies, sorted grid, 4)``
+    allocations as prefixes of one z sequence per (replication, group) from
+    ``rows``, on stream ``(seed, _DOM_CONDITIONAL, idx)``.
+    """
+    sample, dom, idx, joint, rows, a, ate, allocs, config = item
+    reps, grid = config.replications, np.array(sorted(config.m_grid))
     ates = []
     if config.include_baseline:
-        rng = _stream(config.seed, _DOM_INFINITE, idx)
-        cells = rng.multinomial(grid, inst.p_flat, size=(reps, len(grid)))
-        cells = cells.reshape(reps, len(grid), 4, k)
-        ates.append(ate_batch(cells / grid[:, None, None])[:, None])
-    if policies:
-        weights = _named_weights(inst.a)
-        allocs = np.stack([
-            _allocate(pol, grid, weights[NAMED_POLICIES.index(pol)]) for pol in policies
-        ])
-        allocs = np.broadcast_to(allocs, (reps,) + allocs.shape)
-        cells = _shared_reveals(_stream(config.seed, _DOM_CONDITIONAL, idx), inst.q, allocs)
-        ates.append(ate_batch(inst.a[:, None] * q_hat_batch(cells, inst.a, config.fallback)))
-    return np.abs(np.concatenate(ates, axis=1) - inst.ate)
+        lengths = np.broadcast_to(grid[:, None], (reps, len(grid), 1))
+        drawn = sample(_stream(config.seed, dom, idx), joint.reshape(1, -1), lengths)
+        drawn = drawn.reshape((reps, len(grid)) + joint.shape)
+        ates.append(ate_batch(drawn / grid[:, None, None])[:, None])
+    if len(allocs):
+        lengths = np.broadcast_to(allocs.reshape(-1, 4), (reps, allocs.size // 4, 4))
+        drawn = sample(_stream(config.seed, _DOM_CONDITIONAL, idx), rows, lengths)
+        drawn = drawn.reshape((reps,) + allocs.shape[:2] + rows.shape)
+        ates.append(ate_batch(a[:, None] * q_hat_batch(drawn, a, config.fallback)))
+    return np.abs(np.concatenate(ates, axis=1) - ate)
 
 
 def run_infinite_experiment(
@@ -306,40 +373,60 @@ def run_infinite_experiment(
     resolved = resolve_instances(config, instances)
     if "owsp" in config.policies:
         _check_owsp(np.stack([inst.a for inst in resolved]))
-    items = [(idx, inst, config) for idx, inst in enumerate(resolved)]
-    return _sweep(_infinite_errors, items, config.method_labels(), "m", config.m_grid,
+    grid = np.array(sorted(config.m_grid))
+    items = [
+        (_prefix_counts, _DOM_INFINITE, idx, inst.a[:, None] * inst.q, inst.q, inst.a, inst.ate,
+         _allocations(config.policies, grid, inst.a), config)
+        for idx, inst in enumerate(resolved)
+    ]
+    return _sweep(_known_marginal_errors, items, config.method_labels(), "m", config.m_grid,
                   workers, len(resolved))
+
+
+def run_empirical_experiment(
+    records, config: ExperimentConfig, workers: int = 1
+) -> ErrorCurve:
+    """Replications against a complete (y, t, z) table as ground truth.
+
+    The empirical joint of the full table defines the true ATE and the
+    (exact) marginal used for policy weights. Past validation only the
+    ``(4, k)`` cell counts are used, in one work item: every policy reveals
+    prefixes of one uniform random order per (replication, group), and the
+    baseline prefixes of one of the whole table. The draws hold
+    O(replications * len(methods) * len(m_grid) * 4k) int64 counts at once.
+    """
+    _check_not_finite(config, workers)
+    cells = deconfounded_counts(records, config.k)
+    total = int(cells.sum())
+    if total == 0:
+        raise ValidationError("empirical dataset is empty")
+    ate_true = ate_batch(cells / total)
+    sizes = cells.sum(axis=1)
+    a = sizes / total
+
+    if config.include_baseline and max(config.m_grid) > total:
+        raise ExhaustedError(f"baseline needs {max(config.m_grid)} records, table has {total}")
+    if "owsp" in config.policies:
+        _check_owsp(a)
+    grid = np.array(config.m_grid)
+    allocs = _allocations(config.policies, grid, a)
+    shortfall = allocs - sizes
+    if np.any(shortfall > 0):  # report the first policy, then m in config order, then group
+        p, i, g = np.unravel_index(np.argmax(shortfall > 0), shortfall.shape)
+        raise ExhaustedError(
+            f"policy {config.policies[p]} at m={grid[i]} needs {int(allocs[p, i, g])} reveals "
+            f"in group (y={GROUPS[g][0]},t={GROUPS[g][1]}), only {sizes[g]} records exist",
+            shortfall=int(shortfall[p, i, g]),
+        )
+
+    items = [(_reveal_prefixes, _DOM_EMPIRICAL, 0, cells, cells, a, ate_true,
+              allocs[:, np.argsort(grid, kind="stable")], config)]
+    return _sweep(_known_marginal_errors, items, config.method_labels(), "m", config.m_grid,
+                  workers, 1)
 
 
 # ---------------------------------------------------------------------------
 # finite confounded data
-
-
-def _prefix_counts(rng: np.random.Generator, probs, lengths) -> np.ndarray:
-    """Counts ``lengths.shape + (c,)`` of prefixes of one i.i.d. sequence per row.
-
-    Row r of ``lengths`` ``(..., rows, L)`` draws from ``probs[r]`` as
-    incremental multinomials along its sorted lengths, so equal lengths get
-    equal counts.
-    """
-    # flat row indices of each row's sorted order, to gather lengths and scatter counts
-    order = np.argsort(lengths, axis=-1, kind="stable")
-    order += np.arange(0, order.size, order.shape[-1]).reshape(order.shape[:-1] + (1,))
-    order = order.ravel()
-    steps = np.diff(np.ravel(lengths)[order].reshape(lengths.shape), prepend=0)
-    drawn = rng.multinomial(steps, probs[:, None], size=steps.shape)
-    out = np.empty_like(drawn)
-    c = drawn.shape[-1]
-    out.reshape(-1, c)[order] = np.cumsum(drawn, axis=-2).reshape(-1, c)
-    return out
-
-
-def _shared_reveals(rng: np.random.Generator, q, allocs) -> np.ndarray:
-    """z-counts ``allocs.shape + (k,)``: every allocation in ``allocs`` ``(reps, ..., 4)``
-    reveals a prefix of one z sequence per (replication, group)."""
-    lengths = np.moveaxis(allocs, -1, 1).reshape(len(allocs), 4, -1)
-    cells = _prefix_counts(rng, q, lengths)
-    return np.moveaxis(cells.reshape(lengths.shape[:2] + allocs.shape[1:-1] + q.shape[1:]), 1, -2)
 
 
 def _finite_errors(args) -> np.ndarray:
@@ -349,16 +436,17 @@ def _finite_errors(args) -> np.ndarray:
     grid = np.array(sorted(config.n_grid))
     # group counts of the arrival prefixes of every replication: the first m,
     # which nsp reveals, then the first n at each grid point (m <= every n)
-    lengths = np.broadcast_to(np.r_[m, grid], (reps, 1, len(grid) + 1))
+    lengths = np.broadcast_to(np.r_[m, grid][:, None], (reps, len(grid) + 1, 1))
     prefixes = _prefix_counts(_stream(seed, _DOM_ARRIVAL, idx), inst.a[None], lengths)
-    first_m, avail = prefixes[:, 0, :1], prefixes[:, 0, 1:]
+    first_m, avail = prefixes[:, :1, 0], prefixes[:, 1:, 0]
     a_hat = avail / grid[:, None]
     allocs = np.stack([
         np.repeat(first_m, len(grid), axis=1) if pol == "nsp"
         else _allocate(pol, m, a_hat, avail)
         for pol in policies
     ], axis=1)  # (reps, policies, grid, 4)
-    cells = _shared_reveals(_stream(seed, _DOM_CONDITIONAL, idx), inst.q, allocs)
+    cells = _prefix_counts(_stream(seed, _DOM_CONDITIONAL, idx), inst.q,
+                           allocs.reshape(reps, -1, 4)).reshape(allocs.shape + (k,))
     # one kernel call per (rep, policy, n) in C order, on one float copy
     cells = cells.astype(float)
     q_hat = np.empty(cells.shape)
@@ -394,105 +482,3 @@ def run_finite_experiment(
     items = [(idx, inst, config) for idx, inst in enumerate(resolved)]
     return _sweep(_finite_errors, items, config.policies, "n", config.n_grid,
                   workers, len(resolved))
-
-
-# ---------------------------------------------------------------------------
-# empirical ground truth
-
-
-def _reveal_prefixes(rng: np.random.Generator, cells, lengths) -> np.ndarray:
-    """z-counts ``(..., grid, groups, k)`` of nested uniform without-replacement reveals.
-
-    Row g of the ``(groups, k)`` table ``cells`` reveals ``lengths[..., g]``
-    records at each grid point, independently for every index of the
-    leading dims of ``lengths`` ``(..., grid, groups)``. Each (index, group)
-    draws its prefixes in ascending length; a step draws from the records
-    not yet revealed as a chain of hypergeometric draws, one per z < k-1,
-    and the last z takes the remainder. So the prefixes are those of one
-    uniform random order of the group. That is grid * (k-1) broadcast calls;
-    memory is O(lengths.size * k) int64.
-    """
-    order = np.argsort(lengths, axis=-2, kind="stable")
-    steps = np.diff(np.take_along_axis(lengths, order, -2), axis=-2, prepend=0)
-    left = np.array(np.broadcast_to(cells, steps.shape[:-2] + cells.shape), dtype=np.int64)
-    drawn = np.empty(steps.shape + cells.shape[1:], dtype=np.int64)
-    for i in range(steps.shape[-2]):
-        need = steps[..., i, :].copy()
-        rest = left.sum(axis=-1)
-        for z in range(cells.shape[1] - 1):
-            rest -= left[..., z]  # records of the later z values
-            got = rng.hypergeometric(left[..., z], rest, need)
-            left[..., z] -= got
-            need -= got
-        left[..., -1] -= need
-        drawn[..., i, :, :] = cells - left
-    out = np.empty_like(drawn)
-    np.put_along_axis(out, order[..., None], drawn, axis=-3)
-    return out
-
-
-def _empirical_errors(args) -> np.ndarray:
-    cells, a_vec, ate_true, allocations, config = args
-    reps, policies = config.replications, config.policies
-    grid = np.array(sorted(config.m_grid))
-    ates = []
-    if config.include_baseline:
-        lengths = np.broadcast_to(grid[:, None], (reps, len(grid), 1))
-        rng = _stream(config.seed, _DOM_EMPIRICAL)
-        drawn = _reveal_prefixes(rng, cells.reshape(1, -1), lengths)
-        drawn = drawn.reshape(reps, len(grid), *cells.shape)
-        ates.append(ate_batch(drawn / grid[:, None, None])[:, None])
-    if policies:
-        # every allocation reveals a prefix of one random order per (rep, group)
-        lengths = np.concatenate(allocations)  # (policies * grid, 4)
-        lengths = np.broadcast_to(lengths, (reps,) + lengths.shape)
-        drawn = _reveal_prefixes(_stream(config.seed, _DOM_CONDITIONAL, 0), cells, lengths)
-        drawn = drawn.reshape(reps, len(policies), len(grid), *cells.shape)
-        ates.append(ate_batch(a_vec[:, None] * q_hat_batch(drawn, a_vec, config.fallback)))
-    return np.abs(np.concatenate(ates, axis=1) - ate_true)
-
-
-def run_empirical_experiment(
-    records, config: ExperimentConfig, workers: int = 1
-) -> ErrorCurve:
-    """Replications against a complete (y, t, z) table as ground truth.
-
-    The empirical joint of the full table defines the true ATE and the
-    (exact) marginal used for policy weights. Past validation only the
-    ``(4, k)`` cell counts are used, in one work item: every policy reveals
-    prefixes of one uniform random order per (replication, group), and the
-    baseline prefixes of one of the whole table. The draws hold
-    O(replications * len(methods) * len(m_grid) * 4k) int64 counts at once.
-    """
-    _check_not_finite(config, workers)
-    cells = deconfounded_counts(records, config.k)
-    total = int(cells.sum())
-    if total == 0:
-        raise ValidationError("empirical dataset is empty")
-    ate_true = ate_batch(cells / total)
-    sizes = cells.sum(axis=1)
-    a = sizes / total
-    weights = _named_weights(a)
-
-    if config.include_baseline and max(config.m_grid) > total:
-        raise ExhaustedError(f"baseline needs {max(config.m_grid)} records, table has {total}")
-    grid = np.array(config.m_grid)
-    allocations = []
-    for pol in config.policies:
-        if pol == "owsp":
-            _check_owsp(a)
-        counts = _allocate(pol, grid, weights[NAMED_POLICIES.index(pol)])
-        shortfall = counts - sizes
-        if np.any(shortfall > 0):  # report the first m in config order, then group
-            i, g = divmod(int(np.argmax(shortfall > 0)), 4)
-            raise ExhaustedError(
-                f"policy {pol} at m={grid[i]} needs {int(counts[i, g])} reveals in "
-                f"group (y={GROUPS[g][0]},t={GROUPS[g][1]}), only {sizes[g]} records exist",
-                shortfall=int(shortfall[i, g]),
-            )
-        allocations.append(counts[np.argsort(grid, kind="stable")])  # sorted-grid rows
-
-    items = [(cells, a, ate_true, allocations, config)]
-    return _sweep(_empirical_errors, items, config.method_labels(), "m", config.m_grid,
-                  workers, 1)
-

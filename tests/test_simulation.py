@@ -120,7 +120,9 @@ class TestFiniteProtocol:
         kernel = simulation.q_hat_batch
 
         def recorded(cells, a_hat, fallback):
-            estimated.append((cells.copy(), a_hat.copy()))
+            # one row per estimate, however many estimates a call takes
+            rows = np.broadcast_to(a_hat, cells.shape[:-1]).reshape(-1, 4)
+            estimated.append(np.hstack([cells.reshape(len(rows), -1), rows]))
             return kernel(cells, a_hat, fallback)
 
         monkeypatch.setattr(simulation, "q_hat_batch", recorded)
@@ -128,13 +130,16 @@ class TestFiniteProtocol:
         curve = run_finite_experiment(cfg)
         at_m = {r.policy: r.mean_abs_error for r in curve.rows if r.grid_value == 100}
         assert at_m["nsp"] == at_m["usp"] == at_m["owsp"]
-        # one call per (instance, rep, policy, n); at n = m every policy
-        # reveals all m arrivals, so each estimator input is bitwise shared
-        inputs = np.array([np.append(c.ravel(), a) for c, a in estimated])
-        inputs = inputs.reshape(cfg.instances, cfg.replications, 3, 3, -1)
+        # estimates run in (instance, rep, policy, n) order; at n = m every
+        # policy reveals all m arrivals, so each estimator input is bitwise shared
+        inputs = np.concatenate(estimated).reshape(cfg.instances, cfg.replications, 3, 3, -1)
         at_n_eq_m = inputs[:, :, :, 0]
         assert np.array_equal(at_n_eq_m, np.repeat(at_n_eq_m[:, :, :1], 3, axis=2))
         assert not np.array_equal(inputs[:, :, 0, 1:], inputs[:, :, 1, 1:])
+
+    def test_rejects_the_baseline(self):
+        with pytest.raises(ValidationError, match="no finite variant"):
+            run_finite_experiment(self.config(include_baseline=True))
 
     def test_deterministic_and_worker_invariant(self):
         cfg = self.config(replications=5)
@@ -310,13 +315,13 @@ class TestArraysPastTheBoundary:
     @pytest.mark.parametrize("t, a", [(1, (0.5, 0.0, 0.5, 0.0)), (0, (0.0, 0.5, 0.0, 0.5))])
     def test_empty_arm_stops_owsp_before_the_first_item(self, monkeypatch, t, a):
         ran = []
-        errors = simulation._infinite_errors
+        errors = simulation._known_marginal_errors
 
-        def recorded(args):
-            ran.append(args[0])
-            return errors(args)
+        def recorded(item):
+            ran.append(item[2])  # the item index
+            return errors(item)
 
-        monkeypatch.setattr(simulation, "_infinite_errors", recorded)
+        monkeypatch.setattr(simulation, "_known_marginal_errors", recorded)
         empty_arm = (ConfoundedDistribution(np.array(a)), self.EMPTY_ARM[1])
         instances = [adversarial_instance("nsp_worst"), empty_arm]
         with pytest.raises(ValidationError) as info:
@@ -472,32 +477,42 @@ class TestBatchedDraws:
     """The one-call synthetic draws against the former per-replication streams.
 
     The references below draw from one stream per (instance, replication):
-    a ``multinomial`` per grid point for the baseline, a ``choice``
-    sequence then prefix counts for the finite arrivals, and one ``choice``
-    sequence per group for the reveals every policy shares.
+    a ``choice`` sequence of whole records then prefix counts for the
+    baseline, the same for the finite arrivals, and one ``choice`` sequence
+    per group for the reveals every policy shares. Every engine draw has
+    the samplers' shared layout: lengths ``(reps, grid, rows)`` in, counts
+    ``(reps, grid, rows, c)`` out.
     """
 
     A = ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3]))
     Q = binary_conditional((0.5, 0.2, 0.7, 0.6))
     REPS = 3000
 
+    @staticmethod
+    def prefixes(rng, probs, lengths):
+        """Per row of ``probs``, prefix counts ``(grid, rows, c)`` of one ``choice`` sequence."""
+        out = np.empty(lengths.shape + probs.shape[1:], dtype=np.int64)
+        for r, row in enumerate(lengths.T):
+            seq = rng.choice(probs.shape[1], size=row.max(), p=probs[r])
+            out[:, r] = [np.bincount(seq[:n], minlength=probs.shape[1]) for n in row]
+        return out
+
+    def assert_same_rows(self, new, old, label):
+        """Per row, the counts at every grid point have one distribution."""
+        for r in range(new.shape[2]):
+            assert_same_distribution(
+                [tuple(x.ravel()) for x in new[:, :, r]], [tuple(x.ravel()) for x in old[:, :, r]],
+                f"{label} {r}",
+            )
+
     def test_infinite_cells_match_per_replication_streams(self, monkeypatch):
-        drawn, reveals = {}, []
-        stream, kernel = simulation._stream, simulation._prefix_counts
-
-        class Recorder:  # a stream that keeps its multinomial draws by key
-            def __init__(self, *key):
-                self.key, self.rng = key, stream(*key)
-
-            def multinomial(self, *args, **kwargs):
-                drawn[self.key] = self.rng.multinomial(*args, **kwargs)
-                return drawn[self.key]
+        draws = []
+        kernel = simulation._prefix_counts
 
         def recorded(rng, probs, lengths):
-            reveals.append((lengths, kernel(rng, probs, lengths)))
-            return reveals[-1][1]
+            draws.append((probs, lengths, kernel(rng, probs, lengths)))
+            return draws[-1][2]
 
-        monkeypatch.setattr(simulation, "_stream", Recorder)
         monkeypatch.setattr(simulation, "_prefix_counts", recorded)
         seed, grid = 3, np.array([8, 20])
         cfg = ExperimentConfig(
@@ -506,34 +521,27 @@ class TestBatchedDraws:
         )
         run_infinite_experiment(cfg, instances=[(self.A, self.Q)])
         inst = simulation.resolve_instances(cfg, [(self.A, self.Q)])[0]
-        # the baseline: one multinomial per (replication, grid point) from the flat joint
-        new = drawn[(seed, simulation._DOM_INFINITE, 0)]
+        (joint, base_lengths, base), (q, lengths, new) = draws
+        # the baseline: per replication, prefixes of one sequence of whole records
+        assert np.array_equal(joint, (inst.a[:, None] * inst.q).reshape(1, -1))
+        assert np.array_equal(base_lengths[0], grid[:, None])
         old = np.stack([
-            stream(seed + 1, simulation._DOM_INFINITE, 0, rep).multinomial(grid, inst.p_flat)
+            self.prefixes(simulation._stream(seed + 1, simulation._DOM_INFINITE, 0, rep),
+                          joint, base_lengths[rep])
             for rep in range(self.REPS)
         ])
-        assert new.shape == old.shape
-        for r in range(8):
-            assert_same_distribution(
-                [tuple(x) for x in new[:, :, r]], [tuple(x) for x in old[:, :, r]],
-                f"baseline cell {r}",
-            )
+        assert base.shape == old.shape == (self.REPS, len(grid), 1, 8)
+        self.assert_same_rows(np.moveaxis(base, -1, 2), np.moveaxis(old, -1, 2), "baseline cell")
         # the policies: per group, prefixes of one z sequence at every allocation
-        (lengths, new), = reveals
         allocs = [simulation._allocate(pol, grid, policy_weights(pol, self.A).x)
                   for pol in cfg.policies]
-        assert np.array_equal(lengths[0], np.concatenate(allocs).T)
-        old = np.empty_like(new)
-        for rep in range(self.REPS):
-            rng = stream(seed + 1, simulation._DOM_CONDITIONAL, 0, rep)
-            for g, row in enumerate(lengths[rep]):
-                seq = rng.choice(2, size=row.max(), p=inst.q[g])
-                old[rep, g] = [np.bincount(seq[:n], minlength=2) for n in row]
-        for g in range(4):
-            assert_same_distribution(
-                [tuple(x.ravel()) for x in new[:, g]], [tuple(x.ravel()) for x in old[:, g]],
-                f"group {g}",
-            )
+        assert np.array_equal(q, inst.q) and np.array_equal(lengths[0], np.concatenate(allocs))
+        old = np.stack([
+            self.prefixes(simulation._stream(seed + 1, simulation._DOM_CONDITIONAL, 0, rep),
+                          q, lengths[rep])
+            for rep in range(self.REPS)
+        ])
+        self.assert_same_rows(new, old, "group")
 
     def test_finite_arrivals_match_per_replication_sequences(self, monkeypatch):
         drawn = []
@@ -551,49 +559,52 @@ class TestBatchedDraws:
         )
         run_finite_experiment(cfg, instances=[(self.A, self.Q)])
         new = drawn[0]  # the arrivals; the reveals are drawn after them
-        old = np.empty_like(new)
-        for rep in range(self.REPS):
-            rng = simulation._stream(seed, simulation._DOM_ARRIVAL, 0, rep)
-            seq = rng.choice(4, size=grid[-1], p=self.A.a)
-            old[rep, 0] = [np.bincount(seq[:n], minlength=4) for n in (m, *grid)]
-        for g in range(4):
-            assert_same_distribution(
-                [tuple(x) for x in new[:, 0, :, g]], [tuple(x) for x in old[:, 0, :, g]],
-                f"group {g}",
-            )
+        lengths = np.array([[m, *grid]]).T
+        old = np.stack([
+            self.prefixes(simulation._stream(seed, simulation._DOM_ARRIVAL, 0, rep),
+                          self.A.a[None], lengths)
+            for rep in range(self.REPS)
+        ])
+        assert new.shape == old.shape == (self.REPS, len(grid) + 1, 1, 4)
+        self.assert_same_rows(np.moveaxis(new, -1, 2), np.moveaxis(old, -1, 2), "group")
 
     def test_shared_reveals_match_per_group_sequences(self):
         q = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4], [0.8, 0.1, 0.1]])
-        # per group, the allocation lengths of every (policy, n); ties repeat
-        lengths = np.array([[3, 5, 3, 0], [6, 2, 6, 6], [1, 4, 4, 2], [5, 0, 5, 3]])
+        # per (policy, n) allocation, the lengths of every group; ties repeat
+        lengths = np.array([[3, 6, 1, 5], [5, 2, 4, 0], [3, 6, 4, 5], [0, 6, 2, 3]])
         reps = np.broadcast_to(lengths, (self.REPS,) + lengths.shape)
         new = simulation._prefix_counts(np.random.default_rng(21), q, reps)
-        old = np.empty_like(new)
-        for rep in range(self.REPS):
-            rng = simulation._stream(22, simulation._DOM_CONDITIONAL, 0, rep)
-            for g, row in enumerate(lengths):
-                seq = rng.choice(3, size=row.max(), p=q[g])
-                old[rep, g] = [np.bincount(seq[:n], minlength=3) for n in row]
-        for g in range(4):
-            assert_same_distribution(
-                [tuple(x.ravel()) for x in new[:, g]], [tuple(x.ravel()) for x in old[:, g]],
-                f"group {g}",
-            )
+        old = np.stack([
+            self.prefixes(simulation._stream(22, simulation._DOM_CONDITIONAL, 0, rep), q, lengths)
+            for rep in range(self.REPS)
+        ])
+        assert new.shape == old.shape == (self.REPS, 4, 4, 3)
+        self.assert_same_rows(new, old, "group")
 
-    def test_prefix_invariants(self):
+    @pytest.mark.parametrize("sampler", ["_prefix_counts", "_reveal_prefixes"])
+    def test_prefix_invariants(self, sampler):
+        sample = getattr(simulation, sampler)
         rng = np.random.default_rng(8)
         for _ in range(200):
             rows, c = int(rng.integers(1, 5)), int(rng.integers(2, 5))
-            probs = rng.dirichlet(np.ones(c), size=rows)
-            lengths = rng.integers(0, 12, size=(3, rows, int(rng.integers(1, 7))))
-            out = simulation._prefix_counts(rng, probs, lengths)
+            if sampler == "_prefix_counts":  # probabilities, drawn with replacement
+                source = rng.dirichlet(np.ones(c), size=rows)
+                sizes = np.full(rows, 11)
+            else:  # a table's cell counts, drawn without replacement
+                source = rng.integers(0, 8, size=(rows, c))
+                sizes = source.sum(axis=1)
+            lengths = rng.integers(0, sizes + 1, size=(3, int(rng.integers(1, 7)), rows))
+            out = sample(rng, source, lengths)
+            assert out.shape == lengths.shape + (c,)
             assert np.array_equal(out.sum(axis=-1), lengths)
-            order = np.argsort(lengths, axis=-1, kind="stable")
-            along = np.take_along_axis(out, order[..., None], axis=-2)
-            assert np.all(np.diff(along, axis=-2) >= 0)
-            same = lengths[..., :, None] == lengths[..., None, :]
-            equal = (out[..., :, None, :] == out[..., None, :, :]).all(axis=-1)
+            order = np.argsort(lengths, axis=-2, kind="stable")
+            along = np.take_along_axis(out, order[..., None], axis=-3)
+            assert np.all(np.diff(along, axis=-3) >= 0)
+            same = lengths[..., :, None, :] == lengths[..., None, :, :]
+            equal = (out[..., :, None, :, :] == out[..., None, :, :, :]).all(axis=-1)
             assert np.all(equal[same])
+            if sampler == "_reveal_prefixes":
+                assert np.all((out >= 0) & (out <= source))
 
 
 class TestStreamKeys:
@@ -642,11 +653,16 @@ class TestCommonReveals:
         return run_infinite_experiment(cfg, self.INSTANCES)
 
     @pytest.mark.parametrize("protocol", ["infinite", "empirical"])
-    def test_baseline_leaves_policy_rows_unchanged(self, protocol):
-        with_baseline = self.run(protocol).rows
-        assert {r.policy for r in with_baseline} == {simulation.BASELINE, *NAMED_POLICIES}
-        policy_rows = tuple(r for r in with_baseline if r.policy != simulation.BASELINE)
-        assert self.run(protocol, include_baseline=False).rows == policy_rows
+    @pytest.mark.parametrize("alone", [{"include_baseline": False}, {"policies": ()}],
+                             ids=["policies", "baseline"])
+    def test_either_half_alone_gives_its_rows_of_a_run_with_both(self, protocol, alone):
+        # the baseline and the policies draw from their own streams
+        both = self.run(protocol).rows
+        assert {r.policy for r in both} == {simulation.BASELINE, *NAMED_POLICIES}
+        labels = {simulation.BASELINE} if "policies" in alone else set(NAMED_POLICIES)
+        rows = self.run(protocol, **alone).rows
+        assert {r.policy for r in rows} == labels
+        assert rows == tuple(r for r in both if r.policy in labels)
 
     @pytest.mark.parametrize("protocol", ["infinite", "empirical"])
     def test_equal_allocations_reveal_equal_counts(self, protocol, monkeypatch):
@@ -1056,14 +1072,16 @@ class TestStreamContract:
     """Golden rows pinning the RNG stream keying and draw order.
 
     Each work item draws all replications of a stream in one call, in
-    replication, grid point and canonical group order. Every policy reveals
-    prefixes of one z sequence (one random order, for the empirical table)
-    per (replication, group) from one reveal stream per item; the baseline
-    and the finite protocol's arrivals have their own streams. The policy
-    rows below were recorded when the infinite and empirical protocols took
-    this reveal model, and the infinite ``deconf-only`` rows when one
-    stream per method replaced the per-replication streams, so any change
-    to the keying, the draw order or the k=2 arithmetic fails here. k >= 3
+    replication, row and sorted length order. Every grid draw is nested:
+    every policy reveals prefixes of one z sequence (one random order, for
+    the empirical table) per (replication, group) from one reveal stream
+    per item, and the baseline prefixes of one sequence of whole records
+    per replication from its own stream, as do the finite protocol's
+    arrivals. The policy rows below were recorded when the infinite and
+    empirical protocols took this reveal model, and the infinite
+    ``deconf-only`` rows at m = 100 when the infinite baseline's grid draws
+    became nested (its first grid point draws as before), so any change to
+    the keying, the draw order or the k=2 arithmetic fails here. k >= 3
     sums may move by a few ulp and are compared within 1e-12 relative.
     """
 
@@ -1086,7 +1104,7 @@ class TestStreamContract:
         )
         assert self.rows(run_infinite_experiment(cfg)) == [
             ("deconf-only", 30, 0.18705536592146244, 0.15287464309518217, 12),
-            ("deconf-only", 100, 0.06759289254746907, 0.04954907509995548, 12),
+            ("deconf-only", 100, 0.07479963968133925, 0.0440940274572649, 12),
             ("nsp", 30, 0.06118740262172293, 0.04467983254353422, 12),
             ("nsp", 100, 0.02201087081625221, 0.02640377476987347, 12),
             ("owsp", 30, 0.04239900321187722, 0.025580818018159267, 12),
