@@ -49,7 +49,9 @@ from .model import (
     ConfoundedDistribution,
     HardInstancePair,
     JointDistribution,
+    _arm_mass,
     _pair_from_scalars,
+    _stratum_mass,
     check_int,
 )
 from .policies import NAMED_POLICIES, PolicyWeights, _kind, _named_weights, named_policies
@@ -111,15 +113,9 @@ def _sq(x) -> np.ndarray:
     return np.float_power(x, 2)
 
 
-def _arm_z_mass(table: np.ndarray) -> np.ndarray:
-    """P(T=t, Z=z) = sum_y table[(y,t), z] of a (4, k) table, arranged (2, k)."""
-    return table[:2] + table[2:]
-
-
 def _arm_terms(a: np.ndarray):
     """Per arm t of a marginal: P(T=t), sum_y a[y,t]^2 and max_y a[y,t]."""
-    y0, y1 = a[:2], a[2:]  # indexed by t
-    return y0 + y1, _sq(y0) + _sq(y1), np.maximum(y0, y1)
+    return _arm_mass(a), _arm_mass(_sq(a)), np.maximum(a[:2], a[2:])
 
 
 def _max_over_cells(scale: float, numerators, denominators: np.ndarray) -> CellMax:
@@ -147,7 +143,7 @@ def _check_k(spec: AccuracySpec, k: int) -> None:
 def m_base(p: JointDistribution, spec: AccuracySpec) -> CellMax:
     """Deconfounded-data-alone bound: C * max over (t,z) of P(T,Z)^-2."""
     _check_k(spec, p.k)
-    return _max_over_cells(spec.C, np.float64(1.0), _arm_z_mass(p.p))
+    return _max_over_cells(spec.C, np.float64(1.0), _stratum_mass(p.p))
 
 
 def _policy_numerators(a: np.ndarray, arm_terms, policy: Union[str, PolicyWeights]):
@@ -171,7 +167,7 @@ def _policy_numerators(a: np.ndarray, arm_terms, policy: Union[str, PolicyWeight
         x = policy.x
         terms = np.divide(_sq(a), x, out=np.full(4, math.inf), where=x > 0.0)
         terms[a == 0.0] = 0.0
-        per_arm = terms.reshape(2, 2).sum(axis=0)
+        per_arm = _arm_mass(terms)
     return per_arm[:, None]
 
 
@@ -184,7 +180,7 @@ def m_policy(
     """Policy-specific upper bound with infinite confounded data."""
     _check_k(spec, q.k)
     numerators = _policy_numerators(a.a, _arm_terms(a.a), policy)
-    return _max_over_cells(spec.C, numerators, _arm_z_mass(a.a[:, None] * q.q))
+    return _max_over_cells(spec.C, numerators, _stratum_mass(a.a[:, None] * q.q))
 
 
 def worst_case_M(
@@ -274,7 +270,7 @@ def finite_threshold(spec: AccuracySpec) -> float:
 
 def _mass_sq(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """P(T=t, Z=z)^2, (2, k): the finite condition's numerator for cell (y, t, z)."""
-    return _sq(_arm_z_mass(a[:, None] * q))
+    return _sq(_stratum_mass(a[:, None] * q))
 
 
 def _finite_cells(a: np.ndarray, q: np.ndarray, x: np.ndarray, m, n) -> np.ndarray:
@@ -477,7 +473,7 @@ def bound_report(
     ``lower_bound_w`` run on arm terms, masses and constants computed once.
     """
     _check_k(spec, q.k)
-    terms, tz = _arm_terms(a.a), _arm_z_mass(a.a[:, None] * q.q)
+    terms, tz = _arm_terms(a.a), _stratum_mass(a.a[:, None] * q.q)
     C, beta2 = spec.C, spec.beta**2
     C_over_b2, C1_over_b2 = C / beta2, spec.C1(c1_constant) / beta2
     base = _max_over_cells(C, np.float64(1.0), tz)

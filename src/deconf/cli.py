@@ -265,10 +265,8 @@ def _load_sim_inputs(args):
         )
     elif "seed" not in extras["fields"]:
         raise ValidationError("no seed: pass --seed or set 'seed' in the config")
-    instances = None
-    if extras["instance_files"] is not None:  # an empty list is rejected, not ignored
-        loaded = [dio.read_instance(p) for p in extras["instance_files"]]
-        instances = [(inst.a, inst.q) for inst in loaded]
+    files = extras["instance_files"]  # an empty list is rejected, not ignored
+    instances = None if files is None else [dio.read_instance(p) for p in files]
     return config, extras, instances
 
 

@@ -2,7 +2,7 @@
 
 The CLI maps these onto its exit-code contract: validation and file-format
 problems exit 2, degenerate estimation under strict mode exits 3, and
-data exhaustion (oracle or empirical grid too large) exits 4.
+data exhaustion (an empirical grid too large for its table) exits 4.
 """
 
 

@@ -7,16 +7,17 @@ Instance files are JSON with either factorized or joint form::
 
 rows in canonical group order (0,0), (0,1), (1,0), (1,1); ``k`` is optional
 in either form, but when present it must be an integer equal to the row
-length. Dataset CSVs have
-header ``y,t,z`` (plus a leading ``x`` column for stratified data); an empty
-z field marks a confounded record. The table readers return the rows as one
-``(rows, fields)`` int64 array, with z = -1 where the field was empty; the
-estimators count it. Readers fail fast with the offending row or field
-named, so nothing partially validated reaches the estimators.
-A file that cannot be read or is not UTF-8, and a path that cannot be
-written, raise ``DataFormatError`` naming the path. Integer fields are
-plain ASCII decimal: ``int``'s digit grouping (``1_000``), non-ASCII digits
-and non-ASCII whitespace around a field are rejected.
+length. ``read_instance`` returns either form as ``model.Parts`` and
+``read_joint`` as a joint table (``a * q`` of a parts-form file). Dataset
+CSVs have header ``y,t,z`` (plus a leading ``x`` column for stratified
+data); an empty z field marks a confounded record. The table readers return
+the rows as one ``(rows, fields)`` int64 array, with z = -1 where the field
+was empty; the estimators count it. Readers fail fast with the offending row
+or field named, so nothing partially validated reaches the estimators. A
+file that cannot be read or is not UTF-8, and a path that cannot be written,
+raise ``DataFormatError`` naming the path. Integer fields are plain ASCII
+decimal: ``int``'s digit grouping (``1_000``), non-ASCII digits and
+non-ASCII whitespace around a field are rejected.
 
 The table readers parse bytes with numpy when they can prove a file simple:
 printable ASCII without ``"``, every line ending in ``\n``, the header,
@@ -36,10 +37,10 @@ import csv
 import json
 import os
 import string
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import fields as dataclass_fields
 from functools import partial
 from itertools import chain
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -48,24 +49,13 @@ from .model import (
     ConditionalTable,
     ConfoundedDistribution,
     JointDistribution,
+    Parts,
     check_int,
     is_integer,
     joint_from_parts,
     parts_from_joint,
 )
 from .simulation import CurveRow, ErrorCurve, ExperimentConfig
-
-
-@dataclass(frozen=True)
-class LoadedInstance:
-    """An instance file as parts, and its joint table when that was on disk.
-
-    A parts-form file has ``joint = None``; :func:`read_joint` builds it.
-    """
-
-    a: ConfoundedDistribution
-    q: ConditionalTable
-    joint: Optional[JointDistribution]
 
 
 def _read_error(path, exc: Exception) -> DataFormatError:
@@ -102,34 +92,33 @@ def _check_k(raw: dict, width: int) -> None:
         raise ValidationError(f"field k={k} does not match table row length {width}")
 
 
-def _instance_from(raw: dict, path) -> LoadedInstance:
+def _instance_from(raw: dict, path) -> Union[JointDistribution, Parts]:
+    """``raw``'s instance in the form the file holds it: a joint table or ``Parts``."""
     try:
         if "p" in raw:
             joint = JointDistribution(np.asarray(raw["p"], dtype=float))
             _check_k(raw, joint.k)
-            parts = parts_from_joint(joint)
-            return LoadedInstance(parts.a, parts.q, joint)
+            return joint
         if "a" in raw and "q" in raw:
             a = ConfoundedDistribution(np.asarray(raw["a"], dtype=float))
             q = ConditionalTable(np.asarray(raw["q"], dtype=float))
             _check_k(raw, q.k)
-            return LoadedInstance(a, q, None)
+            return Parts(a, q)
     except (ValidationError, ValueError, TypeError) as exc:
         raise DataFormatError(f"{path}: {exc}") from None
     raise DataFormatError(f"{path}: expected fields ('a', 'q') or 'p'")
 
 
-def read_instance(path) -> LoadedInstance:
-    return _instance_from(_read_json_object(path), path)
+def read_instance(path) -> Parts:
+    inst = _instance_from(_read_json_object(path), path)
+    return inst if isinstance(inst, Parts) else parts_from_joint(inst)
 
 
 def read_joint(path) -> JointDistribution:
     """The joint table of an instance file: as read, or ``a * q`` of a parts-form file."""
-    inst = read_instance(path)
-    if inst.joint is not None:
-        return inst.joint
+    inst = _instance_from(_read_json_object(path), path)
     try:
-        return joint_from_parts(inst.a, inst.q)
+        return inst if isinstance(inst, JointDistribution) else joint_from_parts(*inst)
     except ValidationError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 
@@ -140,8 +129,8 @@ def read_marginal(path) -> ConfoundedDistribution:
     A file with an ``a`` field yields it as is, whatever else the file holds.
     """
     raw = _read_json_object(path)
-    if "a" not in raw:
-        return _instance_from(raw, path).a
+    if "a" not in raw:  # then only a joint-form file gets past _instance_from
+        return parts_from_joint(_instance_from(raw, path)).a
     try:
         return ConfoundedDistribution(np.asarray(raw["a"], dtype=float))
     except (ValidationError, ValueError, TypeError) as exc:

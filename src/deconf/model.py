@@ -102,6 +102,16 @@ def _check_sums_to_one(name: str, total: float) -> None:
         raise ValidationError(f"{name}: must sum to 1 (got {total!r})")
 
 
+def _arm_mass(a) -> np.ndarray:
+    """P(T=t) of a ``(..., 4)`` stack of marginals, arranged (..., 2) by t."""
+    return a[..., :2] + a[..., 2:]
+
+
+def _stratum_mass(p) -> np.ndarray:
+    """P(T=t, Z=z) of a ``(..., 4, k)`` stack of tables, arranged (..., 2, k) by [t, z]."""
+    return p[..., :2, :] + p[..., 2:, :]
+
+
 @dataclass(frozen=True)
 class ConfoundedDistribution:
     """The (Y, T) marginal: four probabilities in canonical group order."""
@@ -118,7 +128,7 @@ class ConfoundedDistribution:
 
     def arm_mass(self, t: int) -> float:
         """P(T=t) = sum over outcomes of a[y, t]."""
-        return float(self.a[group_index(0, t)] + self.a[group_index(1, t)])
+        return float(_arm_mass(self.a)[t])
 
 
 @dataclass(frozen=True)
@@ -175,12 +185,11 @@ def ate_batch(p) -> np.ndarray:
     shape; at k=2 it equals the correctly rounded sum of the two terms.
     """
     p = np.asarray(p, dtype=float)
-    mass_t0 = p[..., 0, :] + p[..., 2, :]  # sum_y p[y, t=0, z]
-    mass_t1 = p[..., 1, :] + p[..., 3, :]
-    pz = mass_t0 + mass_t1
-    cond_t0 = np.divide(p[..., 2, :], mass_t0, out=np.zeros_like(pz), where=mass_t0 > 0.0)
-    cond_t1 = np.divide(p[..., 3, :], mass_t1, out=np.zeros_like(pz), where=mass_t1 > 0.0)
-    terms = np.sort((cond_t1 - cond_t0) * pz, axis=-1)
+    mass = _stratum_mass(p)
+    # P(Y=1 | t, z), indexed [t, z]
+    cond = np.divide(p[..., 2:, :], mass, out=np.zeros_like(mass), where=mass > 0.0)
+    pz = mass[..., 0, :] + mass[..., 1, :]
+    terms = np.sort((cond[..., 1, :] - cond[..., 0, :]) * pz, axis=-1)
     # algebraically in [-1, 1]; clamp float noise only
     return np.clip(np.cumsum(terms, axis=-1)[..., -1], -1.0, 1.0)
 
@@ -190,8 +199,7 @@ def empty_strata(p) -> np.ndarray:
 
     These are the strata where :func:`ate_batch` takes 0/0 -> 0.
     """
-    p = np.asarray(p)
-    return p[..., :2, :] + p[..., 2:, :] == 0.0
+    return _stratum_mass(np.asarray(p)) == 0.0
 
 
 def ate_exact(p: JointDistribution) -> float:
@@ -325,7 +333,7 @@ def hardness_pair(
         raise ValidationError(f"gamma must lie in (0, 1), got {gamma}")
     if not 0.0 < q_floor <= 1.0 - 1e-9:
         raise ValidationError(f"q_floor must lie in (0, 1 - 1e-9], got {q_floor}")
-    if a.a[group_index(0, 0)] + a.a[group_index(1, 0)] <= 0.0:
+    if _arm_mass(a.a)[0] <= 0.0:
         raise ValidationError("hardness pair needs a00 + a10 > 0")
     return _pair_from_scalars(
         a,

@@ -33,7 +33,14 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ValidationError
-from .model import CONSTRUCT_ATOL, ConfoundedDistribution, check_int, integer_array
+from .model import (
+    ConfoundedDistribution,
+    _arm_mass,
+    _as_readonly,
+    _check_sums_to_one,
+    check_int,
+    integer_array,
+)
 
 
 @dataclass(frozen=True)
@@ -43,14 +50,12 @@ class PolicyWeights:
     x: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.x, dtype=float, copy=True)
-        arr.setflags(write=False)
+        arr = _as_readonly(self.x)
         if arr.shape != (4,):
             raise ValidationError(f"weights: expected 4 entries, got {arr.shape}")
         if not (arr.min() >= 0.0 and arr.max() < np.inf):  # nan fails both
             raise ValidationError("weights: entries must be finite and >= 0")
-        if abs(float(arr.sum()) - 1.0) > CONSTRUCT_ATOL:
-            raise ValidationError(f"weights: must sum to 1 (got {float(arr.sum())!r})")
+        _check_sums_to_one("weights", float(arr.sum()))
         object.__setattr__(self, "x", arr)
 
 
@@ -66,11 +71,6 @@ def _kind(policy) -> str:
     raise ValidationError(
         f"unknown policy {policy!r}: expected one of {NAMED_POLICIES} or PolicyWeights"
     )
-
-
-def _arm_mass(a: np.ndarray) -> np.ndarray:
-    """P(T=t) of (..., 4) marginals, arranged (..., 2) by t."""
-    return a[..., :2] + a[..., 2:]
 
 
 def named_policies(a: ConfoundedDistribution) -> Tuple[str, ...]:

@@ -750,6 +750,16 @@ class TestAllocateBudget:
         ]
         assert margins == sorted(margins)
 
+    def test_budget_line_without_a_point(self):
+        # m_max rounds to 1, but n rounds to 0 < m at m = 1
+        a = ConfoundedDistribution(np.full(4, 0.25))
+        q = binary_conditional((0.5, 0.5, 0.5, 0.5))
+        spec = AccuracySpec(0.25, 0.1, 2, 0.1)
+        with pytest.raises(ValidationError) as info:
+            allocate_budget(a, q, 3.1236753165138964, 0.7346489669355872, 2.3890263495783093,
+                            spec)
+        assert str(info.value) == "no feasible (m, n) point on the budget line"
+
     def test_budget_too_small(self):
         a = ConfoundedDistribution(np.full(4, 0.25))
         q = binary_conditional((0.5, 0.5, 0.5, 0.5))

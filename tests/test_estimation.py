@@ -315,6 +315,23 @@ class TestRecordValidation:
         assert all(col.flags.writeable for col in cols)
         assert [col.tolist() for col in cols] == [[0, 1], [0, 1], [1, 0], [0, -1]]
 
+    @pytest.mark.parametrize("confounded, deconfounded, message", [
+        ([[0, 1]], [0, 1, 0], "deconfounded records: expected rows of 3 integers"),
+        ([[0, 1]], [[0, 1]], "deconfounded records: expected rows of 3 integers"),
+        ([[0, 1]], [[[0, 1, 0]]], "deconfounded records: expected rows of 3 integers"),
+        ([[0, 1, 0]], [[0, 1, 0]], "confounded records: expected rows of 2 integers"),
+    ])
+    def test_records_not_in_rows_rejected(self, confounded, deconfounded, message):
+        with pytest.raises(ValidationError) as info:
+            estimate_finite(confounded, deconfounded, 2)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("z", [-1, 2, 5])
+    def test_z_outside_k_rejected(self, z):
+        with pytest.raises(ValidationError) as info:
+            deconfounded_counts([[0, 1, 0], [1, 1, z]], 2)
+        assert str(info.value) == "z values must lie in [0, 2)"
+
     @pytest.mark.parametrize("k", [2.5, True, "2", 1])
     def test_bad_k_rejected(self, k):
         with pytest.raises(ValidationError, match="k must be"):

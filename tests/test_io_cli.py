@@ -19,7 +19,10 @@ from deconf import (
     ValidationError,
     ate_exact,
     binary_conditional,
+    general_lower_pair,
     joint_from_parts,
+    parts_from_joint,
+    policy_lower_pair,
 )
 import deconf.io as dio
 from deconf import cli
@@ -38,6 +41,7 @@ from deconf.io import (
     write_instance,
     write_joint_instance,
 )
+from deconf.model import Parts
 
 from test_estimation import records_from_cells
 from test_model import example_instance
@@ -55,17 +59,23 @@ class TestInstanceFiles:
     def test_parts_roundtrip(self, instance_file):
         a, q = example_instance()
         loaded = read_instance(instance_file)
-        assert loaded.joint is None
+        assert isinstance(loaded, Parts)
         assert np.allclose(loaded.a.a, a.a)
         assert np.allclose(loaded.q.q, q.q)
+        # no joint table on disk: read_joint builds a * q from the parts
+        built = joint_from_parts(loaded.a, loaded.q)
+        assert read_joint(instance_file).p.tobytes() == built.p.tobytes()
 
     def test_joint_roundtrip(self, tmp_path):
         a, q = example_instance()
         joint = joint_from_parts(a, q)
         path = tmp_path / "joint.json"
         write_joint_instance(path, joint)
+        assert np.allclose(read_joint(path).p, joint.p)
         loaded = read_instance(path)
-        assert np.allclose(loaded.joint.p, joint.p)
+        assert isinstance(loaded, Parts)
+        split = parts_from_joint(joint)
+        assert np.allclose(loaded.a.a, split.a.a) and np.allclose(loaded.q.q, split.q.q)
 
     def test_bad_sum_names_field(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -120,12 +130,12 @@ class TestInstanceFiles:
     def test_joint_is_read_or_built_only_for_ate(self, instance_file, tmp_path, capsys):
         a, q = example_instance()
         joint_file = tmp_path / "joint.json"
-        write_joint_instance(joint_file, joint_from_parts(a, q))
-        assert read_instance(instance_file).joint is None
-        for path in (instance_file, joint_file):
-            inst = read_instance(path)
+        written = joint_from_parts(a, q)
+        write_joint_instance(joint_file, written)
+        # a parts-form file's joint is built from its parts; a joint-form one is read as is
+        built = joint_from_parts(*read_instance(instance_file))
+        for path, expected in ((instance_file, built), (joint_file, written)):
             joint = read_joint(path)
-            expected = joint_from_parts(inst.a, inst.q) if inst.joint is None else inst.joint
             assert joint.p.tobytes() == expected.p.tobytes()
             assert main(["ate", "--instance", str(path)]) == 0
             out = capsys.readouterr().out
@@ -300,6 +310,17 @@ class TestDatasetCsv:
         with pytest.raises(DataFormatError) as info:
             read_full_table_csv(path, k=3)
         assert str(info.value) == f"row 3: t must be 0 or 1, got {bit!r}"
+
+    @pytest.mark.parametrize("read", [
+        partial(read_dataset_csv, k=2), partial(read_stratified_csv, k=2),
+        partial(read_full_table_csv, k=2), read_error_curve_csv,
+    ], ids=["dataset", "stratified", "full-table", "curve"])
+    def test_empty_file_names_the_path(self, tmp_path, read):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(DataFormatError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: empty file"
 
     def test_stratified_no_rows(self, tmp_path):
         path = tmp_path / "strat.csv"
@@ -636,6 +657,7 @@ class TestCurveCsv:
             ("nsp,m,abc,0.1,0.05,20,2", "row 3: grid_value must be an integer, got 'abc'"),
             ("nsp,m,200,x,0.05,20,2", "row 3: mean_abs_error must be a number, got 'x'"),
             ("nsp,m,200,0.1,0.05,2.5,2", "row 3: reps must be an integer, got '2.5'"),
+            ("nsp,m,200,0.1,0.05,20", "row 3: expected 7 fields, got 6"),
         ],
     )
     def test_bad_cell_names_its_row_and_field(self, tmp_path, row, message):
@@ -753,6 +775,12 @@ class TestFlagTable:
         path = tmp_path / "r.json"
         assert main(["gen-instance", "--random", "--seed", "0", "--out", str(path)]) == 0
         assert capsys.readouterr().out == f"wrote random k=2 instance to {path}\n"
+
+    def test_unknown_command_returns_argparse_exit_code(self, capsys):
+        assert main(["bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: deconf")
+        assert "invalid choice: 'bogus'" in err
 
     @pytest.mark.parametrize("command, mode, dest", _flag_matrix())
     def test_flag_outside_its_row_exits_2(self, tmp_path, monkeypatch, capsys, command,
@@ -921,14 +949,26 @@ class TestCliEstimate:
         assert main(["estimate", "--data", str(path), "--k", "2"]) == 2
         assert "row 2" in capsys.readouterr().err
 
-    def test_stratified_output(self, tmp_path, capsys):
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_stratified_output(self, tmp_path, capsys, json_flag):
         path = tmp_path / "strat.csv"
         rows = ["x,y,t,z"]
         for x in (0, 1):
             rows += [f"{x},{y},{t},{z}" for y in (0, 1) for t in (0, 1) for z in (0, 1)]
         path.write_text("\n".join(rows) + "\n")
-        assert main(["estimate", "--data", str(path), "--k", "2", "--stratified"]) == 0
-        assert "aggregate =" in capsys.readouterr().out
+        args = ["estimate", "--data", str(path), "--k", "2", "--stratified"]
+        assert main(args + json_flag) == 0
+        out = capsys.readouterr().out
+        if not json_flag:
+            assert "aggregate =" in out
+            return
+        payload = json.loads(out)
+        assert payload["aggregate"] == 0.0
+        assert payload["weights"] == {"0": 0.5, "1": 0.5}
+        for stratum in ("0", "1"):
+            result = payload["per_stratum"][stratum]
+            assert result["ate_hat"] == 0.0 and result["a_hat"] == [0.25] * 4
+            assert result["degenerate_groups"] == [] and result["degenerate_strata"] == []
 
 
     @pytest.mark.parametrize(
@@ -1044,6 +1084,26 @@ class TestCliPlan:
         assert {"m_base", "m_nsp", "m_usp", "m_owsp"} <= set(names)
         for line in lines[1:]:
             float(line.split(",")[1])
+
+    def test_non_number_in_weights_exits_2(self, instance_file, capsys):
+        argv = ["plan", "--instance", str(instance_file), "--epsilon", "0.1", "--delta",
+                "0.05", "--beta", "0.1", "--policy", "custom", "--weights", "0.1,x,0.3,0.4"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: --weights expects four reals, got '0.1,x,0.3,0.4'\n"
+        )
+
+    @pytest.mark.parametrize("csv_flag", [[], ["--csv"]])
+    def test_infeasible_m_star(self, instance_file, capsys, csv_flag):
+        # one confounded record is too few for the finite condition under any policy
+        argv = ["plan", "--instance", str(instance_file), "--epsilon", "0.1", "--delta",
+                "0.05", "--beta", "0.1", "--n", "1"]
+        assert main(argv + csv_flag) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("m_star")]
+        if csv_flag:
+            assert lines == [f"m_star_{kind}(n=1),nan,-" for kind in NAMED_POLICIES]
+        else:
+            assert lines == [f"{f'm_star_{kind}(n=1)':<22} infeasible" for kind in NAMED_POLICIES]
 
     @pytest.mark.parametrize("policy", NAMED_POLICIES)
     def test_weights_with_a_named_policy_exits_2(self, instance_file, capsys, policy):
@@ -1243,8 +1303,10 @@ class TestCliGenInstance:
         assert capsys.readouterr().err == f"error: {ignored[0]} does not apply to --{mode}\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_hardness_pair_files(self, tmp_path, capsys):
+    @pytest.mark.parametrize("q_floor", [None, "0.9"])
+    def test_hardness_pair_files(self, tmp_path, capsys, q_floor):
         base, alt = tmp_path / "base.json", tmp_path / "alt.json"
+        floor = ["--q-floor", q_floor] if q_floor else []
         code = main(
             [
                 "gen-instance",
@@ -1257,14 +1319,43 @@ class TestCliGenInstance:
                 str(base),
                 "--alt-out",
                 str(alt),
-            ]
+            ] + floor
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "gap = " in out
         loaded = read_instance(base)
         assert np.allclose(loaded.a.a, [0.4, 0.1, 0.2, 0.3])
+        assert loaded.q.q[0, 1] == (0.9 if q_floor else 1.0 - 1e-6)
         assert read_instance(alt).q.q[1, 1] == pytest.approx(1e-4)
+
+    @pytest.mark.parametrize("flags, pair", [
+        (["--lower-bound", "general", "--q00", "0.3", "--q01", "0.4"],
+         lambda a: general_lower_pair(a, 0.3, 0.4, 0.1, 0.01)),
+        (["--lower-bound", "policy", "--k", "3"], lambda a: policy_lower_pair(a, 3, 0.1, 0.01)),
+    ], ids=["general", "policy"])
+    def test_lower_bound_pair_files(self, tmp_path, capsys, flags, pair):
+        base, alt = tmp_path / "base.json", tmp_path / "alt.json"
+        argv = ["gen-instance", "--a", self.A, "--beta", "0.1", "--gamma", "0.01",
+                "--out", str(base), "--alt-out", str(alt)] + flags
+        assert main(argv) == 0
+        expected = pair(ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3])))
+        params = ", ".join(f"{k}={v:.6g}" for k, v in sorted(expected.params.items()))
+        assert capsys.readouterr().out == f"gap = {expected.gap:.10g}\nparams: {params}\n"
+        for path, q in ((base, expected.base_q), (alt, expected.alternate_q)):
+            loaded = read_instance(path)
+            assert loaded.a.a.tolist() == expected.a.a.tolist()
+            assert loaded.q.q.tolist() == q.q.tolist()
+
+    def test_non_number_in_a_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        argv = ["gen-instance", "--hardness", "--a", "0.4,x,0.2,0.3", "--gamma", "0.1",
+                "--out", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: --a expects four comma-separated reals, got '0.4,x,0.2,0.3'\n"
+        )
+        assert not path.exists()
 
 
 class TestCliOutputPath:
@@ -1551,6 +1642,15 @@ class TestCliSimulate:
         out = tmp_path / "e.csv"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: explicit instance list is empty\n"
+        assert not out.exists()
+
+    def test_simulate_real_without_data_exits_2(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, instances=None)
+        out = tmp_path / "d.csv"
+        assert main(["simulate-real", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: simulate-real needs --data or a 'dataset' config field\n"
+        )
         assert not out.exists()
 
     def test_data_next_to_dataset_exits_2(self, tmp_path, capsys):

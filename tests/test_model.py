@@ -4,12 +4,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deconf import (
     ConditionalTable,
     ConfoundedDistribution,
+    HardInstancePair,
     JointDistribution,
     ValidationError,
     adversarial_instance,
@@ -41,6 +42,40 @@ def brute_force_ate(table):
         cond_t0 = table[2][z] / mass_t0 if mass_t0 > 0 else 0.0
         total += (cond_t1 - cond_t0) * pz
     return total
+
+
+def ref_ate(table):
+    """:func:`ate_batch` of one (4, k) table, one scalar operation at a time.
+
+    P(Y=1 | t, z) = p[(1, t), z] / P(T=t, Z=z), 0 on an empty stratum; the
+    per-z terms are sorted, summed in order starting from the first, and
+    clipped to [-1, 1].
+    """
+    terms = []
+    for z in range(len(table[0])):
+        mass = [table[t][z] + table[2 + t][z] for t in (0, 1)]
+        cond = [table[2 + t][z] / mass[t] if mass[t] > 0.0 else 0.0 for t in (0, 1)]
+        terms.append((cond[1] - cond[0]) * (mass[0] + mass[1]))
+    terms.sort()
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    return min(max(total, -1.0), 1.0)
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@st.composite
+def table_stacks(draw):
+    """(n, 4, k) stacks of joint tables where about a third of the cells are empty."""
+    k, n = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.floats(0.0, 1.0) | st.just(0.0), min_size=4 * k * n,
+                          max_size=4 * k * n))
+    p = np.array(cells).reshape(n, 4, k)
+    total = p.sum(axis=(1, 2), keepdims=True)
+    return np.divide(p, total, out=np.zeros_like(p), where=total > 0.0)
 
 
 def example_instance():
@@ -120,6 +155,14 @@ class TestAteExact:
         tables = np.stack([random_instance(k, rng).p for rng in rngs])
         perm = np.random.default_rng(perm_seed).permutation(k)
         assert np.array_equal(ate_batch(tables[..., perm]), ate_batch(tables))
+
+    @given(table_stacks())
+    @settings(max_examples=300, deadline=None)
+    @example(np.zeros((1, 4, 2)))
+    @example(np.array([[[0.2, 0.2], [0.2, 0.0], [0.1, 0.1], [0.2, 0.0]],
+                       [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]))
+    def test_batch_bitwise_equals_scalar_reference(self, p):
+        assert bits(ate_batch(p)) == bits([ref_ate(table.tolist()) for table in p])
 
     def test_batch_zero_mass_strata_contribute_zero(self):
         empty_t1_z1 = np.array([[0.2, 0.2], [0.2, 0.0], [0.1, 0.1], [0.2, 0.0]])
@@ -239,6 +282,37 @@ class TestValidation:
         with pytest.raises(ValidationError) as info:
             ConfoundedDistribution(a)
         assert str(info.value) == f"a: must sum to 1 (got {float(a.sum())!r})"
+
+    def test_binary_conditional_needs_four_entries(self):
+        with pytest.raises(ValidationError) as info:
+            binary_conditional((0.5, 0.5, 0.5))
+        assert str(info.value) == "q1: expected 4 entries, got shape (3,)"
+
+    def test_pair_tables_must_share_k(self):
+        a, q = example_instance()
+        q3 = ConditionalTable(np.full((4, 3), 1.0 / 3.0))
+        with pytest.raises(ValidationError) as info:
+            HardInstancePair(a, q, q3, 0.0)
+        assert str(info.value) == "base and alternate tables must share k"
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.0, 0.5, 0.3, 0.01), "q00 must lie in (0, 1), got 0.0"),
+        ((0.5, 1.0, 0.3, 0.01), "q01 must lie in (0, 1), got 1.0"),
+        ((0.5, 0.5, 1.2, 0.01), "beta must lie in (0, 1), got 1.2"),
+        ((0.5, 0.5, 0.3, -0.01), "need 0 <= gamma and beta + gamma < 1, got gamma=-0.01"),
+        ((0.5, 0.5, 0.3, 0.7), "need 0 <= gamma and beta + gamma < 1, got gamma=0.7"),
+    ])
+    def test_general_lower_pair_parameters(self, args, message):
+        a, _ = example_instance()
+        with pytest.raises(ValidationError) as info:
+            general_lower_pair(a, *args)
+        assert str(info.value) == message
+
+    def test_policy_lower_pair_negative_gamma(self):
+        a, _ = example_instance()
+        with pytest.raises(ValidationError) as info:
+            policy_lower_pair(a, 3, 0.1, -0.01)
+        assert str(info.value) == "gamma must be >= 0, got -0.01"
 
     def test_types_are_immutable(self):
         a, _ = example_instance()

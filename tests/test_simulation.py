@@ -1,6 +1,7 @@
 """The three replication protocols: determinism, config validation, stream contract."""
 
 import json
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -65,6 +66,14 @@ class TestInfiniteProtocol:
             assert 0.0 <= row.mean_abs_error <= 2.0
             assert row.reps == cfg.instances * cfg.replications
             assert row.instances == cfg.instances
+
+    def test_curve_mean_names_a_missing_point(self):
+        curve = simulation.ErrorCurve((simulation.CurveRow("nsp", "m", 50, 0.125, 0.5, 10, 1),))
+        assert curve.mean("nsp", 50) == 0.125
+        for policy, value in (("nsp", 7), ("usp", 50)):
+            with pytest.raises(KeyError) as info:
+                curve.mean(policy, value)
+            assert str(info.value) == repr((policy, value))
 
     def test_symmetric_instance_noise_bounded(self):
         # uniform a with identical q rows: the true ATE is exactly 0
@@ -235,6 +244,20 @@ class TestEmpiricalProtocol:
             "policy usp at m=40 needs 10 reveals in group (y=0,t=1), only 4 records exist"
         )
         assert info.value.shortfall == 6
+
+    def test_empty_table_rejected(self):
+        cfg = ExperimentConfig(k=2, policies=("nsp",), m_grid=(10,), replications=2, seed=2)
+        with pytest.raises(ValidationError) as info:
+            run_empirical_experiment(np.zeros((0, 3), dtype=int), cfg)
+        assert str(info.value) == "empirical dataset is empty"
+
+    def test_baseline_past_the_table_rejected(self):
+        records, _ = self.full_table(scale=40)
+        cfg = ExperimentConfig(k=2, policies=(), include_baseline=True, m_grid=(41,),
+                               replications=2, seed=2)
+        with pytest.raises(ExhaustedError) as info:
+            run_empirical_experiment(records, cfg)
+        assert str(info.value) == "baseline needs 41 records, table has 40"
 
     def test_non_integral_records_rejected(self):
         records, _ = self.full_table()
@@ -851,6 +874,16 @@ class TestWorkerPool:
         assert messages[0] == messages[1]
         assert "(y=0,t=1), (y=1,t=0)" in messages[0]
 
+    def test_degenerate_error_survives_pickling(self):
+        # a strict sweep's error leaves a pool worker as a pickle
+        err = DegenerateGroupError([(1, 0), (0, 1)])
+        copy = pickle.loads(pickle.dumps(err))
+        assert type(copy) is DegenerateGroupError
+        assert copy.groups == err.groups == ((0, 1), (1, 0))
+        assert str(copy) == str(err) == (
+            "no deconfounded samples in positive-mass group(s) (y=0,t=1), (y=1,t=0)"
+        )
+
     def test_strict_finite_names_the_first_degenerate_estimate(self, pool_sizes, monkeypatch):
         # the first item, run in process, is fine; on nsp_worst several
         # (replication, policy, n) estimates leave different positive-mass
@@ -907,6 +940,11 @@ class TestConfigValidation:
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(policies=("nsp", "ucb"))
+
+    def test_rejects_a_config_without_methods(self):
+        with pytest.raises(ValidationError) as info:
+            ExperimentConfig(policies=(), include_baseline=False)
+        assert str(info.value) == "config selects no methods to run"
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValidationError):
