@@ -20,7 +20,7 @@ so no invented constant is baked in. The finite-data condition compares
                                -----------------------------------
                                1 / (x[y,t] m)  +  q[y,t,z]^2 / n
 
-against the threshold 50 * k^2 * ln(8k / delta) / epsilon^2.
+against the threshold 4C = 50 * k^2 * ln(8k / delta) / epsilon^2.
 
 Every evaluator is an array expression over the (4, k) tables. Each public
 one validates its arguments and calls a private helper, which
@@ -265,7 +265,7 @@ class FeasibilityResult(NamedTuple):
 
 
 def finite_threshold(spec: AccuracySpec) -> float:
-    return 50.0 * spec.k**2 * math.log(8 * spec.k / spec.delta) / spec.epsilon**2
+    return 4.0 * spec.C
 
 
 def _mass_sq(a: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -439,8 +439,7 @@ def allocate_budget(
     return BudgetPlan(n, m, PolicyWeights(weights[:, i, j]), kinds[j], float(margins[i, j]))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Every bound for one instance, with argmax witnesses where defined."""
 
     spec: AccuracySpec

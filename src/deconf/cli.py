@@ -10,6 +10,7 @@ no wall-clock default.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -52,22 +53,17 @@ EXIT_DEGENERATE = 3
 EXIT_EXHAUSTED = 4
 
 
-def _fmt_groups(groups) -> str:
-    if not groups:
+def _fmt_pairs(names, pairs) -> str:
+    """Sorted index pairs as ``(y=0,t=1), ...`` for ``names`` ``("y", "t")``, or ``none``."""
+    if not pairs:
         return "none"
-    return ", ".join(f"(y={y},t={t})" for y, t in sorted(groups))
-
-
-def _fmt_strata(strata) -> str:
-    if not strata:
-        return "none"
-    return ", ".join(f"(t={t},z={z})" for t, z in sorted(strata))
+    return ", ".join(f"({names[0]}={i},{names[1]}={j})" for i, j in sorted(pairs))
 
 
 def cmd_ate(args) -> int:
     joint = dio.read_joint(args.instance)
     print(f"ate = {ate_exact(joint):.10g}")
-    print(f"degenerate strata: {_fmt_strata(np.argwhere(empty_strata(joint.p)).tolist())}")
+    print(f"degenerate strata: {_fmt_pairs('tz', np.argwhere(empty_strata(joint.p)).tolist())}")
     return EXIT_OK
 
 
@@ -87,8 +83,8 @@ def _print_result(result) -> None:
     print(f"a_hat   = {np.array2string(result.a_hat, precision=6)}")
     for g, (y, t) in enumerate(GROUPS):
         print(f"q_hat(y={y},t={t}) = {np.array2string(result.q_hat[g], precision=6)}")
-    print(f"degenerate groups: {_fmt_groups(payload['degenerate_groups'])}")
-    print(f"degenerate strata: {_fmt_strata(payload['degenerate_strata'])}")
+    print(f"degenerate groups: {_fmt_pairs('yt', payload['degenerate_groups'])}")
+    print(f"degenerate strata: {_fmt_pairs('tz', payload['degenerate_strata'])}")
 
 
 def cmd_estimate(args) -> int:
@@ -139,15 +135,19 @@ def _fmt_witness(w) -> str:
     return "-" if w is None else f"(t={w[0]},z={w[1]})"
 
 
+def _reals(text, message) -> np.ndarray:
+    """Comma-separated reals as an array; unparsable text raises ``message`` and the text."""
+    try:
+        return np.asarray([float(v) for v in text.split(",")])
+    except ValueError:
+        raise ValidationError(f"{message}, got {text!r}") from None
+
+
 def _selected_policy(args):
     """The --policy name, the --weights of --policy custom, or None."""
     if args.policy != "custom":
         return args.policy
-    try:
-        vals = [float(v) for v in args.weights.split(",")]
-    except ValueError:
-        raise ValidationError(f"--weights expects four reals, got {args.weights!r}")
-    return PolicyWeights(np.asarray(vals))
+    return PolicyWeights(_reals(args.weights, "--weights expects four reals"))
 
 
 def cmd_plan(args) -> int:
@@ -206,14 +206,6 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _parse_a(text) -> ConfoundedDistribution:
-    try:
-        vals = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise ValidationError(f"--a expects four comma-separated reals, got {text!r}")
-    return ConfoundedDistribution(np.asarray(vals))
-
-
 def cmd_gen_instance(args) -> int:
     k = 2 if args.k is None else args.k
     if args.random:
@@ -228,7 +220,7 @@ def cmd_gen_instance(args) -> int:
         print(f"wrote {args.adversarial}_worst instance to {args.out}")
         return EXIT_OK
 
-    a = _parse_a(args.a)
+    a = ConfoundedDistribution(_reals(args.a, "--a expects four comma-separated reals"))
     if args.hardness:
         pair = (hardness_pair(a, args.gamma) if args.q_floor is None
                 else hardness_pair(a, args.gamma, args.q_floor))
@@ -252,17 +244,13 @@ def _load_sim_inputs(args):
     config, extras = dio.read_experiment_config(args.config)
     ignored = sorted(extras["fields"] - set(_ROWS[args.command, ""][2].split()))
     if ignored:
-        raise DataFormatError(
-            f"{args.config}: config field {ignored[0]!r} does not apply to {args.command}"
-        )
+        raise DataFormatError(f"{args.config}: config field {ignored[0]!r} does not apply "
+                              f"to {args.command}")
     if extras["instance_files"] and "instances" in extras["fields"]:
         raise DataFormatError(  # the files set the instance count
-            f"{args.config}: config field 'instances' does not apply next to instance_files"
-        )
+            f"{args.config}: config field 'instances' does not apply next to instance_files")
     if args.seed is not None:
-        config = sim.ExperimentConfig(
-            **{**config.__dict__, "seed": args.seed}
-        )
+        config = dataclasses.replace(config, seed=args.seed)
     elif "seed" not in extras["fields"]:
         raise ValidationError("no seed: pass --seed or set 'seed' in the config")
     files = extras["instance_files"]  # an empty list is rejected, not ignored
@@ -271,25 +259,19 @@ def _load_sim_inputs(args):
 
 
 def cmd_simulate(args) -> int:
-    config, _, instances = _load_sim_inputs(args)
+    config, extras, instances = _load_sim_inputs(args)
     run = {"simulate": sim.run_infinite_experiment, "simulate-finite": sim.run_finite_experiment}
-    curve = run[args.command](config, instances, workers=args.workers)
-    dio.write_error_curve_csv(curve, args.out)
-    print(f"wrote {len(curve.rows)} rows to {args.out}")
-    return EXIT_OK
-
-
-def cmd_simulate_real(args) -> int:
-    config, extras, _ = _load_sim_inputs(args)
-    if args.data is not None and "dataset" in extras["fields"]:
-        raise DataFormatError(
-            f"{args.config}: config field 'dataset' does not apply next to --data"
-        )
-    data_path = args.data or extras["dataset"]
-    if data_path is None:
-        raise ValidationError("simulate-real needs --data or a 'dataset' config field")
-    records = dio.read_full_table_csv(data_path, config.k)
-    curve = sim.run_empirical_experiment(records, config, workers=args.workers)
+    if args.command in run:
+        curve = run[args.command](config, instances, workers=args.workers)
+    else:  # simulate-real
+        if args.data is not None and "dataset" in extras["fields"]:
+            raise DataFormatError(f"{args.config}: config field 'dataset' does not apply "
+                                  "next to --data")
+        data_path = args.data or extras["dataset"]
+        if data_path is None:
+            raise ValidationError("simulate-real needs --data or a 'dataset' config field")
+        records = dio.read_full_table_csv(data_path, config.k)
+        curve = sim.run_empirical_experiment(records, config, workers=args.workers)
     dio.write_error_curve_csv(curve, args.out)
     print(f"wrote {len(curve.rows)} rows to {args.out}")
     return EXIT_OK
@@ -350,11 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float)
     p.set_defaults(func=cmd_gen_instance)
 
-    for name, handler, with_data in (
-        ("simulate", cmd_simulate, False),
-        ("simulate-finite", cmd_simulate, False),
-        ("simulate-real", cmd_simulate_real, True),
-    ):
+    for name, with_data in (("simulate", False), ("simulate-finite", False),
+                            ("simulate-real", True)):
         p = sub.add_parser(name, help=f"run the {name} protocol")
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
@@ -362,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1)
         if with_data:
             p.add_argument("--data")
-        p.set_defaults(func=handler)
+        p.set_defaults(func=cmd_simulate)
 
     return parser
 

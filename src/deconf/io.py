@@ -157,17 +157,18 @@ def check_output_path(path) -> None:
         raise DataFormatError(f"{path}: cannot write (No such file or directory)")
 
 
-def write_instance(path, a: ConfoundedDistribution, q: ConditionalTable) -> None:
-    payload = {"k": q.k, "a": a.a.tolist(), "q": q.q.tolist()}
+def _write_json(path, payload: dict) -> None:
     with _open_for_writing(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
+def write_instance(path, a: ConfoundedDistribution, q: ConditionalTable) -> None:
+    _write_json(path, {"k": q.k, "a": a.a.tolist(), "q": q.q.tolist()})
+
+
 def write_joint_instance(path, joint: JointDistribution) -> None:
-    with _open_for_writing(path) as fh:
-        json.dump({"k": joint.k, "p": joint.p.tolist()}, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, {"k": joint.k, "p": joint.p.tolist()})
 
 
 # fields are stripped of ASCII whitespace only: a bare str.strip() also drops

@@ -15,11 +15,11 @@ policy, the :class:`PolicyWeights` itself; anything else (a list, an array,
 
 One private kernel, :func:`_allocate`, turns a policy into integer counts
 for a whole stack of budgets: ``(..., 4)`` arrays in, broadcast over ``m``,
-no validation and no Python loop. Fractional weights are rounded by largest
-remainder, ties to the earliest group in canonical order. Under finite
-supply, usp fills every group to a common water level, owsp splits m across
-the treatment arms and then within each arm, and nsp and custom spill any
-excess past a cap to the groups with room, in canonical order.
+no Python loop. Fractional weights are rounded by largest remainder, ties to
+the earliest group in canonical order; counts that miss m raise. Under
+finite supply, usp fills every group to a common water level, owsp splits m
+across the treatment arms and then within each arm, and nsp and custom spill
+any excess past a cap to the groups with room, in canonical order.
 :func:`allocate_infinite` and :func:`allocate_finite` validate their inputs
 and return the kernel's (4,) counts for one budget as a read-only array; the
 replication engine calls it once per (instance, policy) on plain arrays.
@@ -117,9 +117,9 @@ def allocate_infinite(
 ) -> np.ndarray:
     """Integer counts (4,) of m samples under infinite confounded data, read-only."""
     m = check_int(m, "m", 0)
-    counts = _allocate(_kind(policy), m, policy_weights(policy, a).x)
-    counts.setflags(write=False)
-    return counts
+    if m >= 2**63:  # the counts are int64
+        raise ValidationError(f"m must be below 2**63, got {m}")
+    return _as_readonly(_allocate(_kind(policy), m, policy_weights(policy, a).x), int)
 
 
 def allocate_finite(
@@ -157,9 +157,7 @@ def allocate_finite(
         x = policy.x
     else:
         x = np.zeros(4) if a_hat is None else a_hat.a
-    counts = _allocate(kind, m, x, available)
-    counts.setflags(write=False)
-    return counts
+    return _as_readonly(_allocate(kind, m, x, available), int)
 
 
 def _round_shares(targets: np.ndarray, total) -> np.ndarray:
@@ -176,7 +174,7 @@ def _round_shares(targets: np.ndarray, total) -> np.ndarray:
 
 
 def _allocate(kind: str, m, x: np.ndarray, available=None) -> np.ndarray:
-    """Integer counts (..., 4) of policy ``kind`` at budgets ``m``, unvalidated.
+    """Integer counts (..., 4) of policy ``kind`` at budgets ``m``, inputs unvalidated.
 
     ``m`` broadcasts against ``x[..., 0]`` and ``available[..., 0]``. With
     ``available`` None the supply is unlimited and ``x`` holds the policy
@@ -188,7 +186,7 @@ def _allocate(kind: str, m, x: np.ndarray, available=None) -> np.ndarray:
     """
     m = np.asarray(m)
     if available is None:
-        return _round_shares(m[..., None] * x, m)
+        return _summing_to(m, _round_shares(m[..., None] * x, m))
     total = available.sum(axis=-1)
     full = m == total  # every policy takes everything
     m = np.where(full, 0, m)
@@ -225,4 +223,12 @@ def _allocate(kind: str, m, x: np.ndarray, available=None) -> np.ndarray:
         counts = np.minimum(counts, available)
         room = available - counts
         counts += np.clip(excess - (np.cumsum(room, axis=-1) - room), 0, room)
-    return np.where(full[..., None], available, counts)
+    return np.where(full[..., None], available, _summing_to(m, counts))  # full rows: m = 0
+
+
+def _summing_to(m, counts: np.ndarray) -> np.ndarray:
+    """``counts``, checked to sum to ``m``; float shares past ~2**53 or off-1 weights miss it."""
+    missed = np.broadcast_to(m, counts.shape[:-1])[counts.sum(axis=-1) != m]
+    if missed.size:
+        raise ValidationError(f"cannot allocate m={missed[0]} exactly: float shares round off")
+    return counts

@@ -107,9 +107,10 @@ def _as_list(name: str, values, entries: str) -> tuple:
 def _int_grid(name: str, values) -> Tuple[int, ...]:
     grid = _as_list(name, values, "positive integers")
     if not grid or not all(is_integer(v) and v > 0 for v in grid):
-        raise ValidationError(
-            f"{name} must be non-empty with positive integer entries, got {grid!r}"
-        )
+        raise ValidationError(f"{name} must be non-empty with positive integer entries, "
+                              f"got {grid!r}")
+    if max(grid) >= 2**63:  # the engine's counts are int64
+        raise ValidationError(f"{name} entries must be below 2**63, got {max(grid)}")
     return tuple(int(v) for v in grid)
 
 
@@ -168,8 +169,7 @@ class CurveRow(NamedTuple):
     instances: int
 
 
-@dataclass(frozen=True)
-class ErrorCurve:
+class ErrorCurve(NamedTuple):
     rows: Tuple[CurveRow, ...]
 
     def mean(self, policy: str, grid_value: int) -> float:

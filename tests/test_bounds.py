@@ -163,16 +163,27 @@ def ref_allocate_budget(a, q, budget, c_confounded, c_deconfound, spec, grid):
     m_values = sorted(set(np.linspace(1, m_max, num=min(grid, m_max), dtype=int).tolist()))
     best = None
     kinds = ["nsp", "usp"] + (["owsp"] if min(a.arm_mass(0), a.arm_mass(1)) > 0 else [])
+
+    def scored(n, m, kind):
+        capped = np.minimum(policy_weights(kind, a).x, a.a * n / m)
+        x = capped / capped.sum()
+        return n, m, kind, x, ref_finite_feasible(a, q, x, m, n, spec)[1]
+
     for m in m_values:
         n = int((budget - c_deconfound * m) / c_confounded)
         if n < m:
             continue
         for kind in kinds:
-            capped = np.minimum(policy_weights(kind, a).x, a.a * n / m)
-            x = capped / capped.sum()
-            margin = ref_finite_feasible(a, q, x, m, n, spec)[1]
-            if best is None or margin > best[4]:
-                best = (n, m, kind, x, margin)
+            point = scored(n, m, kind)
+            if best is None or point[4] > best[4]:
+                best = point
+    # the winner's spend is checked exactly: a float n that overspends the
+    # budget (85 at costs 1 and 1.1: 41 + 40 * 1.1 > 85) drops to the exact
+    # floor, and that point is scored again
+    n, m, kind = best[:3]
+    b, c, z = map(Fraction, (budget, c_confounded, c_deconfound))
+    if c * n + z * m > b:
+        best = scored(math.floor((b - z * m) / c), m, kind)
     return best
 
 
@@ -278,6 +289,7 @@ class TestScalarReferences:
     @settings(max_examples=60, deadline=None)
     @example(ZERO_MASS_CASE, 5e4, 1.0, 20.0, 200)
     @example(EMPTY_ARM_CASE, 1e5, 1.0, 20.0, 200)
+    @example(EMPTY_ARM_CASE, 85.0, 1.0, 1.1, 10)  # the float line's n overspends
     def test_allocate_budget(self, case, budget, c_confounded, c_deconfound, grid):
         a, q, _, spec = case
         assume(budget >= c_confounded + c_deconfound)

@@ -3,8 +3,12 @@
 import argparse
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -843,6 +847,22 @@ class TestCliAte:
         assert "a: must sum to 1" in capsys.readouterr().err
 
 
+class TestConsoleEntry:
+    """``python -m deconf.cli`` exits with ``main``'s code."""
+
+    @pytest.mark.parametrize("args, code, stream, text", [
+        (["ate", "--instance"], 0, "stdout", "ate = 0.4334932127"),
+        (["plan"], 2, "stderr", "the following arguments are required: --instance"),
+    ])
+    def test_module_run_exits_with_main_code(self, instance_file, args, code, stream, text):
+        args = args + [str(instance_file)] * (args[0] == "ate")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "deconf.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == code
+        assert text in getattr(done, stream)
+
+
 class TestCliEstimate:
     def test_exact_proportions(self, tmp_path, capsys):
         a, q = example_instance()
@@ -1575,6 +1595,24 @@ class TestCliSimulate:
         out = tmp_path / "r.csv"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert f"{list(field)[-1]} repeats" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [2**63, 2**70])
+    @pytest.mark.parametrize("command, name", [("simulate", "m_grid"),
+                                               ("simulate-finite", "n_grid")])
+    def test_grid_entries_past_int64_exit_2(self, tmp_path, capsys, command, name, value):
+        finite = {"include_baseline": False, "m_grid": [50]} if name == "n_grid" else {}
+        cfg = self.write_config(tmp_path, **finite, **{name: [value]})
+        out = tmp_path / "big.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{name} entries must be below 2**63, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_budget_whose_counts_miss_m_exits_2(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, m_grid=[2**56], include_baseline=False)
+        out = tmp_path / "miss.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"cannot allocate m={2**56} exactly" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -197,6 +197,31 @@ class TestBoundaryValidation:
         with pytest.raises(ValidationError, match="m must be"):
             allocate_finite("usp", (5, 5, 5, 5), m)
 
+    @pytest.mark.parametrize("policy, scale, m", [
+        ("nsp", 1.0, 2**56),  # float shares past 2**53 round to m + 2
+        ("owsp", 1.0, 2**56),  # and to m - 2
+        ("nsp", 1 + 9e-13, 10**13),  # weights within CONSTRUCT_ATOL of 1 overshoot by 6
+        ("custom", 1 + 9e-13, 10**13),  # and by 8
+    ])
+    def test_counts_that_miss_m_are_refused(self, policy, scale, m):
+        a = ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3]) * scale)
+        if policy == "custom":
+            policy = PolicyWeights(np.full(4, 0.25 * scale))
+        with pytest.raises(ValidationError, match=f"cannot allocate m={m} exactly"):
+            allocate_infinite(policy, a, m)
+        if isinstance(policy, PolicyWeights):  # the finite kernel rounds them when no cap binds
+            with pytest.raises(ValidationError, match=f"cannot allocate m={m} exactly"):
+                allocate_finite(policy, (m,) * 4, m, a)
+
+    @pytest.mark.parametrize("m", [2**63, 2**70])
+    def test_budget_past_int64_rejected(self, m):
+        a = ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3]))
+        for kind in NAMED_POLICIES:  # usp at 2**63 summed to m + 4, 2**70 overflowed
+            with pytest.raises(ValidationError, match=r"m must be below 2\*\*63"):
+                allocate_infinite(kind, a, m)
+        with pytest.raises(ValidationError, match=f"cannot place m={m} samples"):
+            allocate_finite("usp", (5, 5, 5, 5), m)
+
     def test_named_policies_drop_owsp_on_an_empty_arm(self):
         assert named_policies(ConfoundedDistribution(np.full(4, 0.25))) == ("nsp", "usp", "owsp")
         empty = ConfoundedDistribution(np.array([0.5, 0.0, 0.5, 0.0]))

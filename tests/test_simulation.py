@@ -1105,6 +1105,13 @@ class TestConfigValidation:
             ExperimentConfig(**field)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("value", [2**63, 2**70])
+    @pytest.mark.parametrize("name", ["m_grid", "n_grid"])
+    def test_rejects_grid_entries_past_int64(self, name, value):
+        with pytest.raises(ValidationError) as info:
+            ExperimentConfig(**{name: [50, value]})
+        assert str(info.value) == f"{name} entries must be below 2**63, got {value}"
+
 
 class TestStreamContract:
     """Golden rows pinning the RNG stream keying and draw order.
