@@ -412,8 +412,6 @@ def allocate_budget(
     m = np.linspace(1, m_max, num=min(grid, m_max), dtype=int)
     n = np.trunc((budget - c_deconfound * m) / c_confounded)
     on_line = n >= m
-    if not on_line.any():
-        raise ValidationError("no feasible (m, n) point on the budget line")
     kinds = named_policies(a_hat)
     base = _named_weights(a_hat.a).T[:, None, : len(kinds)]
 
@@ -423,20 +421,29 @@ def allocate_budget(
         cells = _finite_cells(a_hat.a, q.q, weights, m, n)
         return weights, cells.min(axis=0) / finite_threshold(spec)
 
-    weights, margins = score(m[on_line, None], n[on_line, None])
-    i, j = divmod(int(margins.argmax()), len(kinds))
-    m, n = int(m[on_line][i]), int(n[on_line][i])
+    m, n = m[on_line], n[on_line]
+    weights, margins = score(m[:, None], n[:, None])
     # The float line can round n up past the budget (by 512 at a budget of 1e19),
     # so the winner's spend is checked exactly, in integers over the floats'
     # ratios. An overspending n drops to the exact floor and the point is scored
-    # again, since its capped weights depend on n.
+    # again, since its capped weights depend on n. A floor below m takes the
+    # point off the line, and the next-best point is checked the same way.
     (b, b_d), (c, c_d), (z, z_d) = (float(v).as_integer_ratio()
                                     for v in (budget, c_confounded, c_deconfound))
-    if (c * n * z_d + z * m * c_d) * b_d > b * c_d * z_d:
-        n = (b * z_d - z * m * b_d) * c_d // (c * z_d * b_d)
-        weights, margins = score(np.array([[m]]), np.array([[n]], dtype=float))
-        i = 0
-    return BudgetPlan(n, m, PolicyWeights(weights[:, i, j]), kinds[j], float(margins[i, j]))
+    while len(m):
+        i, j = divmod(int(margins.argmax()), len(kinds))
+        m_i, n_i = int(m[i]), int(n[i])
+        if (c * n_i * z_d + z * m_i * c_d) * b_d > b * c_d * z_d:
+            n_i = (b * z_d - z * m_i * b_d) * c_d // (c * z_d * b_d)
+            if n_i < m_i:
+                m, n, margins = np.delete(m, i), np.delete(n, i), np.delete(margins, i, 0)
+                weights = np.delete(weights, i, 1)
+                continue
+            weights, margins = score(np.array([[m_i]]), np.array([[n_i]], dtype=float))
+            i = 0
+        return BudgetPlan(n_i, m_i, PolicyWeights(weights[:, i, j]), kinds[j],
+                          float(margins[i, j]))
+    raise ValidationError("no feasible (m, n) point on the budget line")
 
 
 class BoundReport(NamedTuple):

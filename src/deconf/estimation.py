@@ -125,20 +125,27 @@ def q_hat_batch(counts, a, fallback: str = "uniform") -> np.ndarray:
     the batch raises :class:`DegenerateGroupError` naming the groups of the
     first such member.
 
-    A float stack is read as it is; an int stack is copied to float. Most
-    of a call's cost is fixed numpy overhead, so callers pass whole stacks;
-    the finite protocol still calls once per estimate (see
-    :mod:`deconf.simulation`).
+    A float stack is read as it is; an int stack is copied to float. Row
+    totals are k - 1 column adds, equal to ``sum`` on integer counts (all
+    the package passes) and on floats at k < 8; at k >= 8 a non-integer
+    total may differ from ``sum``'s in the last bit. Most of a call's cost is
+    fixed numpy overhead, so callers pass whole stacks; the finite protocol
+    still calls once per estimate (see :mod:`deconf.simulation`).
     """
-    _check_fallback(fallback)
+    if fallback != "uniform":
+        _check_fallback(fallback)
     counts = np.asarray(counts, dtype=float)
-    totals = np.add.reduce(counts, axis=-1, keepdims=True)
+    totals = counts[..., :1] + counts[..., 1:2]
+    for z in range(2, counts.shape[-1]):
+        totals += counts[..., z:z + 1]
     if fallback == "error":
         bad = (totals[..., 0] == 0.0) & (np.asarray(a) > 0.0)
         if bad.any():
             rows = bad.reshape(-1, 4)
             first = rows[rows.any(axis=1)][0]
             raise DegenerateGroupError([GROUPS[g] for g in np.nonzero(first)[0]])
+    if np.minimum.reduce(totals, axis=None, initial=np.inf) > 0.0:  # no group empty
+        return counts / totals
     q_hat = np.empty(counts.shape)
     q_hat.fill(1.0 / counts.shape[-1])
     return np.divide(counts, totals, out=q_hat, where=totals > 0.0)

@@ -180,18 +180,25 @@ def ate_batch(p) -> np.ndarray:
 
     The one numeric path for the ATE: plain arrays in, no validation. A
     zero-mass stratum (t, z) contributes 0 (the 0/0 -> 0 convention). The
-    per-z terms are sorted before a sequential sum, so the value is bitwise
-    invariant under any relabeling of z and does not depend on the batch
-    shape; at k=2 it equals the correctly rounded sum of the two terms.
+    stack is copied once with its (4, k) axes first, so every step runs on
+    contiguous rows of the batch, and the per-z terms are summed in
+    ascending order by column adds: the value is bitwise invariant under any
+    relabeling of z, the batch shape and the memory layout. The terms are
+    sorted only at k >= 3, since a sum of two floats does not depend on
+    their order.
     """
     p = np.asarray(p, dtype=float)
-    mass = _stratum_mass(p)
+    lead = p.shape[:-2]
+    p = p.reshape((-1,) + p.shape[-2:]).transpose(1, 2, 0).copy()  # (4, k, members)
+    mass = p[:2] + p[2:]  # P(T=t, Z=z), indexed [t, z]
     # P(Y=1 | t, z), indexed [t, z]
-    cond = np.divide(p[..., 2:, :], mass, out=np.zeros_like(mass), where=mass > 0.0)
-    pz = mass[..., 0, :] + mass[..., 1, :]
-    terms = np.sort((cond[..., 1, :] - cond[..., 0, :]) * pz, axis=-1)
+    cond = np.divide(p[2:], mass, out=np.zeros_like(mass), where=mass > 0.0)
+    terms = (cond[1] - cond[0]) * (mass[0] + mass[1])  # (k, members)
+    if len(terms) > 2:
+        terms.sort(axis=0)
+    total = sum(terms[1:], terms[0])  # column adds, in ascending order
     # algebraically in [-1, 1]; clamp float noise only
-    return np.clip(np.cumsum(terms, axis=-1)[..., -1], -1.0, 1.0)
+    return np.clip(total.reshape(lead), -1.0, 1.0)
 
 
 def empty_strata(p) -> np.ndarray:

@@ -150,7 +150,9 @@ def allocate_finite(
     if available.shape != (4,) or np.any(available < 0):
         raise ValidationError("available: expected 4 non-negative integers")
     m = check_int(m, "m", 0)
-    total_avail = int(available.sum())
+    total_avail = sum(available.tolist())  # exact: an int64 sum can wrap
+    if total_avail >= 2**63:
+        raise ValidationError(f"available: entries must sum to below 2**63, got {total_avail}")
     if m > total_avail:
         raise ValidationError(f"cannot place m={m} samples; only {total_avail} available")
     if kind == "custom":

@@ -45,14 +45,15 @@ first and then allocates all (replication, n) points in one call (natural
 sampling takes the first m arrivals instead). Estimation runs on plain
 arrays through the batched kernel (:func:`deconf.estimation.q_hat_batch`
 and :func:`deconf.model.ate_batch`), once per work item over all of its
-replications. The finite protocol converts a work item's counts to float
-once and walks that copy as ``(4, k)`` tables, calling ``q_hat_batch``
-once per replication-estimate in (replication, policy, n) order, so no
-call converts its table and a strict run names the first degenerate
-estimate in that order. The benchmark's tracer test counts one estimation
-call per estimate, so the loop stays until that test is revised. Model
-objects are the types of the API and the file boundary only: no model
-object is built inside a sweep.
+replications. A known-marginal item stacks all its methods' joint tables
+for one ``ate_batch`` call. The finite protocol converts a work item's
+counts to float once and walks that copy as ``(4, k)`` tables, calling
+``q_hat_batch`` once per replication-estimate in (replication, policy, n)
+order, so no call converts its table and a strict run names the first
+degenerate estimate in that order. The benchmark's tracer test counts one
+estimation call per estimate, so the loop stays until that test is
+revised. Model objects are the types of the API and the file boundary
+only: no model object is built inside a sweep.
 """
 
 from __future__ import annotations
@@ -349,18 +350,18 @@ def _known_marginal_errors(item) -> np.ndarray:
     """
     sample, dom, idx, joint, rows, a, ate, allocs, config = item
     reps, grid = config.replications, np.array(sorted(config.m_grid))
-    ates = []
+    tables = []  # (reps, methods, sorted grid, 4, k) joints, concatenated for one ATE call
     if config.include_baseline:
         lengths = np.broadcast_to(grid[:, None], (reps, len(grid), 1))
         drawn = sample(_stream(config.seed, dom, idx), joint.reshape(1, -1), lengths)
-        drawn = drawn.reshape((reps, len(grid)) + joint.shape)
-        ates.append(ate_batch(drawn / grid[:, None, None])[:, None])
+        drawn = drawn.reshape((reps, 1, len(grid)) + joint.shape)
+        tables.append(drawn / grid[:, None, None])
     if len(allocs):
         lengths = np.broadcast_to(allocs.reshape(-1, 4), (reps, allocs.size // 4, 4))
         drawn = sample(_stream(config.seed, _DOM_CONDITIONAL, idx), rows, lengths)
         drawn = drawn.reshape((reps,) + allocs.shape[:2] + rows.shape)
-        ates.append(ate_batch(a[:, None] * q_hat_batch(drawn, a, config.fallback)))
-    return np.abs(np.concatenate(ates, axis=1) - ate)
+        tables.append(a[:, None] * q_hat_batch(drawn, a, config.fallback))
+    return np.abs(ate_batch(np.concatenate(tables, axis=1)) - ate)
 
 
 def run_infinite_experiment(

@@ -161,7 +161,6 @@ def ref_finite_feasible(a, q, x, m, n, spec):
 def ref_allocate_budget(a, q, budget, c_confounded, c_deconfound, spec, grid):
     m_max = int(budget / (c_confounded + c_deconfound))
     m_values = sorted(set(np.linspace(1, m_max, num=min(grid, m_max), dtype=int).tolist()))
-    best = None
     kinds = ["nsp", "usp"] + (["owsp"] if min(a.arm_mass(0), a.arm_mass(1)) > 0 else [])
 
     def scored(n, m, kind):
@@ -169,22 +168,27 @@ def ref_allocate_budget(a, q, budget, c_confounded, c_deconfound, spec, grid):
         x = capped / capped.sum()
         return n, m, kind, x, ref_finite_feasible(a, q, x, m, n, spec)[1]
 
+    points = []
     for m in m_values:
         n = int((budget - c_deconfound * m) / c_confounded)
         if n < m:
             continue
-        for kind in kinds:
-            point = scored(n, m, kind)
-            if best is None or point[4] > best[4]:
-                best = point
+        points += [scored(n, m, kind) for kind in kinds]
     # the winner's spend is checked exactly: a float n that overspends the
     # budget (85 at costs 1 and 1.1: 41 + 40 * 1.1 > 85) drops to the exact
-    # floor, and that point is scored again
-    n, m, kind = best[:3]
+    # floor, and that point is scored again; a floor below m (63 at the same
+    # costs: 30 + 30 * 1.1 > 63) takes the point off the line, and the next
+    # best point is checked the same way
     b, c, z = map(Fraction, (budget, c_confounded, c_deconfound))
-    if c * n + z * m > b:
-        best = scored(math.floor((b - z * m) / c), m, kind)
-    return best
+    while points:
+        best = max(points, key=lambda point: point[4])  # the first maximum
+        n, m, kind = best[:3]
+        if c * n + z * m <= b:
+            return best
+        n = math.floor((b - z * m) / c)
+        if n >= m:
+            return scored(n, m, kind)
+        points = [point for point in points if point[1] != m]
 
 
 def ref_solve_min_m(a, q, weights, n, spec):
@@ -290,10 +294,12 @@ class TestScalarReferences:
     @example(ZERO_MASS_CASE, 5e4, 1.0, 20.0, 200)
     @example(EMPTY_ARM_CASE, 1e5, 1.0, 20.0, 200)
     @example(EMPTY_ARM_CASE, 85.0, 1.0, 1.1, 10)  # the float line's n overspends
+    @example(EMPTY_ARM_CASE, 63.0, 1.0, 1.1, 10)  # ... and its exact floor is below m
     def test_allocate_budget(self, case, budget, c_confounded, c_deconfound, grid):
         a, q, _, spec = case
         assume(budget >= c_confounded + c_deconfound)
         plan = allocate_budget(a, q, budget, c_confounded, c_deconfound, spec, grid=grid)
+        assert plan.n >= plan.m
         n, m, kind, x, margin = ref_allocate_budget(
             a, q, budget, c_confounded, c_deconfound, spec, grid
         )
@@ -762,14 +768,19 @@ class TestAllocateBudget:
         ]
         assert margins == sorted(margins)
 
-    def test_budget_line_without_a_point(self):
+    @pytest.mark.parametrize("budget, c_confounded, c_deconfound", [
         # m_max rounds to 1, but n rounds to 0 < m at m = 1
+        (3.1236753165138964, 0.7346489669355872, 2.3890263495783093),
+        # the float line's one point is (m, n) = (1, 1), but this budget, the
+        # float sum of the costs, is below their exact sum: n's exact floor is 0
+        (2.5048287302440277 + 1.5480619442981436, 2.5048287302440277, 1.5480619442981436),
+    ])
+    def test_budget_line_without_a_point(self, budget, c_confounded, c_deconfound):
         a = ConfoundedDistribution(np.full(4, 0.25))
         q = binary_conditional((0.5, 0.5, 0.5, 0.5))
         spec = AccuracySpec(0.25, 0.1, 2, 0.1)
         with pytest.raises(ValidationError) as info:
-            allocate_budget(a, q, 3.1236753165138964, 0.7346489669355872, 2.3890263495783093,
-                            spec)
+            allocate_budget(a, q, budget, c_confounded, c_deconfound, spec)
         assert str(info.value) == "no feasible (m, n) point on the budget line"
 
     def test_budget_too_small(self):

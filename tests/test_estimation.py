@@ -646,6 +646,9 @@ class TestKernel:
                 expected = ref.dtype, ref.shape, ref.tobytes()
             outcomes.append(q_hat_outcome(counts, a_hat, fallback))
             assert outcomes[-1] == expected
+            # the same values as a non-contiguous view, a step of 2 along z
+            strided = np.repeat(counts, 2, axis=-1)[..., ::2]
+            assert q_hat_outcome(strided, a_hat, fallback) == expected
         assert outcomes[0] == outcomes[1]
 
     def test_float_stack_is_not_modified(self):

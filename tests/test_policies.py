@@ -145,6 +145,15 @@ class TestAllocateFinite:
         with pytest.raises(ValidationError, match="available"):
             allocate_finite("usp", (1, 1, 1, 1), 5)
 
+    def test_availability_total_past_int64_rejected(self):
+        # the int64 sum of four 2**62 wraps to 0; the exact total is 2**64
+        message = r"available: entries must sum to below 2\*\*63, got 18446744073709551616"
+        with pytest.raises(ValidationError, match=message):
+            allocate_finite("usp", [2**62] * 4, 5)
+        below = [2**61 - 1, 2**61, 2**61, 2**61]  # sums to 2**63 - 1
+        assert allocate_finite("usp", below, 5).tolist() == [2, 1, 1, 1]
+        assert allocate_finite("usp", below, 2**63 - 1).tolist() == below
+
     def test_owsp_arm_overflow_spills(self):
         # arm t=1 has only 3 records; its shortfall moves to arm t=0
         a = ConfoundedDistribution(np.array([0.25, 0.25, 0.25, 0.25]))
