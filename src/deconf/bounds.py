@@ -74,6 +74,12 @@ class AccuracySpec:
         object.__setattr__(self, "k", check_int(self.k, "k", 2))
         if not 0.0 < self.beta < 0.5:
             raise ValidationError(f"beta must lie in (0, 0.5), got {self.beta}")
+        # C must be a finite positive float: a delta below ~1e-307 overflows
+        # 8k / delta, an epsilon below ~1e-154 overflows 1 / epsilon^2
+        if not 8 * self.k / self.delta < math.inf:
+            raise ValidationError(f"delta={self.delta} is too small: 8k/delta overflows")
+        if not self.epsilon**2 > 0.0 or not self.C < math.inf:
+            raise ValidationError(f"epsilon={self.epsilon} is too small: 1/epsilon^2 overflows C")
 
     @property
     def C(self) -> float:

@@ -24,11 +24,15 @@ printable ASCII without ``"``, every line ending in ``\n``, the header,
 the same field count on every line, fields of at most 8 bytes, and
 spellings the field parsers accept. A file whose data lines all have one
 length, with their commas in the same columns (every ground-truth table
-with k <= 10 is ``d,d,d``), is read as column slices of one byte grid;
-other files are scanned for their separators. Each field parser runs once
-per distinct spelling in its column, and one lookup fills the column.
-Every other file goes through ``csv.reader``, the one source of reader
-error messages.
+with k <= 10 is ``d,d,d``), is read as column slices of one byte grid and
+proved simple column by column, each field column from the one contiguous
+copy its codes are made of; other files are checked and scanned for their
+separators byte by byte. Each field parser runs once per distinct spelling
+in its column, which a one-byte column finds by one search per byte
+between its least and greatest. One add fills a column whose values are
+its codes shifted by one constant, as one-digit fields' are; one lookup
+fills any other. Every other file goes through ``csv.reader``, the one
+source of reader error messages.
 """
 
 from __future__ import annotations
@@ -254,6 +258,7 @@ def _read_int_columns(path, header: List[str], parsers) -> np.ndarray:
 _NL, _COMMA, _QUOTE = b"\n,\""
 _PACK = 8  # bytes of the widest field packed into one uint64 code
 _MASKS = np.array([(1 << 8 * n) - 1 for n in range(_PACK + 1)], dtype=np.uint64)
+_PREFIX = 4096  # bytes searched for the header and the first data line
 
 
 def _read_int_columns_bytes(path, header: List[str], parsers) -> Optional[np.ndarray]:
@@ -279,15 +284,18 @@ def _field_codes(path, header: List[str], width: int) -> Optional[List[np.ndarra
     ``\n``, the file ends in ``\n``, the header matches, and every line has
     ``width`` fields of at most 8 bytes. ``csv.reader`` splits such a file
     at ``,`` and ``\n`` alone, so its cells are the fields' bytes as text.
-    A field's code is its bytes as a little-endian integer. When every data
-    line is as long as the first, with its commas in the same columns, the
-    fields are column slices of the file (``_fixed_fields``); only other
-    files are scanned for separators.
+    A field's code is its bytes as a little-endian integer. A file whose
+    data lines all have the first one's length is proved simple column by
+    column (``_fixed_fields``); only other files are checked and scanned for
+    separators byte by byte.
     """
     try:
         buf = np.fromfile(path, dtype=np.uint8)
     except OSError:
         return None
+    fields = _fixed_fields(buf, header, width)
+    if fields is not None:
+        return fields
     if not buf.size or buf[-1] != _NL or buf.max() > 0x7E:
         return None
     newline, comma = buf == _NL, buf == _COMMA
@@ -296,42 +304,62 @@ def _field_codes(path, header: List[str], width: int) -> Optional[List[np.ndarra
         return None
     if np.count_nonzero(comma) != lines * (width - 1):
         return None
-    head = int(newline.argmax())
-    if [h.strip().lower() for h in buf[:head].tobytes().decode("ascii").split(",")] != header:
+    if not _is_header(buf[: newline.argmax()].tobytes(), header):
         return None
-    fields = _fixed_fields(buf[head + 1 :], newline[head + 1 :], lines - 1, width)
-    if fields is None:
-        return _scan_codes(buf, comma | newline, width)
-    return None if max(f.shape[1] for f in fields) > _PACK else [_pack(f) for f in fields]
+    return _scan_codes(buf, comma | newline, width)
 
 
-def _fixed_fields(body: np.ndarray, newline: np.ndarray, rows: int, width: int):
-    """Each field's ``(rows, bytes)`` column slice of ``body``, or None if lines differ.
+def _is_header(line: bytes, header: List[str]) -> bool:
+    """Whether ``line`` is printable ASCII that ``_open_rows`` reads as ``header``."""
+    text = line.decode("latin-1")
+    return text.isascii() and text.isprintable() and [
+        h.strip().lower() for h in text.split(",")] == header
 
-    ``body`` holds ``rows`` lines (``newline`` marks their ends) and
-    ``rows * (width - 1)`` commas. If every line is as long as the first and
-    has a ``,`` in each column where the first has one, those are all of its
-    separators.
+
+def _fixed_fields(buf: np.ndarray, header: List[str], width: int) -> Optional[List[np.ndarray]]:
+    """``_field_codes`` of a file whose data lines all have one length, or None.
+
+    The header and the first data line come from the file's first bytes.
+    The data lines are then the rows of one ``(rows, stride)`` byte grid:
+    the file is taken if each column where the first line has a ``,`` or
+    its ``\n`` holds that byte on every row, and each field column
+    (``_pack``) holds only printable ASCII other than ``"`` and ``,``.
     """
-    stride = int(newline.argmax()) + 1
-    if body.size != rows * stride:
+    lines = buf[:_PREFIX].tobytes().split(b"\n", 2)
+    if len(lines) < 3 or not _is_header(lines[0], header):
         return None
-    grid = body.reshape(rows, stride)
-    cuts = np.flatnonzero(grid[0] == _COMMA)
-    if cuts.size != width - 1 or not (grid[:, -1] == _NL).all():
+    start, stride = len(lines[0]) + 1, len(lines[1]) + 1
+    rows, extra = divmod(buf.size - start, stride)
+    ends = [i for i, byte in enumerate(lines[1]) if byte == _COMMA] + [stride - 1]
+    if extra or len(ends) != width:
         return None
-    if not (grid[:, cuts] == _COMMA).all():
+    grid = buf[start:].reshape(rows, stride)
+    if not (grid[:, ends] == grid[0, ends]).all():
         return None
-    return [grid[:, a:b] for a, b in zip([0, *(cuts + 1)], [*cuts, stride - 1])]
+    codes = [_pack(grid[:, a:b]) for a, b in zip([0] + [end + 1 for end in ends], ends)]
+    return None if any(field is None for field in codes) else codes
 
 
-def _pack(field: np.ndarray) -> np.ndarray:
-    """A ``(rows, n <= 8)`` byte slice as codes: the byte itself if n is 1, else uint64."""
-    if field.shape[1] == 1:
-        return field[:, 0]
-    packed = np.zeros((field.shape[0], _PACK), dtype=np.uint8)
-    packed[:, : field.shape[1]] = field
-    return packed.view("<u8")[:, 0]
+def _pack(field: np.ndarray) -> Optional[np.ndarray]:
+    """A ``(rows, n)`` byte slice as codes: the byte itself if n is 1, else uint64.
+
+    None if n > 8, or if a byte is not printable ASCII or is ``"`` or ``,``.
+    The check runs on the contiguous copy the codes are made of; uint64
+    codes pad each field with ``8 - n`` zero bytes.
+    """
+    rows, n = field.shape
+    if n > _PACK:
+        return None
+    if n == 1:
+        packed = field[:, 0].copy()
+    else:
+        packed = np.zeros((rows, _PACK), dtype=np.uint8)
+        packed[:, :n] = field
+    if packed.max() > 0x7E or np.count_nonzero(packed < 0x20) != packed.size - rows * n:
+        return None
+    if _QUOTE in packed or _COMMA in packed:
+        return None
+    return packed if n == 1 else packed.view("<u8")[:, 0]
 
 
 def _scan_codes(buf: np.ndarray, is_sep: np.ndarray, width: int) -> Optional[List[np.ndarray]]:
@@ -353,22 +381,33 @@ def _scan_codes(buf: np.ndarray, is_sep: np.ndarray, width: int) -> Optional[Lis
 def _parse_codes(codes: np.ndarray, parse, out: np.ndarray) -> bool:
     """Fill ``out`` with ``parse`` of each code's spelling; False if it rejects one.
 
-    ``parse`` runs once per distinct code. Codes below 2**16 index a lookup
-    table of the values; larger ones go through ``np.unique``.
+    ``parse`` runs once per distinct code, in ascending order. A byte
+    column is searched once for each byte between its least and greatest;
+    other codes below 2**16 are counted in a histogram, larger ones go
+    through ``np.unique``. When every value is its code's slot plus one
+    constant, as one-digit fields' are, one add fills ``out``; otherwise a
+    lookup table of the values does.
     """
-    if codes.max() < 1 << 16:
+    if codes.dtype == np.uint8:
+        index, low, high = codes, int(codes.min()), int(codes.max())
+        distinct = slots = np.array([b for b in range(low, high + 1) if b in codes])
+    elif codes.max() < 1 << 16:
         index = codes.astype(np.intp)
         distinct = slots = np.flatnonzero(np.bincount(index))
     else:
         distinct, index = np.unique(codes, return_inverse=True)
         slots = np.arange(distinct.size)
     try:
-        values = [parse(_spelling(code), 0) for code in distinct.tolist()]
+        values = np.array([parse(_spelling(code), 0) for code in distinct.tolist()], np.int64)
     except DataFormatError:
         return False
-    table = np.zeros(slots[-1] + 1, dtype=np.int64)
-    table[slots] = values
-    table.take(index, out=out, mode="clip")
+    shift = values[0] - slots[0]
+    if (values - slots == shift).all():
+        np.add(index, shift, out=out, dtype=np.int64)
+    else:
+        table = np.zeros(slots[-1] + 1, dtype=np.int64)
+        table[slots] = values
+        table.take(index, out=out, mode="clip")
     return True
 
 

@@ -369,6 +369,20 @@ class TestAccuracySpec:
         spec = AccuracySpec(0.1, 0.05, np.int64(3), 0.1)
         assert type(spec.k) is int and spec.C == AccuracySpec(0.1, 0.05, 3, 0.1).C
 
+    @pytest.mark.parametrize(
+        "epsilon, delta, field",
+        [(1e-170, 0.1, "epsilon"), (1e-160, 0.1, "epsilon"), (5e-324, 0.1, "epsilon"),
+         (0.1, 1e-310, "delta"), (0.1, 5e-324, "delta")],
+    )
+    def test_c_past_float_range_rejected(self, epsilon, delta, field):
+        # epsilon**2 underflows to 0 or 1/epsilon**2 overflows; 8k/delta overflows
+        with pytest.raises(ValidationError, match=f"^{field}=.* is too small"):
+            AccuracySpec(epsilon, delta, 2, 0.1)
+
+    @pytest.mark.parametrize("epsilon, delta", [(1e-150, 0.1), (0.1, 1e-300)])
+    def test_c_near_float_range_is_finite(self, epsilon, delta):
+        assert 0.0 < AccuracySpec(epsilon, delta, 2, 0.1).C < math.inf
+
     def test_c1_warns_outside_regime(self):
         spec = AccuracySpec(0.1, 0.05, 4, 0.3)  # k*beta = 1.2
         with pytest.warns(UserWarning, match="k\\*beta"):

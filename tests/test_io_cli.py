@@ -568,7 +568,11 @@ class TestReaderPaths:
         [b"y,t,z\r\n0,1,2\r\n", b"\xef\xbb\xbfy,t,z\n0,1,2\n", b"y,t,z\n0,1,\xe9\n",
          b"y,t,z\n0,1,2", b'y,t,z\n0,"1",2\n', b"y,t,z\n0,1,2\n\n", b"y,t,z\n0,1,2,\n",
          b"y,t,z\n0,1\n0,1,2,0\n", b"y,t,z\n0,1,\t2\n", b"y,t,q\n0,1,2\n",
-         b"y,t,z\n0,1,123456789\n", b"y,t,z\n", b""],
+         b"y,t,z\n0,1,123456789\n", b"y,t,z\n", b"",
+         # fixed-stride files: a one-byte field of ", comma, tab or \x0b; a
+         # header that reads as y,t,z only once its control byte is stripped
+         b'y,t,z\n0,1,2\n0,",2\n', b"y,t,z\n0,1,2\n0,1,,\n", b"y,t,z\n0,1,2\n\t,1,2\n",
+         b"y,t,z\n0,1,2\n0,1,\x0b\n", b"y,t,z\x0b\n0,1,2\n0,1,2\n"],
     )
     def test_byte_path_passes_what_it_cannot_prove_simple(self, tmp_path, content):
         path = tmp_path / "table.csv"
@@ -576,19 +580,27 @@ class TestReaderPaths:
         assert dio._field_codes(path, ["y", "t", "z"], 3) is None
 
     def test_distinct_codes_match_numpy_unique(self, monkeypatch):
-        # each code parses to the rank of its first parse call, so the parsed
-        # column is the inverse of the distinct codes in parse order
+        # each code parses to `step` times the rank of its first parse call, so
+        # the parsed column is `step` times the inverse of the distinct codes in
+        # parse order; at step 2 no byte column of two or more distinct bytes
+        # parses to its bytes plus a constant, so the lookup table fills it
         monkeypatch.setattr(dio, "_spelling", lambda code: code)
         rng = np.random.default_rng(6)
-        for high, dtype in ((3, np.uint64), (1 << 8, np.uint8), (1 << 16, np.uint64),
-                            (1 << 40, np.uint64)):
-            codes = rng.integers(0, high, 1_000).astype(dtype)
-            distinct, inverse = [], np.empty(codes.size, dtype=np.int64)
-            assert dio._parse_codes(codes, lambda code, row: distinct.append(code)
-                                    or len(distinct) - 1, inverse)
-            expected, expected_inverse = np.unique(codes, return_inverse=True)
-            assert distinct == expected.tolist()
-            assert inverse.tolist() == expected_inverse.tolist()
+        inputs = [rng.integers(0, high, 1_000).astype(dtype) for high, dtype in (
+            (3, np.uint64), (1 << 8, np.uint8), (1 << 16, np.uint64), (1 << 40, np.uint64))]
+        inputs += [
+            rng.integers(0x30, 0x33, (1_000, 6)).astype(np.uint8)[:, 2],  # a grid column
+            np.full(1_000, 0x31, dtype=np.uint8),  # one distinct byte
+            rng.permutation(np.arange(0x20, 0x7F, dtype=np.uint8).repeat(9)),  # all printable
+        ]
+        for codes in inputs:
+            for step in (1, 2):
+                distinct, parsed = [], np.empty(codes.size, dtype=np.int64)
+                assert dio._parse_codes(codes, lambda code, row: step * (
+                    distinct.append(code) or len(distinct) - 1), parsed)
+                expected, inverse = np.unique(codes, return_inverse=True)
+                assert distinct == expected.tolist()
+                assert parsed.tolist() == (step * inverse).tolist()
 
     @pytest.mark.parametrize("name", sorted(READERS))
     def test_fixed_stride_files_match_csv_path(self, name, tmp_path_factory):
@@ -612,11 +624,14 @@ class TestReaderPaths:
     @pytest.mark.parametrize(
         "content",
         [b"y,t,z\n10,1,2\n1,10,2\n", b"y,t,z\n0,1,1\n0,1,\n10,1,1\n", b"y,t,z\n0,1,2\n0,1,,\n",
-         b"y,t,z\n0,1,2\n0,1\n1,0,2\n", b"y,t,z\n0,1,2\n0,1,20\n"],
+         b"y,t,z\n0,1,2\n0,1\n1,0,2\n", b"y,t,z\n0,1,2\n0,1,20\n",
+         b"y,t,z\n0,1,2\n0;1;2\n", b"y,t,z\n0,1,2\n0,1\n2\n", b"y,t,z\n0,1,2\n0,1\n2,0,1,2\n"],
     )
     def test_near_fixed_files_give_the_scanned_codes(self, tmp_path, content):
         # a moved comma, a line end off the stride, an extra comma, a line
-        # short by a field, lines of two lengths
+        # short by a field, lines of two lengths; then lines of the stride
+        # whose field columns are plain but whose separator columns hold a
+        # ';', a '\n' where a ',' belongs, and a ',' and '\n' swapped
         path = tmp_path / "table.csv"
         path.write_bytes(content)
         assert not takes_fixed_branch(path, ["y", "t", "z"])
@@ -1156,6 +1171,19 @@ class TestCliPlan:
                 "--delta", "0.05", "--beta", "0.1", "--c1", c1]
         assert main(argv) == 2
         assert "c1 constant must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "epsilon, delta, field",
+        [("1e-170", "0.1", "epsilon"), ("1e-160", "0.1", "epsilon"), ("0.1", "1e-310", "delta")],
+    )
+    def test_accuracy_past_float_range_exits_2(self, instance_file, capsys, epsilon, delta,
+                                               field):
+        argv = ["plan", "--instance", str(instance_file), "--epsilon", epsilon,
+                "--delta", delta, "--beta", "0.1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"error: {field}=[^\n]* is too small: [^\n]*\n", captured.err)
 
 
 class TestCliPlanFlags:
