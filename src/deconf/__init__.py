@@ -34,9 +34,9 @@ from .estimation import (
     EstimationResult,
     StratifiedResult,
     estimate_deconfounded_only,
-    estimate_finite,
+    estimate_finite_counts,
     estimate_stratified_ite,
-    estimate_with_known_confounded,
+    estimate_with_known_confounded_counts,
 )
 from .model import (
     GROUPS,

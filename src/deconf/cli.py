@@ -30,9 +30,9 @@ from .errors import (
 from .estimation import (
     FALLBACKS,
     estimate_deconfounded_only,
-    estimate_finite,
+    estimate_finite_counts,
     estimate_stratified_ite,
-    estimate_with_known_confounded,
+    estimate_with_known_confounded_counts,
 )
 from .model import (
     GROUPS,
@@ -92,8 +92,7 @@ def cmd_estimate(args) -> int:
     fallback = args.fallback or "uniform"
 
     if args.stratified:
-        cols = dio.read_stratified_csv(args.data, args.k)
-        result = estimate_stratified_ite(*cols.T, args.k, fallback)
+        result = estimate_stratified_ite(*dio.read_stratified_csv(args.data, args.k), fallback)
         strata, est = result.strata.tolist(), result.estimates
         if args.json:
             payload = {
@@ -111,15 +110,15 @@ def cmd_estimate(args) -> int:
             print(f"aggregate = {result.aggregate:.10g}")
         return EXIT_OK
 
-    records = dio.read_dataset_csv(args.data, args.k)
-    revealed = records[records[:, 2] >= 0]
+    counts = dio.read_dataset_csv(args.data, args.k)
+    m = counts[:, 1:]  # column 0 counts the rows with an empty z
     if mode == "deconf-only":
-        result = estimate_deconfounded_only(revealed, args.k)
+        result = estimate_deconfounded_only(m)
     elif mode == "known-a":
         a = dio.read_marginal(args.a_file)
-        result = estimate_with_known_confounded(a, revealed, args.k, fallback)
+        result = estimate_with_known_confounded_counts(a, m, fallback)
     else:  # finite
-        result = estimate_finite(records[:, :2], revealed, args.k, fallback)
+        result = estimate_finite_counts(counts.sum(axis=1), m, fallback)
     if args.json:
         print(json.dumps(_result_payload(result), indent=2))
     else:
@@ -270,8 +269,8 @@ def cmd_simulate(args) -> int:
         data_path = args.data or extras["dataset"]
         if data_path is None:
             raise ValidationError("simulate-real needs --data or a 'dataset' config field")
-        records = dio.read_full_table_csv(data_path, config.k)
-        curve = sim.run_empirical_experiment(records, config, workers=args.workers)
+        cells = dio.read_full_table_csv(data_path, config.k)
+        curve = sim.run_empirical_experiment(cells, config, workers=args.workers)
     dio.write_error_curve_csv(curve, args.out)
     print(f"wrote {len(curve.rows)} rows to {args.out}")
     return EXIT_OK

@@ -14,13 +14,13 @@ row (long Monte Carlo sweeps), and either way the group is flagged in
 ``degenerate_groups``. Zero-mass strata of the estimated joint table are
 flagged in ``degenerate_strata``.
 
-Every estimator runs on count tables, n[g] from (y, t) records and m[g, z]
-from (y, t, z) records. The ``*_counts`` variants take a ``(..., 4, k)``
-stack of m tables (n of shape ``(..., 4)``) and check it once per call; a
-single table is a stack with no leading dims. The record-level entry
-points check and count records (the stratified one x, y, t, z columns,
-z = -1 for a hidden confounder, into one table per stratum). Each returns
-one :class:`EstimationResult` of plain arrays over the stack. All but the
+Every estimator takes count tables, n[g] of (y, t) records and m[g, z] of
+(y, t, z) records, as the table readers of :mod:`deconf.io` return them:
+a ``(..., 4, k)`` stack of m tables (n of shape ``(..., 4)``), checked
+once per call by ``_count_stack``; a single table is a stack with no
+leading dims. The stratified estimator takes one ``(4, k + 1)`` table per
+stratum, hidden-z records in column 0. Each returns one
+:class:`EstimationResult` of plain arrays over the stack. All but the
 deconfounded-only baseline make one call of the numeric kernel,
 :func:`q_hat_batch` plus :func:`deconf.model.ate_batch`, and nothing the
 kernel computes is validated again. The simulation engine calls the
@@ -38,7 +38,6 @@ from .model import (
     GROUPS,
     ConfoundedDistribution,
     ate_batch,
-    check_int,
     empty_strata,
     integer_array,
     split_joint,
@@ -52,17 +51,12 @@ def _check_fallback(fallback: str) -> None:
         raise ValidationError(f"fallback must be one of {FALLBACKS}, got {fallback!r}")
 
 
-def _records_array(records, cols: int, name: str) -> np.ndarray:
-    arr = integer_array(records, name)
-    if arr.size == 0:
-        return arr.reshape(0, cols)
-    if arr.ndim != 2 or arr.shape[1] != cols:
-        raise ValidationError(f"{name}: expected rows of {cols} integers")
-    return arr
-
-
 def _count_stack(counts, name: str, shape=None) -> np.ndarray:
-    """``counts`` as non-negative integers of shape ``shape``, or a ``(..., 4, k >= 2)`` stack."""
+    """``counts`` as non-negative integers of shape ``shape``, or a ``(..., 4, k >= 2)`` stack.
+
+    Each table (the last axis under ``shape``, else the last two) must total
+    below 2**63, so that no int64 sum over it wraps.
+    """
     arr = integer_array(counts, name)
     if shape is None and (arr.ndim < 2 or arr.shape[-2] != 4 or arr.shape[-1] < 2):
         expected = "(4, k)" if arr.ndim <= 2 else "(..., 4, k)"
@@ -71,33 +65,14 @@ def _count_stack(counts, name: str, shape=None) -> np.ndarray:
         raise ValidationError(f"{name}: expected shape {shape}, got {arr.shape}")
     if np.any(arr < 0):
         raise ValidationError(f"{name}: entries must be non-negative")
+    axes = (-1,) if shape is not None else (-2, -1)
+    # a float total is far above half the exact one, so only totals near the
+    # limit are summed exactly
+    if np.max(arr.sum(axis=axes, dtype=float), initial=0.0) >= 2.0**62:
+        total = max(map(sum, arr.reshape(-1, np.prod(arr.shape[axes[0]:])).tolist()))
+        if total >= 2**63:
+            raise ValidationError(f"{name}: entries must sum to below 2**63, got {total}")
     return arr
-
-
-def confounded_counts(records) -> np.ndarray:
-    """Group counts n[g] from (y, t) records."""
-    arr = _records_array(records, 2, "confounded records")
-    _validate_bits(arr[:, 0], "y")
-    _validate_bits(arr[:, 1], "t")
-    g = 2 * arr[:, 0] + arr[:, 1]
-    return np.bincount(g, minlength=4)
-
-
-def deconfounded_counts(records, k: int) -> np.ndarray:
-    """Cell counts m[g, z] from (y, t, z) records."""
-    k = check_int(k, "k", 2)
-    arr = _records_array(records, 3, "deconfounded records")
-    _validate_bits(arr[:, 0], "y")
-    _validate_bits(arr[:, 1], "t")
-    if arr.size and (arr[:, 2].min() < 0 or arr[:, 2].max() >= k):
-        raise ValidationError(f"z values must lie in [0, {k})")
-    flat = (2 * arr[:, 0] + arr[:, 1]) * k + arr[:, 2]
-    return np.bincount(flat, minlength=4 * k).reshape(4, k)
-
-
-def _validate_bits(col, name):
-    if col.size and (col.min() < 0 or col.max() > 1):
-        raise ValidationError(f"{name} values must be 0 or 1")
 
 
 class EstimationResult(NamedTuple):
@@ -163,11 +138,14 @@ def _estimate(a_hat, m_counts, fallback: str) -> EstimationResult:
     )
 
 
-def estimate_deconfounded_only(deconfounded, k: int) -> EstimationResult:
-    """Baseline estimator that ignores confounded data: the MLE joint of the cells."""
-    m_counts = deconfounded_counts(deconfounded, k)
-    total = m_counts.sum()
-    if total <= 0:
+def estimate_deconfounded_only(m_counts) -> EstimationResult:
+    """Baseline estimator that ignores confounded data: the MLE joint of the cells.
+
+    ``m_counts`` is a ``(..., 4, k)`` stack; every member needs a record.
+    """
+    m_counts = _count_stack(m_counts, "m_counts")
+    total = m_counts.sum(axis=(-2, -1), keepdims=True)
+    if np.any(total == 0):
         raise ValidationError("need at least one deconfounded record")
     p = m_counts / total
     groups = m_counts.sum(axis=-1) == 0
@@ -185,14 +163,6 @@ def estimate_with_known_confounded_counts(
     return _estimate(np.broadcast_to(a.a, m_counts.shape[:-1]), m_counts, fallback)
 
 
-def estimate_with_known_confounded(
-    a: ConfoundedDistribution, deconfounded, k: int, fallback: str = "uniform"
-) -> EstimationResult:
-    return estimate_with_known_confounded_counts(
-        a, deconfounded_counts(deconfounded, k), fallback
-    )
-
-
 def estimate_finite_counts(n_counts, m_counts, fallback: str = "uniform") -> EstimationResult:
     """Plug-in estimator with both a and q estimated from counts.
 
@@ -206,20 +176,6 @@ def estimate_finite_counts(n_counts, m_counts, fallback: str = "uniform") -> Est
     return _estimate(n_counts / totals, m_counts, fallback)
 
 
-def estimate_finite(
-    confounded, deconfounded, k: int, fallback: str = "uniform"
-) -> EstimationResult:
-    """Plug-in estimator from (y, t) and (y, t, z) records.
-
-    Rows that were deconfounded are still confounded observations, so when
-    the records come from one sampling process the deconfounded ones should
-    also appear among the confounded records.
-    """
-    return estimate_finite_counts(
-        confounded_counts(confounded), deconfounded_counts(deconfounded, k), fallback
-    )
-
-
 class StratifiedResult(NamedTuple):
     strata: np.ndarray  # the x values, sorted
     weights: np.ndarray  # each stratum's share of the records
@@ -227,37 +183,33 @@ class StratifiedResult(NamedTuple):
     aggregate: float
 
 
-def estimate_stratified_ite(x, y, t, z, k: int, fallback: str = "uniform") -> StratifiedResult:
+def estimate_stratified_ite(strata, counts, fallback: str = "uniform") -> StratifiedResult:
     """Covariate-stratified effect: per-x finite estimates, weighted by x share.
 
-    ``x, y, t, z`` are columns of one length; z = -1 marks a hidden
-    confounder. Every record is a confounded observation of its stratum, and
-    records with z >= 0 also count toward its conditionals. All strata are
-    estimated in one batch; under ``fallback="error"`` the first degenerate
-    stratum in sorted-x order is the one reported.
+    ``strata`` are the x values in increasing order and ``counts`` their
+    ``(strata, 4, k + 1)`` tables, as :func:`deconf.io.read_stratified_csv`
+    returns them: column 0 counts a group's records with a hidden
+    confounder and column z + 1 those with z. Every record is a confounded
+    observation of its stratum, and revealed records also count toward its
+    conditionals. All strata are estimated in one batch; under
+    ``fallback="error"`` the first degenerate stratum in x order is the one
+    reported.
     """
-    cols = [integer_array(col, name) for col, name in zip((x, y, t, z), "xytz")]
-    x, y, t, z = cols
-    if any(col.ndim != 1 or col.shape != x.shape for col in cols):
-        raise ValidationError("stratified columns must share one length")
-    k = check_int(k, "k", 2)
-    if x.size == 0:
+    strata, counts = integer_array(strata, "strata"), _count_stack(counts, "counts")
+    if strata.ndim != 1 or np.any(strata[1:] <= strata[:-1]):
+        raise ValidationError("strata: expected strictly increasing integers")
+    if counts.shape != strata.shape + counts.shape[-2:] or counts.shape[-1] < 3:
+        raise ValidationError(
+            f"counts: expected shape ({strata.size}, 4, k + 1) with k >= 2, got {counts.shape}")
+    if strata.size == 0:
         raise ValidationError("stratified dataset is empty")
-    _validate_bits(y, "y")
-    _validate_bits(t, "t")
-    if x.min() < 0:
-        raise ValidationError("x values must be >= 0")
-    if z.min() < -1 or z.max() >= k:
-        raise ValidationError(f"z values must be -1 (hidden) or in [0, {k})")
-    strata, inverse = np.unique(x, return_inverse=True)
-    # one (4, k + 1) table per stratum, hidden records in column 0
-    flat = (4 * inverse + 2 * y + t) * (k + 1) + z + 1
-    cells = np.bincount(flat, minlength=len(strata) * 4 * (k + 1)).reshape(-1, 4, k + 1)
-    n_counts = cells.sum(axis=2)
+    n_counts = counts.sum(axis=2)
     sizes = n_counts.sum(axis=1)
-    weights = sizes / x.size
-    estimates = _estimate(n_counts / sizes[:, None], cells[:, :, 1:], fallback)
+    if not sizes.all():
+        raise ValidationError(f"counts: stratum x={strata[np.argmin(sizes)]} has no records")
+    weights = sizes / sizes.sum(dtype=float)  # a float total cannot wrap
+    estimates = _estimate(n_counts / sizes[:, None], counts[:, :, 1:], fallback)
     aggregate = 0.0
     for weight, ate in zip(weights.tolist(), estimates.ate_hat.tolist()):
-        aggregate += weight * ate  # a running sum in sorted-x order
+        aggregate += weight * ate  # a running sum in x order
     return StratifiedResult(strata, weights, estimates, aggregate)

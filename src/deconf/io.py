@@ -11,13 +11,14 @@ length. ``read_instance`` returns either form as ``model.Parts`` and
 ``read_joint`` as a joint table (``a * q`` of a parts-form file). Dataset
 CSVs have header ``y,t,z`` (plus a leading ``x`` column for stratified
 data); an empty z field marks a confounded record. The table readers return
-the rows as one ``(rows, fields)`` int64 array, with z = -1 where the field
-was empty; the estimators count it. Readers fail fast with the offending row
-or field named, so nothing partially validated reaches the estimators. A
-file that cannot be read or is not UTF-8, and a path that cannot be written,
-raise ``DataFormatError`` naming the path. Integer fields are plain ASCII
-decimal: ``int``'s digit grouping (``1_000``), non-ASCII digits and
-non-ASCII whitespace around a field are rejected.
+count tables, the one form the estimators take: column 0 of a ``(4, k + 1)``
+table counts a group's rows with an empty z and column z + 1 those with z.
+Readers fail fast with the offending row or field named, and count only a
+file that parsed whole, so nothing partially validated reaches the
+estimators. A file that cannot be read or is not UTF-8, and a path that
+cannot be written, raise ``DataFormatError`` naming the path. Integer
+fields are plain ASCII decimal: ``int``'s digit grouping (``1_000``),
+non-ASCII digits and non-ASCII whitespace around a field are rejected.
 
 The table readers parse bytes with numpy when they can prove a file simple:
 printable ASCII without ``"``, every line ending in ``\n``, the header,
@@ -454,22 +455,46 @@ def _read_int_columns_csv(path, header: List[str], parsers) -> np.ndarray:
     return out
 
 
-def read_dataset_csv(path, k: int) -> np.ndarray:
-    """Read ``y,t,z`` rows as a ``(rows, 3)`` int array; z = -1 marks a hidden confounder."""
-    z = partial(_parse_z, k=check_int(k, "k", 2))
+def _read_rows(path, k: int, stratified: bool = False, required: bool = False) -> np.ndarray:
+    """The ``[x,] y, t, z`` rows of a table as a ``(rows, fields)`` int64 array.
+
+    z = -1 marks an empty z field, which ``required`` rejects.
+    """
+    z = partial(_parse_z, k=check_int(k, "k", 2), required=required)
+    if stratified:
+        return _read_int_columns(path, ["x", "y", "t", "z"], (_parse_x, _Y, _T, z))
     return _read_int_columns(path, ["y", "t", "z"], (_Y, _T, z))
 
 
-def read_stratified_csv(path, k: int) -> np.ndarray:
-    """Read ``x,y,t,z`` rows as a ``(rows, 4)`` int array; z = -1 marks a hidden confounder."""
-    z = partial(_parse_z, k=check_int(k, "k", 2))
-    return _read_int_columns(path, ["x", "y", "t", "z"], (_parse_x, _Y, _T, z))
+def _count_rows(rows: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct x values of ``_read_rows`` and one ``(4, k + 1)`` table each.
+
+    Column 0 of a table counts the rows with z = -1 and column z + 1 those
+    with z. Rows without an x column are one stratum, x = 0.
+    """
+    y, t, z = rows[:, -3:].T
+    strata, index = (np.unique(rows[:, 0], return_inverse=True) if rows.shape[1] == 4
+                     else (np.zeros(1, dtype=np.int64), 0))
+    flat = (4 * index + 2 * y + t) * (k + 1) + z + 1
+    return strata, np.bincount(flat, minlength=strata.size * 4 * (k + 1)).reshape(-1, 4, k + 1)
+
+
+def read_dataset_csv(path, k: int) -> np.ndarray:
+    """The ``(4, k + 1)`` counts of ``y,t,z`` rows: column 0 for an empty z, z + 1 for z."""
+    return _count_rows(_read_rows(path, k), k)[1][0]
+
+
+def read_stratified_csv(path, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct x of ``x,y,t,z`` rows and their ``(S, 4, k + 1)`` counts.
+
+    Each table is laid out as :func:`read_dataset_csv`'s.
+    """
+    return _count_rows(_read_rows(path, k, stratified=True), k)
 
 
 def read_full_table_csv(path, k: int) -> np.ndarray:
-    """Read a fully deconfounded ``y,t,z`` table (no empty z allowed)."""
-    z = partial(_parse_z, k=check_int(k, "k", 2), required=True)
-    return _read_int_columns(path, ["y", "t", "z"], (_Y, _T, z))
+    """The ``(4, k)`` cell counts of a fully deconfounded ``y,t,z`` table (no empty z)."""
+    return _count_rows(_read_rows(path, k, required=True), k)[1][0, :, 1:]
 
 
 CURVE_HEADER = [

@@ -64,11 +64,11 @@ def check_int(value, name: str, minimum: int) -> int:
 
 
 def integer_array(values, name: str) -> np.ndarray:
-    """``values`` as an int array; non-integral or non-numeric entries raise."""
+    """``values`` as an int array; non-integral, bool or non-numeric entries raise."""
     arr = np.asarray(values)
     if arr.dtype.kind == "f" and np.all(np.isfinite(arr)) and np.all(arr == np.trunc(arr)):
         return arr.astype(int)
-    if arr.dtype.kind not in "biu":
+    if arr.dtype.kind not in "iu":
         raise ValidationError(f"{name}: entries must be integers")
     return arr.astype(int, copy=False)
 

@@ -67,7 +67,7 @@ import numpy as np
 
 from . import estimation
 from .errors import ExhaustedError, ValidationError
-from .estimation import deconfounded_counts, q_hat_batch
+from .estimation import q_hat_batch
 from .model import (
     GROUPS,
     ConditionalTable,
@@ -385,19 +385,23 @@ def run_infinite_experiment(
 
 
 def run_empirical_experiment(
-    records, config: ExperimentConfig, workers: int = 1
+    cells, config: ExperimentConfig, workers: int = 1
 ) -> ErrorCurve:
     """Replications against a complete (y, t, z) table as ground truth.
 
-    The empirical joint of the full table defines the true ATE and the
-    (exact) marginal used for policy weights. Past validation only the
-    ``(4, k)`` cell counts are used, in one work item: every policy reveals
-    prefixes of one uniform random order per (replication, group), and the
-    baseline prefixes of one of the whole table. The draws hold
+    ``cells`` are the table's ``(4, k)`` counts, as
+    :func:`deconf.io.read_full_table_csv` returns them. Their joint defines
+    the true ATE and the (exact) marginal used for policy weights. The run
+    is one work item: every policy reveals prefixes of one uniform random
+    order per (replication, group), and the baseline prefixes of one of the
+    whole table. The draws hold
     O(replications * len(methods) * len(m_grid) * 4k) int64 counts at once.
     """
     _check_not_finite(config, workers)
-    cells = deconfounded_counts(records, config.k)
+    cells = estimation._count_stack(cells, "cells")  # through the module, as in ExperimentConfig
+    if cells.shape != (4, config.k):
+        raise ValidationError(
+            f"cells: expected shape (4, {config.k}) for config k={config.k}, got {cells.shape}")
     total = int(cells.sum())
     if total == 0:
         raise ValidationError("empirical dataset is empty")

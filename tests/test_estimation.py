@@ -18,51 +18,39 @@ from deconf import (
     ate_exact,
     binary_conditional,
     estimate_deconfounded_only,
-    estimate_finite,
+    estimate_finite_counts,
     estimate_stratified_ite,
-    estimate_with_known_confounded,
+    estimate_with_known_confounded_counts,
     joint_from_parts,
     parts_from_joint,
     random_instance,
 )
-from deconf.estimation import (
-    FALLBACKS,
-    StratifiedResult,
-    deconfounded_counts,
-    estimate_finite_counts,
-    estimate_with_known_confounded_counts,
-    q_hat_batch,
-)
+from deconf.estimation import FALLBACKS, StratifiedResult, q_hat_batch
 from deconf.model import ate_batch, empty_strata
 from test_model import brute_force_ate, example_instance
 
 EXACT = 1e-12
 
 
-def records_from_cells(cells):
-    """Expand a 4 x k integer cell table into explicit (y, t, z) rows."""
-    rows = []
-    for g, (y, t) in enumerate(GROUPS):
-        for z, count in enumerate(cells[g]):
-            rows.extend([(y, t, z)] * int(count))
-    return np.array(rows)
+def with_hidden(cells, hidden=0):
+    """A ``(..., 4, k)`` cell table as the stratified layout: ``hidden`` counts in column 0."""
+    cells = np.asarray(cells)
+    return np.concatenate([np.broadcast_to(hidden, cells.shape[:-1] + (1,)), cells], axis=-1)
 
 
-def ref_estimate_stratified_ite(x, y, t, z, k, fallback="uniform"):
+def ref_estimate_stratified_ite(strata, counts, fallback="uniform"):
     """The per-stratum loop the batched stratified estimator replaced.
 
-    One scalar finite estimate per x value in sorted order, each computed
-    through the validated model objects, weighted by the stratum's share;
-    the per-stratum values are stacked into one result at the end.
+    One scalar finite estimate per stratum in order, each computed through
+    the validated model objects, weighted by the stratum's share; the
+    per-stratum values are stacked into one result at the end.
     """
-    x, y, t, z = (np.asarray(col) for col in (x, y, t, z))
-    strata, weights, members, aggregate = [], [], [], 0.0
-    for xv in np.unique(x):
-        mask = x == xv
-        rev = mask & (z >= 0)
-        n_counts = np.bincount(2 * y[mask] + t[mask], minlength=4).astype(float)
-        flat = (2 * y[rev] + t[rev]) * k + z[rev]
-        m_counts = np.bincount(flat, minlength=4 * k).reshape(4, k).astype(float)
+    strata, counts = np.asarray(strata), np.asarray(counts)
+    total = int(counts.sum())
+    weights, members, aggregate = [], [], 0.0
+    for table in counts:
+        n_counts = table.sum(axis=1).astype(float)
+        m_counts = table[:, 1:].astype(float)
         a_hat = ConfoundedDistribution(n_counts / n_counts.sum())
         q_hat = ConditionalTable(q_hat_batch(m_counts, a_hat.a, fallback))
         joint = joint_from_parts(a_hat, q_hat)
@@ -70,18 +58,17 @@ def ref_estimate_stratified_ite(x, y, t, z, k, fallback="uniform"):
         members.append(
             (ate, a_hat.a, q_hat.q, m_counts.sum(axis=1) == 0, empty_strata(joint.p))
         )
-        weight = float(mask.sum()) / x.shape[0]
-        strata.append(int(xv))
+        weight = float(table.sum()) / total
         weights.append(weight)
         aggregate += weight * ate
     estimates = EstimationResult(*(np.array(field) for field in zip(*members)))
-    return StratifiedResult(np.array(strata), np.array(weights), estimates, aggregate)
+    return StratifiedResult(strata, np.array(weights), estimates, aggregate)
 
 
-def stratified_outcome(estimate, cols, k, fallback):
+def stratified_outcome(estimate, strata, counts, fallback):
     """Every value of a stratified result by ``repr``, or the error message it raised."""
     try:
-        result = estimate(*cols, k, fallback)
+        result = estimate(strata, counts, fallback)
     except DegenerateGroupError as exc:
         return str(exc)
     return (
@@ -121,18 +108,18 @@ def count_stacks(draw):
 
 
 @st.composite
-def stratified_columns(draw):
-    """x, y, t, z columns and k; some strata have every z hidden, many have empty groups."""
+def stratified_tables(draw):
+    """Increasing strata and their (S, 4, k + 1) tables; some strata have every
+    z hidden, many have empty groups, and every stratum has a record."""
     k = draw(st.integers(2, 4))
-    strata = draw(st.lists(st.integers(0, 10**12), min_size=1, max_size=8, unique=True))
-    hidden = draw(st.sets(st.sampled_from(strata)))
-    rows = draw(st.lists(
-        st.tuples(st.sampled_from(strata), st.integers(0, 1), st.integers(0, 1),
-                  st.integers(-1, k - 1)),
-        min_size=1, max_size=80,
-    ))
-    rows = [(x, y, t, -1 if x in hidden else z) for x, y, t, z in rows]
-    return [np.array(col) for col in zip(*rows)], k
+    strata = sorted(draw(st.lists(st.integers(0, 10**12), min_size=1, max_size=8, unique=True)))
+    size = len(strata) * 4 * (k + 1)
+    cells = st.lists(st.sampled_from((0, 0, 1, 3)), min_size=size, max_size=size)
+    counts = np.array(draw(cells), dtype=int).reshape(-1, 4, k + 1)
+    hidden = draw(st.lists(st.booleans(), min_size=len(strata), max_size=len(strata)))
+    counts[np.array(hidden), :, 1:] = 0
+    counts[counts.sum(axis=(1, 2)) == 0, 0, 0] = 1
+    return np.array(strata), counts
 
 
 class TestDeconfoundedOnly:
@@ -140,13 +127,13 @@ class TestDeconfoundedOnly:
         a, q = example_instance()
         joint = joint_from_parts(a, q)
         cells = (joint.p * 1000).round().astype(int)  # all cells integral here
-        result = estimate_deconfounded_only(records_from_cells(cells), k=2)
+        result = estimate_deconfounded_only(cells)
         assert result.ate_hat == pytest.approx(ate_exact(joint), abs=EXACT)
 
     def test_single_record_one_hot_table(self):
         # the whole mass sits on (y=1, t=1, z=0): the t=1 conditional at z=0
         # is 1, the empty t=0 stratum contributes 0 by convention
-        result = estimate_deconfounded_only(np.array([[1, 1, 0]]), k=2)
+        result = estimate_deconfounded_only([[0, 0], [0, 0], [0, 0], [1, 0]])
         assert result.ate_hat == pytest.approx(
             brute_force_ate([[0, 0], [0, 0], [0, 0], [1, 0]]), abs=EXACT
         )
@@ -164,14 +151,18 @@ class TestDeconfoundedOnly:
         for seed in range(200):
             rng = np.random.default_rng(seed)
             cells = rng.multinomial(10_000, flat).reshape(4, 2)
-            result = estimate_deconfounded_only(records_from_cells(cells), k=2)
+            result = estimate_deconfounded_only(cells)
             if abs(result.ate_hat - truth) >= 0.05:
                 failures += 1
         assert failures <= 2
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValidationError):
-            estimate_deconfounded_only(np.empty((0, 3), dtype=int), k=2)
+        with pytest.raises(ValidationError) as info:
+            estimate_deconfounded_only(np.zeros((4, 2), dtype=int))
+        assert str(info.value) == "need at least one deconfounded record"
+        with pytest.raises(ValidationError) as info:  # one empty member of a stack
+            estimate_deconfounded_only([[[1, 0]] * 4, [[0, 0]] * 4])
+        assert str(info.value) == "need at least one deconfounded record"
 
 
 class TestKnownConfounded:
@@ -179,23 +170,20 @@ class TestKnownConfounded:
         a, q = example_instance()
         # per-group record counts realizing q exactly (denominators of 10)
         cells = (q.q * 10).round().astype(int)
-        result = estimate_with_known_confounded(a, records_from_cells(cells), k=2)
+        result = estimate_with_known_confounded_counts(a, cells)
         assert result.ate_hat == pytest.approx(0.43349321266968324, abs=EXACT)
 
     def test_zero_mass_group_ignored(self):
         a = ConfoundedDistribution(np.array([0.5, 0.0, 0.2, 0.3]))
         cells = np.array([[3, 3], [0, 0], [2, 4], [1, 5]])
-        result = estimate_with_known_confounded(
-            a, records_from_cells(cells), k=2, fallback="error"
-        )
+        result = estimate_with_known_confounded_counts(a, cells, fallback="error")
         assert result.degenerate_groups.tolist() == [False, True, False, False]  # no error
         expected = ate_exact(joint_from_parts(a, ConditionalTable(result.q_hat)))
         assert result.ate_hat == pytest.approx(expected, abs=EXACT)
 
     def test_identical_rows_collapse(self):
         a = ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3]))
-        cells = np.array([[4, 6]] * 4)
-        result = estimate_with_known_confounded(a, records_from_cells(cells), k=2)
+        result = estimate_with_known_confounded_counts(a, [[4, 6]] * 4)
         naive = 0.3 / 0.4 - 0.2 / 0.6
         assert result.ate_hat == pytest.approx(naive, abs=EXACT)
 
@@ -203,12 +191,8 @@ class TestKnownConfounded:
         a = ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3]))
         cells = np.array([[3, 3], [0, 0], [2, 4], [1, 5]])
         with pytest.raises(DegenerateGroupError):
-            estimate_with_known_confounded(
-                a, records_from_cells(cells), k=2, fallback="error"
-            )
-        result = estimate_with_known_confounded(
-            a, records_from_cells(cells), k=2, fallback="uniform"
-        )
+            estimate_with_known_confounded_counts(a, cells, fallback="error")
+        result = estimate_with_known_confounded_counts(a, cells, fallback="uniform")
         assert result.degenerate_groups.tolist() == [False, True, False, False]
         assert np.allclose(result.q_hat[1], 0.5, atol=EXACT)
 
@@ -245,17 +229,14 @@ class TestKnownConfounded:
 class TestFinite:
     def test_exact_proportions_match_plugin_value(self):
         a, q = example_instance()
-        conf = np.repeat(
-            [[y, t] for (y, t) in GROUPS], (a.a * 100).round().astype(int), axis=0
-        )
-        dec = records_from_cells((q.q * 10).round().astype(int))
-        result = estimate_finite(conf, dec, 2)
+        n_counts = (a.a * 100).round().astype(int)
+        cells = (q.q * 10).round().astype(int)
+        result = estimate_finite_counts(n_counts, cells)
         assert result.ate_hat == pytest.approx(0.43349321266968324, abs=EXACT)
 
     def test_tiny_dataset_hand_oracle(self):
-        conf = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
-        dec = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 0], [1, 1, 1]])
-        result = estimate_finite(conf, dec, 2)
+        cells = [[1, 0], [0, 1], [1, 0], [0, 1]]
+        result = estimate_finite_counts([1, 1, 1, 1], cells)
         # a_hat uniform, q rows one-hot: joint table known in closed form
         table = [[0.25, 0.0], [0.0, 0.25], [0.25, 0.0], [0.0, 0.25]]
         assert result.ate_hat == pytest.approx(brute_force_ate(table), abs=EXACT)
@@ -265,10 +246,8 @@ class TestFinite:
         for _ in range(20):
             joint = random_instance(2, rng)
             cells = rng.multinomial(60, joint.p.ravel()).reshape(4, 2)
-            dec = records_from_cells(cells)
-            conf = dec[:, :2]
-            finite = estimate_finite(conf, dec, 2)
-            alone = estimate_deconfounded_only(dec, 2)
+            finite = estimate_finite_counts(cells.sum(axis=1), cells)
+            alone = estimate_deconfounded_only(cells)
             assert finite.ate_hat == pytest.approx(alone.ate_hat, abs=EXACT)
 
     def test_known_a_is_finite_with_exact_marginal(self):
@@ -279,102 +258,18 @@ class TestFinite:
         known = estimate_with_known_confounded_counts(a, cells)
         assert finite.ate_hat == pytest.approx(known.ate_hat, abs=EXACT)
 
-    def test_empty_confounded_rejected(self):
-        with pytest.raises(ValidationError):
-            estimate_finite(np.empty((0, 2), dtype=int), np.array([[0, 0, 0]]), 2)
-
-
-class TestRecordValidation:
-    def test_non_integral_records_rejected(self):
-        a = ConfoundedDistribution(np.full(4, 0.25))
-        with pytest.raises(ValidationError, match="integers"):
-            estimate_with_known_confounded(a, [[0.7, 1, 0], [1, 1, 1]], 2)
-        with pytest.raises(ValidationError, match="integers"):
-            estimate_finite([[0, 1.5]], [[0, 1, 0]], 2)
-
-    def test_integral_float_records_accepted(self):
-        a = ConfoundedDistribution(np.full(4, 0.25))
-        as_float = estimate_with_known_confounded(a, [[0.0, 1.0, 0.0], [1, 1, 1]], 2)
-        as_int = estimate_with_known_confounded(a, [[0, 1, 0], [1, 1, 1]], 2)
-        assert as_float.ate_hat == as_int.ate_hat
-
-    def test_non_integral_stratified_columns_rejected(self):
-        with pytest.raises(ValidationError, match="x: entries must be integers"):
-            estimate_stratified_ite([0.5, 1], [0, 1], [1, 0], [0, -1], 2)
-        with pytest.raises(ValidationError, match="z: entries must be integers"):
-            estimate_stratified_ite([0, 1], [0, 1], [1, 0], [0.2, -1], 2)
-
-    def test_caller_arrays_stay_writeable(self):
-        conf = np.array([[0, 1], [1, 0]])
-        dec = np.array([[0, 1, 1]])
-        estimate_finite(conf, dec, 2)
-        assert conf.flags.writeable and dec.flags.writeable
-        assert conf.tolist() == [[0, 1], [1, 0]] and dec.tolist() == [[0, 1, 1]]
-        cols = [np.array([0, 1]), np.array([0, 1]), np.array([1, 0]), np.array([0, -1])]
-        estimate_stratified_ite(*cols, 2)
-        assert all(col.flags.writeable for col in cols)
-        assert [col.tolist() for col in cols] == [[0, 1], [0, 1], [1, 0], [0, -1]]
-
-    @pytest.mark.parametrize("confounded, deconfounded, message", [
-        ([[0, 1]], [0, 1, 0], "deconfounded records: expected rows of 3 integers"),
-        ([[0, 1]], [[0, 1]], "deconfounded records: expected rows of 3 integers"),
-        ([[0, 1]], [[[0, 1, 0]]], "deconfounded records: expected rows of 3 integers"),
-        ([[0, 1, 0]], [[0, 1, 0]], "confounded records: expected rows of 2 integers"),
-    ])
-    def test_records_not_in_rows_rejected(self, confounded, deconfounded, message):
-        with pytest.raises(ValidationError) as info:
-            estimate_finite(confounded, deconfounded, 2)
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize("z", [-1, 2, 5])
-    def test_z_outside_k_rejected(self, z):
-        with pytest.raises(ValidationError) as info:
-            deconfounded_counts([[0, 1, 0], [1, 1, z]], 2)
-        assert str(info.value) == "z values must lie in [0, 2)"
-
-    @pytest.mark.parametrize("k", [2.5, True, "2", 1])
-    def test_bad_k_rejected(self, k):
-        with pytest.raises(ValidationError, match="k must be"):
-            estimate_finite([[0, 1]], [[0, 1, 0]], k)
-        with pytest.raises(ValidationError, match="k must be"):
-            estimate_stratified_ite([0], [0], [1], [0], k)
-
-    def test_numpy_k_accepted(self):
-        assert deconfounded_counts([[0, 1, 0]], np.int64(3)).shape == (4, 3)
-        assert estimate_finite([[0, 1]], [[0, 1, 0]], np.int64(3)).q_hat.shape == (4, 3)
-        result = estimate_stratified_ite([0], [0], [1], [2], np.int64(3))
-        assert result.estimates.q_hat.shape == (1, 4, 3)
-
-    @pytest.mark.parametrize("value", [-1, 2, 7])
-    def test_bit_columns_name_y_or_t(self, value):
-        for col, name in ((0, "y"), (1, "t")):
-            conf, dec = [[0, 1], [1, 0]], [[0, 1, 0], [1, 1, 1]]
-            conf[1][col] = dec[1][col] = value
-            with pytest.raises(ValidationError) as info:
-                estimate_finite(conf, [[0, 1, 0]], 2)
-            assert str(info.value) == f"{name} values must be 0 or 1"
-            with pytest.raises(ValidationError) as info:
-                estimate_finite([[0, 1]], dec, 2)
-            assert str(info.value) == f"{name} values must be 0 or 1"
-            cols = [[0, 1], [0, 1], [1, 0], [0, -1]]
-            cols[1 + col][1] = value
-            with pytest.raises(ValidationError) as info:
-                estimate_stratified_ite(*cols, 2)
-            assert str(info.value) == f"{name} values must be 0 or 1"
-
 
 class TestEquivariance:
     def test_z_relabeling_permutes_q_and_fixes_ate(self):
         rng = np.random.default_rng(7)
         joint = random_instance(3, rng)
         cells = rng.multinomial(500, joint.p.ravel()).reshape(4, 3)
-        records = records_from_cells(cells)
         perm = np.array([2, 0, 1])
-        relabeled = records.copy()
-        relabeled[:, 2] = perm[records[:, 2]]
+        relabeled = np.empty_like(cells)
+        relabeled[:, perm] = cells  # z becomes perm[z]
         a = parts_from_joint(joint).a
-        base = estimate_with_known_confounded(a, records, k=3)
-        moved = estimate_with_known_confounded(a, relabeled, k=3)
+        base = estimate_with_known_confounded_counts(a, cells)
+        moved = estimate_with_known_confounded_counts(a, relabeled)
         assert moved.ate_hat == base.ate_hat  # bitwise: same sums, same order
         inverse = np.argsort(perm)
         assert np.array_equal(moved.q_hat[:, perm], base.q_hat) or np.array_equal(
@@ -387,28 +282,29 @@ class TestStratified:
         rng = np.random.default_rng(3)
         joint = random_instance(2, rng)
         cells = rng.multinomial(200, joint.p.ravel()).reshape(4, 2)
-        dec = records_from_cells(cells)
-        result = estimate_stratified_ite(
-            np.zeros(len(dec), dtype=int), dec[:, 0], dec[:, 1], dec[:, 2], 2
-        )
-        direct = estimate_finite(dec[:, :2], dec, 2)
+        result = estimate_stratified_ite([0], with_hidden(cells)[None])
+        direct = estimate_finite_counts(cells.sum(axis=1), cells)
         assert result.aggregate == pytest.approx(direct.ate_hat, abs=EXACT)
         assert result.strata.tolist() == [0]
         assert result.weights.tolist() == [1.0]
 
+    def test_hidden_records_count_only_toward_a(self):
+        cells = np.array([[3, 1], [2, 2], [1, 3], [4, 0]])
+        hidden = np.array([5, 0, 2, 1])
+        result = estimate_stratified_ite([7], with_hidden(cells, hidden[:, None])[None])
+        direct = estimate_finite_counts(cells.sum(axis=1) + hidden, cells)
+        assert result.aggregate == direct.ate_hat
+        assert result.estimates.a_hat[0].tobytes() == direct.a_hat.tobytes()
+
     def test_equal_strata_average(self):
         rng = np.random.default_rng(11)
-        parts = []
-        for _ in range(2):
-            joint = random_instance(2, rng)
-            cells = rng.multinomial(150, joint.p.ravel()).reshape(4, 2)
-            parts.append(records_from_cells(cells))
-        # pad to identical sizes so the empirical x-weights are 0.5 / 0.5
-        size = min(len(p) for p in parts)
-        parts = [p[:size] for p in parts]
-        x = np.concatenate([np.full(size, 0), np.full(size, 1)])
-        rows = np.vstack(parts)
-        result = estimate_stratified_ite(x, rows[:, 0], rows[:, 1], rows[:, 2], 2)
+        # 150 records in each stratum, so the empirical x-weights are 0.5 / 0.5
+        counts = np.stack([
+            with_hidden(rng.multinomial(150, random_instance(2, rng).p.ravel()).reshape(4, 2))
+            for _ in range(2)
+        ])
+        result = estimate_stratified_ite([0, 1], counts)
+        assert result.weights.tolist() == [0.5, 0.5]
         mean = 0.5 * (result.estimates.ate_hat[0] + result.estimates.ate_hat[1])
         assert result.aggregate == pytest.approx(mean, abs=EXACT)
 
@@ -416,50 +312,44 @@ class TestStratified:
         a, q = example_instance()
         joint1 = joint_from_parts(a, q)
         joint2 = joint_from_parts(a, binary_conditional((0.3, 0.9, 0.4, 0.2)))
-        blocks = []
-        truths = []
-        sizes = []
+        tables, truths, sizes = [], [], []
         for joint in (joint1, joint2):
             cells = (joint.p * 1000).round().astype(int)
-            blocks.append(records_from_cells(cells))
+            tables.append(with_hidden(cells))
             truths.append(ate_exact(joint))
             sizes.append(int(cells.sum()))
-        x = np.concatenate([np.full(sizes[0], 0), np.full(sizes[1], 1)])
-        rows = np.vstack(blocks)
-        result = estimate_stratified_ite(x, rows[:, 0], rows[:, 1], rows[:, 2], 2)
+        result = estimate_stratified_ite([0, 1], np.stack(tables))
         total = sum(sizes)
         expected = sum(t * s / total for t, s in zip(truths, sizes))
         assert result.aggregate == pytest.approx(expected, abs=EXACT)
 
-
-    @given(stratified_columns(), st.sampled_from(FALLBACKS))
+    @given(stratified_tables(), st.sampled_from(FALLBACKS))
     @settings(max_examples=300, deadline=None)
     def test_batched_matches_per_stratum_loop(self, data, fallback):
-        cols, k = data
-        expected = stratified_outcome(ref_estimate_stratified_ite, cols, k, fallback)
-        assert stratified_outcome(estimate_stratified_ite, cols, k, fallback) == expected
+        strata, counts = data
+        expected = stratified_outcome(ref_estimate_stratified_ite, strata, counts, fallback)
+        assert stratified_outcome(estimate_stratified_ite, strata, counts, fallback) == expected
 
     def test_large_table_matches_per_stratum_loop(self):
         rng = np.random.default_rng(12)
-        rows = 20_000
-        x = rng.integers(0, 500, rows) * 7
-        cols = [x, rng.integers(0, 2, rows), rng.integers(0, 2, rows), rng.integers(-1, 3, rows)]
-        cols[3][x % 5 == 0] = -1  # every fifth stratum has no revealed record
-        expected = stratified_outcome(ref_estimate_stratified_ite, cols, 3, "uniform")
-        assert stratified_outcome(estimate_stratified_ite, cols, 3, "uniform") == expected
+        strata = np.arange(500) * 7
+        counts = rng.multinomial(40, np.full(16, 1 / 16), size=500).reshape(500, 4, 4)
+        counts[::5, :, 1:] = 0  # every fifth stratum has no revealed record
+        counts[::5, :, 0] += 1
+        expected = stratified_outcome(ref_estimate_stratified_ite, strata, counts, "uniform")
+        assert stratified_outcome(estimate_stratified_ite, strata, counts, "uniform") == expected
 
     def test_error_names_first_degenerate_stratum_in_x_order(self):
-        # x=5 lacks reveals in (y=1,t=0); x=2, first in sorted order, in (y=0,t=1)
-        full = [(y, t, z) for y in (0, 1) for t in (0, 1) for z in (0, 1)]
-        rows = [(5, y, t, -1 if (y, t) == (1, 0) else z) for y, t, z in full]
-        rows += [(2, y, t, -1 if (y, t) == (0, 1) else z) for y, t, z in full]
-        rows += [(9, y, t, z) for y, t, z in full]
-        cols = [np.array(col) for col in zip(*rows)]
+        # x=5 lacks reveals in (y=1,t=0); x=2, first in x order, in (y=0,t=1)
+        full = np.ones((4, 2), dtype=int)
+        counts = np.stack([with_hidden(full) for _ in range(3)])
+        counts[0, 1] = [2, 0, 0]  # x=2, group (0,1): both records hidden
+        counts[1, 2] = [2, 0, 0]  # x=5, group (1,0)
         for estimate in (estimate_stratified_ite, ref_estimate_stratified_ite):
             with pytest.raises(DegenerateGroupError) as info:
-                estimate(*cols, 2, "error")
+                estimate([2, 5, 9], counts, "error")
             assert info.value.groups == ((0, 1),)
-        result = estimate_stratified_ite(*cols, 2)
+        result = estimate_stratified_ite([2, 5, 9], counts)
         assert result.strata.tolist() == [2, 5, 9]
         assert result.estimates.degenerate_groups.tolist() == [
             [False, True, False, False],
@@ -468,23 +358,35 @@ class TestStratified:
         ]
 
     @pytest.mark.parametrize(
-        "cols, message",
+        "strata, counts, message",
         [
-            (([], [], [], []), "stratified dataset is empty"),
-            (([0, -1], [0, 1], [1, 0], [0, -1]), "x values must be >= 0"),
-            (([0, 1], [0, 1], [1, 0], [0, 2]), "z values must be -1 (hidden) or in [0, 2)"),
-            (([0, 1], [0, 1], [1, 0], [0, -2]), "z values must be -1 (hidden) or in [0, 2)"),
-            (([0, 1], [0, 1], [1, 0], [0]), "stratified columns must share one length"),
+            ([], np.zeros((0, 4, 3)), "stratified dataset is empty"),
+            ([0, 1], np.ones((3, 4, 3)),
+             "counts: expected shape (2, 4, k + 1) with k >= 2, got (3, 4, 3)"),
+            ([0], np.ones((4, 3)), "counts: expected shape (1, 4, k + 1) with k >= 2, got (4, 3)"),
+            ([0, 1], np.ones((2, 4, 2)),
+             "counts: expected shape (2, 4, k + 1) with k >= 2, got (2, 4, 2)"),
+            ([0, 1], np.ones((2, 3, 3)),
+             "counts: expected shape (..., 4, k) with k >= 2, got (2, 3, 3)"),
+            ([1, 0], np.ones((2, 4, 3)), "strata: expected strictly increasing integers"),
+            ([1, 1], np.ones((2, 4, 3)), "strata: expected strictly increasing integers"),
+            ([[0, 1]], np.ones((1, 2, 4, 3)), "strata: expected strictly increasing integers"),
+            ([0.5, 1], np.ones((2, 4, 3)), "strata: entries must be integers"),
+            ([False, True], np.ones((2, 4, 3)), "strata: entries must be integers"),
+            ([0, 1], np.full((2, 4, 3), 0.5), "counts: entries must be integers"),
+            ([0, 1], -np.ones((2, 4, 3)), "counts: entries must be non-negative"),
+            ([0, 4], np.stack([np.ones((4, 3)), np.zeros((4, 3))]),
+             "counts: stratum x=4 has no records"),
         ],
     )
-    def test_column_messages(self, cols, message):
+    def test_messages(self, strata, counts, message):
         with pytest.raises(ValidationError) as info:
-            estimate_stratified_ite(*cols, 2)
+            estimate_stratified_ite(strata, counts)
         assert str(info.value) == message
 
 
 class TestCountValidation:
-    """The ``*_counts`` estimators reject what no record set could count to."""
+    """The count estimators reject what no record set could count to."""
 
     @pytest.mark.parametrize(
         "m_counts, message",
@@ -494,6 +396,11 @@ class TestCountValidation:
             ([[1], [1], [1], [1]], "m_counts: expected shape (4, k) with k >= 2, got (4, 1)"),
             ([1, 1, 1, 1], "m_counts: expected shape (4, k) with k >= 2, got (4,)"),
             ([[1, 1]] * 3, "m_counts: expected shape (4, k) with k >= 2, got (3, 2)"),
+            (np.ones((4, 2), dtype=bool), "m_counts: entries must be integers"),
+            ([[2**62, 2**62], [1, 1], [1, 1], [1, 1]],
+             "m_counts: entries must sum to below 2**63, got 9223372036854775814"),
+            ([[[1, 1]] * 4, [[2**62, 0], [2**62, 0], [0, 0], [0, 0]]],
+             "m_counts: entries must sum to below 2**63, got 9223372036854775808"),
         ],
     )
     def test_bad_m_counts_rejected(self, m_counts, message):
@@ -502,7 +409,10 @@ class TestCountValidation:
             estimate_with_known_confounded_counts(a, m_counts)
         assert str(info.value) == message
         with pytest.raises(ValidationError) as info:
-            estimate_finite_counts([1, 1, 1, 1], m_counts)
+            estimate_finite_counts(np.ones(np.shape(m_counts)[:-1], dtype=int), m_counts)
+        assert str(info.value) == message
+        with pytest.raises(ValidationError) as info:
+            estimate_deconfounded_only(m_counts)
         assert str(info.value) == message
 
     @pytest.mark.parametrize(
@@ -513,12 +423,24 @@ class TestCountValidation:
             ([1, 1, 1], "n_counts: expected shape (4,), got (3,)"),
             ([[1, 1, 1, 1]], "n_counts: expected shape (4,), got (1, 4)"),
             ([0, 0, 0, 0], "a: cannot normalize all-zero counts"),
+            ([True, True, False, True], "n_counts: entries must be integers"),
+            ([2**62] * 4, "n_counts: entries must sum to below 2**63, got 18446744073709551616"),
+            ([2**62, 2**62, 2**62, 1],
+             "n_counts: entries must sum to below 2**63, got 13835058055282163713"),
         ],
     )
     def test_bad_n_counts_rejected(self, n_counts, message):
         with pytest.raises(ValidationError) as info:
             estimate_finite_counts(n_counts, [[1, 1]] * 4)
         assert str(info.value) == message
+
+    def test_totals_just_below_2_63_accepted(self):
+        n = estimate_finite_counts([2**62, 2**62 - 1, 0, 0], [[1, 1]] * 4)
+        assert n.a_hat.tolist() == [0.5, 0.5, 0.0, 0.0]
+        a = ConfoundedDistribution(np.full(4, 0.25))
+        m = estimate_with_known_confounded_counts(a, [[2**62, 2**62 - 7], [1, 1], [1, 1], [1, 1]])
+        assert m.q_hat[0].tolist() == [0.5, 0.5]
+        assert m.degenerate_groups.tolist() == [False] * 4
 
     def test_integral_float_counts_accepted(self):
         cells = [[3, 1], [0, 0], [4, 4], [1, 0]]
@@ -527,6 +449,16 @@ class TestCountValidation:
         assert as_float.ate_hat == as_int.ate_hat
         for result in (as_int, as_float):
             assert result.degenerate_groups.tolist() == [False, True, False, False]
+
+    def test_caller_arrays_stay_writeable(self):
+        n, m = np.array([2, 1, 1, 3]), np.array([[1, 1], [0, 1], [1, 0], [2, 1]])
+        strata, counts = np.array([0, 3]), np.stack([with_hidden(m), with_hidden(m, 1)])
+        before = [arr.copy() for arr in (n, m, strata, counts)]
+        estimate_finite_counts(n, m)
+        estimate_deconfounded_only(m)
+        estimate_stratified_ite(strata, counts)
+        for arr, old in zip((n, m, strata, counts), before):
+            assert arr.flags.writeable and np.array_equal(arr, old)
 
 
 MARGINALS = (
@@ -575,6 +507,14 @@ class TestStacks:
             with pytest.raises(DegenerateGroupError) as info:
                 estimate(..., "error")
             assert info.value.groups == ((0, 1),), name
+
+    @given(count_stacks())
+    @settings(max_examples=100, deadline=None)
+    def test_deconfounded_only_stack_equals_per_table_calls(self, data):
+        lead, _, m = data
+        m[..., 0, 0] += m.sum(axis=(-2, -1)) == 0  # every member has a record
+        members = [estimate_deconfounded_only(m[idx]) for idx in np.ndindex(lead)]
+        assert_bitwise_stack(estimate_deconfounded_only(m), members, lead)
 
     @pytest.mark.parametrize("fallback", FALLBACKS)
     def test_empty_stack_returns_empty_arrays(self, fallback):

@@ -45,10 +45,31 @@ from deconf.io import (
     write_instance,
     write_joint_instance,
 )
-from deconf.model import Parts
+from deconf.model import GROUPS, Parts
 
-from test_estimation import records_from_cells
 from test_model import example_instance
+
+
+def records_from_cells(cells):
+    """Expand a 4 x k integer cell table into explicit (y, t, z) rows."""
+    rows = []
+    for g, (y, t) in enumerate(GROUPS):
+        for z, count in enumerate(cells[g]):
+            rows.extend([(y, t, z)] * int(count))
+    return np.array(rows)
+
+
+def count_reference(rows, k):
+    """The strata and ``(strata, 4, k + 1)`` counts of ``[x,] y, t, z`` rows, by ``np.add.at``.
+
+    Column 0 counts z = -1 and column z + 1 counts z; rows without x are stratum 0.
+    """
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, np.shape(rows)[-1])
+    x = rows[:, 0] if rows.shape[1] == 4 else np.zeros(len(rows), dtype=np.int64)
+    strata, index = np.unique(x, return_inverse=True)
+    counts = np.zeros((len(strata), 4, k + 1), dtype=np.int64)
+    np.add.at(counts, (index, 2 * rows[:, -3] + rows[:, -2], rows[:, -1] + 1), 1)
+    return strata, counts
 
 
 @pytest.fixture
@@ -171,9 +192,9 @@ class TestDatasetCsv:
     def test_mixed_rows(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("y,t,z\n1,1,0\n0,0,\n1,0,1\n")
-        rows = read_dataset_csv(path, k=2)
-        assert rows.dtype == np.int64
-        assert rows.tolist() == [[1, 1, 0], [0, 0, -1], [1, 0, 1]]
+        counts = read_dataset_csv(path, k=2)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [[1, 0, 0], [0, 0, 0], [0, 0, 1], [0, 1, 0]]
 
     def test_bad_row_number_reported(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -211,15 +232,18 @@ class TestDatasetCsv:
                 with pytest.raises(ValidationError) as info:
                     read(p, k=k)
                 assert str(info.value) == f"k must be an integer, got {k!r}"
-            assert read(p, k=np.int64(3)).tolist() == read(p, k=3).tolist()
+            assert repr(read(p, k=np.int64(3))) == repr(read(p, k=3))
 
     def test_stratified_reader(self, tmp_path):
         path = tmp_path / "strat.csv"
         path.write_text("x,y,t,z\n0,1,1,0\n0,0,0,\n1,1,0,1\n1,0,1,0\n")
-        rows = read_stratified_csv(path, k=2)
-        assert rows.dtype == np.int64
-        assert sorted(np.unique(rows[:, 0]).tolist()) == [0, 1]
-        assert (rows[:, 3] == -1).sum() == 1
+        strata, counts = read_stratified_csv(path, k=2)
+        assert strata.dtype == counts.dtype == np.int64
+        assert strata.tolist() == [0, 1]
+        assert counts.tolist() == [
+            [[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 1, 0]],
+            [[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],
+        ]
 
     @pytest.mark.parametrize(
         "body, message",
@@ -242,8 +266,8 @@ class TestDatasetCsv:
     def test_dataset_accepts_int_spellings(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("y,t,z\n 1,0 ,+1\n0,1, \n1,1,01\n")
-        rows = read_dataset_csv(path, k=2)
-        assert rows.tolist() == [[1, 0, 1], [0, 1, -1], [1, 1, 1]]
+        counts = read_dataset_csv(path, k=2)
+        assert counts.tolist() == [[0, 0, 0], [1, 0, 0], [0, 0, 1], [0, 0, 1]]
 
     @pytest.mark.parametrize(
         "body, message",
@@ -266,10 +290,13 @@ class TestDatasetCsv:
     def test_stratified_accepts_int_spellings(self, tmp_path):
         path = tmp_path / "strat.csv"
         path.write_text("x,y,t,z\n+3,1,1, 0\n 007,0,0,\n12,1 ,0,+1\n")
-        x, y, t, z = read_stratified_csv(path, k=2).T
-        assert x.tolist() == [3, 7, 12]
-        assert y.tolist() == [1, 0, 1]
-        assert z.tolist() == [0, -1, 1]
+        strata, counts = read_stratified_csv(path, k=2)
+        assert strata.tolist() == [3, 7, 12]
+        assert counts.tolist() == [
+            [[0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 1, 0]],
+            [[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]],
+            [[0, 0, 0], [0, 0, 0], [0, 0, 1], [0, 0, 0]],
+        ]
 
     @pytest.mark.parametrize("x", ["1_000", "0_1", "1_0_0"])
     def test_x_rejects_underscore_grouping(self, tmp_path, x):
@@ -361,8 +388,8 @@ class TestFullTableCsv:
     def test_accepts_int_spellings(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("y,t,z\n 1,0 , 1\n0,1,+1\n1,1,01\n0,0,2\n")
-        records = read_full_table_csv(path, k=3)
-        assert records.tolist() == [[1, 0, 1], [0, 1, 1], [1, 1, 1], [0, 0, 2]]
+        cells = read_full_table_csv(path, k=3)
+        assert cells.tolist() == [[0, 0, 1], [0, 1, 0], [0, 1, 0], [0, 1, 0]]
 
     def test_no_data_rows(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -384,7 +411,9 @@ class TestFullTableCsv:
         )
         path = tmp_path / "table.csv"
         path.write_text("y,t,z\n" + "".join(f"{y},{t},{z}\n" for y, t, z in records.tolist()))
-        assert np.array_equal(read_full_table_csv(path, k=3), records)
+        assert np.array_equal(dio._read_rows(path, 3, required=True), records)
+        cells = count_reference(records, 3)[1][0, :, 1:]
+        assert np.array_equal(read_full_table_csv(path, k=3), cells)
 
     def test_bad_row_deep_in_large_file(self, tmp_path):
         lines = ["0,1,2"] * 50_000
@@ -435,11 +464,14 @@ ROW_FLAWS = [  # a blank line, a field short, a field over, every cell quoted or
     lambda cells: [f'"{cell}"' for cell in cells],
     lambda cells: [f"\t{cell}" for cell in cells],
 ]
+# (header, z spellings, the private row reader, the public reader, its counts of the rows)
 READERS = {
-    "full": (["y", "t", "z"], Z_REQUIRED, partial(read_full_table_csv, k=3), lambda r: (r,)),
-    "dataset": (["y", "t", "z"], Z_OPTIONAL, partial(read_dataset_csv, k=3), lambda r: (r,)),
-    "stratified": (["x", "y", "t", "z"], Z_OPTIONAL, partial(read_stratified_csv, k=3),
-                   lambda r: (r,)),
+    "full": (["y", "t", "z"], Z_REQUIRED, partial(dio._read_rows, k=3, required=True),
+             partial(read_full_table_csv, k=3), lambda rows: count_reference(rows, 3)[1][0, :, 1:]),
+    "dataset": (["y", "t", "z"], Z_OPTIONAL, partial(dio._read_rows, k=3),
+                partial(read_dataset_csv, k=3), lambda rows: count_reference(rows, 3)[1][0]),
+    "stratified": (["x", "y", "t", "z"], Z_OPTIONAL, partial(dio._read_rows, k=3, stratified=True),
+                   partial(read_stratified_csv, k=3), lambda rows: count_reference(rows, 3)),
 }
 
 
@@ -520,10 +552,15 @@ def takes_fixed_branch(path, header):
     return codes is not None and not scan.called
 
 
-def read_outcome(read, path, arrays):
-    """A reader's arrays, or the message of the error it raised."""
+def as_lists(out):
+    """A reader's array, or its pair of arrays, as lists."""
+    return [a.tolist() for a in out] if isinstance(out, tuple) else out.tolist()
+
+
+def read_outcome(read, path):
+    """A reader's arrays as lists, or the message of the error it raised."""
     try:
-        return [a.tolist() for a in arrays(read(path))]
+        return as_lists(read(path))
     except DataFormatError as exc:
         return str(exc)
 
@@ -533,7 +570,7 @@ class TestReaderPaths:
 
     @pytest.mark.parametrize("name", sorted(READERS))
     def test_byte_path_matches_csv_path(self, name, tmp_path_factory):
-        header, z_spellings, read, arrays = READERS[name]
+        header, z_spellings, read, public, counted = READERS[name]
         path = tmp_path_factory.mktemp(name) / "table.csv"
         taken = []
 
@@ -543,8 +580,11 @@ class TestReaderPaths:
             path.write_bytes(content)
             taken.append(dio._field_codes(path, header, len(header)) is not None)
             with mock.patch.object(dio, "_read_int_columns", dio._read_int_columns_csv):
-                expected = read_outcome(read, path, arrays)
-            assert read_outcome(read, path, arrays) == expected
+                expected = read_outcome(read, path)
+            assert read_outcome(read, path) == expected
+            # the public reader raises the same error, or counts those rows
+            want = expected if isinstance(expected, str) else as_lists(counted(expected))
+            assert read_outcome(public, path) == want
 
         check()
         assert sum(taken) >= 20  # about a third of the files take the byte path
@@ -561,7 +601,9 @@ class TestReaderPaths:
             raise AssertionError("csv.reader called on a plain table")
 
         monkeypatch.setattr(csv, "reader", no_csv)
-        assert np.array_equal(read_full_table_csv(path, k=3), records)
+        assert np.array_equal(dio._read_rows(path, 3, required=True), records)
+        cells = count_reference(records, 3)[1][0, :, 1:]
+        assert np.array_equal(read_full_table_csv(path, k=3), cells)
 
     @pytest.mark.parametrize(
         "content",
@@ -604,7 +646,7 @@ class TestReaderPaths:
 
     @pytest.mark.parametrize("name", sorted(READERS))
     def test_fixed_stride_files_match_csv_path(self, name, tmp_path_factory):
-        header, _, read, arrays = READERS[name]
+        header, _, read, _, _ = READERS[name]
         path = tmp_path_factory.mktemp(name) / "table.csv"
         fixed = []
 
@@ -615,8 +657,8 @@ class TestReaderPaths:
             fixed.append(takes_fixed_branch(path, header))
             assert field_codes(path, header) == field_codes(path, header, fixed=False)
             with mock.patch.object(dio, "_read_int_columns", dio._read_int_columns_csv):
-                expected = read_outcome(read, path, arrays)
-            assert read_outcome(read, path, arrays) == expected
+                expected = read_outcome(read, path)
+            assert read_outcome(read, path) == expected
 
         check()
         assert sum(fixed) >= len(fixed) / 3
@@ -650,10 +692,37 @@ class TestReaderPaths:
 
         monkeypatch.setattr(dio, "_scan_codes", no_scan)
         monkeypatch.setattr(csv, "reader", no_scan)
-        for got, want in [(read_full_table_csv(plain, k=3), records[:, 1:]),
-                          (read_dataset_csv(plain, k=3), records[:, 1:]),
-                          (read_stratified_csv(padded, k=3), records)]:
+        for got, want in [(dio._read_rows(plain, 3, required=True), records[:, 1:]),
+                          (dio._read_rows(plain, 3), records[:, 1:]),
+                          (dio._read_rows(padded, 3, stratified=True), records)]:
             assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    def test_public_readers_count_the_rows(self, tmp_path):
+        # a full table, a dataset with 2% of z revealed, and a stratified file
+        # with x of several widths and hidden z: the byte path, then csv's
+        rng = np.random.default_rng(8)
+        records = rng.integers(0, [10**4, 2, 2, 3], (20_000, 4))
+        mixed = records.copy()
+        mixed[rng.random(len(records)) >= 0.02, 3] = -1
+        full, partial_z, strat = (tmp_path / name for name in ("full.csv", "part.csv", "x.csv"))
+        full.write_text("y,t,z\n" + "".join(f"{y},{t},{z}\n" for _, y, t, z in records.tolist()))
+        partial_z.write_text("y,t,z\n" + "".join(
+            f"{y},{t},{'' if z < 0 else z}\n" for _, y, t, z in mixed.tolist()))
+        strat.write_text("x,y,t,z\n" + "".join(
+            f"{x},{y},{t},{'' if z < 0 else z}\n" for x, y, t, z in mixed.tolist()))
+        for read_rows in (dio._read_int_columns, dio._read_int_columns_csv):
+            with mock.patch.object(dio, "_read_int_columns", read_rows):
+                cells = read_full_table_csv(full, k=3)
+                assert cells.dtype == np.int64 and cells.shape == (4, 3)
+                assert np.array_equal(cells, count_reference(records[:, 1:], 3)[1][0, :, 1:])
+                counts = read_dataset_csv(partial_z, k=3)
+                assert counts.dtype == np.int64 and counts.shape == (4, 4)
+                assert np.array_equal(counts, count_reference(mixed[:, 1:], 3)[1][0])
+                assert counts[:, 0].sum() > 0 and counts[:, 1:].sum() > 0
+                strata, counts = read_stratified_csv(strat, k=3)
+                want_strata, want = count_reference(mixed, 3)
+                assert np.array_equal(strata, want_strata) and np.array_equal(counts, want)
+                assert counts.dtype == np.int64 and counts.shape == (len(strata), 4, 4)
 
 
 class TestCurveCsv:

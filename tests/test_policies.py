@@ -154,6 +154,12 @@ class TestAllocateFinite:
         assert allocate_finite("usp", below, 5).tolist() == [2, 1, 1, 1]
         assert allocate_finite("usp", below, 2**63 - 1).tolist() == below
 
+    @pytest.mark.parametrize("available", [np.ones(4, dtype=bool), [True, True, False, True]])
+    def test_bool_availability_rejected(self, available):
+        # a bool scalar is no integer (check_int), and neither is a bool array
+        with pytest.raises(ValidationError, match=r"^available: entries must be integers$"):
+            allocate_finite("usp", available, 2)
+
     def test_owsp_arm_overflow_spills(self):
         # arm t=1 has only 3 records; its shortfall moves to arm t=0
         a = ConfoundedDistribution(np.array([0.25, 0.25, 0.25, 0.25]))

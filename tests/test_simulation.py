@@ -33,7 +33,6 @@ from deconf import (
 
 from deconf import simulation
 from deconf.cli import main
-from test_estimation import records_from_cells
 
 
 def small_infinite_config(**overrides):
@@ -201,45 +200,45 @@ class TestEmpiricalProtocol:
         a = ConfoundedDistribution(np.array([0.4, 0.1, 0.2, 0.3]))
         q = binary_conditional((0.5, 0.2, 0.7, 0.6))
         cells = (joint_from_parts(a, q).p * scale).round().astype(int)
-        return records_from_cells(cells), joint_from_parts(a, q)
+        return cells, joint_from_parts(a, q)
 
     def test_exact_proportion_table_ground_truth(self):
-        records, joint = self.full_table()
+        cells, joint = self.full_table()
         cfg = ExperimentConfig(
             k=2, policies=("owsp",), m_grid=(40,), replications=30, seed=2
         )
-        curve = run_empirical_experiment(records, cfg)
+        curve = run_empirical_experiment(cells, cfg)
         assert curve.rows[0].instances == 1
         # errors are measured against ate_exact of the full-table empirical joint
         assert 0.0 <= curve.rows[0].mean_abs_error <= 2.0
 
     def test_full_reveal_is_error_free(self):
-        records, _ = self.full_table()
-        total = len(records)
+        cells, _ = self.full_table()
+        total = int(cells.sum())
         cfg = ExperimentConfig(
             k=2, policies=("nsp",), m_grid=(total,), replications=5, seed=2
         )
-        curve = run_empirical_experiment(records, cfg)
+        curve = run_empirical_experiment(cells, cfg)
         assert curve.rows[0].mean_abs_error == 0.0
         assert curve.rows[0].std_abs_error == 0.0
 
     def test_small_group_rejected(self):
-        records, _ = self.full_table(scale=40)
+        cells, _ = self.full_table(scale=40)
         cfg = ExperimentConfig(
             k=2, policies=("usp",), m_grid=(39,), replications=2, seed=2
         )
         with pytest.raises(ExhaustedError):
-            run_empirical_experiment(records, cfg)
+            run_empirical_experiment(cells, cfg)
 
     def test_exhaustion_names_first_short_m_in_config_order(self):
         # group sizes 16, 4, 8, 12: nsp fits at m=40, usp at m=40 wants 10
         # reveals in (0,1); the m=30 shortfall would come first in sorted order
-        records, _ = self.full_table(scale=40)
+        cells, _ = self.full_table(scale=40)
         cfg = ExperimentConfig(
             k=2, policies=("nsp", "usp"), m_grid=(40, 30), replications=2, seed=2
         )
         with pytest.raises(ExhaustedError) as info:
-            run_empirical_experiment(records, cfg)
+            run_empirical_experiment(cells, cfg)
         assert str(info.value) == (
             "policy usp at m=40 needs 10 reveals in group (y=0,t=1), only 4 records exist"
         )
@@ -248,25 +247,41 @@ class TestEmpiricalProtocol:
     def test_empty_table_rejected(self):
         cfg = ExperimentConfig(k=2, policies=("nsp",), m_grid=(10,), replications=2, seed=2)
         with pytest.raises(ValidationError) as info:
-            run_empirical_experiment(np.zeros((0, 3), dtype=int), cfg)
+            run_empirical_experiment(np.zeros((4, 2), dtype=int), cfg)
         assert str(info.value) == "empirical dataset is empty"
 
     def test_baseline_past_the_table_rejected(self):
-        records, _ = self.full_table(scale=40)
+        cells, _ = self.full_table(scale=40)
         cfg = ExperimentConfig(k=2, policies=(), include_baseline=True, m_grid=(41,),
                                replications=2, seed=2)
         with pytest.raises(ExhaustedError) as info:
-            run_empirical_experiment(records, cfg)
+            run_empirical_experiment(cells, cfg)
         assert str(info.value) == "baseline needs 41 records, table has 40"
 
-    def test_non_integral_records_rejected(self):
-        records, _ = self.full_table()
+    @pytest.mark.parametrize("cells, message", [
+        (np.full((4, 2), 2.5), "cells: entries must be integers"),
+        (np.ones((4, 2), dtype=bool), "cells: entries must be integers"),
+        (-np.ones((4, 2), dtype=int), "cells: entries must be non-negative"),
+        (np.ones((3, 2), dtype=int), "cells: expected shape (4, k) with k >= 2, got (3, 2)"),
+        (np.full((4, 2), 2**61), f"cells: entries must sum to below 2**63, got {2**64}"),
+        (np.ones((4, 3), dtype=int), "cells: expected shape (4, 2) for config k=2, got (4, 3)"),
+        (np.ones((2, 4, 2), dtype=int),
+         "cells: expected shape (4, 2) for config k=2, got (2, 4, 2)"),
+    ])
+    def test_bad_cells_rejected(self, cells, message):
+        cfg = ExperimentConfig(k=2, policies=("nsp",), m_grid=(2,), replications=2, seed=2)
+        with pytest.raises(ValidationError) as info:
+            run_empirical_experiment(cells, cfg)
+        assert str(info.value) == message
+
+    def test_integral_float_cells_accepted(self):
+        cells, _ = self.full_table()
         cfg = ExperimentConfig(k=2, policies=("nsp",), m_grid=(10,), replications=2, seed=2)
-        with pytest.raises(ValidationError, match="integers"):
-            run_empirical_experiment(records + 0.5, cfg)
+        assert run_empirical_experiment(cells.astype(float), cfg) == run_empirical_experiment(
+            cells, cfg)
 
     def test_deterministic_and_worker_invariant(self):
-        records, _ = self.full_table()
+        cells, _ = self.full_table()
         cfg = ExperimentConfig(
             k=2,
             policies=("nsp", "usp", "owsp"),
@@ -275,8 +290,8 @@ class TestEmpiricalProtocol:
             replications=40,
             seed=21,
         )
-        assert run_empirical_experiment(records, cfg) == run_empirical_experiment(
-            records, cfg, workers=4
+        assert run_empirical_experiment(cells, cfg) == run_empirical_experiment(
+            cells, cfg, workers=4
         )
 
 
@@ -327,12 +342,12 @@ class TestArraysPastTheBoundary:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_empirical_sweep_builds_no_model_object(self, monkeypatch, workers):
-        records, _ = TestEmpiricalProtocol().full_table()
+        cells, _ = TestEmpiricalProtocol().full_table()
         cfg = ExperimentConfig(
             k=2, include_baseline=True, m_grid=(30, 15), replications=10, seed=4
         )
         built = count_validations(monkeypatch)
-        run_empirical_experiment(records, cfg, workers=workers)
+        run_empirical_experiment(cells, cfg, workers=workers)
         assert built == []
 
     @pytest.mark.parametrize("t, a", [(1, (0.5, 0.0, 0.5, 0.0)), (0, (0.0, 0.5, 0.0, 0.5))])
@@ -635,13 +650,13 @@ class TestStreamKeys:
         keys = []
         stream = simulation._stream
         monkeypatch.setattr(simulation, "_stream", lambda *key: keys.append(key) or stream(*key))
-        records = records_from_cells(np.array([[9, 3], [4, 6], [5, 5], [2, 8]]))
+        cells = np.array([[9, 3], [4, 6], [5, 5], [2, 8]])
         for seed in (5, 2**32 - 1):
             run_infinite_experiment(small_infinite_config(instances=3, replications=2, seed=seed))
             run_finite_experiment(ExperimentConfig(
                 k=2, instances=3, m_grid=(10,), n_grid=(10, 30), replications=2, seed=seed,
             ))
-            run_empirical_experiment(records, ExperimentConfig(
+            run_empirical_experiment(cells, ExperimentConfig(
                 k=2, include_baseline=True, m_grid=(8, 12), replications=2, seed=seed,
             ))
         # per seed: 3 instance, 3 baseline, 3 arrival and 3 reveal streams for
@@ -672,7 +687,7 @@ class TestCommonReveals:
             **overrides,
         })
         if protocol == "empirical":
-            return run_empirical_experiment(records_from_cells(self.CELLS), cfg)
+            return run_empirical_experiment(self.CELLS, cfg)
         return run_infinite_experiment(cfg, self.INSTANCES)
 
     @pytest.mark.parametrize("protocol", ["infinite", "empirical"])
@@ -787,9 +802,9 @@ class TestPoolingReference:
         serial = simulation._sweep(np.asarray, items, ("nsp",), "m", (5, 7), 1, 1)
         monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_pool)
         assert simulation._sweep(np.asarray, items, ("nsp",), "m", (5, 7), 4, 1) == serial
-        records = records_from_cells(np.array([[9, 3], [4, 6], [5, 5], [2, 8]]))
+        cells = np.array([[9, 3], [4, 6], [5, 5], [2, 8]])
         cfg = ExperimentConfig(k=2, include_baseline=True, m_grid=(12, 20), replications=5)
-        run_empirical_experiment(records, cfg, workers=4)
+        run_empirical_experiment(cells, cfg, workers=4)
 
     def test_two_items_start_no_pool(self, monkeypatch):
         # the first item runs in process, and one remaining item is no work to share
@@ -1025,7 +1040,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5, True, "2"])
     def test_rejects_bad_workers(self, workers):
-        records = records_from_cells(np.full((4, 2), 5))
+        cells = np.full((4, 2), 5)
         finite = ExperimentConfig(
             k=2, policies=("usp",), m_grid=(10,), n_grid=(20,), replications=2, seed=1
         )
@@ -1033,7 +1048,7 @@ class TestConfigValidation:
             lambda: run_infinite_experiment(small_infinite_config(), workers=workers),
             lambda: run_finite_experiment(finite, workers=workers),
             lambda: run_empirical_experiment(
-                records, small_infinite_config(m_grid=(8,)), workers=workers
+                cells, small_infinite_config(m_grid=(8,)), workers=workers
             ),
         ]
         for run in runs:
@@ -1080,12 +1095,12 @@ class TestConfigValidation:
 
     def test_n_grid_only_for_finite(self):
         # the infinite and empirical protocols sweep m_grid alone
-        records = records_from_cells(np.full((4, 2), 5))
+        cells = np.full((4, 2), 5)
         cfg = small_infinite_config(m_grid=(8,), n_grid=(100, 200))
         with pytest.raises(ValidationError, match="n_grid applies to the finite protocol"):
             run_infinite_experiment(cfg)
         with pytest.raises(ValidationError, match="n_grid applies to the finite protocol"):
-            run_empirical_experiment(records, cfg)
+            run_empirical_experiment(cells, cfg)
 
     @pytest.mark.parametrize("policies", ["nsp", "owsp", ""])
     def test_rejects_a_bare_string_of_policies(self, policies):
@@ -1209,9 +1224,7 @@ class TestStreamContract:
             assert row[3] == pytest.approx(want[3], rel=1e-12, abs=0.0)
 
     def test_empirical_k3(self):
-        records = records_from_cells(
-            np.array([[30, 12, 8], [9, 14, 6], [11, 20, 25], [16, 7, 22]])
-        )
+        cells = np.array([[30, 12, 8], [9, 14, 6], [11, 20, 25], [16, 7, 22]])
         cfg = ExperimentConfig(
             k=3,
             policies=("nsp", "usp", "owsp"),
@@ -1220,7 +1233,7 @@ class TestStreamContract:
             replications=6,
             seed=17,
         )
-        self.assert_within_ulps(self.rows(run_empirical_experiment(records, cfg)), [
+        self.assert_within_ulps(self.rows(run_empirical_experiment(cells, cfg)), [
             ("deconf-only", 12, 0.31836259224064106, 0.15436595058559563, 6),
             ("deconf-only", 40, 0.24743080412135288, 0.07692494022488551, 6),
             ("nsp", 12, 0.0722500115658938, 0.045073040964816874, 6),
