@@ -25,15 +25,14 @@ printable ASCII without ``"``, every line ending in ``\n``, the header,
 the same field count on every line, fields of at most 8 bytes, and
 spellings the field parsers accept. A file whose data lines all have one
 length, with their commas in the same columns (every ground-truth table
-with k <= 10 is ``d,d,d``), is read as column slices of one byte grid and
-proved simple column by column, each field column from the one contiguous
-copy its codes are made of; other files are checked and scanned for their
-separators byte by byte. Each field parser runs once per distinct spelling
-in its column, which a one-byte column finds by one search per byte
-between its least and greatest. One add fills a column whose values are
-its codes shifted by one constant, as one-digit fields' are; one lookup
-fills any other. Every other file goes through ``csv.reader``, the one
-source of reader error messages.
+with k <= 10 is ``d,d,d``), is read as column slices of one byte grid, a
+one-byte field column proved simple from its distinct bytes; other files
+are checked and scanned for their separators byte by byte. Each field
+parser runs once per distinct spelling in its column, but x's all-digit
+spellings are decoded from their bytes. Each row's count-table cell is
+summed from its columns' codes in the narrowest unsigned type, with no row
+array (a 200k-row k=3 fixed-stride table reads in ~1.1 CPU-ms). Every other
+file goes through ``csv.reader``, the one source of reader error messages.
 """
 
 from __future__ import annotations
@@ -246,36 +245,25 @@ def _open_rows(path, expected_headers) -> List[List[str]]:
     return rows[1:]
 
 
-def _read_int_columns(path, header: List[str], parsers) -> np.ndarray:
-    """The rows after ``header`` as a ``(rows, fields)`` int array, one parser per field.
+# A parsed column is a pair (index, table): row i's value is index[i] + table for
+# an int table (a column of one-digit fields), else table[index[i]].
 
-    The byte-level reader takes the files it can prove simple; every other
-    file goes to the ``csv`` reader, which alone raises the errors.
-    """
-    out = _read_int_columns_bytes(path, header, parsers)
-    return _read_int_columns_csv(path, header, parsers) if out is None else out
+
+def _read_int_columns(path, header: List[str], parsers) -> List[tuple]:
+    """The rows after ``header`` as one parsed column per parser: from the bytes
+    of a file ``_field_codes`` and ``_parse_codes`` take, else by the ``csv``
+    reader, which alone raises the errors."""
+    codes = _field_codes(path, header, len(parsers))
+    columns = None if codes is None else list(map(_parse_codes, codes, parsers))
+    if columns is None or None in columns:
+        return _read_int_columns_csv(path, header, parsers)
+    return columns
 
 
 _NL, _COMMA, _QUOTE = b"\n,\""
 _PACK = 8  # bytes of the widest field packed into one uint64 code
 _MASKS = np.array([(1 << 8 * n) - 1 for n in range(_PACK + 1)], dtype=np.uint64)
 _PREFIX = 4096  # bytes searched for the header and the first data line
-
-
-def _read_int_columns_bytes(path, header: List[str], parsers) -> Optional[np.ndarray]:
-    """``_read_int_columns_csv``'s array, or None for a file it must decide.
-
-    Takes the files ``_field_codes`` takes whose every spelling each parser
-    accepts. The array is column-major: each column is one contiguous run.
-    """
-    columns = _field_codes(path, header, len(parsers))
-    if columns is None:
-        return None
-    out = np.empty((len(parsers), columns[0].size), dtype=np.int64)
-    for values, codes, parse in zip(out, columns, parsers):
-        if not _parse_codes(codes, parse, values):
-            return None
-    return out.T
 
 
 def _field_codes(path, header: List[str], width: int) -> Optional[List[np.ndarray]]:
@@ -285,10 +273,10 @@ def _field_codes(path, header: List[str], width: int) -> Optional[List[np.ndarra
     ``\n``, the file ends in ``\n``, the header matches, and every line has
     ``width`` fields of at most 8 bytes. ``csv.reader`` splits such a file
     at ``,`` and ``\n`` alone, so its cells are the fields' bytes as text.
-    A field's code is its bytes as a little-endian integer. A file whose
-    data lines all have the first one's length is proved simple column by
-    column (``_fixed_fields``); only other files are checked and scanned for
-    separators byte by byte.
+    A field's code is its bytes as a little-endian integer. A file whose data
+    lines all have the first one's length is proved simple column by column
+    (``_fixed_fields``, and ``_parse_codes`` for one-byte columns); only other
+    files are checked and scanned for separators byte by byte.
     """
     try:
         buf = np.fromfile(path, dtype=np.uint8)
@@ -323,8 +311,9 @@ def _fixed_fields(buf: np.ndarray, header: List[str], width: int) -> Optional[Li
     The header and the first data line come from the file's first bytes.
     The data lines are then the rows of one ``(rows, stride)`` byte grid:
     the file is taken if each column where the first line has a ``,`` or
-    its ``\n`` holds that byte on every row, and each field column
-    (``_pack``) holds only printable ASCII other than ``"`` and ``,``.
+    its ``\n`` holds that byte on every row (compared as a contiguous copy,
+    faster than the strided column), no field column holds a ``,``, and each
+    one wider than a byte (``_pack``) holds only printable ASCII but ``"``.
     """
     lines = buf[:_PREFIX].tobytes().split(b"\n", 2)
     if len(lines) < 3 or not _is_header(lines[0], header):
@@ -335,32 +324,29 @@ def _fixed_fields(buf: np.ndarray, header: List[str], width: int) -> Optional[Li
     if extra or len(ends) != width:
         return None
     grid = buf[start:].reshape(rows, stride)
-    if not (grid[:, ends] == grid[0, ends]).all():
+    if not all((grid[:, end].copy() == grid[0, end]).all() for end in ends):
         return None
     codes = [_pack(grid[:, a:b]) for a, b in zip([0] + [end + 1 for end in ends], ends)]
     return None if any(field is None for field in codes) else codes
 
 
 def _pack(field: np.ndarray) -> Optional[np.ndarray]:
-    """A ``(rows, n)`` byte slice as codes: the byte itself if n is 1, else uint64.
+    """A ``(rows, n)`` byte slice as codes: a copy of the byte if n is 1, else uint64.
 
-    None if n > 8, or if a byte is not printable ASCII or is ``"`` or ``,``.
-    The check runs on the contiguous copy the codes are made of; uint64
-    codes pad each field with ``8 - n`` zero bytes.
+    None if n > 8 or a byte is ``,``, or if n > 1 and a byte is not printable
+    ASCII or is ``"``. uint64 codes pad each field with ``8 - n`` zero bytes.
     """
     rows, n = field.shape
-    if n > _PACK:
-        return None
     if n == 1:
         packed = field[:, 0].copy()
-    else:
-        packed = np.zeros((rows, _PACK), dtype=np.uint8)
-        packed[:, :n] = field
+        return None if _COMMA in packed else packed
+    if n > _PACK:
+        return None
+    packed = np.zeros((rows, _PACK), dtype=np.uint8)
+    packed[:, :n] = field
     if packed.max() > 0x7E or np.count_nonzero(packed < 0x20) != packed.size - rows * n:
         return None
-    if _QUOTE in packed or _COMMA in packed:
-        return None
-    return packed if n == 1 else packed.view("<u8")[:, 0]
+    return None if _QUOTE in packed or _COMMA in packed else packed.view("<u8")[:, 0]
 
 
 def _scan_codes(buf: np.ndarray, is_sep: np.ndarray, width: int) -> Optional[List[np.ndarray]]:
@@ -379,37 +365,51 @@ def _scan_codes(buf: np.ndarray, is_sep: np.ndarray, width: int) -> Optional[Lis
     return list((words.take(starts) & _MASKS.take(lengths)).reshape(-1, width).T)
 
 
-def _parse_codes(codes: np.ndarray, parse, out: np.ndarray) -> bool:
-    """Fill ``out`` with ``parse`` of each code's spelling; False if it rejects one.
+def _parse_codes(codes: np.ndarray, parse) -> Optional[tuple]:
+    """The parsed column of ``parse`` of each code's spelling, or None.
 
-    ``parse`` runs once per distinct code, in ascending order. A byte
-    column is searched once for each byte between its least and greatest;
-    other codes below 2**16 are counted in a histogram, larger ones go
-    through ``np.unique``. When every value is its code's slot plus one
-    constant, as one-digit fields' are, one add fills ``out``; otherwise a
-    lookup table of the values does.
+    None if ``parse`` rejects a spelling, or if a byte column (uint8 codes, from
+    a fixed-stride grid) holds a byte that is not printable ASCII or is ``"``.
+    ``parse`` runs once per distinct code, in ascending order, but not on x's
+    all-digit codes. A byte column is searched for each byte from its least
+    to its greatest; other codes below 2**16 are counted in a histogram,
+    larger ones ranked by ``np.unique``.
     """
     if codes.dtype == np.uint8:
-        index, low, high = codes, int(codes.min()), int(codes.max())
-        distinct = slots = np.array([b for b in range(low, high + 1) if b in codes])
+        low, high = int(codes.min()), int(codes.max())
+        index, distinct = codes, [b for b in range(low, high + 1) if b in codes]
+        if low < 0x20 or high > 0x7E or _QUOTE in distinct:
+            return None
+        distinct = slots = np.array(distinct)
     elif codes.max() < 1 << 16:
         index = codes.astype(np.intp)
         distinct = slots = np.flatnonzero(np.bincount(index))
     else:
         distinct, index = np.unique(codes, return_inverse=True)
         slots = np.arange(distinct.size)
+    values = _digits(distinct) if parse is _parse_x else np.full(distinct.size, -1)
+    spellings = distinct.tolist()
     try:
-        values = np.array([parse(_spelling(code), 0) for code in distinct.tolist()], np.int64)
+        for i in np.flatnonzero(values < 0).tolist():
+            values[i] = parse(_spelling(spellings[i]), 0)
     except DataFormatError:
-        return False
-    shift = values[0] - slots[0]
+        return None
+    shift = int(values[0] - slots[0])
     if (values - slots == shift).all():
-        np.add(index, shift, out=out, dtype=np.int64)
-    else:
-        table = np.zeros(slots[-1] + 1, dtype=np.int64)
-        table[slots] = values
-        table.take(index, out=out, mode="clip")
-    return True
+        return index, shift
+    table = np.zeros(slots[-1] + 1, dtype=np.int64)
+    table[slots] = values
+    return index, table
+
+
+def _digits(codes: np.ndarray) -> np.ndarray:
+    """The number each code spells if its bytes are all ASCII digits, else -1."""
+    chars = np.asarray(codes, dtype="<u8").view(np.uint8).reshape(-1, _PACK).astype(np.int64)
+    number, digits = np.zeros(len(codes), dtype=np.int64), chars[:, 0] > 0
+    for char in chars.T:  # a code's first byte is its lowest; zero bytes pad it
+        number = np.where(char > 0, 10 * number + char - 0x30, number)
+        digits &= (char == 0) | ((char >= 0x30) & (char <= 0x39))
+    return np.where(digits, number, -1)
 
 
 def _spelling(code: int) -> str:
@@ -417,33 +417,33 @@ def _spelling(code: int) -> str:
     return code.to_bytes(_PACK, "little").rstrip(b"\0").decode("ascii")
 
 
-def _read_int_columns_csv(path, header: List[str], parsers) -> np.ndarray:
+def _read_int_columns_csv(path, header: List[str], parsers) -> List[tuple]:
     """``_read_int_columns`` through ``csv.reader``; the source of every reader error.
 
     Parsers are pure functions of the cell text, so each runs once per
-    distinct spelling in its column. The first row with a wrong field count
-    or an unparsable cell is then parsed field by field, so it raises the
-    message a row-by-row loop would.
+    distinct spelling in its column, indexed in the order they appear. The
+    first row with a wrong field count or an unparsable cell is then parsed
+    field by field, so it raises the message a row-by-row loop would.
     """
     body = _open_rows(path, [header])
     width = len(parsers)
     wrong = np.fromiter(map(len, body), dtype=np.int64, count=len(body)) != width
     stop = int(np.argmax(wrong)) if wrong.any() else len(body)
     flat = list(chain.from_iterable(body[:stop]))
-    out = np.empty((stop, width), dtype=np.int64)
+    columns = []
     for j, parse in enumerate(parsers):
         cells = flat[j::width]
-        values, bad = {}, set()
-        for text in set(cells):
+        slots = {text: slot for slot, text in enumerate(dict.fromkeys(cells))}
+        table, bad = np.zeros(len(slots), dtype=np.int64), set()
+        for text, slot in slots.items():
             try:
-                values[text] = parse(text, 0)
+                table[slot] = parse(text, 0)
             except DataFormatError:
-                values[text] = 0
                 bad.add(text)
-        out[:, j] = np.fromiter(map(values.__getitem__, cells), dtype=np.int64, count=stop)
+        columns.append((np.fromiter(map(slots.__getitem__, cells), np.intp, stop), table))
         if bad:
             stop = int(np.argmax(np.fromiter(map(bad.__contains__, cells), dtype=bool)))
-            flat, out = flat[: stop * width], out[:stop]
+            flat = flat[: stop * width]
     if stop < len(body):
         row, fields = stop + 2, body[stop]
         if len(fields) != width:
@@ -452,31 +452,51 @@ def _read_int_columns_csv(path, header: List[str], parsers) -> np.ndarray:
             parse(text, row)
     if not stop:
         raise DataFormatError(f"{path}: no data rows")
-    return out
+    return [(index[:stop], table) for index, table in columns]
 
 
-def _read_rows(path, k: int, stratified: bool = False, required: bool = False) -> np.ndarray:
-    """The ``[x,] y, t, z`` rows of a table as a ``(rows, fields)`` int64 array.
-
-    z = -1 marks an empty z field, which ``required`` rejects.
-    """
+def _read_rows(path, k: int, stratified: bool = False, required: bool = False) -> List[tuple]:
+    """The ``[x,] y, t, z`` columns of a table; z = -1 is an empty z (``required`` rejects it)."""
     z = partial(_parse_z, k=check_int(k, "k", 2), required=required)
     if stratified:
         return _read_int_columns(path, ["x", "y", "t", "z"], (_parse_x, _Y, _T, z))
     return _read_int_columns(path, ["y", "t", "z"], (_Y, _T, z))
 
 
-def _count_rows(rows: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+def _count_rows(columns: List[tuple], k: int) -> Tuple[np.ndarray, np.ndarray]:
     """The sorted distinct x values of ``_read_rows`` and one ``(4, k + 1)`` table each.
 
     Column 0 of a table counts the rows with z = -1 and column z + 1 those
-    with z. Rows without an x column are one stratum, x = 0.
+    with z. Rows without an x column are one stratum, x = 0. A row's cell,
+    (4 s + 2 y + t)(k + 1) + z + 1 for the rank s of its x among the values
+    of x's slots, is summed in the narrowest unsigned type that holds every
+    cell, modulo its range; the strata no row is in are then dropped.
     """
-    y, t, z = rows[:, -3:].T
-    strata, index = (np.unique(rows[:, 0], return_inverse=True) if rows.shape[1] == 4
-                     else (np.zeros(1, dtype=np.int64), 0))
-    flat = (4 * index + 2 * y + t) * (k + 1) + z + 1
-    return strata, np.bincount(flat, minlength=strata.size * 4 * (k + 1)).reshape(-1, 4, k + 1)
+    strata = np.zeros(1, dtype=np.int64)
+    if len(columns) == 4:
+        index, table = columns[0]
+        values = np.arange(index.max() + 1) + table if isinstance(table, int) else table
+        strata, ranks = np.unique(values, return_inverse=True)
+        columns = [(index, ranks)] + columns[1:]
+    size = strata.size * 4 * (k + 1)
+    dtype = np.min_scalar_type(size)
+    weights = [4 * (k + 1), 2 * (k + 1), k + 1, 1][-len(columns) :]
+    offset = 1 + sum(w * s for (_, s), w in zip(columns, weights) if isinstance(s, int))  # shifts
+    cells = np.full(columns[0][0].size, offset % (1 << 8 * dtype.itemsize), dtype=dtype)
+    for (index, table), weight in zip(columns, weights):
+        if not isinstance(table, int):
+            index = table.astype(dtype).take(index, mode="clip")
+        cells += np.multiply(index, weight, dtype=dtype, casting="unsafe")
+    if dtype == np.uint8:  # two rows at a time as one uint16; either byte order counts each once
+        pairs = np.bincount(cells[: cells.size & -2].view(np.uint16), minlength=size << 8)
+        pairs = pairs.reshape(size, 256)
+        counts = pairs[:, :size].sum(axis=0) + pairs.sum(axis=1)
+        counts[cells[-1]] += cells.size & 1
+    else:
+        counts = np.bincount(cells.astype(np.intp), minlength=size)
+    counts = counts.reshape(-1, 4, k + 1)
+    used = counts.any(axis=(1, 2))
+    return strata[used], counts[used]
 
 
 def read_dataset_csv(path, k: int) -> np.ndarray:

@@ -64,9 +64,12 @@ def check_int(value, name: str, minimum: int) -> int:
 
 
 def integer_array(values, name: str) -> np.ndarray:
-    """``values`` as an int array; non-integral, bool or non-numeric entries raise."""
+    """``values`` as an int array; non-integral, bool or non-numeric entries raise,
+    and so do integral floats of 2**63 or more in magnitude, which no int64 holds."""
     arr = np.asarray(values)
     if arr.dtype.kind == "f" and np.all(np.isfinite(arr)) and np.all(arr == np.trunc(arr)):
+        if np.any(np.abs(arr) >= 2.0**63):
+            raise ValidationError(f"{name}: entries must lie below 2**63 in magnitude")
         return arr.astype(int)
     if arr.dtype.kind not in "iu":
         raise ValidationError(f"{name}: entries must be integers")

@@ -424,6 +424,9 @@ class TestCountValidation:
             ([[1, 1, 1, 1]], "n_counts: expected shape (4,), got (1, 4)"),
             ([0, 0, 0, 0], "a: cannot normalize all-zero counts"),
             ([True, True, False, True], "n_counts: entries must be integers"),
+            # integral floats no int64 holds, which a cast would wrap
+            ([1e19, 1.0, 1.0, 1.0], "n_counts: entries must lie below 2**63 in magnitude"),
+            ([-2.0**63, 1.0, 1.0, 1.0], "n_counts: entries must lie below 2**63 in magnitude"),
             ([2**62] * 4, "n_counts: entries must sum to below 2**63, got 18446744073709551616"),
             ([2**62, 2**62, 2**62, 1],
              "n_counts: entries must sum to below 2**63, got 13835058055282163713"),

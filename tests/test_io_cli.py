@@ -72,6 +72,27 @@ def count_reference(rows, k):
     return strata, counts
 
 
+def row_values(columns):
+    """``io._read_rows``'s columns as the ``(rows, fields)`` array of their values.
+
+    Each column is an integer index per row and an int shift or an int64 table.
+    """
+    values = []
+    for index, table in columns:
+        assert index.ndim == 1 and index.dtype.kind in "ui"
+        if isinstance(table, int):
+            values.append(index.astype(np.int64) + table)
+        else:
+            assert table.dtype == np.int64
+            values.append(table[index])
+    return np.column_stack(values)
+
+
+def read_rows(path, **kwargs):
+    """``io._read_rows``'s values as one ``(rows, fields)`` int64 array."""
+    return row_values(dio._read_rows(path, **kwargs))
+
+
 @pytest.fixture
 def instance_file(tmp_path):
     a, q = example_instance()
@@ -411,7 +432,8 @@ class TestFullTableCsv:
         )
         path = tmp_path / "table.csv"
         path.write_text("y,t,z\n" + "".join(f"{y},{t},{z}\n" for y, t, z in records.tolist()))
-        assert np.array_equal(dio._read_rows(path, 3, required=True), records)
+        rows = read_rows(path, k=3, required=True)
+        assert rows.dtype == np.int64 and np.array_equal(rows, records)
         cells = count_reference(records, 3)[1][0, :, 1:]
         assert np.array_equal(read_full_table_csv(path, k=3), cells)
 
@@ -466,11 +488,11 @@ ROW_FLAWS = [  # a blank line, a field short, a field over, every cell quoted or
 ]
 # (header, z spellings, the private row reader, the public reader, its counts of the rows)
 READERS = {
-    "full": (["y", "t", "z"], Z_REQUIRED, partial(dio._read_rows, k=3, required=True),
+    "full": (["y", "t", "z"], Z_REQUIRED, partial(read_rows, k=3, required=True),
              partial(read_full_table_csv, k=3), lambda rows: count_reference(rows, 3)[1][0, :, 1:]),
-    "dataset": (["y", "t", "z"], Z_OPTIONAL, partial(dio._read_rows, k=3),
+    "dataset": (["y", "t", "z"], Z_OPTIONAL, partial(read_rows, k=3),
                 partial(read_dataset_csv, k=3), lambda rows: count_reference(rows, 3)[1][0]),
-    "stratified": (["x", "y", "t", "z"], Z_OPTIONAL, partial(dio._read_rows, k=3, stratified=True),
+    "stratified": (["x", "y", "t", "z"], Z_OPTIONAL, partial(read_rows, k=3, stratified=True),
                    partial(read_stratified_csv, k=3), lambda rows: count_reference(rows, 3)),
 }
 
@@ -537,6 +559,10 @@ def fixed_stride_files(draw, header):
     return "".join(",".join(cells) + "\n" for cells in [header] + rows).encode("ascii")
 
 
+# the bytes a one-byte field column of a fixed-stride table may hold
+PLAIN = np.array([b for b in range(0x20, 0x7F) if b not in b'",'], dtype=np.uint8)
+
+
 def field_codes(path, header, fixed=True):
     """``_field_codes`` as lists of ints; ``fixed=False`` turns the fixed-stride branch off."""
     with mock.patch.object(dio, "_fixed_fields", dio._fixed_fields if fixed else
@@ -601,7 +627,8 @@ class TestReaderPaths:
             raise AssertionError("csv.reader called on a plain table")
 
         monkeypatch.setattr(csv, "reader", no_csv)
-        assert np.array_equal(dio._read_rows(path, 3, required=True), records)
+        rows = read_rows(path, k=3, required=True)
+        assert rows.dtype == np.int64 and np.array_equal(rows, records)
         cells = count_reference(records, 3)[1][0, :, 1:]
         assert np.array_equal(read_full_table_csv(path, k=3), cells)
 
@@ -617,9 +644,11 @@ class TestReaderPaths:
          b"y,t,z\n0,1,2\n0,1,\x0b\n", b"y,t,z\x0b\n0,1,2\n0,1,2\n"],
     )
     def test_byte_path_passes_what_it_cannot_prove_simple(self, tmp_path, content):
+        # parsers that take any spelling, so only the proof can pass a file on
         path = tmp_path / "table.csv"
         path.write_bytes(content)
-        assert dio._field_codes(path, ["y", "t", "z"], 3) is None
+        with mock.patch.object(dio, "_read_int_columns_csv", return_value=None):
+            assert dio._read_int_columns(path, ["y", "t", "z"], [lambda text, row: 0] * 3) is None
 
     def test_distinct_codes_match_numpy_unique(self, monkeypatch):
         # each code parses to `step` times the rank of its first parse call, so
@@ -628,21 +657,43 @@ class TestReaderPaths:
         # parses to its bytes plus a constant, so the lookup table fills it
         monkeypatch.setattr(dio, "_spelling", lambda code: code)
         rng = np.random.default_rng(6)
-        inputs = [rng.integers(0, high, 1_000).astype(dtype) for high, dtype in (
-            (3, np.uint64), (1 << 8, np.uint8), (1 << 16, np.uint64), (1 << 40, np.uint64))]
+        inputs = [rng.integers(0, high, 1_000).astype(np.uint64)
+                  for high in (3, 1 << 8, 1 << 16, 1 << 40)]
+        inputs.append(rng.choice(PLAIN, 1_000))  # a byte column of random plain bytes
         inputs += [
             rng.integers(0x30, 0x33, (1_000, 6)).astype(np.uint8)[:, 2],  # a grid column
             np.full(1_000, 0x31, dtype=np.uint8),  # one distinct byte
-            rng.permutation(np.arange(0x20, 0x7F, dtype=np.uint8).repeat(9)),  # all printable
+            rng.permutation(PLAIN.repeat(9)),  # every printable byte but " and ","
         ]
         for codes in inputs:
             for step in (1, 2):
-                distinct, parsed = [], np.empty(codes.size, dtype=np.int64)
-                assert dio._parse_codes(codes, lambda code, row: step * (
-                    distinct.append(code) or len(distinct) - 1), parsed)
+                distinct = []
+                column = dio._parse_codes(codes, lambda code, row: step * (
+                    distinct.append(code) or len(distinct) - 1))
                 expected, inverse = np.unique(codes, return_inverse=True)
                 assert distinct == expected.tolist()
-                assert parsed.tolist() == (step * inverse).tolist()
+                assert row_values([column])[:, 0].tolist() == (step * inverse).tolist()
+        # a byte column is proved printable and without '"' from its distinct bytes
+        for byte in (0x00, 0x0A, 0x1F, 0x22, 0x7F, 0xFF):
+            codes = np.full(1_000, 0x31, dtype=np.uint8)
+            codes[rng.integers(0, 1_000)] = byte
+            assert dio._parse_codes(codes, lambda code, row: pytest.fail("parsed")) is None
+
+    def test_all_digit_x_codes_skip_the_parser(self, monkeypatch):
+        # x's all-digit codes are decoded from their bytes; any other spelling
+        # still goes to _parse_x, so its value or error is unchanged
+        spellings = ["7", "0", "00", "007", "12345678", "99999999", " 7", "+5", "-0", "7 "]
+        codes = np.array([int.from_bytes(s.encode(), "little") for s in spellings] * 3,
+                         dtype=np.uint64)
+        spelled = []
+        monkeypatch.setattr(dio, "_spelling", lambda code, spell=dio._spelling: spelled.append(
+            spell(code)) or spelled[-1])
+        values = row_values([dio._parse_codes(codes, dio._parse_x)])[:, 0]
+        assert values.tolist() == [dio._parse_x(s, 0) for s in spellings] * 3
+        assert sorted(spelled) == sorted([" 7", "+5", "-0", "7 "])
+        for bad in ("1_0", "-1", "x1"):
+            bad_codes = np.append(codes, np.uint64(int.from_bytes(bad.encode(), "little")))
+            assert dio._parse_codes(bad_codes, dio._parse_x) is None
 
     @pytest.mark.parametrize("name", sorted(READERS))
     def test_fixed_stride_files_match_csv_path(self, name, tmp_path_factory):
@@ -692,10 +743,47 @@ class TestReaderPaths:
 
         monkeypatch.setattr(dio, "_scan_codes", no_scan)
         monkeypatch.setattr(csv, "reader", no_scan)
-        for got, want in [(dio._read_rows(plain, 3, required=True), records[:, 1:]),
-                          (dio._read_rows(plain, 3), records[:, 1:]),
-                          (dio._read_rows(padded, 3, stratified=True), records)]:
+        for got, want in [(read_rows(plain, k=3, required=True), records[:, 1:]),
+                          (read_rows(plain, k=3), records[:, 1:]),
+                          (read_rows(padded, k=3, stratified=True), records)]:
             assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case", ["k10", "k64", "strata"])
+    def test_narrow_cell_index_edges(self, case, tmp_path, monkeypatch):
+        # fixed-stride files: z 0-9 at k = 10; zero-padded two-digit z at
+        # k = 64, a tenth of it hidden as two blanks, whose cells pass 255,
+        # so a uint8 cell index would wrap; and x of 300 distinct values. An
+        # odd row count leaves a row unpaired.
+        k = {"k10": 10, "k64": 64, "strata": 3}[case]
+        rng = np.random.default_rng(9)
+        records = rng.integers(0, [300, 2, 2, k], (5_001, 4))
+        if case == "k64":
+            records[rng.random(len(records)) < 0.1, 3] = -1
+        header = "x,y,t,z" if case == "strata" else "y,t,z"
+        lines = [f"{x:03},{y},{t},{z}" if case == "strata" else
+                 f"{y},{t},{'  ' if z < 0 else z:0{len(str(k - 1))}}"
+                 for x, y, t, z in records.tolist()]
+        path = tmp_path / "table.csv"
+        path.write_text(header + "\n" + "\n".join(lines) + "\n")
+        strata, counts = count_reference(records if case == "strata" else records[:, 1:], k)
+        reads = {"k10": [(partial(read_dataset_csv, k=k), counts[0]),
+                         (partial(read_full_table_csv, k=k), counts[0, :, 1:])],
+                 "k64": [(partial(read_dataset_csv, k=k), counts[0])],
+                 "strata": [(partial(read_stratified_csv, k=k), (strata, counts))]}[case]
+        if case == "k64":  # rows in cells 3 * 65 + z + 1 > 255, and hidden ones
+            assert counts[0, 3, 61:].sum() > 0 and counts[0, :, 0].sum() > 0
+        if case == "strata":
+            assert len(strata) == 300
+        with mock.patch.object(dio, "_read_int_columns", dio._read_int_columns_csv):
+            by_csv = [as_lists(read(path)) for read, _ in reads]
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("separator scan or csv.reader on a fixed-stride table")
+
+        monkeypatch.setattr(dio, "_scan_codes", no_scan)
+        monkeypatch.setattr(csv, "reader", no_scan)
+        for (read, want), expected in zip(reads, by_csv):
+            assert as_lists(read(path)) == as_lists(want) == expected
 
     def test_public_readers_count_the_rows(self, tmp_path):
         # a full table, a dataset with 2% of z revealed, and a stratified file

@@ -154,6 +154,13 @@ class TestAllocateFinite:
         assert allocate_finite("usp", below, 5).tolist() == [2, 1, 1, 1]
         assert allocate_finite("usp", below, 2**63 - 1).tolist() == below
 
+    def test_float_availability_past_int64_rejected(self):
+        # an integral float of 2**63 or more has no int64; a cast would wrap it
+        message = r"^available: entries must lie below 2\*\*63 in magnitude$"
+        with pytest.raises(ValidationError, match=message):
+            allocate_finite("usp", np.array([1e19, 1.0, 1.0, 1.0]), 2)
+        assert allocate_finite("usp", np.array([2.0**62, 1, 1, 1]), 4).tolist() == [1, 1, 1, 1]
+
     @pytest.mark.parametrize("available", [np.ones(4, dtype=bool), [True, True, False, True]])
     def test_bool_availability_rejected(self, available):
         # a bool scalar is no integer (check_int), and neither is a bool array
